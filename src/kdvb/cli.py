@@ -11,8 +11,9 @@ A run is described by one JSON document.  Common keys:
     out              output directory (the --out flag overrides)
     initial_data     {"kind": "soliton" | "gaussian" | "power_law" | "sine", ...}
 
-plus one experiment block named after the subcommand (see the per-
-subcommand ``_SCHEMAS``).  Unknown keys anywhere are rejected.
+plus one experiment block named after the subcommand (its allowed keys
+are listed in ``_COMMANDS``).  Unknown keys anywhere are rejected, and
+the numeric common keys must be finite numbers.
 
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
@@ -26,11 +27,13 @@ Exit codes: 0 success, 2 config error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,17 +62,6 @@ from .reports import SweepReport, canonical_json
 from .sharpness import exponent_sweep, write_sweep_csv
 from .spectral import GridSpec, RealField
 
-SUBCOMMANDS = (
-    "solve",
-    "energy",
-    "inviscid",
-    "rate",
-    "scaling",
-    "sharpness",
-    "imethod-bounds",
-    "h1-bound",
-)
-
 _COMMON_KEYS = {
     "subcommand",
     "epsilon",
@@ -83,17 +75,6 @@ _COMMON_KEYS = {
     "seed",
     "out",
     "initial_data",
-}
-
-_SCHEMAS = {
-    "solve": set(),
-    "energy": {"refine_check"},
-    "inviscid": {"eps_ladder", "sobolev_s"},
-    "rate": {"eps_ladder", "sobolev_s"},
-    "scaling": {"lambda_exp"},
-    "sharpness": {"s_list", "n_ladder", "delta", "regime"},
-    "imethod-bounds": {"n1_ladder", "ratios", "cutoff_n", "s_exp", "n_samples"},
-    "h1-bound": {"eps_ladder"},
 }
 
 _DATA_KEYS = {
@@ -152,6 +133,20 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _number(doc: dict, key: str, kind=float):
+    """doc[key] coerced by kind; a non-numeric or non-finite value is a
+    config error naming the key."""
+    value = _require(doc, key)
+    try:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON run description; errors name the offending key."""
     try:
@@ -174,25 +169,25 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         params = ModelParams(
-            epsilon=float(_require(merged, "epsilon")),
-            alpha=float(_require(merged, "alpha")),
+            epsilon=_number(merged, "epsilon"),
+            alpha=_number(merged, "alpha"),
         )
     except ParameterError as exc:
         raise ConfigError(f"model parameters: {exc}") from exc
 
     try:
         grid = GridSpec(
-            box_length=float(_require(merged, "box_length")),
-            modes=int(_require(merged, "modes")),
-            dealias_fraction=float(merged["dealias_fraction"]),
+            box_length=_number(merged, "box_length"),
+            modes=_number(merged, "modes", int),
+            dealias_fraction=_number(merged, "dealias_fraction"),
         )
     except ParameterError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    needs_solver = sub in ("solve", "energy", "inviscid", "rate", "scaling", "h1-bound")
-    dt = float(_require(merged, "dt")) if needs_solver else float(merged.get("dt", 1e-3))
-    t_final = float(merged["t_final"])
-    stride = int(merged["snapshot_stride"])
+    _, block_keys, needs_solver = _COMMANDS[sub]
+    dt = _number(merged, "dt") if needs_solver or "dt" in merged else 1e-3
+    t_final = _number(merged, "t_final")
+    stride = _number(merged, "snapshot_stride", int)
     if needs_solver:
         try:
             SolverConfig(
@@ -216,7 +211,7 @@ def parse_config(text: str) -> RunConfig:
     experiment = merged.get(sub, {})
     if not isinstance(experiment, dict):
         raise ConfigError(f"experiment block {sub!r} must be an object")
-    bad = set(experiment) - _SCHEMAS[sub]
+    bad = set(experiment) - block_keys
     if bad:
         raise ConfigError(f"unknown keys in {sub!r} block: {sorted(bad)}")
 
@@ -227,7 +222,7 @@ def parse_config(text: str) -> RunConfig:
         dt=dt,
         t_final=t_final,
         snapshot_stride=stride,
-        seed=int(merged["seed"]),
+        seed=_number(merged, "seed", int),
         out_path=Path(merged["out"]),
         initial_data=data,
         experiment=experiment,
@@ -302,13 +297,7 @@ def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     artifacts["ledger.csv"] = csv.getvalue().encode()
     result = {"ledger_residual": l2_dissipation_residual(traj)}
     if cfg.experiment.get("refine_check", False):
-        refined_cfg = SolverConfig(
-            params=cfg.params,
-            grid=cfg.grid,
-            dt=cfg.dt / 2.0,
-            t_final=cfg.t_final,
-            snapshot_stride=cfg.snapshot_stride,
-        )
+        refined_cfg = replace(_solver_config(cfg), dt=cfg.dt / 2)
         result["ledger_residual_refined"] = l2_dissipation_residual(solve(phi, refined_cfg))
         result["refinement_factor"] = result["ledger_residual"] / max(
             result["ledger_residual_refined"], 1e-300
@@ -422,6 +411,32 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     return result
 
 
+# subcommand -> (runner, allowed experiment-block keys, needs a time-stepping solve)
+_COMMANDS = {
+    "solve": (_run_solve, set(), True),
+    "energy": (_run_energy, {"refine_check"}, True),
+    "inviscid": (
+        functools.partial(_run_inviscid, with_rate=False),
+        {"eps_ladder", "sobolev_s"},
+        True,
+    ),
+    "rate": (
+        functools.partial(_run_inviscid, with_rate=True),
+        {"eps_ladder", "sobolev_s"},
+        True,
+    ),
+    "scaling": (_run_scaling, {"lambda_exp"}, True),
+    "sharpness": (_run_sharpness, {"s_list", "n_ladder", "delta", "regime"}, False),
+    "imethod-bounds": (
+        _run_imethod_bounds,
+        {"n1_ladder", "ratios", "cutoff_n", "s_exp", "n_samples"},
+        False,
+    ),
+    "h1-bound": (_run_h1_bound, {"eps_ladder"}, True),
+}
+SUBCOMMANDS = tuple(_COMMANDS)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment; write artifacts and manifest.
 
@@ -431,23 +446,9 @@ def run(cfg: RunConfig) -> int:
     cfg.out_path.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, bytes] = {}
     started = time.monotonic()
+    runner = _COMMANDS[cfg.subcommand][0]
     try:
-        if cfg.subcommand == "solve":
-            result = _run_solve(cfg, artifacts)
-        elif cfg.subcommand == "energy":
-            result = _run_energy(cfg, artifacts)
-        elif cfg.subcommand == "inviscid":
-            result = _run_inviscid(cfg, artifacts, with_rate=False)
-        elif cfg.subcommand == "rate":
-            result = _run_inviscid(cfg, artifacts, with_rate=True)
-        elif cfg.subcommand == "scaling":
-            result = _run_scaling(cfg, artifacts)
-        elif cfg.subcommand == "sharpness":
-            result = _run_sharpness(cfg, artifacts)
-        elif cfg.subcommand == "imethod-bounds":
-            result = _run_imethod_bounds(cfg, artifacts)
-        else:
-            result = _run_h1_bound(cfg, artifacts)
+        result = runner(cfg, artifacts)
     except (ConfigError, ParameterError) as exc:
         return _fail(cfg, exc, 2)
     except DivergenceError as exc:
@@ -500,12 +501,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to a JSON run description")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker bound hint; 0 = auto (execution is currently sequential)",
-    )
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
@@ -520,11 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text)
         if args.out is not None:
-            cfg = RunConfig(
-                **{**cfg.__dict__, "out_path": Path(args.out)}
-            )
+            cfg = replace(cfg, out_path=Path(args.out))
         if args.seed is not None:
-            cfg = RunConfig(**{**cfg.__dict__, "seed": int(args.seed)})
+            cfg = replace(cfg, seed=args.seed)
     except ConfigError as exc:
         print(
             canonical_json({"error": "ConfigError", "message": str(exc), "exit_code": 2}),

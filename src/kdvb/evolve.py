@@ -29,19 +29,18 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractViolationError, DivergenceError, ParameterError
-from .propagator import ModelParams
+from .propagator import ModelParams, linear_symbol
 from .spectral import (
     GridSpec,
     RealField,
     SpectralField,
-    dissipation_symbol,
     forward_transform,
     inverse_transform,
     read_snapshot,
     write_snapshot,
 )
 
-Nonlinearity = Callable[[SpectralField], SpectralField]
+Nonlinearity = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,24 @@ class Trajectory:
         return self.config.params
 
 
+def _nonlinear_coeffs(grid: GridSpec) -> Nonlinearity:
+    """N on raw coefficient arrays of one grid, with the transform scales,
+    the derivative symbol and the dealias mask computed once."""
+    to_values = grid.modes / np.sqrt(grid.box_length)
+    to_coeffs = np.sqrt(grid.box_length) / grid.modes
+    minus_i_xi = -1j * grid.wavenumbers()
+    mask = grid.dealias_mask()
+
+    def nl(c: np.ndarray) -> np.ndarray:
+        w = np.fft.ifft(c * to_values).real
+        return np.where(mask, minus_i_xi * (np.fft.fft(w * w) * to_coeffs), 0.0)
+
+    return nl
+
+
 def nonlinear_term(u: SpectralField) -> SpectralField:
     """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased."""
-    grid = u.grid
-    scale = grid.modes / np.sqrt(grid.box_length)
-    w = np.fft.ifft(u.coeffs * scale).real
-    sq = np.fft.fft(w * w) * (np.sqrt(grid.box_length) / grid.modes)
-    out = -1j * grid.wavenumbers() * sq
-    return SpectralField(np.where(grid.dealias_mask(), out, 0.0), grid)
+    return SpectralField(_nonlinear_coeffs(u.grid)(u.coeffs), u.grid)
 
 
 def _phi_series(z: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -161,10 +170,7 @@ class _EtdrkTableau:
     """Precomputed ETDRK4 multipliers for one (grid, params, dt)."""
 
     def __init__(self, grid: GridSpec, p: ModelParams, dt: float):
-        z = dt * (
-            1j * grid.wavenumbers() ** 3
-            - p.epsilon * dissipation_symbol(grid, p.alpha)
-        )
+        z = dt * linear_symbol(grid, p)
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
         self.q = dt * _etd_coefficient(
@@ -187,9 +193,7 @@ class _EtdrkTableau:
         )
 
 
-def _etdrk4_update(
-    c: np.ndarray, tab: _EtdrkTableau, nl: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
+def _etdrk4_update(c: np.ndarray, tab: _EtdrkTableau, nl: Nonlinearity) -> np.ndarray:
     n0 = nl(c)
     a = tab.e_half * c + tab.q * n0
     na = nl(a)
@@ -208,18 +212,15 @@ def step(
 ) -> SpectralField:
     """One ETDRK4 step of size dt.
 
-    ``nonlinearity`` defaults to ``nonlinear_term``; passing a substitute
-    (for instance one returning the zero field) isolates the linear flow,
-    which this scheme reproduces exactly.
+    ``nonlinearity`` maps coefficient arrays to coefficient arrays and
+    defaults to N; passing a substitute (for instance
+    ``zero_nonlinearity``) isolates the linear flow, which this scheme
+    reproduces exactly.
     """
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    nl_field = nonlinear_term if nonlinearity is None else nonlinearity
     grid = u.grid
-
-    def nl(c: np.ndarray) -> np.ndarray:
-        return nl_field(SpectralField(c, grid)).coeffs
-
+    nl = _nonlinear_coeffs(grid) if nonlinearity is None else nonlinearity
     return SpectralField(
         _etdrk4_update(u.coeffs, _EtdrkTableau(grid, p, dt), nl), grid
     )
@@ -243,13 +244,8 @@ def solve(
         raise ContractViolationError("initial data grid does not match solver grid")
     grid = cfg.grid
     p = cfg.params
-    nl_field = nonlinear_term if nonlinearity is None else nonlinearity
-
-    def nl(c: np.ndarray) -> np.ndarray:
-        return nl_field(SpectralField(c, grid)).coeffs
-
-    mask = grid.dealias_mask()
-    c = np.where(mask, forward_transform(phi).coeffs, 0.0)
+    nl = _nonlinear_coeffs(grid) if nonlinearity is None else nonlinearity
+    c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt)
     n_full = int(n_full)
@@ -278,9 +274,9 @@ def solve(
     return Trajectory(np.asarray(times), tuple(states), cfg)
 
 
-def zero_nonlinearity(u: SpectralField) -> SpectralField:
+def zero_nonlinearity(c: np.ndarray) -> np.ndarray:
     """Substitute nonlinearity that switches the quadratic term off."""
-    return SpectralField(np.zeros_like(u.coeffs), u.grid)
+    return np.zeros_like(c)
 
 
 def write_trajectory(stream, traj: Trajectory) -> None:

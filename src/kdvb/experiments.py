@@ -32,6 +32,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     inverse_transform,
+    resize_band,
 )
 
 
@@ -213,30 +214,6 @@ def rate_fit(report: SweepReport) -> float:
     return fit["slope"]
 
 
-def embed_band(u: SpectralField, fine_grid: GridSpec, amplitude: float) -> SpectralField:
-    """Copy coefficients index-by-index into a larger lattice and rescale.
-
-    Wavenumber m on the fine grid (box lam^-1 L) is xi_m / lam, so index
-    identity realizes phi -> amplitude * phi(lam x) exactly.
-    """
-    if fine_grid.modes < u.grid.modes:
-        raise ParameterError("embedding target must have at least as many modes")
-    half = u.grid.modes // 2
-    out = np.zeros(fine_grid.modes, dtype=np.complex128)
-    out[:half] = u.coeffs[:half]
-    out[fine_grid.modes - half :] = u.coeffs[half:]
-    return SpectralField(out * amplitude, fine_grid)
-
-
-def restrict_band(u: SpectralField, coarse_grid: GridSpec, amplitude: float) -> SpectralField:
-    """Inverse of embed_band: keep the low band and rescale."""
-    half = coarse_grid.modes // 2
-    out = np.empty(coarse_grid.modes, dtype=np.complex128)
-    out[:half] = u.coeffs[:half]
-    out[half:] = u.coeffs[u.grid.modes - half :]
-    return SpectralField(out * amplitude, coarse_grid)
-
-
 def scaling_check(
     phi: RealField,
     params: ModelParams,
@@ -250,6 +227,8 @@ def scaling_check(
     The rescaled run uses box lam^-1 L with lam^-1 M modes, data
     lam^2 phi(lam x), dissipation lam^(3-2a) epsilon, horizon lam^-3 T,
     and step lam^-3 dt, then is compared after exact band restriction.
+    Wavenumber m on the fine grid is xi_m / lam, so copying coefficients
+    index by index realizes phi -> phi(lam x) exactly.
     """
     if lambda_exp < 0 or int(lambda_exp) != lambda_exp:
         raise ParameterError(f"lambda_exp must be a nonnegative integer, got {lambda_exp}")
@@ -271,9 +250,8 @@ def scaling_check(
         phi_scaled_real = phi
     else:
         # unitary coefficients scale by lam^2 * sqrt(1/lam) = lam^(3/2)
-        phi_scaled_real = inverse_transform(
-            embed_band(forward_transform(phi), fine_grid, lam**1.5)
-        )
+        embedded = resize_band(forward_transform(phi).coeffs, fine_grid.modes)
+        phi_scaled_real = inverse_transform(SpectralField(embedded * lam**1.5, fine_grid))
     scaled_params = ModelParams(
         epsilon=params.epsilon * lam ** (3.0 - 2.0 * params.alpha),
         alpha=params.alpha,
@@ -287,9 +265,9 @@ def scaling_check(
     )
     scaled = solve(phi_scaled_real, scaled_cfg)
 
-    pulled_back = restrict_band(scaled.states[-1], grid, lam**-1.5)
+    pulled_back = resize_band(scaled.states[-1].coeffs, grid.modes) * lam**-1.5
     target = base.states[-1]
-    defect = np.linalg.norm(pulled_back.coeffs - target.coeffs)
+    defect = np.linalg.norm(pulled_back - target.coeffs)
     return float(defect / np.linalg.norm(target.coeffs))
 
 

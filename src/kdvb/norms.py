@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ResolutionError
 from .evolve import Trajectory
-from .spectral import SpectralField, dissipation_symbol
+from .spectral import SpectralField, dissipation_symbol, resize_band
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,10 +197,7 @@ def hamiltonian(u: SpectralField) -> float:
     quad = np.sum((xi**2 + 1.0) * np.abs(u.coeffs) ** 2)
 
     m2 = 2 * grid.modes
-    padded = np.zeros(m2, dtype=np.complex128)
-    half = grid.modes // 2
-    padded[:half] = u.coeffs[:half]
-    padded[m2 - half :] = u.coeffs[half:]
+    padded = resize_band(u.coeffs, m2)
     w = np.fft.ifft(padded * (m2 / np.sqrt(grid.box_length))).real
     cubic = np.sum(w**3) * (grid.box_length / m2)
     return float(quad - (2.0 / 3.0) * cubic)

@@ -31,11 +31,15 @@ class ModelParams:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
+def linear_symbol(grid: GridSpec, p: ModelParams) -> np.ndarray:
+    """The Fourier symbol i xi^3 - epsilon |xi|^(2 alpha) of the linear flow."""
+    return 1j * grid.wavenumbers() ** 3 - p.epsilon * dissipation_symbol(grid, p.alpha)
+
+
 def propagator_multiplier(grid: GridSpec, t: float, p: ModelParams) -> np.ndarray:
     """exp(-epsilon |xi|^(2 alpha) |t| + i xi^3 t) on the wavenumber lattice."""
-    xi = grid.wavenumbers()
-    damping = -p.epsilon * dissipation_symbol(grid, p.alpha) * abs(t)
-    return np.exp(damping + 1j * xi**3 * t)
+    sym = linear_symbol(grid, p)
+    return np.exp(sym.real * abs(t) + 1j * sym.imag * t)
 
 
 def propagate(u: SpectralField, t: float, p: ModelParams) -> SpectralField:

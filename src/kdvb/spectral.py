@@ -164,6 +164,17 @@ def dealias(u: SpectralField) -> SpectralField:
     return SpectralField(np.where(u.grid.dealias_mask(), u.coeffs, 0.0), u.grid)
 
 
+def resize_band(coeffs: np.ndarray, modes: int) -> np.ndarray:
+    """Copy FFT-order coefficients index by index into a lattice of
+    ``modes`` entries: zero-padded above the band when growing, truncated
+    to the low band when shrinking."""
+    half = min(len(coeffs), modes) // 2
+    out = np.zeros(modes, dtype=np.complex128)
+    out[:half] = coeffs[:half]
+    out[modes - half :] = coeffs[len(coeffs) - half :]
+    return out
+
+
 def hermitian_residual(u: SpectralField) -> float:
     """Relative deviation from coeff(-k) = conj(coeff(k)).
 

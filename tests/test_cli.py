@@ -211,6 +211,22 @@ class TestMain:
         cfg_path.write_text(json.dumps(solve_doc(tmp_path, epsilon=2.0)))
         assert main(["--config", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"epsilon": "abc"},
+            {"modes": "x"},
+            {"t_final": float("inf")},
+            {"box_length": float("inf")},
+        ],
+    )
+    def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path, **override)))
+        assert main(["--config", str(cfg_path)]) == 2
+        key = next(iter(override))
+        assert key in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(solve_doc(tmp_path / "s", seed=1)))

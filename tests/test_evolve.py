@@ -1,4 +1,4 @@
-"""Tests for the integrating-factor RK4 solver."""
+"""Tests for the ETDRK4 solver with exact linear flow."""
 
 import io
 
@@ -102,6 +102,17 @@ class TestSolve:
         )
         traj = solve(RealField(np.zeros(32), grid), cfg)
         assert all(np.max(np.abs(s.coeffs)) == 0.0 for s in traj.states)
+
+    @pytest.mark.parametrize("nonlinearity", [None, zero_nonlinearity])
+    def test_first_snapshot_is_one_step(self, nonlinearity):
+        # solve and step share one stepping core: bit-for-bit agreement
+        grid = GridSpec(box_length=16.0, modes=96)
+        phi = smooth_data(grid, amplitude=1.5)
+        p = ModelParams(0.2, 0.7)
+        cfg = SolverConfig(params=p, grid=grid, dt=1e-2, t_final=0.05)
+        traj = solve(phi, cfg, nonlinearity=nonlinearity)
+        stepped = step(dealias(forward_transform(phi)), cfg.dt, p, nonlinearity)
+        assert np.array_equal(traj.states[1].coeffs, stepped.coeffs)
 
     def test_snapshot_schedule(self):
         grid = GridSpec(box_length=4.0, modes=32)

@@ -6,13 +6,11 @@ import pytest
 from kdvb.errors import ParameterError, ResolutionError
 from kdvb.experiments import (
     critical_index,
-    embed_band,
     gaussian_initial_data,
     h1_bound_check,
     inviscid_sweep,
     power_law_initial_data,
     rate_fit,
-    restrict_band,
     scaling_check,
     soliton_initial_data,
 )
@@ -175,13 +173,6 @@ class TestScalingCheck:
         grid = GridSpec(box_length=16.0, modes=64)
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=0.5)
         assert scaling_check(phi, ModelParams(0.3, 0.9), 0, t_final=0.1, dt=5e-3) == 0.0
-
-    def test_band_embedding_round_trip(self):
-        grid = GridSpec(box_length=16.0, modes=64)
-        fine = GridSpec(box_length=32.0, modes=128)
-        u = forward_transform(gaussian_initial_data(grid, width=1.5, l2_norm=1.0))
-        back = restrict_band(embed_band(u, fine, 0.5**1.5), grid, 0.5**-1.5)
-        assert np.allclose(back.coeffs, u.coeffs, rtol=0, atol=1e-15)
 
     def test_dispersive_scaling_invariance(self):
         grid = GridSpec(box_length=32.0, modes=192)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kdvb.errors import ContractViolationError, ParameterError
+from kdvb.experiments import gaussian_initial_data
 from kdvb.spectral import (
     GridSpec,
     RealField,
@@ -16,6 +17,7 @@ from kdvb.spectral import (
     hermitian_residual,
     inverse_transform,
     read_snapshot,
+    resize_band,
     spatial_derivative,
     write_snapshot,
 )
@@ -183,6 +185,23 @@ class TestDealias:
             fractional_dissipation(u, 0.6),
         ):
             assert hermitian_residual(out) <= 1e-13
+
+
+class TestResizeBand:
+    def test_band_embedding_round_trip(self):
+        grid = GridSpec(box_length=16.0, modes=64)
+        u = forward_transform(gaussian_initial_data(grid, width=1.5, l2_norm=1.0))
+        fine = resize_band(u.coeffs, 128) * 0.5**1.5
+        back = resize_band(fine, 64) * 0.5**-1.5
+        assert np.allclose(back, u.coeffs, rtol=0, atol=1e-15)
+
+    def test_pads_above_band_and_truncates_to_it(self):
+        c = np.arange(1.0, 9.0) + 0j  # FFT order: k = 0..3, -4..-1
+        padded = resize_band(c, 16)
+        assert np.array_equal(padded[:4], c[:4])
+        assert np.array_equal(padded[12:], c[4:])
+        assert np.all(padded[4:12] == 0)
+        assert np.array_equal(resize_band(padded, 8), c)
 
 
 class TestSnapshotFormat:
