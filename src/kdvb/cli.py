@@ -7,13 +7,14 @@ A run is described by one JSON document.  Common keys:
     epsilon, alpha   model parameters (epsilon in [0, 1], alpha in (0, 1])
     modes, box_length, dealias_fraction        spatial grid
     dt, t_final, snapshot_stride               time stepping
-    seed             64-bit integer, defaults to 0
+    seed             integer in [0, 2**64), defaults to 0
     out              output directory (the --out flag overrides)
     initial_data     {"kind": "soliton" | "gaussian" | "power_law" | "sine", ...}
 
 plus one experiment block named after the subcommand (its allowed keys
-are listed in ``_COMMANDS``).  Unknown keys anywhere are rejected, and
-the numeric common keys must be finite numbers.
+and their kinds are listed in ``_COMMANDS``).  Unknown keys anywhere are
+rejected, and every numeric value, in the common keys, the initial data
+and the experiment block alike, must be a finite number.
 
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
@@ -77,11 +78,17 @@ _COMMON_KEYS = {
     "initial_data",
 }
 
+# Value kinds for _coerce: float, int, _SEED, _FLOATS (a list of floats),
+# or None for a non-numeric value taken as given.
+_SEED = "seed"
+_FLOATS = "floats"
+
+# initial_data kind -> {key: value kind}, besides "kind" itself
 _DATA_KEYS = {
-    "soliton": {"kind", "c", "x0"},
-    "gaussian": {"kind", "width", "l2_norm", "modulation"},
-    "power_law": {"kind", "decay_exponent", "l2_norm", "seed"},
-    "sine": {"kind", "amplitude", "wavenumber_index"},
+    "soliton": {"c": float, "x0": float},
+    "gaussian": {"width": float, "l2_norm": float, "modulation": float},
+    "power_law": {"decay_exponent": float, "l2_norm": float, "seed": _SEED},
+    "sine": {"amplitude": float, "wavenumber_index": int},
 }
 
 _DEFAULTS = {
@@ -133,18 +140,36 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _number(doc: dict, key: str, kind=float):
-    """doc[key] coerced by kind; a non-numeric or non-finite value is a
-    config error naming the key."""
-    value = _require(doc, key)
+def _coerce(value, name: str, kind=float):
+    """value coerced by kind (see _SEED and _FLOATS); a non-numeric or
+    non-finite number, or a seed outside [0, 2**64), is a config error
+    naming the key."""
+    if kind is None:
+        return value
+    if kind == _FLOATS:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
+        return [_coerce(v, f"{name}[{i}]") for i, v in enumerate(value)]
     try:
-        number = kind(value)
+        number = (int if kind == _SEED else kind)(value)
         finite = math.isfinite(number)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind == _SEED and not 0 <= number < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {value!r}")
     return number
+
+
+def _number(doc: dict, key: str, kind=float):
+    """doc[key] coerced by kind."""
+    return _coerce(_require(doc, key), key, kind)
+
+
+def _coerce_block(block: dict, kinds: dict, name: str) -> dict:
+    """Every value of block coerced by its key's kind in kinds."""
+    return {key: _coerce(value, f"{name}.{key}", kinds[key]) for key, value in block.items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -204,16 +229,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"initial_data.kind must be one of {sorted(_DATA_KEYS)}, got {kind!r}"
         )
-    bad = set(data) - _DATA_KEYS[kind]
+    data_kinds = {"kind": None, **_DATA_KEYS[kind]}
+    bad = set(data) - set(data_kinds)
     if bad:
         raise ConfigError(f"unknown initial_data keys for {kind!r}: {sorted(bad)}")
+    data = _coerce_block(data, data_kinds, "initial_data")
 
     experiment = merged.get(sub, {})
     if not isinstance(experiment, dict):
         raise ConfigError(f"experiment block {sub!r} must be an object")
-    bad = set(experiment) - block_keys
+    bad = set(experiment) - set(block_keys)
     if bad:
         raise ConfigError(f"unknown keys in {sub!r} block: {sorted(bad)}")
+    experiment = _coerce_block(experiment, block_keys, sub)
 
     return RunConfig(
         subcommand=sub,
@@ -222,7 +250,7 @@ def parse_config(text: str) -> RunConfig:
         dt=dt,
         t_final=t_final,
         snapshot_stride=stride,
-        seed=_number(merged, "seed", int),
+        seed=_number(merged, "seed", _SEED),
         out_path=Path(merged["out"]),
         initial_data=data,
         experiment=experiment,
@@ -234,24 +262,24 @@ def build_initial_data(cfg: RunConfig) -> RealField:
     kind = data["kind"]
     if kind == "soliton":
         return soliton_initial_data(
-            c=float(data.get("c", 4.0)), x0=float(data.get("x0", 0.0)), grid=cfg.grid
+            c=data.get("c", 4.0), x0=data.get("x0", 0.0), grid=cfg.grid
         )
     if kind == "gaussian":
         return gaussian_initial_data(
             cfg.grid,
-            width=float(data.get("width", 2.0)),
-            l2_norm=float(data.get("l2_norm", 1.0)),
-            modulation=float(data.get("modulation", 0.0)),
+            width=data.get("width", 2.0),
+            l2_norm=data.get("l2_norm", 1.0),
+            modulation=data.get("modulation", 0.0),
         )
     if kind == "power_law":
         return power_law_initial_data(
             cfg.grid,
-            decay_exponent=float(data.get("decay_exponent", -1.51)),
-            l2_norm=float(data.get("l2_norm", 0.5)),
-            seed=int(data.get("seed", cfg.seed)),
+            decay_exponent=data.get("decay_exponent", -1.51),
+            l2_norm=data.get("l2_norm", 0.5),
+            seed=data.get("seed", cfg.seed),
         )
-    amp = float(data.get("amplitude", 1.0))
-    index = int(data.get("wavenumber_index", 1))
+    amp = data.get("amplitude", 1.0)
+    index = data.get("wavenumber_index", 1)
     x = cfg.grid.collocation_points()
     return RealField(
         amp * np.sin(2.0 * np.pi * index * x / cfg.grid.box_length), cfg.grid
@@ -324,14 +352,12 @@ def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
 
 def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
     block = cfg.experiment
-    ladder = tuple(float(e) for e in block.get("eps_ladder", (1e-1, 1e-2, 1e-3, 1e-4)))
-    s = float(block.get("sobolev_s", 0.0))
     report = inviscid_sweep(
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
-        eps_ladder=ladder,
+        eps_ladder=tuple(block.get("eps_ladder", (1e-1, 1e-2, 1e-3, 1e-4))),
         t_final=cfg.t_final,
-        s=s,
+        s=block.get("sobolev_s", 0.0),
         dt=cfg.dt,
         snapshot_stride=cfg.snapshot_stride,
         seed=cfg.seed,
@@ -347,7 +373,7 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
     distance = scaling_check(
         build_initial_data(cfg),
         cfg.params,
-        lambda_exp=int(cfg.experiment.get("lambda_exp", 1)),
+        lambda_exp=cfg.experiment.get("lambda_exp", 1),
         t_final=cfg.t_final,
         dt=cfg.dt,
     )
@@ -358,11 +384,9 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
     block = cfg.experiment
     alpha = cfg.params.alpha
     regime = block.get("regime", "low_alpha" if alpha <= 0.5 else "high_alpha")
-    s_list = tuple(float(s) for s in _require(block, "s_list"))
-    n_ladder = tuple(float(n) for n in _require(block, "n_ladder"))
-    report = exponent_sweep(
-        regime, alpha, s_list, n_ladder, delta=float(block.get("delta", 0.01))
-    )
+    s_list = tuple(_require(block, "s_list"))
+    n_ladder = tuple(_require(block, "n_ladder"))
+    report = exponent_sweep(regime, alpha, s_list, n_ladder, delta=block.get("delta", 0.01))
     csv = io.StringIO()
     write_sweep_csv(csv, report)
     artifacts["sweep.csv"] = csv.getvalue().encode()
@@ -372,17 +396,14 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
 def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
     block = cfg.experiment
     dyadic = DyadicConfig(
-        n1_ladder=tuple(float(n) for n in _require(block, "n1_ladder")),
-        ratios=tuple(float(r) for r in block.get("ratios", (1.0, 0.75, 0.5))),
+        n1_ladder=tuple(_require(block, "n1_ladder")),
+        ratios=tuple(block.get("ratios", (1.0, 0.75, 0.5))),
         seed=cfg.seed,
     )
     spec = IMultiplierSpec(
-        cutoff_n=float(block.get("cutoff_n", 0.5)),
-        s_exp=float(block.get("s_exp", -0.74)),
+        cutoff_n=block.get("cutoff_n", 0.5), s_exp=block.get("s_exp", -0.74)
     )
-    report = m4_bound_sample(
-        dyadic, spec, cfg.params, int(block.get("n_samples", 10_000))
-    )
+    report = m4_bound_sample(dyadic, spec, cfg.params, block.get("n_samples", 10_000))
     artifacts["bound_report.json"] = (report.to_json() + "\n").encode()
     return {
         "slope": report.slope_vs_logn,
@@ -392,13 +413,10 @@ def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
-    ladder = tuple(
-        float(e) for e in cfg.experiment.get("eps_ladder", (1.0, 0.1, 0.01, 0.001))
-    )
     report = h1_bound_check(
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
-        eps_ladder=ladder,
+        eps_ladder=tuple(cfg.experiment.get("eps_ladder", (1.0, 0.1, 0.01, 0.001))),
         t_final=cfg.t_final,
         dt=cfg.dt,
         snapshot_stride=cfg.snapshot_stride,
@@ -411,28 +429,32 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     return result
 
 
-# subcommand -> (runner, allowed experiment-block keys, needs a time-stepping solve)
+_INVISCID_KEYS = {"eps_ladder": _FLOATS, "sobolev_s": float}
+
+# subcommand -> (runner, experiment-block {key: value kind}, needs a time-stepping solve)
 _COMMANDS = {
-    "solve": (_run_solve, set(), True),
-    "energy": (_run_energy, {"refine_check"}, True),
-    "inviscid": (
-        functools.partial(_run_inviscid, with_rate=False),
-        {"eps_ladder", "sobolev_s"},
-        True,
-    ),
-    "rate": (
-        functools.partial(_run_inviscid, with_rate=True),
-        {"eps_ladder", "sobolev_s"},
-        True,
-    ),
-    "scaling": (_run_scaling, {"lambda_exp"}, True),
-    "sharpness": (_run_sharpness, {"s_list", "n_ladder", "delta", "regime"}, False),
-    "imethod-bounds": (
-        _run_imethod_bounds,
-        {"n1_ladder", "ratios", "cutoff_n", "s_exp", "n_samples"},
+    "solve": (_run_solve, {}, True),
+    "energy": (_run_energy, {"refine_check": None}, True),
+    "inviscid": (functools.partial(_run_inviscid, with_rate=False), _INVISCID_KEYS, True),
+    "rate": (functools.partial(_run_inviscid, with_rate=True), _INVISCID_KEYS, True),
+    "scaling": (_run_scaling, {"lambda_exp": int}, True),
+    "sharpness": (
+        _run_sharpness,
+        {"s_list": _FLOATS, "n_ladder": _FLOATS, "delta": float, "regime": None},
         False,
     ),
-    "h1-bound": (_run_h1_bound, {"eps_ladder"}, True),
+    "imethod-bounds": (
+        _run_imethod_bounds,
+        {
+            "n1_ladder": _FLOATS,
+            "ratios": _FLOATS,
+            "cutoff_n": float,
+            "s_exp": float,
+            "n_samples": int,
+        },
+        False,
+    ),
+    "h1-bound": (_run_h1_bound, {"eps_ladder": _FLOATS}, True),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
@@ -517,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg = replace(cfg, out_path=Path(args.out))
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, seed=_coerce(args.seed, "--seed", _SEED))
     except ConfigError as exc:
         print(
             canonical_json({"error": "ConfigError", "message": str(exc), "exit_code": 2}),

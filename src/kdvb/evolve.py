@@ -17,6 +17,15 @@ which keeps every regime cancellation-free.
 
 The quadratic product is formed in physical space and dealiased with the
 2/3 rule, so the retained modes carry the exact convolution.
+
+The state is stepped as the real-FFT half-spectrum: the M/2 + 1
+coefficients k = 0..M/2 of a real field, the negative wavenumbers being
+their conjugates.  The public full-FFT-order SpectralField appears only
+at the edges (initial data, stored snapshots, ``step`` and
+``nonlinear_term``), rebuilt exactly Hermitian-symmetric.  The Nyquist
+entry stands for both k = -M/2 and k = M/2; its derivative factor is 0
+and its linear symbol keeps only the dissipative real part, so it stays
+real.
 """
 
 from __future__ import annotations
@@ -108,24 +117,48 @@ class Trajectory:
         return self.config.params
 
 
-def _nonlinear_coeffs(grid: GridSpec) -> Nonlinearity:
-    """N on raw coefficient arrays of one grid, with the transform scales,
-    the derivative symbol and the dealias mask computed once."""
-    to_values = grid.modes / np.sqrt(grid.box_length)
-    to_coeffs = np.sqrt(grid.box_length) / grid.modes
-    minus_i_xi = -1j * grid.wavenumbers()
-    mask = grid.dealias_mask()
+def _to_half(coeffs: np.ndarray) -> np.ndarray:
+    """The rfft half-spectrum k = 0..M/2 of FFT-order coefficients, read as
+    a real field: the negative wavenumbers are implied by conjugation, and
+    the zero and Nyquist entries keep only their real parts."""
+    h = coeffs[: len(coeffs) // 2 + 1].copy()
+    h[0] = h[0].real
+    h[-1] = h[-1].real
+    return h
 
-    def nl(c: np.ndarray) -> np.ndarray:
-        w = np.fft.ifft(c * to_values).real
-        return np.where(mask, minus_i_xi * (np.fft.fft(w * w) * to_coeffs), 0.0)
+
+def _to_full(h: np.ndarray) -> np.ndarray:
+    """FFT-order coefficients of the real field with half-spectrum h,
+    Hermitian-symmetric exactly."""
+    return np.concatenate((h, h[-2:0:-1].conj()))
+
+
+def _half_nonlinearity(grid: GridSpec) -> Nonlinearity:
+    """N on rfft half-spectra of one grid.
+
+    One cached multiplier folds the derivative -i xi, the dealias mask and
+    both transform scales together; the Nyquist entry's derivative factor
+    is 0, since the mode k = -M/2 pairs with no +M/2 on the lattice.
+    """
+    m = grid.modes
+    half = m // 2 + 1
+    mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
+    mult[~grid.dealias_mask()[:half]] = 0.0
+    mult[-1] = 0.0
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def nl(h: np.ndarray) -> np.ndarray:
+        w = irfft(h, m)
+        return mult * rfft(w * w)
 
     return nl
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
     """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased."""
-    return SpectralField(_nonlinear_coeffs(u.grid)(u.coeffs), u.grid)
+    return SpectralField(
+        _to_full(_half_nonlinearity(u.grid)(_to_half(u.coeffs))), u.grid
+    )
 
 
 def _phi_series(z: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -166,11 +199,22 @@ _F2_SERIES = tuple(-2.0 / _FACT[k + 3] + 1.0 / _FACT[k + 2] for k in range(_N_TE
 _F3_SERIES = tuple(4.0 / _FACT[k + 3] - 1.0 / _FACT[k + 2] for k in range(_N_TERMS))
 
 
-class _EtdrkTableau:
-    """Precomputed ETDRK4 multipliers for one (grid, params, dt)."""
+class _Stepper:
+    """ETDRK4 on the rfft half-spectrum for one (grid, params, dt).
 
-    def __init__(self, grid: GridSpec, p: ModelParams, dt: float):
-        z = dt * linear_symbol(grid, p)
+    The tableau comes from the single propagator symbol restricted to
+    k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
+    kept, so a real state stays exactly real.  ``nl`` maps half-spectra to
+    half-spectra and defaults to N.
+    """
+
+    def __init__(
+        self, grid: GridSpec, p: ModelParams, dt: float, nl: Nonlinearity | None = None
+    ):
+        self.nl = _half_nonlinearity(grid) if nl is None else nl
+        sym = linear_symbol(grid, p)[: grid.modes // 2 + 1]
+        sym[-1] = sym[-1].real
+        z = dt * sym
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
         self.q = dt * _etd_coefficient(
@@ -181,7 +225,7 @@ class _EtdrkTableau:
             lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w * w)) / w**3,
             _F1_SERIES,
         )
-        self.f2 = dt * _etd_coefficient(
+        self.f2_twice = 2.0 * dt * _etd_coefficient(
             z,
             lambda w: (2.0 + w + np.exp(w) * (w - 2.0)) / w**3,
             _F2_SERIES,
@@ -192,16 +236,15 @@ class _EtdrkTableau:
             _F3_SERIES,
         )
 
-
-def _etdrk4_update(c: np.ndarray, tab: _EtdrkTableau, nl: Nonlinearity) -> np.ndarray:
-    n0 = nl(c)
-    a = tab.e_half * c + tab.q * n0
-    na = nl(a)
-    b = tab.e_half * c + tab.q * na
-    nb = nl(b)
-    cc = tab.e_half * a + tab.q * (2.0 * nb - n0)
-    nc = nl(cc)
-    return tab.e_full * c + tab.f1 * n0 + 2.0 * tab.f2 * (na + nb) + tab.f3 * nc
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        nl, e_half, q = self.nl, self.e_half, self.q
+        n0 = nl(h)
+        e_h = e_half * h
+        a = e_h + q * n0
+        na = nl(a)
+        nb = nl(e_h + q * na)
+        nc = nl(e_half * a + q * (2.0 * nb - n0))
+        return self.e_full * h + self.f1 * n0 + self.f2_twice * (na + nb) + self.f3 * nc
 
 
 def step(
@@ -210,20 +253,20 @@ def step(
     p: ModelParams,
     nonlinearity: Nonlinearity | None = None,
 ) -> SpectralField:
-    """One ETDRK4 step of size dt.
+    """One ETDRK4 step of size dt of the real field with coefficients u.
 
-    ``nonlinearity`` maps coefficient arrays to coefficient arrays and
-    defaults to N; passing a substitute (for instance
+    Only the coefficients of u at k = 0..M/2 are read (the zero and
+    Nyquist ones by their real parts), and the result is exactly
+    Hermitian-symmetric.  ``nonlinearity`` maps rfft half-spectra to
+    half-spectra and defaults to N; passing a substitute (for instance
     ``zero_nonlinearity``) isolates the linear flow, which this scheme
     reproduces exactly.
     """
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     grid = u.grid
-    nl = _nonlinear_coeffs(grid) if nonlinearity is None else nonlinearity
-    return SpectralField(
-        _etdrk4_update(u.coeffs, _EtdrkTableau(grid, p, dt), nl), grid
-    )
+    stepper = _Stepper(grid, p, dt, nonlinearity)
+    return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
 
 
 def solve(
@@ -233,9 +276,10 @@ def solve(
 ) -> Trajectory:
     """Integrate from phi to t_final, recording every snapshot_stride steps.
 
-    The initial data is dealiased before stepping; every stored state is
-    then dealiased and Hermitian-symmetric by construction.  A non-finite
-    state aborts with a DivergenceError naming the step.
+    The initial data is dealiased before stepping; the state is then
+    stepped as an rfft half-spectrum, and every stored state after t = 0
+    is dealiased and exactly Hermitian-symmetric.  A non-finite state
+    aborts with a DivergenceError naming the step.
     """
     if phi.grid is not cfg.grid and (
         phi.grid.modes != cfg.grid.modes
@@ -244,7 +288,6 @@ def solve(
         raise ContractViolationError("initial data grid does not match solver grid")
     grid = cfg.grid
     p = cfg.params
-    nl = _nonlinear_coeffs(grid) if nonlinearity is None else nonlinearity
     c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
 
     n_full, remainder = divmod(cfg.t_final, cfg.dt)
@@ -255,22 +298,23 @@ def solve(
     if remainder > 0:
         steps.append(remainder)
 
-    tableau = _EtdrkTableau(grid, p, cfg.dt)
+    stepper = _Stepper(grid, p, cfg.dt, nonlinearity)
 
     times = [0.0]
     states = [SpectralField(c, grid)]
-    for i, h in enumerate(steps):
-        if h == cfg.dt:
-            c = _etdrk4_update(c, tableau, nl)
+    h = _to_half(c)
+    for i, dt in enumerate(steps):
+        if dt == cfg.dt:
+            h = stepper(h)
         else:
-            c = _etdrk4_update(c, _EtdrkTableau(grid, p, h), nl)
+            h = _Stepper(grid, p, dt, stepper.nl)(h)
         last = i == len(steps) - 1
         t = cfg.t_final if last else (i + 1) * cfg.dt
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(h).all():
             raise DivergenceError(step_index=i, time=t)
         if (i + 1) % cfg.snapshot_stride == 0 or last:
             times.append(t)
-            states.append(SpectralField(c, grid))
+            states.append(SpectralField(_to_full(h), grid))
     return Trajectory(np.asarray(times), tuple(states), cfg)
 
 

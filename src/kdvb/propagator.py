@@ -32,8 +32,14 @@ class ModelParams:
 
 
 def linear_symbol(grid: GridSpec, p: ModelParams) -> np.ndarray:
-    """The Fourier symbol i xi^3 - epsilon |xi|^(2 alpha) of the linear flow."""
-    return 1j * grid.wavenumbers() ** 3 - p.epsilon * dissipation_symbol(grid, p.alpha)
+    """The Fourier symbol i xi^3 - epsilon |xi|^(2 alpha) of the linear flow.
+
+    xi^3 is formed as xi * xi * xi, which is exactly odd in xi (a vectorized
+    power need not be), so the symbol is exactly conjugate-symmetric and
+    the flow maps real fields to real fields to the last bit.
+    """
+    xi = grid.wavenumbers()
+    return 1j * (xi * xi * xi) - p.epsilon * dissipation_symbol(grid, p.alpha)
 
 
 def propagator_multiplier(grid: GridSpec, t: float, p: ModelParams) -> np.ndarray:

@@ -34,6 +34,9 @@ from .errors import ContractViolationError, ParameterError
 
 SNAPSHOT_MAGIC = b"KDVBSNAP"
 NORMALIZATION = "unitary-l2"
+# Largest lattice a GridSpec accepts: one complex field of this size is
+# 16 MiB, so a mistyped mode count fails by name instead of in allocation.
+MAX_MODES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +50,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.box_length > 0:
             raise ParameterError(f"box_length must be positive, got {self.box_length}")
-        if self.modes < 8 or self.modes % 2 != 0:
-            raise ParameterError(f"modes must be even and >= 8, got {self.modes}")
+        if not 8 <= self.modes <= MAX_MODES or self.modes % 2 != 0:
+            raise ParameterError(
+                f"modes must be even, >= 8 and <= {MAX_MODES}, got {self.modes}"
+            )
         if not 0 < self.dealias_fraction <= 1:
             raise ParameterError(
                 f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"

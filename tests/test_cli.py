@@ -218,6 +218,10 @@ class TestMain:
             {"modes": "x"},
             {"t_final": float("inf")},
             {"box_length": float("inf")},
+            {"seed": -1},
+            {"initial_data": {"kind": "power_law", "seed": -1}},
+            {"modes": 1e12},
+            {"inviscid": {"eps_ladder": ["a"]}, "subcommand": "inviscid"},
         ],
     )
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):
@@ -233,3 +237,9 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "s")))
+        assert main(["--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err

@@ -189,6 +189,81 @@ class TestSolve:
         for s in traj.states:
             assert np.all(s.coeffs[~mask] == 0)
             assert hermitian_residual(s) <= 1e-12
+        # stepped states are rebuilt from the rfft half-spectrum: exactly Hermitian
+        assert all(hermitian_residual(s) == 0.0 for s in traj.states[1:])
+
+    def test_undealiased_states_finite_and_hermitian(self):
+        # dealias_fraction = 1 keeps the Nyquist mode, whose linear symbol is
+        # reduced to its real part so that the state stays real
+        grid = GridSpec(box_length=8.0, modes=64, dealias_fraction=1.0)
+        cfg = SolverConfig(
+            params=ModelParams(0.2, 0.9), grid=grid, dt=1e-3, t_final=0.05,
+            snapshot_stride=10,
+        )
+        traj = solve(smooth_data(grid), cfg)
+        for s in traj.states[1:]:
+            assert np.all(np.isfinite(s.coeffs))
+            assert hermitian_residual(s) == 0.0
+
+    @pytest.mark.parametrize("modes", [96, 384])
+    @pytest.mark.parametrize("eps,alpha", [(0.0, 1.0), (0.3, 0.8)])
+    def test_matches_full_fft_etdrk4_reference(self, modes, eps, alpha):
+        # a plain ETDRK4 loop on full complex-FFT coefficients, with the
+        # Cox-Matthews coefficients written through phi-functions
+        grid = GridSpec(box_length=16.0, modes=modes)
+        values = smooth_data(grid, amplitude=1.5).values
+        dt, n_steps = 1e-3, 500
+
+        m = grid.modes
+        k = np.fft.fftfreq(m, d=1.0 / m)
+        xi = 2.0 * np.pi * k / grid.box_length
+        keep = np.abs(k) <= grid.dealias_fraction * m / 2
+        z = dt * (1j * xi**3 - eps * np.where(xi != 0, np.abs(xi) ** (2 * alpha), 0.0))
+
+        def phis(w):
+            # phi_1, phi_2, phi_3: Taylor series near 0, recurrence beyond
+            small = np.abs(w) < 1.0
+            ws = np.where(small, w, 0.0)
+            fact = np.cumprod(np.arange(1.0, 40.0))
+            series = [sum(ws**j / fact[j + n - 1] for j in range(30)) for n in (1, 2, 3)]
+            wb = np.where(small, 1.0, w)
+            p1 = (np.exp(wb) - 1.0) / wb
+            p2 = (p1 - 1.0) / wb
+            p3 = (p2 - 0.5) / wb
+            return [np.where(small, s, b) for s, b in zip(series, (p1, p2, p3))]
+
+        p1, p2, p3 = phis(z)
+        e, e_half = np.exp(z), np.exp(z / 2)
+        q = 0.5 * dt * phis(z / 2)[0]
+        f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+        f2 = dt * (p2 - 2.0 * p3)
+        f3 = dt * (4.0 * p3 - p2)
+
+        def nl(c):
+            u = np.fft.ifft(c).real
+            return -1j * xi * np.where(keep, np.fft.fft(u * u), 0.0)
+
+        c = np.where(keep, np.fft.fft(values), 0.0)
+        for _ in range(n_steps):
+            n0 = nl(c)
+            a = e_half * c + q * n0
+            na = nl(a)
+            b = e_half * c + q * na
+            nb = nl(b)
+            cc = e_half * a + q * (2.0 * nb - n0)
+            nc = nl(cc)
+            c = e * c + f1 * n0 + 2.0 * f2 * (na + nb) + f3 * nc
+        reference = np.fft.ifft(c).real
+
+        cfg = SolverConfig(
+            params=ModelParams(eps, alpha), grid=grid, dt=dt, t_final=n_steps * dt,
+            snapshot_stride=10**9,
+        )
+        traj = solve(RealField(values, grid), cfg)
+        assert len(traj.states) == 2
+        ours = inverse_transform(traj.states[-1]).values
+        rel = np.linalg.norm(ours - reference) / np.linalg.norm(reference)
+        assert rel <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected_with_step_index(self):

@@ -8,6 +8,7 @@ import pytest
 from kdvb.errors import ContractViolationError, ParameterError
 from kdvb.experiments import gaussian_initial_data
 from kdvb.spectral import (
+    MAX_MODES,
     GridSpec,
     RealField,
     SpectralField,
@@ -43,6 +44,11 @@ class TestGridSpec:
             GridSpec(box_length=-1.0, modes=16)
         with pytest.raises(ParameterError, match="dealias"):
             GridSpec(box_length=1.0, modes=16, dealias_fraction=1.5)
+
+    def test_modes_capped(self):
+        assert GridSpec(box_length=1.0, modes=MAX_MODES).modes == MAX_MODES
+        with pytest.raises(ParameterError, match=str(MAX_MODES)):
+            GridSpec(box_length=1.0, modes=MAX_MODES + 2)
 
     def test_dealias_mask_cutoff(self):
         grid = GridSpec(box_length=1.0, modes=64)
