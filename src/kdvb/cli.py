@@ -21,8 +21,9 @@ environment: results (CSV/JSON) and manifest.json never embed clocks;
 wall time goes to the separate timing.json sidecar, which is excluded
 from the determinism contract.
 
-Exit codes: 0 success, 2 config error, 3 numerical divergence,
-4 resolution error, 1 anything else.
+Exit codes (one per error class, in ``_EXIT_CODES``): 0 success;
+2 config, parameter, contract or resonant-denominator error;
+3 numerical divergence or overflow; 4 resolution error; 1 anything else.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
+    ContractViolationError,
     DivergenceError,
     ParameterError,
+    RangeError,
     ResolutionError,
+    ResonantDenominatorError,
 )
 from .evolve import SolverConfig, solve, write_trajectory
 from .experiments import (
@@ -59,7 +63,7 @@ from .experiments import (
 from .imethod import DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, write_ledger_csv
 from .propagator import ModelParams
-from .reports import SweepReport, canonical_json
+from .reports import SweepReport, canonical_json, format_csv
 from .sharpness import exponent_sweep, write_sweep_csv
 from .spectral import GridSpec, RealField
 
@@ -142,8 +146,8 @@ def _require(doc: dict, key: str):
 
 def _coerce(value, name: str, kind=float):
     """value coerced by kind (see _SEED and _FLOATS); a non-numeric or
-    non-finite number, or a seed outside [0, 2**64), is a config error
-    naming the key."""
+    non-finite number, a non-integral value for an int or seed, or a seed
+    outside [0, 2**64), is a config error naming the key."""
     if kind is None:
         return value
     if kind == _FLOATS:
@@ -151,12 +155,18 @@ def _coerce(value, name: str, kind=float):
             raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         return [_coerce(v, f"{name}[{i}]") for i, v in enumerate(value)]
     try:
-        number = (int if kind == _SEED else kind)(value)
+        number = float(value)
         finite = math.isfinite(number)
     except (TypeError, ValueError, OverflowError):
         finite = False
     if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    # an int is taken exactly: a float cannot hold every seed below 2**64
+    number = int(value) if isinstance(value, int) else int(number)
     if kind == _SEED and not 0 <= number < 2**64:
         raise ConfigError(f"{name} must lie in [0, 2**64), got {value!r}")
     return number
@@ -297,11 +307,17 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def _sweep_csv_rows(report: SweepReport) -> str:
-    out = io.StringIO()
-    out.write("epsilon,observable\n")
-    for value, rec in zip(report.values, report.observables):
-        out.write(f"{value:.17g},{rec['observable']:.17g}\n")
-    return out.getvalue()
+    rows = ((value, rec["observable"]) for value, rec in zip(report.values, report.observables))
+    return format_csv(("epsilon", "observable"), rows)
+
+
+def _ledger_artifact(traj, artifacts: dict) -> float:
+    """Write ledger.csv for traj; return its relative ledger residual."""
+    ledger = build_energy_ledger(traj)
+    csv = io.StringIO()
+    write_ledger_csv(csv, ledger)
+    artifacts["ledger.csv"] = csv.getvalue().encode()
+    return ledger.relative_residual()
 
 
 def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
@@ -309,21 +325,13 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
     buf = io.BytesIO()
     write_trajectory(buf, traj)
     artifacts["trajectory.bin"] = buf.getvalue()
-    ledger = build_energy_ledger(traj)
-    csv = io.StringIO()
-    write_ledger_csv(csv, ledger)
-    artifacts["ledger.csv"] = csv.getvalue().encode()
-    return {"snapshots": len(traj.states), "ledger_residual": l2_dissipation_residual(traj)}
+    return {"snapshots": len(traj.states), "ledger_residual": _ledger_artifact(traj, artifacts)}
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     phi = build_initial_data(cfg)
     traj = solve(phi, _solver_config(cfg))
-    ledger = build_energy_ledger(traj)
-    csv = io.StringIO()
-    write_ledger_csv(csv, ledger)
-    artifacts["ledger.csv"] = csv.getvalue().encode()
-    result = {"ledger_residual": l2_dissipation_residual(traj)}
+    result = {"ledger_residual": _ledger_artifact(traj, artifacts)}
     if cfg.experiment.get("refine_check", False):
         refined_cfg = replace(_solver_config(cfg), dt=cfg.dt / 2)
         result["ledger_residual_refined"] = l2_dissipation_residual(solve(phi, refined_cfg))
@@ -458,6 +466,17 @@ _COMMANDS = {
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
+# error class -> process exit code
+_EXIT_CODES = {
+    ConfigError: 2,
+    ParameterError: 2,
+    ContractViolationError: 2,
+    ResonantDenominatorError: 2,
+    DivergenceError: 3,
+    RangeError: 3,
+    ResolutionError: 4,
+}
+
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment; write artifacts and manifest.
@@ -471,12 +490,9 @@ def run(cfg: RunConfig) -> int:
     runner = _COMMANDS[cfg.subcommand][0]
     try:
         result = runner(cfg, artifacts)
-    except (ConfigError, ParameterError) as exc:
-        return _fail(cfg, exc, 2)
-    except DivergenceError as exc:
-        return _fail(cfg, exc, 3)
-    except ResolutionError as exc:
-        return _fail(cfg, exc, 4)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        return _fail(exc, code, cfg.out_path)
 
     resolved = cfg.resolved()
     result["config"] = resolved
@@ -505,13 +521,16 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _fail(cfg: RunConfig, exc: Exception, code: int) -> int:
+def _fail(exc: Exception, code: int, out_path: Path | None = None) -> int:
+    """Print the error record to stderr, and to out_path/error.json when
+    an output directory is known; return the exit code."""
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    try:
-        cfg.out_path.mkdir(parents=True, exist_ok=True)
-        (cfg.out_path / "error.json").write_text(canonical_json(payload) + "\n")
-    except OSError:
-        pass
+    if out_path is not None:
+        try:
+            out_path.mkdir(parents=True, exist_ok=True)
+            (out_path / "error.json").write_text(canonical_json(payload) + "\n")
+        except OSError:
+            pass
     print(canonical_json(payload), file=sys.stderr)
     return code
 
@@ -529,11 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
-        print(
-            canonical_json({"error": "ConfigError", "message": str(exc), "exit_code": 2}),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(ConfigError(str(exc)), 2)
     try:
         cfg = parse_config(text)
         if args.out is not None:
@@ -541,11 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=_coerce(args.seed, "--seed", _SEED))
     except ConfigError as exc:
-        print(
-            canonical_json({"error": "ConfigError", "message": str(exc), "exit_code": 2}),
-            file=sys.stderr,
-        )
-        return 2
+        return _fail(exc, 2)
     return run(cfg)
 
 

@@ -120,6 +120,29 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     return worst
 
 
+def _solve_at(
+    phi: RealField,
+    epsilon: float,
+    alpha: float,
+    dt: float,
+    t_final: float,
+    snapshot_stride: int,
+) -> Trajectory:
+    """One solve of a sweep at the given epsilon; a DivergenceError names it."""
+    cfg = SolverConfig(
+        params=ModelParams(epsilon, alpha),
+        grid=phi.grid,
+        dt=dt,
+        t_final=t_final,
+        snapshot_stride=snapshot_stride,
+    )
+    try:
+        return solve(phi, cfg)
+    except DivergenceError as exc:
+        exc.args = (f"epsilon = {epsilon}: {exc.args[0]}",)
+        raise
+
+
 def inviscid_sweep(
     phi: RealField,
     alpha: float,
@@ -144,37 +167,17 @@ def inviscid_sweep(
         raise ParameterError(f"sweep is defined for s <= 0, got {s}")
 
     grid = phi.grid
-
-    def run(eps: float, dt_run: float) -> Trajectory:
-        cfg = SolverConfig(
-            params=ModelParams(eps, alpha),
-            grid=grid,
-            dt=dt_run,
-            t_final=t_final,
-            snapshot_stride=snapshot_stride,
-        )
-        try:
-            return solve(phi, cfg)
-        except DivergenceError as exc:
-            exc.args = (f"epsilon = {eps}: {exc.args[0]}",)
-            raise
-
-    reference = run(0.0, dt)
+    reference = _solve_at(phi, 0.0, alpha, dt, t_final, snapshot_stride)
     observables = [
-        {"epsilon": e, "observable": _sup_distance(run(e, dt), reference, s)}
+        {
+            "epsilon": e,
+            "observable": _sup_distance(
+                _solve_at(phi, e, alpha, dt, t_final, snapshot_stride), reference, s
+            ),
+        }
         for e in ladder
     ]
-
-    fine = solve(
-        phi,
-        SolverConfig(
-            params=ModelParams(0.0, alpha),
-            grid=grid,
-            dt=dt / 2.0,
-            t_final=t_final,
-            snapshot_stride=2 * snapshot_stride,
-        ),
-    )
+    fine = _solve_at(phi, 0.0, alpha, dt / 2.0, t_final, 2 * snapshot_stride)
     floor = _sup_distance(reference, fine, s)
 
     return SweepReport(
@@ -292,14 +295,7 @@ def h1_bound_check(
     grid = phi.grid
     observables = []
     for eps in ladder:
-        cfg = SolverConfig(
-            params=ModelParams(eps, alpha),
-            grid=grid,
-            dt=dt,
-            t_final=t_final,
-            snapshot_stride=snapshot_stride,
-        )
-        traj = solve(phi, cfg)
+        traj = _solve_at(phi, eps, alpha, dt, t_final, snapshot_stride)
         sup_h1 = max(sobolev_norm(u, 1.0) for u in traj.states)
         # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
         xi = grid.wavenumbers()

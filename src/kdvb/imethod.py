@@ -37,6 +37,7 @@ frequencies are widely separated.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,6 +47,7 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     ParameterError,
+    ResolutionError,
     ResonantDenominatorError,
 )
 from .evolve import Trajectory
@@ -192,50 +194,46 @@ def _guarded_quotient(num, den):
     return values, resonant
 
 
-def _sigma3_values(x1, x2, x3, spec, params, sign="+"):
-    """sigma3 (sign '+') or sigma3^- (sign '-') on hyperplane arrays."""
-    h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
-    beta = (
-        np.abs(x1) ** (2 * params.alpha)
-        + np.abs(x2) ** (2 * params.alpha)
-        + np.abs(x3) ** (2 * params.alpha)
-    )
-    eps_term = params.epsilon * beta
-    den = h3 - eps_term if sign == "+" else h3 + eps_term
-    return _guarded_quotient(_m3_values(x1, x2, x3, spec), den)
-
-
-_M4_PAIRINGS = (
-    ((0, 1), (2, 3)),
-    ((0, 2), (1, 3)),
-    ((0, 3), (1, 2)),
-    ((1, 2), (0, 3)),
-    ((1, 3), (0, 2)),
-    ((2, 3), (0, 1)),
-)
-
-
-def _m4_values(xs, spec, params):
-    """M4 on hyperplane arrays; xs is a sequence of four broadcastable arrays."""
-    total = 0.0
-    resonant = np.zeros(np.broadcast(*xs).shape, dtype=bool)
-    for (a, b), (c, d) in _M4_PAIRINGS:
-        pair = xs[c] + xs[d]
-        vals, res = _sigma3_values(xs[a], xs[b], pair, spec, params)
-        total = total + vals * pair
-        resonant |= res
-    return (-1.5j / 6.0) * total, resonant
-
-
-def _h4_values(xs):
-    return 3j * (xs[0] + xs[1]) * (xs[0] + xs[2]) * (xs[0] + xs[3])
-
-
 def _beta_values(xs, alpha):
     total = 0.0
     for x in xs:
         total = total + np.abs(x) ** (2 * alpha)
     return total
+
+
+def _sigma3_values(x1, x2, x3, spec, params, sign="+"):
+    """sigma3 (sign '+') or sigma3^- (sign '-') on hyperplane arrays."""
+    h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
+    eps_term = params.epsilon * _beta_values((x1, x2, x3), params.alpha)
+    den = h3 - eps_term if sign == "+" else h3 + eps_term
+    return _guarded_quotient(_m3_values(x1, x2, x3, spec), den)
+
+
+def _pair_symmetrized(xs, inner, prefactor):
+    """prefactor times the mean over the k(k-1)/2 merged pairs {c, d} of
+    inner((rest..., x_c + x_d)) (x_c + x_d), with rest the other k - 2
+    slots in order; returns (values, resonant) with the resonant masks of
+    every inner call joined."""
+    k = len(xs)
+    total = 0.0
+    resonant = np.zeros(np.broadcast(*xs).shape, dtype=bool)
+    kept_slots = list(itertools.combinations(range(k), k - 2))
+    for kept in kept_slots:
+        c, d = (i for i in range(k) if i not in kept)
+        pair = xs[c] + xs[d]
+        vals, res = inner((*(xs[i] for i in kept), pair))
+        total = total + vals * pair
+        resonant |= res
+    return (prefactor / len(kept_slots)) * total, resonant
+
+
+def _m4_values(xs, spec, params):
+    """M4 on hyperplane arrays; xs is a sequence of four broadcastable arrays."""
+    return _pair_symmetrized(xs, lambda ys: _sigma3_values(*ys, spec, params), -1.5j)
+
+
+def _h4_values(xs):
+    return 3j * (xs[0] + xs[1]) * (xs[0] + xs[2]) * (xs[0] + xs[3])
 
 
 def _sigma4_values(xs, spec, params):
@@ -246,19 +244,7 @@ def _sigma4_values(xs, spec, params):
 
 
 def _m5_values(xs, spec, params):
-    total = 0.0
-    resonant = np.zeros(np.broadcast(*xs).shape, dtype=bool)
-    idx = range(5)
-    for d in idx:
-        for e in idx:
-            if e <= d:
-                continue
-            rest = [xs[i] for i in idx if i not in (d, e)]
-            pair = xs[d] + xs[e]
-            vals, res = _sigma4_values((*rest, pair), spec, params)
-            total = total + vals * pair
-            resonant |= res
-    return (-2j / 10.0) * total, resonant
+    return _pair_symmetrized(xs, lambda ys: _sigma4_values(ys, spec, params), -2j)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +281,7 @@ def big_m3(t: HyperplaneTuple, spec: IMultiplierSpec) -> complex:
     return complex(_m3_values(*(np.asarray([x]) for x in t.xis), spec)[0])
 
 
-def _scalar_from_guarded(values, resonant, op: str) -> complex:
-    if bool(resonant.reshape(-1)[0]):
-        raise ResonantDenominatorError(f"{op}: resonant denominator on this tuple")
-    return complex(values.reshape(-1)[0])
-
-
-def _check_resonant_set(t: HyperplaneTuple, params: ModelParams, op: str, pairs: bool) -> None:
+def _check_resonant_set(t: HyperplaneTuple, params: ModelParams, op: str) -> None:
     """Scalar evaluations reject the resonant zero set outright.
 
     With eps = 0 the denominators vanish when any frequency (and, for the
@@ -314,16 +294,25 @@ def _check_resonant_set(t: HyperplaneTuple, params: ModelParams, op: str, pairs:
             raise ResonantDenominatorError(
                 f"{op}: eps = 0 with a vanishing frequency; exclude the zero set"
             )
-        if pairs and any(
-            abs(t.xis[i] + t.xis[j]) <= 1e-9 * scale
-            for i in range(t.k)
-            for j in range(i + 1, t.k)
+        if t.k > 3 and any(
+            abs(a + b) <= 1e-9 * scale for a, b in itertools.combinations(t.xis, 2)
         ):
             raise ResonantDenominatorError(
                 f"{op}: eps = 0 with a vanishing pair sum; exclude the zero set"
             )
     elif all(x == 0 for x in t.xis):
         raise ResonantDenominatorError(f"{op}: all-zero tuple is degenerate")
+
+
+def _scalar(t: HyperplaneTuple, k: int, op: str, params: ModelParams, values) -> complex:
+    """The gate of the scalar multipliers: t must be a k-tuple off the
+    resonant set; values maps k one-element arrays to (values, resonant)."""
+    _require_k(t, k, op)
+    _check_resonant_set(t, params, op)
+    vals, resonant = values(tuple(np.asarray([x]) for x in t.xis))
+    if resonant[0]:
+        raise ResonantDenominatorError(f"{op}: resonant denominator on this tuple")
+    return complex(vals[0])
 
 
 def sigma3(
@@ -334,46 +323,32 @@ def sigma3(
 ) -> complex:
     """sigma3 = -M3 / (h3 - eps beta_3); sign '-' selects sigma3^- with
     the reflected denominator h3 + eps beta_3."""
-    _require_k(t, 3, "sigma3")
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    _check_resonant_set(t, params, "sigma3", pairs=False)
-    arrays = tuple(np.asarray([x]) for x in t.xis)
-    values, resonant = _sigma3_values(*arrays, spec, params, sign=sign)
-    return _scalar_from_guarded(values, resonant, "sigma3")
+    return _scalar(
+        t, 3, "sigma3", params, lambda xs: _sigma3_values(*xs, spec, params, sign=sign)
+    )
 
 
 def big_m4(
     t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
 ) -> complex:
     """M4 as the six-pairing symmetrization of sigma3 terms."""
-    _require_k(t, 4, "big_m4")
-    _check_resonant_set(t, params, "big_m4", pairs=True)
-    arrays = tuple(np.asarray([x]) for x in t.xis)
-    values, resonant = _m4_values(arrays, spec, params)
-    return _scalar_from_guarded(values, resonant, "big_m4")
+    return _scalar(t, 4, "big_m4", params, lambda xs: _m4_values(xs, spec, params))
 
 
 def sigma4(
     t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
 ) -> complex:
     """sigma4 = -M4 / (h4 - eps beta_4)."""
-    _require_k(t, 4, "sigma4")
-    _check_resonant_set(t, params, "sigma4", pairs=True)
-    arrays = tuple(np.asarray([x]) for x in t.xis)
-    values, resonant = _sigma4_values(arrays, spec, params)
-    return _scalar_from_guarded(values, resonant, "sigma4")
+    return _scalar(t, 4, "sigma4", params, lambda xs: _sigma4_values(xs, spec, params))
 
 
 def big_m5(
     t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
 ) -> complex:
     """M5 as the ten-pairing symmetrization of sigma4 terms."""
-    _require_k(t, 5, "big_m5")
-    _check_resonant_set(t, params, "big_m5", pairs=True)
-    arrays = tuple(np.asarray([x]) for x in t.xis)
-    values, resonant = _m5_values(arrays, spec, params)
-    return _scalar_from_guarded(values, resonant, "big_m5")
+    return _scalar(t, 5, "big_m5", params, lambda xs: _m5_values(xs, spec, params))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +382,8 @@ def _sample_annulus_tuples(
         scale = np.max(np.abs(xs), axis=0)
         for i in range(4):
             ok &= np.abs(xs[i]) > 1e-9 * scale
-            for j in range(i + 1, 4):
-                ok &= np.abs(xs[i] + xs[j]) > 1e-9 * scale
+        for i, j in itertools.combinations(range(4), 2):
+            ok &= np.abs(xs[i] + xs[j]) > 1e-9 * scale
         kept = xs[:, ok]
         out.append(kept[:, :needed])
         needed -= min(needed, kept.shape[1])
@@ -470,6 +445,21 @@ def m4_bound_sample(
 _LAMBDA_MAX_MODES = {2: 4096, 3: 256, 4: 64, 5: 64}
 
 
+def _zero_sum_lattice(free: Sequence[np.ndarray], modes: int):
+    """The lattice of k_1 + ... + k_k = 0 over the k - 1 free integer
+    wavenumber ranges.
+
+    Returns the free ranges, each on its own broadcast axis, the dependent
+    last index -(k_1 + ... + k_(k-1)), and the mask of tuples whose last
+    index lies in the grid's range [-M/2, M/2 - 1].
+    """
+    n = len(free)
+    axes = [np.reshape(r, [-1 if j == i else 1 for j in range(n)]) for i, r in enumerate(free)]
+    last = -sum(axes)
+    half = modes // 2
+    return axes, last, (last >= -half) & (last <= half - 1)
+
+
 def lambda_k(
     multiplier: Callable[..., np.ndarray],
     fields: Sequence[SpectralField],
@@ -495,60 +485,21 @@ def lambda_k(
     kint = grid.integer_wavenumbers()
     dxi = 2.0 * np.pi / grid.box_length
     gamma = grid.box_length ** (1.0 - 0.5 * k)
-    half = m_modes // 2
-
     coeffs = [f.coeffs for f in fields]
 
-    if k == 2:
-        k2 = -kint
-        valid = (k2 >= -half) & (k2 <= half - 1)
-        vals = multiplier(kint * dxi, k2 * dxi)
-        prod = coeffs[0] * coeffs[1][k2 % m_modes]
-        return complex(gamma * np.sum(np.where(valid, vals * prod, 0.0)))
-
-    if k == 3:
-        k1 = kint[:, None]
-        k2 = kint[None, :]
-        k3 = -(k1 + k2)
-        valid = (k3 >= -half) & (k3 <= half - 1)
-        vals = multiplier(k1 * dxi, k2 * dxi, k3 * dxi)
-        prod = coeffs[0][:, None] * coeffs[1][None, :] * coeffs[2][k3 % m_modes]
-        return complex(gamma * np.sum(np.where(valid, vals * prod, 0.0)))
-
-    if k == 4:
-        k1 = kint[:, None, None]
-        k2 = kint[None, :, None]
-        k3 = kint[None, None, :]
-        k4 = -(k1 + k2 + k3)
-        valid = (k4 >= -half) & (k4 <= half - 1)
-        vals = multiplier(k1 * dxi, k2 * dxi, k3 * dxi, k4 * dxi)
-        prod = (
-            coeffs[0][:, None, None]
-            * coeffs[1][None, :, None]
-            * coeffs[2][None, None, :]
-            * coeffs[3][k4 % m_modes]
-        )
-        return complex(gamma * np.sum(np.where(valid, vals * prod, 0.0)))
-
-    # k == 5: chunk the leading index to bound memory at O(M^3)
-    k2 = kint[:, None, None]
-    k3 = kint[None, :, None]
-    k4 = kint[None, None, :]
-    inner = (
-        coeffs[1][:, None, None]
-        * coeffs[2][None, :, None]
-        * coeffs[3][None, None, :]
-    )
+    # k = 5 takes the leading index one nonzero entry at a time, which
+    # bounds memory at O(M^3)
+    if k < 5:
+        leads = [kint]
+    else:
+        leads = [kint[i : i + 1] for i in range(m_modes) if coeffs[0][i] != 0]
     total = 0.0 + 0.0j
-    for lead in range(m_modes):
-        c_lead = coeffs[0][lead]
-        if c_lead == 0:
-            continue
-        k1 = np.full((1, 1, 1), kint[lead])
-        k5 = -(kint[lead] + k2 + k3 + k4)
-        valid = (k5 >= -half) & (k5 <= half - 1)
-        vals = multiplier(k1 * dxi, k2 * dxi, k3 * dxi, k4 * dxi, k5 * dxi)
-        prod = c_lead * inner * coeffs[4][k5 % m_modes]
+    for lead in leads:
+        axes, last, valid = _zero_sum_lattice([lead] + [kint] * (k - 2), m_modes)
+        vals = multiplier(*(a * dxi for a in axes), last * dxi)
+        prod = coeffs[0][axes[0] % m_modes]
+        for c, a in zip(coeffs[1:], axes[1:] + [last]):
+            prod = prod * c[a % m_modes]
         total += np.sum(np.where(valid, vals * prod, 0.0))
     return complex(gamma * total)
 
@@ -625,18 +576,10 @@ def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
     diss_weight = 2.0 * params.epsilon * msq * np.abs(xi) ** (2 * params.alpha)
 
     kint = grid.integer_wavenumbers()
-    m_modes = grid.modes
-    half = m_modes // 2
-    k1 = kint[:, None]
-    k2 = kint[None, :]
-    k3 = -(k1 + k2)
-    valid = (k3 >= -half) & (k3 <= half - 1)
+    (k1, k2), k3, valid = _zero_sum_lattice([kint, kint], grid.modes)
     dxi = 2.0 * np.pi / grid.box_length
-    x1 = k1 * dxi
-    x2 = k2 * dxi
-    x3 = k3 * dxi
-    m3_vals = np.where(valid, _m3_values(x1, x2, x3, spec), 0.0)
-    gather = k3 % m_modes
+    m3_vals = np.where(valid, _m3_values(k1 * dxi, k2 * dxi, k3 * dxi, spec), 0.0)
+    gather = k3 % grid.modes
     gamma3 = grid.box_length ** (-0.5)
 
     energies = np.array(

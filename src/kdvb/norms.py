@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ResolutionError
 from .evolve import Trajectory
+from .reports import format_csv
 from .spectral import SpectralField, dissipation_symbol, resize_band
 
 
@@ -65,6 +66,15 @@ class EnergyLedger:
     def residuals(self) -> np.ndarray:
         """Ledger defect (1/2)||u||^2 + D(t) - (1/2)||phi||^2 per snapshot."""
         return self.l2_half_sq + self.dissipated - self.l2_half_sq[0]
+
+    def relative_residual(self) -> float:
+        """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2.
+
+        Returns the absolute defect when the initial data vanishes.
+        """
+        defect = float(np.max(np.abs(self.residuals())))
+        initial = self.l2_half_sq[0]
+        return defect / initial if initial > 0 else defect
 
 
 def sobolev_norm(u: SpectralField, s: float) -> float:
@@ -220,27 +230,24 @@ def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
 
 
 def l2_dissipation_residual(traj: Trajectory) -> float:
-    """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2.
-
-    Returns the absolute defect when the initial data vanishes.
-    """
-    ledger = build_energy_ledger(traj)
-    defect = float(np.max(np.abs(ledger.residuals())))
-    initial = ledger.l2_half_sq[0]
-    return defect / initial if initial > 0 else defect
+    """The relative quadratic-ledger residual of traj (see
+    EnergyLedger.relative_residual)."""
+    return build_energy_ledger(traj).relative_residual()
 
 
 def write_ledger_csv(stream: io.TextIOBase, ledger: EnergyLedger) -> None:
     """Emit the ledger as CSV with 17 significant digits per float."""
-    stream.write("t,half_l2_sq,dissipated,residual,hamiltonian,h1_norm\n")
-    residuals = ledger.residuals()
-    for i in range(len(ledger.times)):
-        row = (
-            ledger.times[i],
-            ledger.l2_half_sq[i],
-            ledger.dissipated[i],
-            residuals[i],
-            ledger.hamiltonian[i],
-            ledger.h1_norms[i],
+    columns = (
+        ledger.times,
+        ledger.l2_half_sq,
+        ledger.dissipated,
+        ledger.residuals(),
+        ledger.hamiltonian,
+        ledger.h1_norms,
+    )
+    stream.write(
+        format_csv(
+            ("t", "half_l2_sq", "dissipated", "residual", "hamiltonian", "h1_norm"),
+            zip(*columns),
         )
-        stream.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +57,14 @@ def fit_power_law(values: np.ndarray, observables: np.ndarray) -> dict:
     total = np.sum((y - y.mean()) ** 2)
     r_sq = 1.0 - float(np.sum(resid**2) / total) if total > 0 else 1.0
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r_sq}
+
+
+def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row with every number
+    in 17 significant digits and None as an empty field."""
+    lines = [",".join(header)]
+    lines += [",".join("" if x is None else f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def canonical_json(payload) -> str:

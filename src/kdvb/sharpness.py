@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ResolutionError
-from .reports import SweepReport
+from .reports import SweepReport, format_csv
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
@@ -46,16 +46,12 @@ CELLS_ACROSS_THIN = 16
 class PhaseSpaceGrid:
     """Origin-aligned rectangular lattice in (xi, tau)."""
 
-    xi_range: tuple[float, float]
-    tau_range: tuple[float, float]
     d_xi: float
     d_tau: float
 
     def __post_init__(self):
         if self.d_xi <= 0 or self.d_tau <= 0:
             raise ParameterError("grid steps must be positive")
-        if self.xi_range[0] >= self.xi_range[1] or self.tau_range[0] >= self.tau_range[1]:
-            raise ParameterError("grid ranges must be nondegenerate intervals")
 
     def cell_area(self) -> float:
         return self.d_xi * self.d_tau
@@ -98,15 +94,9 @@ class CounterexampleSpec:
         return self.scale_n ** (2.0 * self.alpha)
 
     def default_grid(self) -> PhaseSpaceGrid:
-        w = self.set_width()
-        h = self.modulation_height()
-        n = self.scale_n
-        tau_max = (n + w) ** 3 + 2.0 * h
         return PhaseSpaceGrid(
-            xi_range=(-(n + w), n + w),
-            tau_range=(-tau_max, tau_max),
-            d_xi=w / CELLS_ACROSS_THIN,
-            d_tau=h / CELLS_ACROSS_THIN,
+            d_xi=self.set_width() / CELLS_ACROSS_THIN,
+            d_tau=self.modulation_height() / CELLS_ACROSS_THIN,
         )
 
 
@@ -123,9 +113,6 @@ class CounterexampleFunction:
     xi_idx: np.ndarray
     tau_idx: np.ndarray
     amplitude: float = 1.0
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.xi_idx * self.grid.d_xi, self.tau_idx * self.grid.d_tau
 
     def l2_norm_sq(self) -> float:
         return self.amplitude**2 * len(self.xi_idx) * self.grid.cell_area()
@@ -187,19 +174,14 @@ def _outer_weight(xi: np.ndarray, tau: np.ndarray, spec: CounterexampleSpec) -> 
     return np.abs(xi) * (1.0 + np.abs(xi)) ** spec.s_test * y ** (-0.5 + spec.delta)
 
 
-def bilinear_functional(
-    f: CounterexampleFunction,
-    spec: CounterexampleSpec | None = None,
-    grid: PhaseSpaceGrid | None = None,
-) -> float:
+def bilinear_functional(f: CounterexampleFunction) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2.
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the
     away-from-origin third of the interaction rectangle.
     """
-    spec = f.spec if spec is None else spec
-    grid = f.grid if grid is None else grid
+    spec, grid = f.spec, f.grid
     if len(f.xi_idx) == 0 or f.amplitude == 0.0:
         return 0.0
     positive = f.xi_idx > 0
@@ -214,7 +196,7 @@ def bilinear_functional(
     j_out = (tau_p[:, None] + tau_m[None, :]).ravel()
     mass = (2.0 * grid.cell_area() ** 2) * (g_p[:, None] * g_m[None, :]).ravel()
 
-    width_cells = int(round(f.spec.set_width() / grid.d_xi))
+    width_cells = int(round(spec.set_width() / grid.d_xi))
     keep = (np.abs(i_out) >= max(1, width_cells // 6)) & (
         np.abs(i_out) <= width_cells // 2
     )
@@ -296,13 +278,13 @@ def exponent_sweep(
 
 def write_sweep_csv(stream, report: SweepReport) -> None:
     """sharpness sweep rows: alpha, s, N, ratio, slope, crossover_estimate."""
-    stream.write("alpha,s,N,ratio,slope,crossover_estimate\n")
     alpha = report.meta["alpha"]
     cross = report.crossover_estimate
-    cross_str = "" if cross is None else f"{cross:.17g}"
-    for rec in report.observables:
-        for n, ratio in zip(rec["n_ladder"], rec["ratios"]):
-            stream.write(
-                f"{alpha:.17g},{rec['s']:.17g},{n:.17g},{ratio:.17g},"
-                f"{rec['slope']:.17g},{cross_str}\n"
-            )
+    rows = (
+        (alpha, rec["s"], n, ratio, rec["slope"], cross)
+        for rec in report.observables
+        for n, ratio in zip(rec["n_ladder"], rec["ratios"])
+    )
+    stream.write(
+        format_csv(("alpha", "s", "N", "ratio", "slope", "crossover_estimate"), rows)
+    )

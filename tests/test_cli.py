@@ -5,8 +5,17 @@ from pathlib import Path
 
 import pytest
 
+from kdvb import cli
 from kdvb.cli import build_initial_data, main, parse_config, run
-from kdvb.errors import ConfigError
+from kdvb.errors import (
+    ConfigError,
+    ContractViolationError,
+    DivergenceError,
+    ParameterError,
+    RangeError,
+    ResolutionError,
+    ResonantDenominatorError,
+)
 
 
 def solve_doc(out, **overrides):
@@ -50,6 +59,11 @@ class TestParseConfig:
     def test_rejections_name_the_offender(self, tmp_path, override, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(json.dumps(solve_doc(tmp_path, **override)))
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        cfg = parse_config(json.dumps(solve_doc(tmp_path, modes=64.0, snapshot_stride=2.0)))
+        assert cfg.grid.modes == 64 and type(cfg.grid.modes) is int
+        assert cfg.snapshot_stride == 2 and type(cfg.snapshot_stride) is int
 
     def test_not_json(self):
         with pytest.raises(ConfigError, match="JSON"):
@@ -126,6 +140,56 @@ class TestRun:
             tmp_path / "res", initial_data={"kind": "soliton", "c": 0.1, "x0": 0.0}
         )
         assert run(parse_config(json.dumps(doc))) == 4
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (ConfigError("x"), 2),
+            (ParameterError("x"), 2),
+            (ContractViolationError("x"), 2),
+            (ResonantDenominatorError("x"), 2),
+            (DivergenceError(3, 0.1), 3),
+            (RangeError("x"), 3),
+            (ResolutionError("x"), 4),
+        ],
+    )
+    def test_each_error_class_exit_code(self, tmp_path, monkeypatch, exc, code):
+        def failing_runner(cfg, artifacts):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "solve", (failing_runner, {}, True))
+        assert run(parse_config(json.dumps(solve_doc(tmp_path / "e")))) == code
+        error = json.loads((tmp_path / "e" / "error.json").read_text())
+        assert error == {"error": type(exc).__name__, "exit_code": code, "message": str(exc)}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_exit_code(self, tmp_path):
+        doc = {
+            "subcommand": "sharpness",
+            "epsilon": 0.1,
+            "alpha": 0.25,
+            "modes": 64,
+            "box_length": 32.0,
+            "out": str(tmp_path / "ovf"),
+            "sharpness": {"s_list": [-1000.0, -999.0], "n_ladder": [16, 32, 64, 128]},
+        }
+        assert run(parse_config(json.dumps(doc))) == 3
+        error = json.loads((tmp_path / "ovf" / "error.json").read_text())
+        assert error["error"] == "RangeError"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_h1_bound_divergence_names_epsilon(self, tmp_path):
+        doc = solve_doc(
+            tmp_path / "h1",
+            subcommand="h1-bound",
+            dt=0.05,
+            t_final=0.5,
+            initial_data={"kind": "gaussian", "width": 2.0, "l2_norm": 400.0},
+        )
+        assert run(parse_config(json.dumps(doc))) == 3
+        error = json.loads((tmp_path / "h1" / "error.json").read_text())
+        assert error["error"] == "DivergenceError"
+        assert error["message"].startswith("epsilon = 1.0: non-finite state")
 
     def test_inviscid_rows_in_ladder_order(self, tmp_path):
         doc = {
@@ -222,6 +286,8 @@ class TestMain:
             {"initial_data": {"kind": "power_law", "seed": -1}},
             {"modes": 1e12},
             {"inviscid": {"eps_ladder": ["a"]}, "subcommand": "inviscid"},
+            {"modes": 64.7},
+            {"scaling": {"lambda_exp": 1.9}, "subcommand": "scaling"},
         ],
     )
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):

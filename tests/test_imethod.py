@@ -9,6 +9,7 @@ import pytest
 from kdvb.errors import (
     ContractViolationError,
     ParameterError,
+    ResolutionError,
     ResonantDenominatorError,
 )
 from kdvb.evolve import SolverConfig, solve, zero_nonlinearity
@@ -369,6 +370,33 @@ class TestLambdaK:
         expected *= grid.box_length**-0.5
         assert lambda_k(mult, [u, u, u]) == pytest.approx(expected, rel=1e-12)
 
+    def test_quintic_against_direct_enumeration(self):
+        grid = GridSpec(box_length=7.0, modes=8)
+        rng = np.random.default_rng(14)
+        fields = []
+        for _ in range(5):
+            coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            fields.append(SpectralField(coeffs, grid))
+        # zero leading entries exercise the skipped slices of the first field
+        fields[0] = SpectralField(np.where(np.arange(8) % 3 == 1, 0.0, fields[0].coeffs), grid)
+        dxi = 2.0 * np.pi / grid.box_length
+
+        def mult(x1, x2, x3, x4, x5):
+            return x1 * x5 + np.cos(x2 - x3) + 1j * x4
+
+        expected = 0.0 + 0.0j
+        lattice = range(-4, 4)
+        for ks in itertools.product(lattice, repeat=4):
+            k5 = -sum(ks)
+            if k5 not in lattice:
+                continue
+            term = mult(*(k * dxi for k in (*ks, k5)))
+            for f, k in zip(fields, (*ks, k5)):
+                term *= f.coeffs[k % 8]
+            expected += term
+        expected *= grid.box_length**-1.5
+        assert lambda_k(mult, fields) == pytest.approx(expected, rel=1e-12)
+
     def test_grid_mismatch_and_size_contract(self):
         a = self.make_field(GridSpec(box_length=11.0, modes=32))
         b = self.make_field(GridSpec(box_length=11.0, modes=64))
@@ -474,6 +502,18 @@ class TestEnergyDerivativeIdentity:
             )
         assert residuals[20] <= 1e-3
         assert residuals[20] / residuals[10] == pytest.approx(4.0, abs=1.2)
+
+    def test_two_snapshots_rejected(self):
+        grid = GridSpec(box_length=32.0, modes=64)
+        x = grid.collocation_points()
+        cfg = SolverConfig(
+            params=ModelParams(0.3, 0.8), grid=grid, dt=1e-3, t_final=1e-3,
+            snapshot_stride=1,
+        )
+        traj = solve(RealField(np.exp(-(((x - 16.0) / 3.0) ** 2)), grid), cfg)
+        assert len(traj.states) == 2
+        with pytest.raises(ResolutionError, match="three snapshots"):
+            denergy_identity_residual(traj, IMultiplierSpec(8.0, -0.74))
 
     def test_full_solve_residual_quarters(self):
         spec = IMultiplierSpec(8.0, -0.74)

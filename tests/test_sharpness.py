@@ -31,7 +31,7 @@ class TestSpecValidation:
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError, match="steps"):
-            PhaseSpaceGrid((-1.0, 1.0), (-1.0, 1.0), 0.0, 0.1)
+            PhaseSpaceGrid(0.0, 0.1)
 
 
 class TestBuildCounterexample:
@@ -73,8 +73,6 @@ class TestBuildCounterexample:
         deviations = []
         for cells in (16, 64):
             grid = PhaseSpaceGrid(
-                xi_range=(-18.0, 18.0),
-                tau_range=(-6000.0, 6000.0),
                 d_xi=spec.set_width() / cells,
                 d_tau=spec.modulation_height() / cells,
             )
@@ -90,8 +88,6 @@ class TestBuildCounterexample:
     def test_unresolved_thin_dimension_rejected(self):
         spec = CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25)
         coarse = PhaseSpaceGrid(
-            xi_range=(-18.0, 18.0),
-            tau_range=(-6000.0, 6000.0),
             d_xi=0.5,
             d_tau=spec.modulation_height() / 16,
         )
