@@ -82,8 +82,8 @@ _COMMON_KEYS = {
     "initial_data",
 }
 
-# Value kinds for _coerce: float, int, _SEED, _FLOATS (a list of floats),
-# or None for a non-numeric value taken as given.
+# Value kinds for _coerce: float, int, bool, _SEED, _FLOATS (a list of
+# floats), or None for a non-numeric value taken as given.
 _SEED = "seed"
 _FLOATS = "floats"
 
@@ -146,9 +146,14 @@ def _require(doc: dict, key: str):
 
 def _coerce(value, name: str, kind=float):
     """value coerced by kind (see _SEED and _FLOATS); a non-numeric or
-    non-finite number, a non-integral value for an int or seed, or a seed
-    outside [0, 2**64), is a config error naming the key."""
+    non-finite number, a non-integral value for an int or seed, a seed
+    outside [0, 2**64), or a bool kind given anything but true or false,
+    is a config error naming the key."""
     if kind is None:
+        return value
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
         return value
     if kind == _FLOATS:
         if not isinstance(value, list):
@@ -325,13 +330,14 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
     buf = io.BytesIO()
     write_trajectory(buf, traj)
     artifacts["trajectory.bin"] = buf.getvalue()
-    return {"snapshots": len(traj.states), "ledger_residual": _ledger_artifact(traj, artifacts)}
+    return {"snapshots": len(traj.times), "ledger_residual": _ledger_artifact(traj, artifacts)}
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     phi = build_initial_data(cfg)
-    traj = solve(phi, _solver_config(cfg))
-    result = {"ledger_residual": _ledger_artifact(traj, artifacts)}
+    # no reference to the first trajectory outlives its ledger, so it is
+    # freed before the refined solve
+    result = {"ledger_residual": _ledger_artifact(solve(phi, _solver_config(cfg)), artifacts)}
     if cfg.experiment.get("refine_check", False):
         refined_cfg = replace(_solver_config(cfg), dt=cfg.dt / 2)
         result["ledger_residual_refined"] = l2_dissipation_residual(solve(phi, refined_cfg))
@@ -442,7 +448,7 @@ _INVISCID_KEYS = {"eps_ladder": _FLOATS, "sobolev_s": float}
 # subcommand -> (runner, experiment-block {key: value kind}, needs a time-stepping solve)
 _COMMANDS = {
     "solve": (_run_solve, {}, True),
-    "energy": (_run_energy, {"refine_check": None}, True),
+    "energy": (_run_energy, {"refine_check": bool}, True),
     "inviscid": (functools.partial(_run_inviscid, with_rate=False), _INVISCID_KEYS, True),
     "rate": (functools.partial(_run_inviscid, with_rate=True), _INVISCID_KEYS, True),
     "scaling": (_run_scaling, {"lambda_exp": int}, True),

@@ -20,12 +20,12 @@ The quadratic product is formed in physical space and dealiased with the
 
 The state is stepped as the real-FFT half-spectrum: the M/2 + 1
 coefficients k = 0..M/2 of a real field, the negative wavenumbers being
-their conjugates.  The public full-FFT-order SpectralField appears only
-at the edges (initial data, stored snapshots, ``step`` and
-``nonlinear_term``), rebuilt exactly Hermitian-symmetric.  The Nyquist
-entry stands for both k = -M/2 and k = M/2; its derivative factor is 0
-and its linear symbol keeps only the dissipative real part, so it stays
-real.
+their conjugates.  Full FFT order appears only in a stored snapshot (one
+row of the trajectory's coefficient matrix, rebuilt exactly
+Hermitian-symmetric after t = 0) and in the public ``step`` and
+``nonlinear_term``.  The Nyquist entry stands for both k = -M/2 and
+k = M/2; its derivative factor is 0 and its linear symbol keeps only the
+dissipative real part, so it stays real.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .spectral import (
     RealField,
     SpectralField,
     forward_transform,
-    inverse_transform,
     read_snapshot,
+    synthesize,
     write_snapshot,
 )
 
@@ -83,30 +83,35 @@ class Trajectory:
 
     Snapshots sit at multiples of snapshot_stride * dt starting from 0;
     the final interval may be shorter when t_final is not a multiple.
+    ``coeffs`` is one read-only (n_snapshots, M) matrix, row i holding the
+    FFT-order coefficients at times[i]; the constructor copies it once.
     """
 
     times: np.ndarray
-    states: tuple[SpectralField, ...]
+    coeffs: np.ndarray
     config: SolverConfig
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        if times.shape != (len(self.states),):
+        times = np.array(self.times, dtype=np.float64)
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        if times.ndim != 1 or coeffs.shape != (len(times), self.config.grid.modes):
             raise ContractViolationError(
-                f"times length {times.shape} does not match {len(self.states)} states"
+                f"coefficient shape {coeffs.shape} does not match times length "
+                f"{times.shape} and {self.config.grid.modes} modes"
             )
         if len(times) == 0 or times[0] != 0.0:
             raise ContractViolationError("trajectory must start at t = 0")
         if np.any(np.diff(times) <= 0):
             raise ContractViolationError("trajectory times must be increasing")
-        times = times.copy()
         times.setflags(write=False)
+        coeffs.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def coeff_matrix(self) -> np.ndarray:
-        """All snapshot coefficients stacked as a (n_snapshots, M) array."""
-        return np.stack([s.coeffs for s in self.states])
+    @property
+    def states(self) -> tuple[SpectralField, ...]:
+        """The snapshots as SpectralFields, built on each access."""
+        return tuple(SpectralField(c, self.grid) for c in self.coeffs)
 
     @property
     def grid(self) -> GridSpec:
@@ -301,7 +306,7 @@ def solve(
     stepper = _Stepper(grid, p, cfg.dt, nonlinearity)
 
     times = [0.0]
-    states = [SpectralField(c, grid)]
+    rows = [c]
     h = _to_half(c)
     for i, dt in enumerate(steps):
         if dt == cfg.dt:
@@ -314,8 +319,8 @@ def solve(
             raise DivergenceError(step_index=i, time=t)
         if (i + 1) % cfg.snapshot_stride == 0 or last:
             times.append(t)
-            states.append(SpectralField(_to_full(h), grid))
-    return Trajectory(np.asarray(times), tuple(states), cfg)
+            rows.append(_to_full(h))
+    return Trajectory(times, rows, cfg)
 
 
 def zero_nonlinearity(c: np.ndarray) -> np.ndarray:
@@ -327,7 +332,7 @@ def write_trajectory(stream, traj: Trajectory) -> None:
     """Serialize: a length-prefixed JSON manifest {count, dt,
     snapshot_stride, params}, then one snapshot record per state."""
     manifest = {
-        "count": len(traj.states),
+        "count": len(traj.times),
         "dt": traj.config.dt,
         "snapshot_stride": traj.config.snapshot_stride,
         "params": {"epsilon": traj.params.epsilon, "alpha": traj.params.alpha},
@@ -335,10 +340,11 @@ def write_trajectory(stream, traj: Trajectory) -> None:
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     stream.write(struct.pack("<I", len(blob)))
     stream.write(blob)
-    for t, state in zip(traj.times, traj.states):
+    values = synthesize(traj.coeffs, traj.grid.box_length)
+    for t, v in zip(traj.times, values):
         write_snapshot(
             stream,
-            inverse_transform(state),
+            RealField(v, traj.grid),
             float(t),
             traj.params.epsilon,
             traj.params.alpha,

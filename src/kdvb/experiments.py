@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve
-from .norms import sobolev_norm
+from .norms import cumulative_trapezoid, spectral_energies
 from .propagator import ModelParams
 from .reports import SweepReport, fit_power_law
 from .spectral import (
@@ -111,13 +111,11 @@ def power_law_initial_data(
 
 def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     """sup over common snapshot times of || a(t) - b(t) ||_{H^s}."""
-    if len(a.states) != len(b.states):
+    if a.coeffs.shape != b.coeffs.shape:
         raise ParameterError("trajectories must share their snapshot schedule")
-    worst = 0.0
-    for ua, ub in zip(a.states, b.states):
-        diff = SpectralField(ua.coeffs - ub.coeffs, ua.grid)
-        worst = max(worst, sobolev_norm(diff, s))
-    return worst
+    weight = (1.0 + a.grid.wavenumbers() ** 2) ** s
+    (energies,) = spectral_energies(a.coeffs - b.coeffs, weight)
+    return float(np.sqrt(np.max(energies)))
 
 
 def _solve_at(
@@ -159,8 +157,8 @@ def inviscid_sweep(
     epsilon = 0 reference and its dt/2 floor companion, shares the grid.
     """
     ladder = tuple(float(e) for e in eps_ladder)
-    if any(not 0 < e <= 1 for e in ladder):
-        raise ParameterError(f"eps_ladder must lie in (0, 1], got {ladder}")
+    if not ladder or any(not 0 < e <= 1 for e in ladder):
+        raise ParameterError(f"eps_ladder must be non-empty in (0, 1], got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ParameterError("eps_ladder must be strictly decreasing")
     if s > 0:
@@ -205,8 +203,8 @@ def rate_fit(report: SweepReport) -> float:
     """
     eps = np.asarray(report.values, dtype=np.float64)
     obs = np.asarray([rec["observable"] for rec in report.observables])
-    if np.any(obs <= 0):
-        raise ParameterError("rate fit needs strictly positive observables")
+    if len(obs) < 2 or np.any(obs <= 0):
+        raise ParameterError("rate fit needs at least two strictly positive observables")
     fit = fit_power_law(eps, obs)
     diffs = np.diff(obs)
     if not (np.all(diffs >= 0) or np.all(diffs <= 0)):
@@ -268,10 +266,10 @@ def scaling_check(
     )
     scaled = solve(phi_scaled_real, scaled_cfg)
 
-    pulled_back = resize_band(scaled.states[-1].coeffs, grid.modes) * lam**-1.5
-    target = base.states[-1]
-    defect = np.linalg.norm(pulled_back - target.coeffs)
-    return float(defect / np.linalg.norm(target.coeffs))
+    pulled_back = resize_band(scaled.coeffs[-1], grid.modes) * lam**-1.5
+    target = base.coeffs[-1]
+    defect = np.linalg.norm(pulled_back - target)
+    return float(defect / np.linalg.norm(target))
 
 
 def h1_bound_check(
@@ -290,20 +288,17 @@ def h1_bound_check(
     carries the observables for the band check.
     """
     ladder = tuple(float(e) for e in eps_ladder)
-    if any(not 0 <= e <= 1 for e in ladder):
-        raise ParameterError(f"eps_ladder must lie in [0, 1], got {ladder}")
-    grid = phi.grid
+    if not ladder or any(not 0 <= e <= 1 for e in ladder):
+        raise ParameterError(f"eps_ladder must be non-empty in [0, 1], got {ladder}")
+    xi = phi.grid.wavenumbers()
+    # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
+    weights = (1.0 + xi**2, np.abs(xi) ** (4.0 * alpha))
     observables = []
     for eps in ladder:
         traj = _solve_at(phi, eps, alpha, dt, t_final, snapshot_stride)
-        sup_h1 = max(sobolev_norm(u, 1.0) for u in traj.states)
-        # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
-        xi = grid.wavenumbers()
-        weight = np.abs(xi) ** (4.0 * alpha)
-        rates = np.array(
-            [float(np.sum(weight * np.abs(u.coeffs) ** 2)) for u in traj.states]
-        )
-        integral = float(np.trapezoid(rates, traj.times))
+        h1_sq, rates = spectral_energies(traj.coeffs, *weights)
+        sup_h1 = float(np.sqrt(np.max(h1_sq)))
+        integral = float(cumulative_trapezoid(rates, traj.times)[-1])
         observables.append(
             {
                 "epsilon": eps,

@@ -51,6 +51,7 @@ from .errors import (
     ResonantDenominatorError,
 )
 from .evolve import Trajectory
+from .norms import spectral_energies
 from .propagator import ModelParams
 from .spectral import SpectralField
 
@@ -115,6 +116,8 @@ class DyadicConfig:
             raise ParameterError("n1_ladder needs at least two positive entries")
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ParameterError("n1_ladder must be strictly increasing")
+        if len(self.ratios) != 3:
+            raise ParameterError(f"ratios needs exactly 3 entries, got {self.ratios}")
         r2, r3, r4 = self.ratios
         if not (1.0 >= r2 >= r3 >= r4 > 0):
             raise ParameterError(f"ratios must be nonincreasing in (0, 1], got {self.ratios}")
@@ -519,10 +522,9 @@ def modified_energy(
     """
     if order not in (2, 3, 4):
         raise ParameterError(f"order must be 2, 3, or 4, got {order}")
-    xi = u.grid.wavenumbers()
-    e2 = float(np.sum(_msq(xi, spec) * np.abs(u.coeffs) ** 2))
+    (e2,) = spectral_energies(u.coeffs, _msq(u.grid.wavenumbers(), spec))
     if order == 2:
-        return e2
+        return float(e2)
 
     if params.epsilon == 0 and abs(u.coeffs[0]) > 1e-13 * max(u.l2_norm(), _TINY):
         raise ResonantDenominatorError(
@@ -563,7 +565,7 @@ def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
     and returns the maximal defect over interior snapshots, divided by
     scale = max(sup |rhs|, sup E_I^2 / time span).
     """
-    if len(traj.states) < 3:
+    if len(traj.times) < 3:
         raise ResolutionError("need at least three snapshots for a centered difference")
     grid = traj.grid
     if grid.modes > 256:
@@ -582,16 +584,11 @@ def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
     gather = k3 % grid.modes
     gamma3 = grid.box_length ** (-0.5)
 
-    energies = np.array(
-        [float(np.sum(msq * np.abs(s.coeffs) ** 2)) for s in traj.states]
+    energies, diss = spectral_energies(traj.coeffs, msq, diss_weight)
+    flux = gamma3 * np.array(
+        [np.sum(m3_vals * (c[:, None] * c[None, :]) * c[gather]) for c in traj.coeffs]
     )
-
-    def rhs_at(c: np.ndarray) -> float:
-        diss = float(np.sum(diss_weight * np.abs(c) ** 2))
-        flux = gamma3 * np.sum(m3_vals * (c[:, None] * c[None, :]) * c[gather])
-        return -diss + (2.0 / 3.0) * float(flux.real)
-
-    rhs = np.array([rhs_at(s.coeffs) for s in traj.states])
+    rhs = -diss + (2.0 / 3.0) * flux.real
     dts = traj.times[2:] - traj.times[:-2]
     lhs = (energies[2:] - energies[:-2]) / dts
     defects = np.abs(lhs - rhs[1:-1])

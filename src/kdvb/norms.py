@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolationError, ResolutionError
 from .evolve import Trajectory
 from .reports import format_csv
-from .spectral import SpectralField, dissipation_symbol, resize_band
+from .spectral import GridSpec, SpectralField, dissipation_symbol, resize_band, synthesize
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,16 +72,42 @@ class EnergyLedger:
 
         Returns the absolute defect when the initial data vanishes.
         """
-        defect = float(np.max(np.abs(self.residuals())))
-        initial = self.l2_half_sq[0]
-        return defect / initial if initial > 0 else defect
+        return _relative_residual(self.l2_half_sq, self.dissipated)
+
+
+def _relative_residual(half_l2: np.ndarray, dissipated: np.ndarray) -> float:
+    defect = float(np.max(np.abs(half_l2 + dissipated - half_l2[0])))
+    return defect / half_l2[0] if half_l2[0] > 0 else defect
+
+
+# Rows per block in spectral_energies: its |coeff|^2 and product
+# temporaries then hold at most this many rows however long the
+# trajectory, so they do not set a run's peak memory.
+_BLOCK_ROWS = 64
+
+
+def spectral_energies(coeffs: np.ndarray, *weights) -> list[np.ndarray]:
+    """sum_k w(k) |coeff(k)|^2 over the last axis of coeffs (one value per
+    snapshot row) for each weight w, with |coeff|^2 formed once per block
+    of rows."""
+    if coeffs.ndim > 1 and len(coeffs) > _BLOCK_ROWS:
+        starts = range(0, len(coeffs), _BLOCK_ROWS)
+        blocks = [spectral_energies(coeffs[i : i + _BLOCK_ROWS], *weights) for i in starts]
+        return [np.concatenate(sums) for sums in zip(*blocks)]
+    power = np.abs(coeffs) ** 2
+    return [np.sum(w * power, axis=-1) for w in weights]
+
+
+def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule integrals of values from times[0] to each of times."""
+    increments = 0.5 * (values[1:] + values[:-1]) * np.diff(times)
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 def sobolev_norm(u: SpectralField, s: float) -> float:
     """H^s norm (sum_k (1 + xi_k^2)^s |coeff(k)|^2)^(1/2)."""
-    xi = u.grid.wavenumbers()
-    weights = (1.0 + xi**2) ** s
-    return float(np.sqrt(np.sum(weights * np.abs(u.coeffs) ** 2)))
+    (energy,) = spectral_energies(u.coeffs, (1.0 + u.grid.wavenumbers() ** 2) ** s)
+    return float(np.sqrt(energy))
 
 
 def dyadic_band_indices(xi: np.ndarray) -> np.ndarray:
@@ -155,7 +181,7 @@ def xk_norm_report(traj: Trajectory, k: int, window: float) -> XkReport:
 
     xi = traj.grid.wavenumbers()
     band_mask = dyadic_band_indices(xi) == k
-    coeffs = traj.coeff_matrix()[:n][:, band_mask]
+    coeffs = traj.coeffs[:n, band_mask]
     xi_band = xi[band_mask]
     if coeffs.size == 0:
         return XkReport(0.0, (), np.pi / dt_snap, 0)
@@ -189,10 +215,11 @@ def xk_norm(traj: Trajectory, k: int, window: float) -> float:
     return xk_norm_report(traj, k, window).value
 
 
-def dissipation_rate(u: SpectralField, epsilon: float, alpha: float) -> float:
-    """epsilon * ||Lambda^alpha u||^2 on the lattice."""
-    sym = dissipation_symbol(u.grid, alpha)
-    return float(epsilon * np.sum(sym * np.abs(u.coeffs) ** 2))
+def _cubic_integral(coeffs: np.ndarray, grid: GridSpec) -> float:
+    """int u^3 dx of one coefficient row on a 2x zero-padded grid."""
+    m2 = 2 * grid.modes
+    w = synthesize(resize_band(coeffs, m2), grid.box_length)
+    return np.sum(w**3) * (grid.box_length / m2)
 
 
 def hamiltonian(u: SpectralField) -> float:
@@ -202,37 +229,35 @@ def hamiltonian(u: SpectralField) -> float:
     collocation integral on a 2x zero-padded grid, exact for band-limited
     fields.
     """
-    grid = u.grid
-    xi = grid.wavenumbers()
-    quad = np.sum((xi**2 + 1.0) * np.abs(u.coeffs) ** 2)
+    (quad,) = spectral_energies(u.coeffs, u.grid.wavenumbers() ** 2 + 1.0)
+    return float(quad - (2.0 / 3.0) * _cubic_integral(u.coeffs, u.grid))
 
-    m2 = 2 * grid.modes
-    padded = resize_band(u.coeffs, m2)
-    w = np.fft.ifft(padded * (m2 / np.sqrt(grid.box_length))).real
-    cubic = np.sum(w**3) * (grid.box_length / m2)
-    return float(quad - (2.0 / 3.0) * cubic)
+
+def _quadratic_ledger(traj: Trajectory, *weights) -> list[np.ndarray]:
+    """(1/2)||u||^2 and the accumulated dissipation per snapshot, then
+    sum_k w(k) |coeff(k)|^2 for each further weight, in one pass of
+    spectral_energies."""
+    p = traj.params
+    l2_sq, rates, *rest = spectral_energies(
+        traj.coeffs, 1.0, dissipation_symbol(traj.grid, p.alpha), *weights
+    )
+    return [0.5 * l2_sq, cumulative_trapezoid(p.epsilon * rates, traj.times), *rest]
 
 
 def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
-    """Evaluate both ledgers along a trajectory, with trapezoid quadrature
-    for the accumulated dissipation."""
-    p = traj.params
-    rates = np.array(
-        [dissipation_rate(s, p.epsilon, p.alpha) for s in traj.states]
-    )
-    half_l2 = np.array([0.5 * s.l2_norm() ** 2 for s in traj.states])
-    dissipated = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (rates[1:] + rates[:-1]) * np.diff(traj.times))]
-    )
-    ham = np.array([hamiltonian(s) for s in traj.states])
-    h1 = np.array([sobolev_norm(s, 1.0) for s in traj.states])
-    return EnergyLedger(traj.times, half_l2, dissipated, ham, h1)
+    """Evaluate both ledgers along a trajectory; the quadratic part of H is
+    the squared H^1 norm, so only the cubic term is taken row by row."""
+    half_l2, dissipated, h1_sq = _quadratic_ledger(traj, traj.grid.wavenumbers() ** 2 + 1.0)
+    cubic = np.array([_cubic_integral(c, traj.grid) for c in traj.coeffs])
+    ham = h1_sq - (2.0 / 3.0) * cubic
+    return EnergyLedger(traj.times, half_l2, dissipated, ham, np.sqrt(h1_sq))
 
 
 def l2_dissipation_residual(traj: Trajectory) -> float:
-    """The relative quadratic-ledger residual of traj (see
-    EnergyLedger.relative_residual)."""
-    return build_energy_ledger(traj).relative_residual()
+    """The relative quadratic-ledger residual of traj, equal to
+    build_energy_ledger(traj).relative_residual() but evaluating neither
+    H nor the H^1 norm."""
+    return _relative_residual(*_quadratic_ledger(traj))
 
 
 def write_ledger_csv(stream: io.TextIOBase, ledger: EnergyLedger) -> None:

@@ -239,6 +239,8 @@ def exponent_sweep(
     """
     if len(n_ladder) < 4:
         raise ParameterError("n_ladder needs at least 4 dyadic points")
+    if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
+        raise ParameterError("n_ladder must be strictly increasing")
     ratios_by_s = []
     slopes = []
     ns = np.asarray(n_ladder, dtype=np.float64)

@@ -136,8 +136,14 @@ def inverse_transform(u: SpectralField) -> RealField:
     The imaginary part of the inverse FFT is discarded; it is at roundoff
     level for Hermitian-symmetric input.
     """
-    scale = u.grid.modes / np.sqrt(u.grid.box_length)
-    return RealField(np.fft.ifft(u.coeffs * scale).real, u.grid)
+    return RealField(synthesize(u.coeffs, u.grid.box_length), u.grid)
+
+
+def synthesize(coeffs: np.ndarray, box_length: float) -> np.ndarray:
+    """Real parts of the collocation values of FFT-order coefficients on a
+    box of length box_length, transformed along the last axis, so every
+    row of a coefficient matrix at once."""
+    return np.fft.ifft(coeffs * (coeffs.shape[-1] / np.sqrt(box_length))).real
 
 
 def spatial_derivative(u: SpectralField, order: int) -> SpectralField:

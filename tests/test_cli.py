@@ -288,6 +288,8 @@ class TestMain:
             {"inviscid": {"eps_ladder": ["a"]}, "subcommand": "inviscid"},
             {"modes": 64.7},
             {"scaling": {"lambda_exp": 1.9}, "subcommand": "scaling"},
+            {"energy": {"refine_check": "yes"}, "subcommand": "energy"},
+            {"energy": {"refine_check": [1]}, "subcommand": "energy"},
         ],
     )
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):
@@ -296,6 +298,27 @@ class TestMain:
         assert main(["--config", str(cfg_path)]) == 2
         key = next(iter(override))
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand,block",
+        [
+            ("imethod-bounds", {"n1_ladder": [8.0, 16.0], "ratios": [1.0]}),
+            ("imethod-bounds", {"n1_ladder": [8.0, 16.0], "ratios": [1.0, 0.75, 0.5, 0.25]}),
+            ("rate", {"eps_ladder": []}),
+            ("rate", {"eps_ladder": [0.1]}),
+            ("inviscid", {"eps_ladder": []}),
+            ("h1-bound", {"eps_ladder": []}),
+            ("sharpness", {"s_list": [-0.5], "n_ladder": [16, 16, 16, 16]}),
+        ],
+    )
+    def test_degenerate_block_is_parameter_error(self, tmp_path, capsys, subcommand, block):
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(tmp_path / "out", subcommand=subcommand, **{subcommand: block})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

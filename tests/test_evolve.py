@@ -371,6 +371,27 @@ class TestTrajectorySerialization:
         cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
         traj = solve(smooth_data(grid, 0.5), cfg)
         with pytest.raises(ContractViolationError, match="t = 0"):
-            Trajectory(traj.times + 1.0, traj.states, cfg)
+            Trajectory(traj.times + 1.0, traj.coeffs, cfg)
         with pytest.raises(ContractViolationError, match="length"):
-            Trajectory(traj.times[:-1], traj.states, cfg)
+            Trajectory(traj.times[:-1], traj.coeffs, cfg)
+
+    def test_states_are_rows_of_one_read_only_matrix(self):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(params=ModelParams(0.3, 0.8), grid=grid, dt=0.01, t_final=0.05)
+        traj = solve(smooth_data(grid, 0.5), cfg)
+        assert traj.coeffs.shape == (len(traj.times), grid.modes)
+        assert not traj.coeffs.flags.writeable
+        for i, state in enumerate(traj.states):
+            assert state.grid is grid
+            assert np.array_equal(state.coeffs, traj.coeffs[i])
+        source = np.array(traj.coeffs)
+        copied = Trajectory(traj.times, source, cfg)
+        source[:] = 0.0
+        assert np.array_equal(copied.coeffs, traj.coeffs)
+
+    @pytest.mark.parametrize("shape", [(6, 30), (5, 32), (7, 32), (32,), (6, 32, 1)])
+    def test_coeff_shape_must_match_times_and_modes(self, shape):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
+        with pytest.raises(ContractViolationError, match="shape"):
+            Trajectory(np.arange(6) * 0.01, np.zeros(shape, complex), cfg)

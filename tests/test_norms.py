@@ -14,6 +14,7 @@ from kdvb.norms import (
     hamiltonian,
     l2_dissipation_residual,
     sobolev_norm,
+    spectral_energies,
     write_ledger_csv,
     xk_norm,
     xk_norm_report,
@@ -57,6 +58,16 @@ class TestSobolevNorm:
         assert all(a <= b + 1e-14 for a, b in zip(values, values[1:]))
 
 
+class TestSpectralEnergies:
+    def test_matrix_rows_equal_single_rows(self):
+        rng = np.random.default_rng(5)
+        coeffs = rng.standard_normal((150, 48)) + 1j * rng.standard_normal((150, 48))
+        weights = (1.0, rng.random(48))
+        sums = spectral_energies(coeffs, *weights)
+        for i, row in enumerate(coeffs):
+            assert [s[i] for s in sums] == spectral_energies(row, *weights)
+
+
 class TestDyadicProfile:
     def test_single_mode_lands_in_its_band(self):
         grid = GridSpec(box_length=2 * np.pi, modes=32)
@@ -97,11 +108,11 @@ def band_limited_state(grid: GridSpec, band: int, seed: int = 3) -> SpectralFiel
 def free_trajectory(u0: SpectralField, dt_snap: float, n: int) -> Trajectory:
     p = ModelParams(0.0, 1.0)
     times = np.arange(n) * dt_snap
-    states = [propagate(u0, float(t), p) for t in times]
+    coeffs = [propagate(u0, float(t), p).coeffs for t in times]
     cfg = SolverConfig(
         params=p, grid=u0.grid, dt=dt_snap, t_final=float(times[-1]), snapshot_stride=1
     )
-    return Trajectory(times, states, cfg)
+    return Trajectory(times, coeffs, cfg)
 
 
 class TestXkNorm:
@@ -163,6 +174,17 @@ class TestDissipationLedger:
         cfg = SolverConfig(params=ModelParams(0.5, 0.5), grid=grid, dt=0.01, t_final=0.1)
         traj = solve(RealField(np.zeros(32), grid), cfg)
         assert l2_dissipation_residual(traj) == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_residual_is_the_ledger_residual(self, eps):
+        traj = smooth_traj(eps=eps, t_final=0.1, stride=10)
+        assert l2_dissipation_residual(traj) == build_energy_ledger(traj).relative_residual()
+
+    def test_ledger_columns_match_single_field_functions(self):
+        traj = smooth_traj(t_final=0.1, stride=10)
+        ledger = build_energy_ledger(traj)
+        assert np.array_equal(ledger.hamiltonian, [hamiltonian(s) for s in traj.states])
+        assert np.array_equal(ledger.h1_norms, [sobolev_norm(s, 1.0) for s in traj.states])
 
     def test_ledger_invariants(self):
         traj = smooth_traj(t_final=0.1, stride=10)

@@ -1,11 +1,12 @@
 """Property tests of the solver's invariants on random band-limited data."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvb.evolve import SolverConfig, solve, step, zero_nonlinearity
-from kdvb.propagator import ModelParams, propagate
+from kdvb.propagator import ModelParams, linear_symbol, propagate, semigroup_residual
 from kdvb.spectral import GridSpec, RealField, dealias, forward_transform, hermitian_residual
 
 # fixed example sequence, no shared example database, no timing limit
@@ -47,3 +48,21 @@ def test_solve_keeps_states_exactly_hermitian(phi, p, dt):
     for state in traj.states[1:]:
         assert np.all(np.isfinite(state.coeffs))
         assert hermitian_residual(state) == 0.0
+
+
+@FIXED
+@given(band_limited_fields())
+def test_parseval(phi):
+    grid = phi.grid
+    coeffs = forward_transform(phi).coeffs
+    physical = (grid.box_length / grid.modes) * np.sum(phi.values**2)
+    assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(physical, rel=1e-14)
+
+
+@FIXED
+@given(band_limited_fields(), params, st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_semigroup_law(phi, p, t1, t2):
+    u = forward_transform(phi)
+    # each mode's exponent L(xi) t is rounded in proportion to its size
+    exponent = np.max(np.abs(linear_symbol(phi.grid, p))[np.abs(u.coeffs) > 0]) * (t1 + t2)
+    assert semigroup_residual(u, t1, t2, p) <= 1e-15 * (1.0 + exponent)
