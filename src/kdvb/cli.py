@@ -145,10 +145,10 @@ def _require(doc: dict, key: str):
 
 
 def _coerce(value, name: str, kind=float):
-    """value coerced by kind (see _SEED and _FLOATS); a non-numeric or
-    non-finite number, a non-integral value for an int or seed, a seed
-    outside [0, 2**64), or a bool kind given anything but true or false,
-    is a config error naming the key."""
+    """value coerced by kind (see _SEED and _FLOATS); a non-numeric value
+    (true and false included) or non-finite number, a non-integral value
+    for an int or seed, a seed outside [0, 2**64), or a bool kind given
+    anything but true or false, is a config error naming the key."""
     if kind is None:
         return value
     if kind is bool:
@@ -160,7 +160,8 @@ def _coerce(value, name: str, kind=float):
             raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         return [_coerce(v, f"{name}[{i}]") for i, v in enumerate(value)]
     try:
-        number = float(value)
+        # a JSON boolean is not a number, though float(True) is 1.0
+        number = math.nan if isinstance(value, bool) else float(value)
         finite = math.isfinite(number)
     except (TypeError, ValueError, OverflowError):
         finite = False
@@ -240,7 +241,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("initial_data must be an object with a 'kind' key")
     kind = data["kind"]
-    if kind not in _DATA_KEYS:
+    if not isinstance(kind, str) or kind not in _DATA_KEYS:
         raise ConfigError(
             f"initial_data.kind must be one of {sorted(_DATA_KEYS)}, got {kind!r}"
         )
@@ -258,6 +259,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown keys in {sub!r} block: {sorted(bad)}")
     experiment = _coerce_block(experiment, block_keys, sub)
 
+    out = merged["out"]
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+
     return RunConfig(
         subcommand=sub,
         params=params,
@@ -266,7 +271,7 @@ def parse_config(text: str) -> RunConfig:
         t_final=t_final,
         snapshot_stride=stride,
         seed=_number(merged, "seed", _SEED),
-        out_path=Path(merged["out"]),
+        out_path=Path(out),
         initial_data=data,
         experiment=experiment,
     )
@@ -366,10 +371,13 @@ def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
 
 def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
     block = cfg.experiment
+    ladder = tuple(block.get("eps_ladder", (1e-1, 1e-2, 1e-3, 1e-4)))
+    if with_rate and len(ladder) < 2:
+        raise ParameterError(f"rate needs at least two epsilons, got {list(ladder)}")
     report = inviscid_sweep(
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
-        eps_ladder=tuple(block.get("eps_ladder", (1e-1, 1e-2, 1e-3, 1e-4))),
+        eps_ladder=ladder,
         t_final=cfg.t_final,
         s=block.get("sobolev_s", 0.0),
         dt=cfg.dt,
@@ -550,19 +558,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
+    out = None if args.out is None else Path(args.out)
 
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
-        return _fail(ConfigError(str(exc)), 2)
+        return _fail(ConfigError(str(exc)), 2, out)
     try:
         cfg = parse_config(text)
-        if args.out is not None:
-            cfg = replace(cfg, out_path=Path(args.out))
+        if out is not None:
+            cfg = replace(cfg, out_path=out)
         if args.seed is not None:
             cfg = replace(cfg, seed=_coerce(args.seed, "--seed", _SEED))
     except ConfigError as exc:
-        return _fail(exc, 2)
+        return _fail(exc, 2, out)
     return run(cfg)
 
 

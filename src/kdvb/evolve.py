@@ -26,6 +26,18 @@ Hermitian-symmetric after t = 0) and in the public ``step`` and
 ``nonlinear_term``.  The Nyquist entry stands for both k = -M/2 and
 k = M/2; its derivative factor is 0 and its linear symbol keeps only the
 dissipative real part, so it stays real.
+
+One stepping loop serves both entries.  ``solve`` steps a 1-D
+(M/2 + 1,) state.  ``solve_ladder`` steps B runs that share the grid,
+dt, t_final and snapshot stride but not epsilon or alpha as one
+(B, M/2 + 1) array, one tableau row per run.  Every stage acts on each
+element or along the last axis, so each row is bit for bit the single
+solve of its run, while the 8 FFT calls and about 25 stage operations of
+a step are paid once for all B rows.  The sweeps of ``kdvb.experiments``
+batch this way: the epsilon = 0 reference and the ladder of
+``inviscid_sweep``, and the ladder of ``h1_bound_check``.  Solves whose dt
+or grid differ (the dt/2 floor, the refined energy run, the rescaled run
+of ``scaling_check``) stay single.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +62,12 @@ from .spectral import (
 )
 
 Nonlinearity = Callable[[np.ndarray], np.ndarray]
+
+# Largest number of time steps one solve may take.  Steps are counted, not
+# listed, so memory does not bound the count; time does: at 60-400 us a
+# step (M = 256 to 4096), 10**7 steps take 10 minutes to an hour, and a
+# larger count is a mistaken dt or t_final.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,11 @@ class SolverConfig:
         if self.snapshot_stride < 1:
             raise ParameterError(
                 f"snapshot_stride must be >= 1, got {self.snapshot_stride}"
+            )
+        if not self.t_final / self.dt <= MAX_STEPS:
+            raise ParameterError(
+                f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
+                f"MAX_STEPS = {MAX_STEPS}"
             )
 
 
@@ -133,9 +156,9 @@ def _to_half(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _to_full(h: np.ndarray) -> np.ndarray:
-    """FFT-order coefficients of the real field with half-spectrum h,
-    Hermitian-symmetric exactly."""
-    return np.concatenate((h, h[-2:0:-1].conj()))
+    """FFT-order coefficients of the real fields with half-spectra h along
+    the last axis, Hermitian-symmetric exactly."""
+    return np.concatenate((h, h[..., -2:0:-1].conj()), axis=-1)
 
 
 def _half_nonlinearity(grid: GridSpec) -> Nonlinearity:
@@ -207,18 +230,28 @@ _F3_SERIES = tuple(4.0 / _FACT[k + 3] - 1.0 / _FACT[k + 2] for k in range(_N_TER
 class _Stepper:
     """ETDRK4 on the rfft half-spectrum for one (grid, params, dt).
 
+    The tableau has one row per entry of params, and row b of a
+    (B, M/2 + 1) state evolves under params[b]; a single entry gives a 1-D
+    tableau that steps a (M/2 + 1,) state, the faster shape for one run.
     The tableau comes from the single propagator symbol restricted to
     k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
     kept, so a real state stays exactly real.  ``nl`` maps half-spectra to
-    half-spectra and defaults to N.
+    half-spectra along the last axis and defaults to N.
     """
 
     def __init__(
-        self, grid: GridSpec, p: ModelParams, dt: float, nl: Nonlinearity | None = None
+        self,
+        grid: GridSpec,
+        params: Sequence[ModelParams],
+        dt: float,
+        nl: Nonlinearity | None = None,
     ):
         self.nl = _half_nonlinearity(grid) if nl is None else nl
-        sym = linear_symbol(grid, p)[: grid.modes // 2 + 1]
-        sym[-1] = sym[-1].real
+        half = grid.modes // 2 + 1
+        sym = np.array([linear_symbol(grid, p)[:half] for p in params])
+        if len(params) == 1:
+            sym = sym[0]
+        sym[..., -1] = sym[..., -1].real
         z = dt * sym
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
@@ -242,6 +275,7 @@ class _Stepper:
         )
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
+        """One step; a 1-D h under a 2-D tableau starts every row from h."""
         nl, e_half, q = self.nl, self.e_half, self.q
         n0 = nl(h)
         e_h = e_half * h
@@ -270,8 +304,52 @@ def step(
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     grid = u.grid
-    stepper = _Stepper(grid, p, dt, nonlinearity)
+    stepper = _Stepper(grid, [p], dt, nonlinearity)
     return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
+
+
+def _march(
+    phi: RealField,
+    cfg: SolverConfig,
+    params: Sequence[ModelParams],
+    nonlinearity: Nonlinearity | None,
+) -> tuple[list[float], list[np.ndarray]]:
+    """The stepping loop: phi stepped on cfg's grid and schedule, one row
+    per entry of params (see _Stepper).  Returns the snapshot times and
+    the stored states in FFT order, each (M,) for one entry, else (B, M).
+    """
+    if phi.grid is not cfg.grid and (
+        phi.grid.modes != cfg.grid.modes
+        or phi.grid.box_length != cfg.grid.box_length
+    ):
+        raise ContractViolationError("initial data grid does not match solver grid")
+    grid = cfg.grid
+    c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
+
+    n_full, remainder = divmod(cfg.t_final, cfg.dt)
+    n_full = int(n_full)
+    if remainder < 1e-12 * cfg.dt and n_full > 0:
+        remainder = 0.0
+    n_steps = n_full + (remainder > 0)
+
+    stepper = _Stepper(grid, params, cfg.dt, nonlinearity)
+
+    times = [0.0]
+    rows = [np.broadcast_to(c, stepper.e_full.shape[:-1] + c.shape)]
+    h = _to_half(c)
+    for i in range(n_steps):
+        if i < n_full:
+            h = stepper(h)
+        else:
+            h = _Stepper(grid, params, remainder, stepper.nl)(h)
+        last = i == n_steps - 1
+        t = cfg.t_final if last else (i + 1) * cfg.dt
+        if not np.isfinite(h).all():
+            raise DivergenceError(step_index=i, time=t)
+        if (i + 1) % cfg.snapshot_stride == 0 or last:
+            times.append(t)
+            rows.append(_to_full(h))
+    return times, rows
 
 
 def solve(
@@ -286,41 +364,28 @@ def solve(
     is dealiased and exactly Hermitian-symmetric.  A non-finite state
     aborts with a DivergenceError naming the step.
     """
-    if phi.grid is not cfg.grid and (
-        phi.grid.modes != cfg.grid.modes
-        or phi.grid.box_length != cfg.grid.box_length
-    ):
-        raise ContractViolationError("initial data grid does not match solver grid")
-    grid = cfg.grid
-    p = cfg.params
-    c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
-
-    n_full, remainder = divmod(cfg.t_final, cfg.dt)
-    n_full = int(n_full)
-    if remainder < 1e-12 * cfg.dt and n_full > 0:
-        remainder = 0.0
-    steps: list[float] = [cfg.dt] * n_full
-    if remainder > 0:
-        steps.append(remainder)
-
-    stepper = _Stepper(grid, p, cfg.dt, nonlinearity)
-
-    times = [0.0]
-    rows = [c]
-    h = _to_half(c)
-    for i, dt in enumerate(steps):
-        if dt == cfg.dt:
-            h = stepper(h)
-        else:
-            h = _Stepper(grid, p, dt, stepper.nl)(h)
-        last = i == len(steps) - 1
-        t = cfg.t_final if last else (i + 1) * cfg.dt
-        if not np.isfinite(h).all():
-            raise DivergenceError(step_index=i, time=t)
-        if (i + 1) % cfg.snapshot_stride == 0 or last:
-            times.append(t)
-            rows.append(_to_full(h))
+    times, rows = _march(phi, cfg, [cfg.params], nonlinearity)
     return Trajectory(times, rows, cfg)
+
+
+def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
+    """The solves of phi under each of cfgs, stepped together.
+
+    The configs must share grid, dt, t_final and snapshot_stride; their
+    params may differ.  All runs step as one (B, M/2 + 1) half-spectrum
+    (one run as the 1-D state of ``solve``), and trajectory b equals
+    ``solve(phi, cfgs[b])`` bit for bit.  A non-finite state in any row
+    aborts with a DivergenceError naming the step, not the row.
+    """
+    if len({(c.grid, c.dt, c.t_final, c.snapshot_stride) for c in cfgs}) != 1:
+        raise ParameterError(
+            "solve_ladder needs one or more configs that share grid, dt, t_final "
+            "and snapshot_stride"
+        )
+    times, rows = _march(phi, cfgs[0], [cfg.params for cfg in cfgs], None)
+    stacked = np.array(rows).reshape(len(times), len(cfgs), -1)
+    del rows  # freed before each trajectory copies its column
+    return tuple(Trajectory(times, stacked[:, b], cfg) for b, cfg in enumerate(cfgs))
 
 
 def zero_nonlinearity(c: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, ResolutionError
-from .evolve import SolverConfig, Trajectory, solve
+from .evolve import SolverConfig, Trajectory, solve, solve_ladder
 from .norms import cumulative_trapezoid, spectral_energies
 from .propagator import ModelParams
 from .reports import SweepReport, fit_power_law
@@ -118,26 +118,39 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     return float(np.sqrt(np.max(energies)))
 
 
-def _solve_at(
+def _solve_sweep(
     phi: RealField,
-    epsilon: float,
+    epsilons: tuple[float, ...],
     alpha: float,
     dt: float,
     t_final: float,
     snapshot_stride: int,
-) -> Trajectory:
-    """One solve of a sweep at the given epsilon; a DivergenceError names it."""
-    cfg = SolverConfig(
-        params=ModelParams(epsilon, alpha),
-        grid=phi.grid,
-        dt=dt,
-        t_final=t_final,
-        snapshot_stride=snapshot_stride,
-    )
+) -> tuple[Trajectory, ...]:
+    """The solves of phi at each epsilon, stepped together by solve_ladder.
+
+    If any row diverges, the solves are run again one at a time, in order,
+    so the DivergenceError names the first epsilon that diverges on its
+    own, at its own step.
+    """
+    cfgs = [
+        SolverConfig(
+            params=ModelParams(e, alpha),
+            grid=phi.grid,
+            dt=dt,
+            t_final=t_final,
+            snapshot_stride=snapshot_stride,
+        )
+        for e in epsilons
+    ]
     try:
-        return solve(phi, cfg)
-    except DivergenceError as exc:
-        exc.args = (f"epsilon = {epsilon}: {exc.args[0]}",)
+        return solve_ladder(phi, cfgs)
+    except DivergenceError:
+        for cfg in cfgs:
+            try:
+                solve(phi, cfg)
+            except DivergenceError as exc:
+                exc.args = (f"epsilon = {cfg.params.epsilon}: {exc.args[0]}",)
+                raise
         raise
 
 
@@ -165,17 +178,13 @@ def inviscid_sweep(
         raise ParameterError(f"sweep is defined for s <= 0, got {s}")
 
     grid = phi.grid
-    reference = _solve_at(phi, 0.0, alpha, dt, t_final, snapshot_stride)
+    reference, *runs = _solve_sweep(phi, (0.0,) + ladder, alpha, dt, t_final, snapshot_stride)
     observables = [
-        {
-            "epsilon": e,
-            "observable": _sup_distance(
-                _solve_at(phi, e, alpha, dt, t_final, snapshot_stride), reference, s
-            ),
-        }
-        for e in ladder
+        {"epsilon": e, "observable": _sup_distance(traj, reference, s)}
+        for e, traj in zip(ladder, runs)
     ]
-    fine = _solve_at(phi, 0.0, alpha, dt / 2.0, t_final, 2 * snapshot_stride)
+    del runs  # the ladder runs are freed before the floor solve
+    (fine,) = _solve_sweep(phi, (0.0,), alpha, dt / 2.0, t_final, 2 * snapshot_stride)
     floor = _sup_distance(reference, fine, s)
 
     return SweepReport(
@@ -294,8 +303,8 @@ def h1_bound_check(
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
     weights = (1.0 + xi**2, np.abs(xi) ** (4.0 * alpha))
     observables = []
-    for eps in ladder:
-        traj = _solve_at(phi, eps, alpha, dt, t_final, snapshot_stride)
+    trajs = _solve_sweep(phi, ladder, alpha, dt, t_final, snapshot_stride)
+    for eps, traj in zip(ladder, trajs):
         h1_sq, rates = spectral_energies(traj.coeffs, *weights)
         sup_h1 = float(np.sqrt(np.max(h1_sq)))
         integral = float(cumulative_trapezoid(rates, traj.times)[-1])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kdvb import cli
+from kdvb import cli, experiments
 from kdvb.cli import build_initial_data, main, parse_config, run
 from kdvb.errors import (
     ConfigError,
@@ -290,11 +290,19 @@ class TestMain:
             {"scaling": {"lambda_exp": 1.9}, "subcommand": "scaling"},
             {"energy": {"refine_check": "yes"}, "subcommand": "energy"},
             {"energy": {"refine_check": [1]}, "subcommand": "energy"},
+            {"epsilon": True},
+            {"modes": True},
+            {"seed": True},
+            {"initial_data": {"kind": "sine", "amplitude": False}},
+            {"inviscid": {"eps_ladder": [True, 0.01]}, "subcommand": "inviscid"},
+            {"initial_data": {"kind": ["x"]}},
+            {"out": 5},
+            {"out": None},
         ],
     )
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(solve_doc(tmp_path, **override)))
+        cfg_path.write_text(json.dumps({**solve_doc(tmp_path), **override}))
         assert main(["--config", str(cfg_path)]) == 2
         key = next(iter(override))
         assert key in capsys.readouterr().err
@@ -319,6 +327,38 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
+
+    def test_step_count_above_cap_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "a", dt=1e-3, t_final=1e12)))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "MAX_STEPS" in payload["message"]
+
+    def test_one_epsilon_rate_ladder_rejected_before_solving(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, experiments):
+            for name in ("solve", "solve_ladder"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(tmp_path / "out", subcommand="rate", rate={"eps_ladder": [0.1]})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert json.loads((tmp_path / "out" / "error.json").read_text())["error"] == (
+            "ParameterError"
+        )
+        assert calls == []
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -7,16 +7,22 @@ import pytest
 
 from kdvb.errors import ContractViolationError, DivergenceError, ParameterError
 from kdvb.evolve import (
+    MAX_STEPS,
     SolverConfig,
     Trajectory,
     nonlinear_term,
     read_trajectory,
     solve,
+    solve_ladder,
     step,
     write_trajectory,
     zero_nonlinearity,
 )
-from kdvb.experiments import soliton_initial_data
+from kdvb.experiments import (
+    gaussian_initial_data,
+    power_law_initial_data,
+    soliton_initial_data,
+)
 from kdvb.propagator import ModelParams, propagate
 from kdvb.spectral import (
     GridSpec,
@@ -346,6 +352,82 @@ class TestSolve:
         cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.1)
         with pytest.raises(ContractViolationError, match="grid"):
             solve(RealField(np.zeros(64), other), cfg)
+
+    def test_step_count_capped(self):
+        grid = GridSpec(box_length=4.0, modes=32)
+        p = ModelParams(0.0, 1.0)
+        SolverConfig(params=p, grid=grid, dt=1.0, t_final=float(MAX_STEPS))
+        for t_final in (MAX_STEPS + 0.5, 1e15, float("inf")):
+            with pytest.raises(ParameterError, match="MAX_STEPS"):
+                SolverConfig(params=p, grid=grid, dt=1.0, t_final=t_final)
+
+
+# (box_length, alpha, epsilon rows, dt, initial data) of criteria 04, 05
+# and 06: the reference plus ladder of the inviscid and rate sweeps and
+# the h1-bound ladder
+CRITERION_LADDERS = {
+    "04": (32.0, 1.0, (0.0, 0.1, 0.01, 0.001, 0.0001), 0.01,
+           lambda g: gaussian_initial_data(g, width=2.0, l2_norm=4.0, modulation=2.0)),
+    "05": (8.0, 1.0, (0.0, 0.1, 0.01, 0.001, 0.0001), 0.002,
+           lambda g: power_law_initial_data(g, decay_exponent=-1.51, l2_norm=0.5, seed=1234)),
+    "06": (32.0, 0.8, (1.0, 0.1, 0.01, 0.001), 0.005,
+           lambda g: gaussian_initial_data(g, width=2.0, l2_norm=2.0, modulation=1.0)),
+}
+
+
+class TestSolveLadder:
+    @pytest.mark.parametrize("modes", [256, 384, 512])
+    @pytest.mark.parametrize("criterion", sorted(CRITERION_LADDERS))
+    def test_rows_equal_single_solves_bit_for_bit(self, criterion, modes):
+        box, alpha, ladder, dt, data = CRITERION_LADDERS[criterion]
+        grid = GridSpec(box_length=box, modes=modes)
+        phi = data(grid)
+        # 30 full steps and one short last step, snapshots every 7 steps
+        cfgs = [
+            SolverConfig(ModelParams(eps, alpha), grid, dt, 30.5 * dt, snapshot_stride=7)
+            for eps in ladder
+        ]
+        batched = solve_ladder(phi, cfgs)
+        assert len(batched) == len(cfgs)
+        for traj, cfg in zip(batched, cfgs):
+            single = solve(phi, cfg)
+            assert traj.config is cfg
+            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(traj.coeffs, single.coeffs)
+            assert not traj.coeffs.flags.writeable
+            assert traj.coeffs.flags.c_contiguous
+
+    def test_configs_must_share_schedule(self):
+        grid = GridSpec(box_length=16.0, modes=64)
+        phi = smooth_data(grid)
+        base = SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.1)
+        with pytest.raises(ParameterError, match="share"):
+            solve_ladder(phi, [])
+        others = [
+            SolverConfig(ModelParams(0.1, 1.0), GridSpec(16.0, 128), dt=0.01, t_final=0.1),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.005, t_final=0.1),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.2),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.1, snapshot_stride=2),
+        ]
+        for other in others:
+            with pytest.raises(ParameterError, match="share"):
+                solve_ladder(phi, [base, other])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_first_diverging_step(self):
+        # alone, epsilon = 1 diverges at step 5 and epsilon = 0 at step 4
+        grid = GridSpec(box_length=32.0, modes=64)
+        phi = gaussian_initial_data(grid, width=2.0, l2_norm=28.0)
+        cfgs = [SolverConfig(ModelParams(e, 1.0), grid, 0.05, 0.5) for e in (1.0, 0.0)]
+        steps = []
+        for cfg in cfgs:
+            with pytest.raises(DivergenceError) as single:
+                solve(phi, cfg)
+            steps.append(single.value.step_index)
+        with pytest.raises(DivergenceError) as batched:
+            solve_ladder(phi, cfgs)
+        assert steps == [5, 4]
+        assert batched.value.step_index == 4
 
 
 class TestTrajectorySerialization:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from kdvb.errors import ParameterError, ResolutionError
+from kdvb import experiments
+from kdvb.errors import DivergenceError, ParameterError, ResolutionError
+from kdvb.evolve import SolverConfig, solve
 from kdvb.experiments import (
     critical_index,
     gaussian_initial_data,
@@ -211,3 +213,67 @@ class TestH1Bound:
         )
         obs = [rec["observable"] for rec in rep.observables]
         assert max(obs) / min(obs) <= 3.0
+
+
+def solve_one_at_a_time(phi, cfgs):
+    return tuple(solve(phi, cfg) for cfg in cfgs)
+
+
+def per_run_divergence(phi, alpha, ladder, dt, t_final):
+    """The DivergenceError message of solving the ladder one epsilon at a
+    time, in order, or None when no solve diverges."""
+    for eps in ladder:
+        cfg = SolverConfig(ModelParams(eps, alpha), phi.grid, dt, t_final)
+        try:
+            solve(phi, cfg)
+        except DivergenceError as exc:
+            return f"epsilon = {eps}: {exc}"
+    return None
+
+
+class TestBatchedSweeps:
+    """The sweeps step their ladders together; each report must equal the
+    one made by solving every epsilon on its own."""
+
+    def test_inviscid_sweep_equals_per_run_path(self, monkeypatch):
+        phi = power_law_initial_data(GridSpec(8.0, 128), -1.51, 0.5, seed=7)
+        args = (phi, 1.0, (1e-1, 1e-2, 1e-3, 1e-4))
+        kwargs = dict(t_final=0.1, s=-0.5, dt=2e-3, snapshot_stride=5)
+        batched = inviscid_sweep(*args, **kwargs)
+        monkeypatch.setattr(experiments, "solve_ladder", solve_one_at_a_time)
+        assert batched == inviscid_sweep(*args, **kwargs)
+
+    def test_h1_bound_equals_per_run_path(self, monkeypatch):
+        phi = small_grid_phi()
+        args = (phi, 0.8, (1.0, 0.1, 0.01, 0.0))
+        kwargs = dict(t_final=0.1, dt=2e-3, snapshot_stride=3)
+        batched = h1_bound_check(*args, **kwargs)
+        monkeypatch.setattr(experiments, "solve_ladder", solve_one_at_a_time)
+        assert batched == h1_bound_check(*args, **kwargs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "l2_norm,ladder,expected",
+        [
+            # every row diverges, epsilon = 1 last (step 5 against step 4)
+            (28.0, (1.0, 0.1, 0.0), "epsilon = 1.0: non-finite state detected at step 5"),
+            # epsilon = 1 stays finite
+            (24.0, (1.0, 0.1), "epsilon = 0.1: non-finite state detected at step 5"),
+        ],
+    )
+    def test_h1_bound_divergence_matches_per_run_path(self, l2_norm, ladder, expected):
+        phi = gaussian_initial_data(GridSpec(32.0, 64), width=2.0, l2_norm=l2_norm)
+        message = per_run_divergence(phi, 1.0, ladder, 0.05, 0.5)
+        assert message.startswith(expected)
+        with pytest.raises(DivergenceError) as exc:
+            h1_bound_check(phi, 1.0, ladder, t_final=0.5, dt=0.05)
+        assert str(exc.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_inviscid_divergence_names_reference_first(self):
+        phi = gaussian_initial_data(GridSpec(32.0, 64), width=2.0, l2_norm=28.0)
+        message = per_run_divergence(phi, 1.0, (0.0, 1.0), 0.05, 0.5)
+        assert message.startswith("epsilon = 0.0: ")
+        with pytest.raises(DivergenceError) as exc:
+            inviscid_sweep(phi, 1.0, (1.0,), t_final=0.5, s=0.0, dt=0.05)
+        assert str(exc.value) == message

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvb.evolve import SolverConfig, solve, step, zero_nonlinearity
+from kdvb.evolve import SolverConfig, solve, solve_ladder, step, zero_nonlinearity
 from kdvb.propagator import ModelParams, linear_symbol, propagate, semigroup_residual
 from kdvb.spectral import GridSpec, RealField, dealias, forward_transform, hermitian_residual
 
@@ -48,6 +48,25 @@ def test_solve_keeps_states_exactly_hermitian(phi, p, dt):
     for state in traj.states[1:]:
         assert np.all(np.isfinite(state.coeffs))
         assert hermitian_residual(state) == 0.0
+
+
+@FIXED
+@given(
+    band_limited_fields(),
+    st.lists(params, min_size=1, max_size=6),
+    st.floats(1e-4, 1e-3),
+    st.floats(1.0, 9.0),
+    st.integers(1, 4),
+)
+def test_ladder_rows_equal_single_solves(phi, ladder, dt, n_steps, stride):
+    cfgs = [
+        SolverConfig(params=p, grid=phi.grid, dt=dt, t_final=n_steps * dt, snapshot_stride=stride)
+        for p in ladder
+    ]
+    for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
+        single = solve(phi, cfg)
+        assert np.array_equal(traj.times, single.times)
+        assert np.array_equal(traj.coeffs, single.coeffs)
 
 
 @FIXED
