@@ -58,9 +58,10 @@ from .experiments import (
     power_law_initial_data,
     rate_fit,
     scaling_check,
+    solve_batch,
     soliton_initial_data,
 )
-from .imethod import DyadicConfig, IMultiplierSpec, m4_bound_sample
+from .imethod import MAX_SAMPLES, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, write_ledger_csv
 from .propagator import ModelParams
 from .reports import SweepReport, canonical_json, format_csv
@@ -258,6 +259,10 @@ def parse_config(text: str) -> RunConfig:
     if bad:
         raise ConfigError(f"unknown keys in {sub!r} block: {sorted(bad)}")
     experiment = _coerce_block(experiment, block_keys, sub)
+    if experiment.get("n_samples", 0) > MAX_SAMPLES:
+        raise ConfigError(
+            f"{sub}.n_samples = {experiment['n_samples']} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
+        )
 
     out = merged["out"]
     if not isinstance(out, str):
@@ -339,13 +344,14 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
-    phi = build_initial_data(cfg)
-    # no reference to the first trajectory outlives its ledger, so it is
-    # freed before the refined solve
-    result = {"ledger_residual": _ledger_artifact(solve(phi, _solver_config(cfg)), artifacts)}
+    cfgs = [_solver_config(cfg)]
     if cfg.experiment.get("refine_check", False):
-        refined_cfg = replace(_solver_config(cfg), dt=cfg.dt / 2)
-        result["ledger_residual_refined"] = l2_dissipation_residual(solve(phi, refined_cfg))
+        cfgs.append(replace(cfgs[0], dt=cfg.dt / 2))
+    # the dt/2 run is stepped on the base run's clock, so both are held
+    base, *refined = solve_batch(build_initial_data(cfg), cfgs, name_epsilon=False)
+    result = {"ledger_residual": _ledger_artifact(base, artifacts)}
+    if refined:
+        result["ledger_residual_refined"] = l2_dissipation_residual(refined[0])
         result["refinement_factor"] = result["ledger_residual"] / max(
             result["ledger_residual_refined"], 1e-300
         )
@@ -549,6 +555,16 @@ def _fail(exc: Exception, code: int, out_path: Path | None = None) -> int:
     return code
 
 
+def _named_out(text: str) -> Path | None:
+    """The output directory a config document names by a string "out"."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    out = doc.get("out") if isinstance(doc, dict) else None
+    return Path(out) if isinstance(out, str) else None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="kdvb",
@@ -571,7 +587,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=_coerce(args.seed, "--seed", _SEED))
     except ConfigError as exc:
-        return _fail(exc, 2, out)
+        # a document rejected before its out was validated may still name one
+        return _fail(exc, 2, out if out is not None else _named_out(text))
     return run(cfg)
 
 

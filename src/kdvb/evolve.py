@@ -28,16 +28,20 @@ k = M/2; its derivative factor is 0 and its linear symbol keeps only the
 dissipative real part, so it stays real.
 
 One stepping loop serves both entries.  ``solve`` steps a 1-D
-(M/2 + 1,) state.  ``solve_ladder`` steps B runs that share the grid,
-dt, t_final and snapshot stride but not epsilon or alpha as one
-(B, M/2 + 1) array, one tableau row per run.  Every stage acts on each
-element or along the last axis, so each row is bit for bit the single
-solve of its run, while the 8 FFT calls and about 25 stage operations of
-a step are paid once for all B rows.  The sweeps of ``kdvb.experiments``
-batch this way: the epsilon = 0 reference and the ladder of
-``inviscid_sweep``, and the ladder of ``h1_bound_check``.  Solves whose dt
-or grid differ (the dt/2 floor, the refined energy run, the rescaled run
-of ``scaling_check``) stay single.
+(M/2 + 1,) state.  ``solve_ladder`` steps B runs that share the grid and
+t_final as one (B, M/2 + 1) array, one tableau row per run; their
+params and snapshot strides may differ, and so may their dt, each an
+integer multiple of the smallest.  The loop ticks at the smallest dt and
+steps the rows that are due on each tick together, so a run with twice
+the step rides on every other tick.  Every stage acts on each element or
+along the last axis, so each row is bit for bit the single solve of its
+run, while the 8 FFT calls and about 25 stage operations of a tick are
+paid once for all its rows.  A batch shares the grid because the FFT
+length and the tableau's wavenumbers are the grid's, which is why the
+rescaled run of ``scaling_check`` (a larger box with more modes) stays
+single.  Batched together are the epsilon = 0 reference, the ladder and
+the dt/2 floor of ``inviscid_sweep``, the ladder of ``h1_bound_check``
+and the energy run with its dt/2 refinement.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain, count, islice, repeat, zip_longest
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,7 +112,10 @@ class Trajectory:
     Snapshots sit at multiples of snapshot_stride * dt starting from 0;
     the final interval may be shorter when t_final is not a multiple.
     ``coeffs`` is one read-only (n_snapshots, M) matrix, row i holding the
-    FFT-order coefficients at times[i]; the constructor copies it once.
+    FFT-order coefficients at times[i].  The constructor copies it once,
+    unless it is already a read-only C-ordered complex matrix that owns
+    its memory (as the solver hands over): nothing can write that without
+    first re-enabling writes, so it is taken as it is.
     """
 
     times: np.ndarray
@@ -116,7 +124,15 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
-        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        coeffs = self.coeffs
+        if not (
+            isinstance(coeffs, np.ndarray)
+            and coeffs.dtype == np.complex128
+            and coeffs.base is None
+            and not coeffs.flags.writeable
+            and coeffs.flags.c_contiguous
+        ):
+            coeffs = np.array(coeffs, dtype=np.complex128)
         if times.ndim != 1 or coeffs.shape != (len(times), self.config.grid.modes):
             raise ContractViolationError(
                 f"coefficient shape {coeffs.shape} does not match times length "
@@ -228,11 +244,12 @@ _F3_SERIES = tuple(4.0 / _FACT[k + 3] - 1.0 / _FACT[k + 2] for k in range(_N_TER
 
 
 class _Stepper:
-    """ETDRK4 on the rfft half-spectrum for one (grid, params, dt).
+    """ETDRK4 on the rfft half-spectrum for one grid.
 
-    The tableau has one row per entry of params, and row b of a
-    (B, M/2 + 1) state evolves under params[b]; a single entry gives a 1-D
-    tableau that steps a (M/2 + 1,) state, the faster shape for one run.
+    The tableau has one row per entry of params and dts, and row b of a
+    (B, M/2 + 1) state takes a step of dts[b] under params[b]; a single
+    entry gives a 1-D tableau that steps a (M/2 + 1,) state, the faster
+    shape for one run.
     The tableau comes from the single propagator symbol restricted to
     k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
     kept, so a real state stays exactly real.  ``nl`` maps half-spectra to
@@ -243,14 +260,16 @@ class _Stepper:
         self,
         grid: GridSpec,
         params: Sequence[ModelParams],
-        dt: float,
+        dts: Sequence[float],
         nl: Nonlinearity | None = None,
     ):
         self.nl = _half_nonlinearity(grid) if nl is None else nl
         half = grid.modes // 2 + 1
         sym = np.array([linear_symbol(grid, p)[:half] for p in params])
         if len(params) == 1:
-            sym = sym[0]
+            sym, dt = sym[0], dts[0]
+        else:
+            dt = np.array(dts)[:, None]
         sym[..., -1] = sym[..., -1].real
         z = dt * sym
         self.e_full = np.exp(z)
@@ -275,7 +294,7 @@ class _Stepper:
         )
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
-        """One step; a 1-D h under a 2-D tableau starts every row from h."""
+        """One step of each row of h."""
         nl, e_half, q = self.nl, self.e_half, self.q
         n0 = nl(h)
         e_h = e_half * h
@@ -304,52 +323,111 @@ def step(
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     grid = u.grid
-    stepper = _Stepper(grid, [p], dt, nonlinearity)
+    stepper = _Stepper(grid, [p], [dt], nonlinearity)
     return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
 
 
-def _march(
-    phi: RealField,
-    cfg: SolverConfig,
-    params: Sequence[ModelParams],
-    nonlinearity: Nonlinearity | None,
-) -> tuple[list[float], list[np.ndarray]]:
-    """The stepping loop: phi stepped on cfg's grid and schedule, one row
-    per entry of params (see _Stepper).  Returns the snapshot times and
-    the stored states in FFT order, each (M,) for one entry, else (B, M).
-    """
-    if phi.grid is not cfg.grid and (
-        phi.grid.modes != cfg.grid.modes
-        or phi.grid.box_length != cfg.grid.box_length
-    ):
-        raise ContractViolationError("initial data grid does not match solver grid")
-    grid = cfg.grid
-    c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
-
+def _schedule(cfg: SolverConfig) -> tuple[int, float]:
+    """The full steps of cfg and the length of its short last step (0 when
+    t_final is a multiple of dt)."""
     n_full, remainder = divmod(cfg.t_final, cfg.dt)
     n_full = int(n_full)
     if remainder < 1e-12 * cfg.dt and n_full > 0:
         remainder = 0.0
-    n_steps = n_full + (remainder > 0)
+    return n_full, remainder
 
-    stepper = _Stepper(grid, params, cfg.dt, nonlinearity)
 
-    times = [0.0]
-    rows = [np.broadcast_to(c, stepper.e_full.shape[:-1] + c.shape)]
+def _row_steps(ratio: int, dt: float, n_full: int, remainder: float) -> Iterator:
+    """Per tick of the shared clock, the step a row takes: dt on every
+    ratio-th tick for n_full steps, then the short last step, else None.
+    Built from itertools, so a tick costs the loop no Python call."""
+    full = islice(map({0: dt}.get, map(ratio.__rmod__, count(1))), ratio * n_full)
+    if not remainder:
+        return full
+    return chain(full, repeat(None, ratio - 1), (remainder,))
+
+
+def _tick_stepper(grid, params, due, nl) -> tuple[Callable, object]:
+    """The stepper of one tick's due steps (None for an idle row) and the
+    index of its rows in the state: None for all rows, an int for one row
+    of several (stepped as a 1-D view), else a list."""
+    rows = [b for b, d in enumerate(due) if d is not None]
+    if not rows:  # every row waits for a coarser step
+        return (lambda h: h), None
+    stepper = _Stepper(grid, [params[b] for b in rows], [due[b] for b in rows], nl)
+    if len(rows) == len(due):
+        return stepper, None
+    return stepper, rows[0] if len(rows) == 1 else rows
+
+
+def _march(
+    phi: RealField,
+    cfgs: Sequence[SolverConfig],
+    nonlinearity: Nonlinearity | None,
+) -> list[tuple[list[float], np.ndarray]]:
+    """The stepping loop: phi stepped under each of cfgs, which share grid
+    and t_final and whose dt are integer multiples of the smallest.
+
+    The loop ticks at the smallest dt; row b, with ratio r = dt_b / min dt,
+    takes its step i on tick r i, so on each tick the due rows step
+    together, with one stepper cached per set of due steps.  Returns per
+    config the snapshot times and the (snapshots, M) matrix of the stored
+    states in FFT order.
+    """
+    grid = cfgs[0].grid
+    if phi.grid is not grid and (
+        phi.grid.modes != grid.modes or phi.grid.box_length != grid.box_length
+    ):
+        raise ContractViolationError("initial data grid does not match solver grid")
+    c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
+
+    dt0 = min(cfg.dt for cfg in cfgs)
+    ratios = [round(cfg.dt / dt0) for cfg in cfgs]
+    plans = [_schedule(cfg) for cfg in cfgs]
+    n_steps = [n_full + (remainder > 0) for n_full, remainder in plans]
+    n_ticks = max(r * n for r, n in zip(ratios, n_steps))
+    # tick -> rows that store a snapshot after it.  Each row stores into one
+    # preallocated matrix that its trajectory takes over without a copy, so
+    # a batch holds each snapshot once.
+    snapshots: dict[int, list[int]] = {}
+    runs = []
+    for b, (cfg, r, n) in enumerate(zip(cfgs, ratios, n_steps)):
+        stored = [*range(cfg.snapshot_stride, n, cfg.snapshot_stride), n]
+        for i in stored:
+            snapshots.setdefault(r * i, []).append(b)
+        coeffs = np.empty((len(stored) + 1, grid.modes), dtype=np.complex128)
+        coeffs[0] = c
+        runs.append(([0.0], coeffs))
+
+    nl = _half_nonlinearity(grid) if nonlinearity is None else nonlinearity
+    params = [cfg.params for cfg in cfgs]
+    steppers: dict[tuple, tuple[Callable, object]] = {}
     h = _to_half(c)
-    for i in range(n_steps):
-        if i < n_full:
-            h = stepper(h)
+    if len(cfgs) > 1:
+        h = np.tile(h, (len(cfgs), 1))
+    ticks = zip_longest(
+        *[_row_steps(r, cfg.dt, *plan) for r, cfg, plan in zip(ratios, cfgs, plans)]
+    )
+    for j, due in enumerate(ticks, 1):
+        entry = steppers.get(due)
+        if entry is None:
+            entry = steppers[due] = _tick_stepper(grid, params, due, nl)
+        stepper, rows = entry
+        if rows is None:
+            h = new = stepper(h)
         else:
-            h = _Stepper(grid, params, remainder, stepper.nl)(h)
-        last = i == n_steps - 1
-        t = cfg.t_final if last else (i + 1) * cfg.dt
-        if not np.isfinite(h).all():
-            raise DivergenceError(step_index=i, time=t)
-        if (i + 1) % cfg.snapshot_stride == 0 or last:
-            times.append(t)
-            rows.append(_to_full(h))
-    return times, rows
+            h[rows] = new = stepper(h[rows])
+        if not np.isfinite(new).all():
+            t = cfgs[0].t_final if j == n_ticks else j * dt0
+            raise DivergenceError(step_index=j - 1, time=t)
+        for b in snapshots.get(j, ()):
+            i = j // ratios[b]
+            times, coeffs = runs[b]
+            coeffs[len(times)] = _to_full(h if len(cfgs) == 1 else h[b])
+            times.append(cfgs[b].t_final if i == n_steps[b] else i * cfgs[b].dt)
+    for _, coeffs in runs:
+        coeffs.setflags(write=False)
+    return runs
 
 
 def solve(
@@ -364,28 +442,32 @@ def solve(
     is dealiased and exactly Hermitian-symmetric.  A non-finite state
     aborts with a DivergenceError naming the step.
     """
-    times, rows = _march(phi, cfg, [cfg.params], nonlinearity)
-    return Trajectory(times, rows, cfg)
+    ((times, coeffs),) = _march(phi, [cfg], nonlinearity)
+    return Trajectory(times, coeffs, cfg)
 
 
 def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
     """The solves of phi under each of cfgs, stepped together.
 
-    The configs must share grid, dt, t_final and snapshot_stride; their
-    params may differ.  All runs step as one (B, M/2 + 1) half-spectrum
-    (one run as the 1-D state of ``solve``), and trajectory b equals
-    ``solve(phi, cfgs[b])`` bit for bit.  A non-finite state in any row
-    aborts with a DivergenceError naming the step, not the row.
+    The configs must share grid and t_final, and each dt must be an
+    integer multiple of the smallest (dt == r * min dt in floating point);
+    params and snapshot_stride may differ.  Each tick of the smallest dt
+    steps the due runs as one (B, M/2 + 1) half-spectrum (one run as a 1-D
+    state), and trajectory b equals ``solve(phi, cfgs[b])`` bit for bit.
+    A non-finite state in any row aborts with a DivergenceError naming
+    the tick of the smallest dt, not the row.
     """
-    if len({(c.grid, c.dt, c.t_final, c.snapshot_stride) for c in cfgs}) != 1:
+    dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
+    if (
+        not cfgs
+        or len({(cfg.grid, cfg.t_final) for cfg in cfgs}) != 1
+        or any(round(cfg.dt / dt0) * dt0 != cfg.dt for cfg in cfgs)
+    ):
         raise ParameterError(
-            "solve_ladder needs one or more configs that share grid, dt, t_final "
-            "and snapshot_stride"
+            "solve_ladder needs one or more configs that share grid and t_final, "
+            f"each dt an integer multiple of the smallest; got dt {[c.dt for c in cfgs]}"
         )
-    times, rows = _march(phi, cfgs[0], [cfg.params for cfg in cfgs], None)
-    stacked = np.array(rows).reshape(len(times), len(cfgs), -1)
-    del rows  # freed before each trajectory copies its column
-    return tuple(Trajectory(times, stacked[:, b], cfg) for b, cfg in enumerate(cfgs))
+    return tuple(Trajectory(*run, cfg) for run, cfg in zip(_march(phi, cfgs, None), cfgs))
 
 
 def zero_nonlinearity(c: np.ndarray) -> np.ndarray:

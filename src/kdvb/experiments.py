@@ -7,7 +7,8 @@ epsilon = 0 solution computed with the same grid and step, so the shared
 discretization error largely cancels in the difference.  The reported
 floor is the self-convergence error of the reference solve (dt versus
 dt/2), the resolution-limited scale against which the smallest-epsilon
-observable is judged.
+observable is judged.  The reference, the ladder and the dt/2 run are
+stepped as one batch (see ``kdvb.evolve.solve_ladder``).
 
 The scaling map u -> lam^2 u(lam x, lam^3 t) with epsilon ->
 lam^(3-2a) epsilon is probed with lam = 2^-m by re-solving on a box
@@ -18,6 +19,7 @@ two grids by exact Fourier-band embedding.
 from __future__ import annotations
 
 import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -118,38 +120,42 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     return float(np.sqrt(np.max(energies)))
 
 
-def _solve_sweep(
-    phi: RealField,
+def _sweep_configs(
+    grid: GridSpec,
     epsilons: tuple[float, ...],
     alpha: float,
     dt: float,
     t_final: float,
     snapshot_stride: int,
-) -> tuple[Trajectory, ...]:
-    """The solves of phi at each epsilon, stepped together by solve_ladder.
-
-    If any row diverges, the solves are run again one at a time, in order,
-    so the DivergenceError names the first epsilon that diverges on its
-    own, at its own step.
-    """
-    cfgs = [
-        SolverConfig(
-            params=ModelParams(e, alpha),
-            grid=phi.grid,
-            dt=dt,
-            t_final=t_final,
-            snapshot_stride=snapshot_stride,
-        )
+) -> list[SolverConfig]:
+    """One solver config per epsilon, sharing the rest."""
+    return [
+        SolverConfig(ModelParams(e, alpha), grid, dt, t_final, snapshot_stride)
         for e in epsilons
     ]
+
+
+def solve_batch(
+    phi: RealField, cfgs: Sequence[SolverConfig], name_epsilon: bool = True
+) -> tuple[Trajectory, ...]:
+    """The solves of phi under each of cfgs, stepped together by solve_ladder.
+
+    If any row diverges, the solves are run again one at a time, in order,
+    so the DivergenceError names the first config that diverges on its
+    own, at its own step, and with name_epsilon also its epsilon.
+    """
     try:
         return solve_ladder(phi, cfgs)
-    except DivergenceError:
+    except DivergenceError as batch_error:
         for cfg in cfgs:
             try:
-                solve(phi, cfg)
+                if len(cfgs) > 1:
+                    solve(phi, cfg)
+                else:  # one run: the batch was its single solve
+                    raise batch_error
             except DivergenceError as exc:
-                exc.args = (f"epsilon = {cfg.params.epsilon}: {exc.args[0]}",)
+                if name_epsilon:
+                    exc.args = (f"epsilon = {cfg.params.epsilon}: {exc.args[0]}",)
                 raise
         raise
 
@@ -178,13 +184,14 @@ def inviscid_sweep(
         raise ParameterError(f"sweep is defined for s <= 0, got {s}")
 
     grid = phi.grid
-    reference, *runs = _solve_sweep(phi, (0.0,) + ladder, alpha, dt, t_final, snapshot_stride)
+    # the dt/2 floor run rides on the same clock, storing every other tick
+    cfgs = _sweep_configs(grid, (0.0,) + ladder, alpha, dt, t_final, snapshot_stride)
+    cfgs += _sweep_configs(grid, (0.0,), alpha, dt / 2.0, t_final, 2 * snapshot_stride)
+    reference, *runs, fine = solve_batch(phi, cfgs)
     observables = [
         {"epsilon": e, "observable": _sup_distance(traj, reference, s)}
         for e, traj in zip(ladder, runs)
     ]
-    del runs  # the ladder runs are freed before the floor solve
-    (fine,) = _solve_sweep(phi, (0.0,), alpha, dt / 2.0, t_final, 2 * snapshot_stride)
     floor = _sup_distance(reference, fine, s)
 
     return SweepReport(
@@ -303,7 +310,7 @@ def h1_bound_check(
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
     weights = (1.0 + xi**2, np.abs(xi) ** (4.0 * alpha))
     observables = []
-    trajs = _solve_sweep(phi, ladder, alpha, dt, t_final, snapshot_stride)
+    trajs = solve_batch(phi, _sweep_configs(phi.grid, ladder, alpha, dt, t_final, snapshot_stride))
     for eps, traj in zip(ladder, trajs):
         h1_sq, rates = spectral_energies(traj.coeffs, *weights)
         sup_h1 = float(np.sqrt(np.max(h1_sq)))

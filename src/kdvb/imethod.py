@@ -57,6 +57,11 @@ from .spectral import SpectralField
 
 _TINY = 1e-30
 
+# Largest n_samples of one m4_bound_sample call.  Memory bounds it, not
+# time: sampling holds about 750 B per sample at its peak (the 4x
+# oversampled draws and the M4 pairing temporaries), 0.75 GB at the cap.
+MAX_SAMPLES = 10**6
+
 
 @dataclass(frozen=True)
 class IMultiplierSpec:
@@ -407,8 +412,10 @@ def m4_bound_sample(
     distinct pair sums.  Reported are the per-ladder maxima and the
     least-squares slope of log max-ratio versus log N1.
     """
-    if n_samples < 10_000:
-        raise ParameterError(f"need n_samples >= 1e4, got {n_samples}")
+    if not 10_000 <= n_samples <= MAX_SAMPLES:
+        raise ParameterError(
+            f"need 1e4 <= n_samples <= MAX_SAMPLES = {MAX_SAMPLES}, got {n_samples}"
+        )
     rng = np.random.default_rng(dyadic_config.seed)
     max_ratios = []
     for n1 in dyadic_config.n1_ladder:

@@ -237,6 +237,8 @@ def exponent_sweep(
     The crossover estimate interpolates the fitted slope linearly in s
     between the last nonnegative and first negative slope.
     """
+    if not s_list:
+        raise ParameterError("s_list must be non-empty")
     if len(n_ladder) < 4:
         raise ParameterError("n_ladder needs at least 4 dyadic points")
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kdvb import cli, experiments
+from kdvb import cli, evolve, experiments
 from kdvb.cli import build_initial_data, main, parse_config, run
 from kdvb.errors import (
     ConfigError,
@@ -16,6 +16,10 @@ from kdvb.errors import (
     ResolutionError,
     ResonantDenominatorError,
 )
+from kdvb.evolve import SolverConfig, solve
+from kdvb.imethod import MAX_SAMPLES
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def solve_doc(out, **overrides):
@@ -258,6 +262,92 @@ class TestRun:
         assert report["samples"] == 10000
 
 
+@pytest.fixture
+def stepper_calls(monkeypatch):
+    """A list that grows by one entry per ETDRK4 stepper call."""
+    calls = []
+    step = evolve._Stepper.__call__
+
+    def counted(self, h):
+        calls.append(1)
+        return step(self, h)
+
+    monkeypatch.setattr(evolve._Stepper, "__call__", counted)
+    return calls
+
+
+class TestBatchedCompanions:
+    """The dt/2 companion solves step on their parent's clock."""
+
+    @pytest.mark.parametrize(
+        "criterion,calls", [("01", 4_000), ("04", 200), ("05", 1_000)]
+    )
+    def test_one_stepper_call_per_tick_of_the_finest_clock(
+        self, tmp_path, stepper_calls, criterion, calls
+    ):
+        # the per-run path made 6,000, 300 and 1,500 calls: the dt/2 run
+        # stepped on its own after its parent
+        doc = json.loads((CONFIG_DIR / f"criterion{criterion}.json").read_text())
+        doc["out"] = str(tmp_path / "out")
+        assert run(parse_config(json.dumps(doc))) == 0
+        assert len(stepper_calls) == calls
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "subcommand,block,prefix",
+        [("energy", {}, ""), ("h1-bound", {"eps_ladder": [0.1]}, "epsilon = 0.1: ")],
+    )
+    def test_one_run_divergence_is_stepped_once(
+        self, tmp_path, stepper_calls, subcommand, block, prefix
+    ):
+        # alone, this run diverges at step 4: five stepper calls, not ten
+        doc = solve_doc(
+            tmp_path / "out",
+            subcommand=subcommand,
+            **{subcommand: block},
+            dt=0.05,
+            t_final=0.5,
+            initial_data={"kind": "gaussian", "width": 2.0, "l2_norm": 28.0},
+        )
+        assert run(parse_config(json.dumps(doc))) == 3
+        assert len(stepper_calls) == 5
+        message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
+        assert message == prefix + "non-finite state detected at step 4 (t = 0.25)"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_energy_refine_divergence_matches_per_run_path(self, tmp_path, monkeypatch):
+        # dt = 0.1 stays finite over its 3 steps; dt/2 diverges at its step 4
+        doc = solve_doc(
+            tmp_path / "batched",
+            subcommand="energy",
+            energy={"refine_check": True},
+            dt=0.1,
+            t_final=0.3,
+            initial_data={"kind": "gaussian", "width": 2.0, "l2_norm": 28.0},
+        )
+        cfg = parse_config(json.dumps(doc))
+        base = SolverConfig(cfg.params, cfg.grid, cfg.dt, cfg.t_final)
+        phi = build_initial_data(cfg)
+        solve(phi, base)
+        with pytest.raises(DivergenceError) as alone:
+            solve(phi, SolverConfig(cfg.params, cfg.grid, cfg.dt / 2, cfg.t_final))
+        assert alone.value.step_index == 4
+
+        assert run(cfg) == 3
+        batched = json.loads((tmp_path / "batched" / "error.json").read_text())
+        monkeypatch.setattr(
+            experiments, "solve_ladder", lambda phi, cfgs: tuple(solve(phi, c) for c in cfgs)
+        )
+        doc["out"] = str(tmp_path / "per_run")
+        assert run(parse_config(json.dumps(doc))) == 3
+        per_run = json.loads((tmp_path / "per_run" / "error.json").read_text())
+        assert batched == per_run == {
+            "error": "DivergenceError",
+            "exit_code": 3,
+            "message": str(alone.value),
+        }
+
+
 class TestMain:
     def test_cli_round_trip(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -317,6 +407,7 @@ class TestMain:
             ("inviscid", {"eps_ladder": []}),
             ("h1-bound", {"eps_ladder": []}),
             ("sharpness", {"s_list": [-0.5], "n_ladder": [16, 16, 16, 16]}),
+            ("sharpness", {"s_list": [], "n_ladder": [16, 32, 64, 128]}),
         ],
     )
     def test_degenerate_block_is_parameter_error(self, tmp_path, capsys, subcommand, block):
@@ -336,6 +427,30 @@ class TestMain:
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ConfigError"
         assert "MAX_STEPS" in payload["message"]
+
+    def test_sample_count_above_cap_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        block = {"n1_ladder": [8.0, 16.0], "n_samples": 1e15}
+        doc = solve_doc(tmp_path / "out", subcommand="imethod-bounds", **{"imethod-bounds": block})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "MAX_SAMPLES" in payload["message"]
+        block["n_samples"] = MAX_SAMPLES
+        assert parse_config(json.dumps(doc)).experiment["n_samples"] == MAX_SAMPLES
+
+    def test_config_error_written_to_the_config_out(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "named", epsilon=True)))
+        assert main(["--config", str(cfg_path)]) == 2
+        payload = json.loads((tmp_path / "named" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "epsilon" in payload["message"]
+        # --out still wins over the config's own out
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "flag")]) == 2
+        assert (tmp_path / "flag" / "error.json").exists()
 
     def test_one_epsilon_rate_ladder_rejected_before_solving(self, tmp_path, monkeypatch):
         calls = []

@@ -397,6 +397,46 @@ class TestSolveLadder:
             assert not traj.coeffs.flags.writeable
             assert traj.coeffs.flags.c_contiguous
 
+    # (dt of each row as a multiple of the smallest, snapshot strides,
+    # t_final in units of the smallest dt): a short last step for every
+    # row; idle ticks at the end (ratio 3 finishes after the finest row)
+    MIXED_SCHEDULES = {
+        "halves": ((2, 1, 2, 1, 2, 1), (7, 3, 1, 14, 5, 2), 61.5),
+        "ratio3": ((3, 1, 2, 3), (2, 5, 1, 3), 10.0),
+    }
+
+    @pytest.mark.parametrize("modes", [256, 384, 512])
+    @pytest.mark.parametrize("schedule", sorted(MIXED_SCHEDULES))
+    def test_mixed_dt_and_stride_rows_equal_single_solves(self, schedule, modes):
+        box, alpha, ladder, dt, data = CRITERION_LADDERS["05"]
+        grid = GridSpec(box_length=box, modes=modes)
+        phi = data(grid)
+        ratios, strides, n_fine = self.MIXED_SCHEDULES[schedule]
+        fine = dt / 2
+        cfgs = [
+            SolverConfig(ModelParams(eps, alpha), grid, r * fine, n_fine * fine, stride)
+            for eps, r, stride in zip(ladder + (0.05,), ratios, strides)
+        ]
+        for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
+            single = solve(phi, cfg)
+            assert traj.config is cfg
+            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(traj.coeffs, single.coeffs)
+
+    @pytest.mark.parametrize("modes", [256, 384, 512])
+    def test_refine_pair_on_divmod_inexact_schedule(self, modes):
+        # criterion 01's schedule: divmod(1.0, 0.0005) leaves 1999 full steps
+        # and a last step of 0.0005 - 2e-17; its dt/2 run 3999 and 0.00025 - 2e-17
+        grid = GridSpec(box_length=64.0, modes=modes)
+        phi = gaussian_initial_data(grid, width=1.5, l2_norm=1.0, modulation=2.0)
+        base = SolverConfig(ModelParams(0.3, 0.8), grid, 0.0005, 1.0, snapshot_stride=10)
+        cfgs = [base, SolverConfig(base.params, grid, 0.00025, 1.0, snapshot_stride=10)]
+        for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
+            single = solve(phi, cfg)
+            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(traj.coeffs, single.coeffs)
+        assert traj.times[-1] == 1.0 and len(traj.times) == 401
+
     def test_configs_must_share_schedule(self):
         grid = GridSpec(box_length=16.0, modes=64)
         phi = smooth_data(grid)
@@ -405,9 +445,8 @@ class TestSolveLadder:
             solve_ladder(phi, [])
         others = [
             SolverConfig(ModelParams(0.1, 1.0), GridSpec(16.0, 128), dt=0.01, t_final=0.1),
-            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.005, t_final=0.1),
             SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.2),
-            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.1, snapshot_stride=2),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.003, t_final=0.1),
         ]
         for other in others:
             with pytest.raises(ParameterError, match="share"):
@@ -470,6 +509,9 @@ class TestTrajectorySerialization:
         copied = Trajectory(traj.times, source, cfg)
         source[:] = 0.0
         assert np.array_equal(copied.coeffs, traj.coeffs)
+        # a read-only matrix that owns its memory is taken without a copy
+        assert Trajectory(traj.times, traj.coeffs, cfg).coeffs is traj.coeffs
+        assert traj.coeffs.base is None
 
     @pytest.mark.parametrize("shape", [(6, 30), (5, 32), (7, 32), (32,), (6, 32, 1)])
     def test_coeff_shape_must_match_times_and_modes(self, shape):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvb.evolve import SolverConfig, solve, solve_ladder, step, zero_nonlinearity
+from kdvb.norms import l2_dissipation_residual
 from kdvb.propagator import ModelParams, linear_symbol, propagate, semigroup_residual
 from kdvb.spectral import GridSpec, RealField, dealias, forward_transform, hermitian_residual
 
@@ -53,20 +54,36 @@ def test_solve_keeps_states_exactly_hermitian(phi, p, dt):
 @FIXED
 @given(
     band_limited_fields(),
-    st.lists(params, min_size=1, max_size=6),
+    st.lists(st.tuples(params, st.booleans(), st.integers(1, 4)), min_size=1, max_size=6),
     st.floats(1e-4, 1e-3),
     st.floats(1.0, 9.0),
-    st.integers(1, 4),
 )
-def test_ladder_rows_equal_single_solves(phi, ladder, dt, n_steps, stride):
+def test_ladder_rows_equal_single_solves(phi, rows, dt, n_steps):
+    # per row: params, a step of dt or dt/2, and a snapshot stride
     cfgs = [
-        SolverConfig(params=p, grid=phi.grid, dt=dt, t_final=n_steps * dt, snapshot_stride=stride)
-        for p in ladder
+        SolverConfig(
+            params=p,
+            grid=phi.grid,
+            dt=dt / 2 if halve else dt,
+            t_final=n_steps * dt,
+            snapshot_stride=stride,
+        )
+        for p, halve, stride in rows
     ]
     for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
         single = solve(phi, cfg)
         assert np.array_equal(traj.times, single.times)
         assert np.array_equal(traj.coeffs, single.coeffs)
+
+
+@FIXED
+@given(band_limited_fields(), st.floats(0.05, 1.0), st.floats(1e-4, 0.1), st.integers(1, 4))
+def test_quadratic_ledger_at_roundoff_for_free_flow(phi, alpha, dt, stride):
+    # with epsilon = 0 and the quadratic term off, the flow is the unitary
+    # propagator, so (1/2)||u||^2 + D(t) with D = 0 keeps its initial value
+    cfg = SolverConfig(ModelParams(0.0, alpha), phi.grid, dt, 12 * dt, snapshot_stride=stride)
+    traj = solve(phi, cfg, nonlinearity=zero_nonlinearity)
+    assert l2_dissipation_residual(traj) <= 1e-14
 
 
 @FIXED
