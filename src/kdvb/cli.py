@@ -1,20 +1,11 @@
 """Configuration parsing, subcommand dispatch, and artifact emission.
 
-A run is described by one JSON document.  Common keys:
-
-    subcommand       one of solve, energy, inviscid, rate, scaling,
-                     sharpness, imethod-bounds, h1-bound
-    epsilon, alpha   model parameters (epsilon in [0, 1], alpha in (0, 1])
-    modes, box_length, dealias_fraction        spatial grid
-    dt, t_final, snapshot_stride               time stepping
-    seed             integer in [0, 2**64), defaults to 0
-    out              output directory (the --out flag overrides)
-    initial_data     {"kind": "soliton" | "gaussian" | "power_law" | "sine", ...}
-
-plus one experiment block named after the subcommand (its allowed keys
-and their kinds are listed in ``_COMMANDS``).  Unknown keys anywhere are
-rejected, and every numeric value, in the common keys, the initial data
-and the experiment block alike, must be a finite number.
+A run is described by one JSON document.  Its top-level keys are listed
+in ``_TOP``; its ``initial_data`` object takes the keys of its kind in
+``_INITIAL_DATA``; and it holds one experiment block named after the
+subcommand, whose keys are listed in ``_COMMANDS``.  Each table gives a
+key's value kind and default.  Unknown keys anywhere are rejected, and
+every numeric value must be a finite number.
 
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
@@ -40,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, experiments
 from .errors import (
     ConfigError,
     ContractViolationError,
@@ -51,115 +42,73 @@ from .errors import (
     ResonantDenominatorError,
 )
 from .evolve import SolverConfig, solve, write_trajectory
-from .experiments import (
-    gaussian_initial_data,
-    h1_bound_check,
-    inviscid_sweep,
-    power_law_initial_data,
-    rate_fit,
-    scaling_check,
-    solve_batch,
-    soliton_initial_data,
-)
+from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check, solve_batch
 from .imethod import MAX_SAMPLES, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, write_ledger_csv
 from .propagator import ModelParams
 from .reports import SweepReport, canonical_json, format_csv
-from .sharpness import exponent_sweep, write_sweep_csv
+from .sharpness import DELTA_DEFAULT, exponent_sweep, write_sweep_csv
 from .spectral import GridSpec, RealField
 
-_COMMON_KEYS = {
-    "subcommand",
-    "epsilon",
-    "alpha",
-    "modes",
-    "box_length",
-    "dealias_fraction",
-    "dt",
-    "t_final",
-    "snapshot_stride",
-    "seed",
-    "out",
-    "initial_data",
-}
+# Schema tables map each key to (value kind, default).  A default is a
+# value, REQUIRED, or a function of the top-level values computing one.
+REQUIRED = object()
 
-# Value kinds for _coerce: float, int, bool, _SEED, _FLOATS (a list of
-# floats), or None for a non-numeric value taken as given.
+# Value kinds for _coerce: float, int, _SEED (an int in [0, 2**64)),
+# _FLOATS (a list of floats), or one of the JSON types in _TYPES.
 _SEED = "seed"
 _FLOATS = "floats"
+_TYPES = {bool: "true or false", str: "a string", dict: "an object"}
 
-# initial_data kind -> {key: value kind}, besides "kind" itself
-_DATA_KEYS = {
-    "soliton": {"c": float, "x0": float},
-    "gaussian": {"width": float, "l2_norm": float, "modulation": float},
-    "power_law": {"decay_exponent": float, "l2_norm": float, "seed": _SEED},
-    "sine": {"amplitude": float, "wavenumber_index": int},
+_TOP = {
+    "subcommand": (str, REQUIRED),
+    "epsilon": (float, REQUIRED),
+    "alpha": (float, REQUIRED),
+    "modes": (int, REQUIRED),
+    "box_length": (float, REQUIRED),
+    "dealias_fraction": (float, 2.0 / 3.0),
+    # only a solve steps by dt; the calculus subcommands just echo it
+    "dt": (float, lambda top: REQUIRED if _COMMANDS[top["subcommand"]][2] else 1e-3),
+    "t_final": (float, 1.0),
+    "snapshot_stride": (int, 1),
+    "seed": (_SEED, 0),
+    "out": (str, "kdvb_out"),
+    "initial_data": (dict, {"kind": "gaussian", "width": 2.0, "l2_norm": 1.0}),
 }
 
-_DEFAULTS = {
-    "dealias_fraction": 2.0 / 3.0,
-    "snapshot_stride": 1,
-    "seed": 0,
-    "t_final": 1.0,
-    "out": "kdvb_out",
+# initial_data kind -> (its constructor's name in kdvb.experiments, schema);
+# the constructor is looked up when called, so a wrapper bound over the
+# module attribute sees the call
+_INITIAL_DATA = {
+    "soliton": ("soliton_initial_data", {"c": (float, 4.0), "x0": (float, 0.0)}),
+    "gaussian": (
+        "gaussian_initial_data",
+        {"width": (float, 2.0), "l2_norm": (float, 1.0), "modulation": (float, 0.0)},
+    ),
+    "power_law": (
+        "power_law_initial_data",
+        {
+            "decay_exponent": (float, -1.51),
+            "l2_norm": (float, 0.5),
+            "seed": (_SEED, lambda top: top["seed"]),
+        },
+    ),
+    "sine": ("sine_initial_data", {"amplitude": (float, 1.0), "wavenumber_index": (int, 1)}),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully validated run description."""
-
-    subcommand: str
-    params: ModelParams
-    grid: GridSpec
-    dt: float
-    t_final: float
-    snapshot_stride: int
-    seed: int
-    out_path: Path
-    initial_data: dict
-    experiment: dict = field(default_factory=dict)
-
-    def resolved(self) -> dict:
-        """The config as it will be echoed into the manifest."""
-        return {
-            "subcommand": self.subcommand,
-            "epsilon": self.params.epsilon,
-            "alpha": self.params.alpha,
-            "modes": self.grid.modes,
-            "box_length": self.grid.box_length,
-            "dealias_fraction": self.grid.dealias_fraction,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "snapshot_stride": self.snapshot_stride,
-            "seed": self.seed,
-            "out": str(self.out_path),
-            "initial_data": self.initial_data,
-            self.subcommand: self.experiment,
-        }
-
-
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ConfigError(f"missing required key {key!r}")
-    return doc[key]
-
-
-def _coerce(value, name: str, kind=float):
-    """value coerced by kind (see _SEED and _FLOATS); a non-numeric value
-    (true and false included) or non-finite number, a non-integral value
-    for an int or seed, a seed outside [0, 2**64), or a bool kind given
-    anything but true or false, is a config error naming the key."""
-    if kind is None:
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
+def _coerce(value, name: str, kind):
+    """value coerced by kind; a value of another JSON type (a boolean is
+    not a number) or a non-finite number, a non-integral value for an int
+    or seed, or a seed outside [0, 2**64), is a config error naming the key."""
+    if kind in _TYPES:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {_TYPES[kind]}, got {value!r}")
         return value
     if kind == _FLOATS:
         if not isinstance(value, list):
             raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
-        return [_coerce(v, f"{name}[{i}]") for i, v in enumerate(value)]
+        return tuple(_coerce(v, f"{name}[{i}]", float) for i, v in enumerate(value))
     try:
         # a JSON boolean is not a number, though float(True) is 1.0
         number = math.nan if isinstance(value, bool) else float(value)
@@ -179,136 +128,139 @@ def _coerce(value, name: str, kind=float):
     return number
 
 
-def _number(doc: dict, key: str, kind=float):
-    """doc[key] coerced by kind."""
-    return _coerce(_require(doc, key), key, kind)
+def _checked(obj: dict, schema: dict, name: str, top: dict | None = None) -> dict:
+    """obj's values coerced by their kinds in schema, defaults filled in.
+
+    An unknown key, a missing required key or a value of the wrong kind
+    is a config error naming it.  Computed defaults read top, the
+    top-level values; when top is None, obj is the top level itself and
+    they read its values before them.
+    """
+    unknown = set(obj) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name or 'config'}: {sorted(unknown)}")
+    values = {}
+    for key, (kind, default) in schema.items():
+        label = f"{name}.{key}" if name else key
+        if key in obj:
+            values[key] = _coerce(obj[key], label, kind)
+            continue
+        if callable(default):
+            default = default(values if top is None else top)
+        if default is REQUIRED:
+            raise ConfigError(f"missing required key {label!r}")
+        values[key] = default
+    return values
 
 
-def _coerce_block(block: dict, kinds: dict, name: str) -> dict:
-    """Every value of block coerced by its key's kind in kinds."""
-    return {key: _coerce(value, f"{name}.{key}", kinds[key]) for key, value in block.items()}
+@dataclass(frozen=True)
+class RunConfig:
+    """A fully validated run description.
+
+    initial_data and experiment hold the keys the document gave; data and
+    block hold them checked, with every default filled in.  These are
+    computed on construction, replace() included, so a power-law seed
+    left to default follows a changed run seed.
+    """
+
+    subcommand: str
+    params: ModelParams
+    grid: GridSpec
+    dt: float
+    t_final: float
+    snapshot_stride: int
+    seed: int
+    out_path: Path
+    initial_data: dict
+    experiment: dict = field(default_factory=dict)
+    data: dict = field(init=False, repr=False)
+    block: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        top = self._top()
+        kind = self.initial_data.get("kind")
+        if kind not in tuple(_INITIAL_DATA):
+            raise ConfigError(
+                f"initial_data.kind must be one of {sorted(_INITIAL_DATA)}, got {kind!r}"
+            )
+        schema = {"kind": (str, REQUIRED), **_INITIAL_DATA[kind][1]}
+        object.__setattr__(self, "data", _checked(self.initial_data, schema, "initial_data", top))
+        block = _checked(self.experiment, _COMMANDS[self.subcommand][1], self.subcommand, top)
+        if block.get("n_samples", 0) > MAX_SAMPLES:
+            raise ConfigError(
+                f"{self.subcommand}.n_samples = {block['n_samples']} "
+                f"exceeds MAX_SAMPLES = {MAX_SAMPLES}"
+            )
+        object.__setattr__(self, "block", block)
+
+    def _top(self) -> dict:
+        return {
+            "subcommand": self.subcommand,
+            "epsilon": self.params.epsilon,
+            "alpha": self.params.alpha,
+            "modes": self.grid.modes,
+            "box_length": self.grid.box_length,
+            "dealias_fraction": self.grid.dealias_fraction,
+            "dt": self.dt,
+            "t_final": self.t_final,
+            "snapshot_stride": self.snapshot_stride,
+            "seed": self.seed,
+            "out": str(self.out_path),
+        }
+
+    def resolved(self) -> dict:
+        """The config as it will be echoed into the manifest: every
+        top-level value, and of initial_data and the experiment block
+        only the keys the document gave."""
+        return {
+            **self._top(),
+            "initial_data": {key: self.data[key] for key in self.initial_data},
+            self.subcommand: {key: self.block[key] for key in self.experiment},
+        }
 
 
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON run description; errors name the offending key."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides malformed text: an integer past the interpreter's digit
+        # limit, or nesting past its recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-
-    sub = _require(doc, "subcommand")
+    sub = _coerce(doc, "config", dict).get("subcommand")
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}")
-
-    allowed = _COMMON_KEYS | {sub}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    merged = {**_DEFAULTS, **doc}
-
+    top = _checked(doc, {**_TOP, sub: (dict, {})}, "")
     try:
-        params = ModelParams(
-            epsilon=_number(merged, "epsilon"),
-            alpha=_number(merged, "alpha"),
-        )
+        params = ModelParams(top["epsilon"], top["alpha"])
+        grid = GridSpec(top["box_length"], top["modes"], top["dealias_fraction"])
+        if _COMMANDS[sub][2]:
+            SolverConfig(params, grid, top["dt"], top["t_final"], top["snapshot_stride"])
     except ParameterError as exc:
-        raise ConfigError(f"model parameters: {exc}") from exc
-
-    try:
-        grid = GridSpec(
-            box_length=_number(merged, "box_length"),
-            modes=_number(merged, "modes", int),
-            dealias_fraction=_number(merged, "dealias_fraction"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-
-    _, block_keys, needs_solver = _COMMANDS[sub]
-    dt = _number(merged, "dt") if needs_solver or "dt" in merged else 1e-3
-    t_final = _number(merged, "t_final")
-    stride = _number(merged, "snapshot_stride", int)
-    if needs_solver:
-        try:
-            SolverConfig(
-                params=params, grid=grid, dt=dt, t_final=t_final, snapshot_stride=stride
-            )
-        except ParameterError as exc:
-            raise ConfigError(f"solver: {exc}") from exc
-
-    data = merged.get("initial_data", {"kind": "gaussian", "width": 2.0, "l2_norm": 1.0})
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ConfigError("initial_data must be an object with a 'kind' key")
-    kind = data["kind"]
-    if not isinstance(kind, str) or kind not in _DATA_KEYS:
-        raise ConfigError(
-            f"initial_data.kind must be one of {sorted(_DATA_KEYS)}, got {kind!r}"
-        )
-    data_kinds = {"kind": None, **_DATA_KEYS[kind]}
-    bad = set(data) - set(data_kinds)
-    if bad:
-        raise ConfigError(f"unknown initial_data keys for {kind!r}: {sorted(bad)}")
-    data = _coerce_block(data, data_kinds, "initial_data")
-
-    experiment = merged.get(sub, {})
-    if not isinstance(experiment, dict):
-        raise ConfigError(f"experiment block {sub!r} must be an object")
-    bad = set(experiment) - set(block_keys)
-    if bad:
-        raise ConfigError(f"unknown keys in {sub!r} block: {sorted(bad)}")
-    experiment = _coerce_block(experiment, block_keys, sub)
-    if experiment.get("n_samples", 0) > MAX_SAMPLES:
-        raise ConfigError(
-            f"{sub}.n_samples = {experiment['n_samples']} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
-        )
-
-    out = merged["out"]
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a path string, got {out!r}")
-
+        raise ConfigError(str(exc)) from exc
     return RunConfig(
         subcommand=sub,
         params=params,
         grid=grid,
-        dt=dt,
-        t_final=t_final,
-        snapshot_stride=stride,
-        seed=_number(merged, "seed", _SEED),
-        out_path=Path(out),
-        initial_data=data,
-        experiment=experiment,
+        dt=top["dt"],
+        t_final=top["t_final"],
+        snapshot_stride=top["snapshot_stride"],
+        seed=top["seed"],
+        out_path=Path(top["out"]),
+        initial_data=top["initial_data"],
+        experiment=top[sub],
     )
 
 
 def build_initial_data(cfg: RunConfig) -> RealField:
-    data = cfg.initial_data
-    kind = data["kind"]
-    if kind == "soliton":
-        return soliton_initial_data(
-            c=data.get("c", 4.0), x0=data.get("x0", 0.0), grid=cfg.grid
-        )
-    if kind == "gaussian":
-        return gaussian_initial_data(
-            cfg.grid,
-            width=data.get("width", 2.0),
-            l2_norm=data.get("l2_norm", 1.0),
-            modulation=data.get("modulation", 0.0),
-        )
-    if kind == "power_law":
-        return power_law_initial_data(
-            cfg.grid,
-            decay_exponent=data.get("decay_exponent", -1.51),
-            l2_norm=data.get("l2_norm", 0.5),
-            seed=data.get("seed", cfg.seed),
-        )
-    amp = data.get("amplitude", 1.0)
-    index = data.get("wavenumber_index", 1)
-    x = cfg.grid.collocation_points()
-    return RealField(
-        amp * np.sin(2.0 * np.pi * index * x / cfg.grid.box_length), cfg.grid
-    )
+    """The configured initial field; a non-finite one is a ParameterError
+    naming its kind, raised before any step."""
+    params = dict(cfg.data)
+    kind = params.pop("kind")
+    initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
+    if not np.all(np.isfinite(initial.values)):
+        raise ParameterError(f"initial_data.kind {kind!r} gives a non-finite field for {params}")
+    return initial
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
@@ -345,7 +297,7 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     cfgs = [_solver_config(cfg)]
-    if cfg.experiment.get("refine_check", False):
+    if cfg.block["refine_check"]:
         cfgs.append(replace(cfgs[0], dt=cfg.dt / 2))
     # the dt/2 run is stepped on the base run's clock, so both are held
     base, *refined = solve_batch(build_initial_data(cfg), cfgs, name_epsilon=False)
@@ -376,8 +328,7 @@ def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
 
 
 def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
-    block = cfg.experiment
-    ladder = tuple(block.get("eps_ladder", (1e-1, 1e-2, 1e-3, 1e-4)))
+    ladder = cfg.block["eps_ladder"]
     if with_rate and len(ladder) < 2:
         raise ParameterError(f"rate needs at least two epsilons, got {list(ladder)}")
     report = inviscid_sweep(
@@ -385,7 +336,7 @@ def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
         alpha=cfg.params.alpha,
         eps_ladder=ladder,
         t_final=cfg.t_final,
-        s=block.get("sobolev_s", 0.0),
+        s=cfg.block["sobolev_s"],
         dt=cfg.dt,
         snapshot_stride=cfg.snapshot_stride,
         seed=cfg.seed,
@@ -401,7 +352,7 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
     distance = scaling_check(
         build_initial_data(cfg),
         cfg.params,
-        lambda_exp=cfg.experiment.get("lambda_exp", 1),
+        lambda_exp=cfg.block["lambda_exp"],
         t_final=cfg.t_final,
         dt=cfg.dt,
     )
@@ -409,12 +360,10 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
-    block = cfg.experiment
-    alpha = cfg.params.alpha
-    regime = block.get("regime", "low_alpha" if alpha <= 0.5 else "high_alpha")
-    s_list = tuple(_require(block, "s_list"))
-    n_ladder = tuple(_require(block, "n_ladder"))
-    report = exponent_sweep(regime, alpha, s_list, n_ladder, delta=block.get("delta", 0.01))
+    block = cfg.block
+    report = exponent_sweep(
+        block["regime"], cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"]
+    )
     csv = io.StringIO()
     write_sweep_csv(csv, report)
     artifacts["sweep.csv"] = csv.getvalue().encode()
@@ -422,16 +371,10 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
-    block = cfg.experiment
-    dyadic = DyadicConfig(
-        n1_ladder=tuple(_require(block, "n1_ladder")),
-        ratios=tuple(block.get("ratios", (1.0, 0.75, 0.5))),
-        seed=cfg.seed,
-    )
-    spec = IMultiplierSpec(
-        cutoff_n=block.get("cutoff_n", 0.5), s_exp=block.get("s_exp", -0.74)
-    )
-    report = m4_bound_sample(dyadic, spec, cfg.params, block.get("n_samples", 10_000))
+    block = cfg.block
+    dyadic = DyadicConfig(block["n1_ladder"], block["ratios"], cfg.seed)
+    spec = IMultiplierSpec(cutoff_n=block["cutoff_n"], s_exp=block["s_exp"])
+    report = m4_bound_sample(dyadic, spec, cfg.params, block["n_samples"])
     artifacts["bound_report.json"] = (report.to_json() + "\n").encode()
     return {
         "slope": report.slope_vs_logn,
@@ -444,7 +387,7 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     report = h1_bound_check(
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
-        eps_ladder=tuple(cfg.experiment.get("eps_ladder", (1.0, 0.1, 0.01, 0.001))),
+        eps_ladder=cfg.block["eps_ladder"],
         t_final=cfg.t_final,
         dt=cfg.dt,
         snapshot_stride=cfg.snapshot_stride,
@@ -457,32 +400,37 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     return result
 
 
-_INVISCID_KEYS = {"eps_ladder": _FLOATS, "sobolev_s": float}
+_INVISCID = {"eps_ladder": (_FLOATS, (1e-1, 1e-2, 1e-3, 1e-4)), "sobolev_s": (float, 0.0)}
 
-# subcommand -> (runner, experiment-block {key: value kind}, needs a time-stepping solve)
+# subcommand -> (runner, experiment-block schema, needs a time-stepping solve)
 _COMMANDS = {
     "solve": (_run_solve, {}, True),
-    "energy": (_run_energy, {"refine_check": bool}, True),
-    "inviscid": (functools.partial(_run_inviscid, with_rate=False), _INVISCID_KEYS, True),
-    "rate": (functools.partial(_run_inviscid, with_rate=True), _INVISCID_KEYS, True),
-    "scaling": (_run_scaling, {"lambda_exp": int}, True),
+    "energy": (_run_energy, {"refine_check": (bool, False)}, True),
+    "inviscid": (functools.partial(_run_inviscid, with_rate=False), _INVISCID, True),
+    "rate": (functools.partial(_run_inviscid, with_rate=True), _INVISCID, True),
+    "scaling": (_run_scaling, {"lambda_exp": (int, 1)}, True),
     "sharpness": (
         _run_sharpness,
-        {"s_list": _FLOATS, "n_ladder": _FLOATS, "delta": float, "regime": None},
+        {
+            "s_list": (_FLOATS, REQUIRED),
+            "n_ladder": (_FLOATS, REQUIRED),
+            "delta": (float, DELTA_DEFAULT),
+            "regime": (str, lambda top: "low_alpha" if top["alpha"] <= 0.5 else "high_alpha"),
+        },
         False,
     ),
     "imethod-bounds": (
         _run_imethod_bounds,
         {
-            "n1_ladder": _FLOATS,
-            "ratios": _FLOATS,
-            "cutoff_n": float,
-            "s_exp": float,
-            "n_samples": int,
+            "n1_ladder": (_FLOATS, REQUIRED),
+            "ratios": (_FLOATS, (1.0, 0.75, 0.5)),
+            "cutoff_n": (float, 0.5),
+            "s_exp": (float, -0.74),
+            "n_samples": (int, 10_000),
         },
         False,
     ),
-    "h1-bound": (_run_h1_bound, {"eps_ladder": _FLOATS}, True),
+    "h1-bound": (_run_h1_bound, {"eps_ladder": (_FLOATS, (1.0, 0.1, 0.01, 0.001))}, True),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 

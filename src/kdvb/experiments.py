@@ -74,6 +74,10 @@ def gaussian_initial_data(
     grid: GridSpec, width: float, l2_norm: float = 1.0, modulation: float = 0.0
 ) -> RealField:
     """A centered Gaussian bump, optionally modulated, scaled to l2_norm."""
+    if not width > 0:
+        raise ParameterError(f"gaussian width must be positive, got {width}")
+    if l2_norm < 0:
+        raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
     x = grid.collocation_points() - grid.box_length / 2.0
     values = np.exp(-((x / width) ** 2))
     if modulation > 0:
@@ -94,6 +98,8 @@ def power_law_initial_data(
     is left empty and the dealiased band is filled; the draw is fixed by
     the seed.
     """
+    if l2_norm < 0:
+        raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
     rng = np.random.default_rng(seed)
     xi = grid.wavenumbers()
     half = grid.modes // 2
@@ -109,6 +115,14 @@ def power_law_initial_data(
     norm = np.linalg.norm(coeffs)
     field = SpectralField(coeffs * (l2_norm / norm), grid)
     return inverse_transform(field)
+
+
+def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -> RealField:
+    """amplitude * sin(2 pi wavenumber_index x / L)."""
+    x = grid.collocation_points()
+    return RealField(
+        amplitude * np.sin(2.0 * np.pi * wavenumber_index * x / grid.box_length), grid
+    )
 
 
 def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:

@@ -31,6 +31,7 @@ pair sums of cell indices stay on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,26 @@ class CounterexampleFunction:
 def build_counterexample(
     spec: CounterexampleSpec, grid: PhaseSpaceGrid | None = None
 ) -> CounterexampleFunction:
-    """Rasterize chi_set + chi_(-set) on the lattice by cell-center membership."""
-    if grid is None:
-        grid = spec.default_grid()
-    w = spec.set_width()
-    h = spec.modulation_height()
+    """Rasterize chi_set + chi_(-set) on the lattice by cell-center membership.
+
+    float64 resolves every tau lattice index only below 2**53; a scale_n
+    whose outermost index, ((N + w)^3 + 2h) / d_tau, reaches that is a
+    RangeError.  The bound is taken in logs, where the cube cannot overflow.
+    """
     n = spec.scale_n
+    try:
+        if grid is None:
+            grid = spec.default_grid()
+        w = spec.set_width()
+        h = spec.modulation_height()
+        log_index = np.logaddexp(3.0 * math.log(n + w), math.log(2.0 * h)) - math.log(grid.d_tau)
+    except OverflowError:  # N^(2 alpha) itself overflows, far past the bound
+        log_index = math.inf
+    if log_index >= 53.0 * math.log(2.0):
+        raise RangeError(
+            f"scale_n = {n:g} puts tau lattice indices at 2**53 or beyond, "
+            "where float64 no longer resolves the lattice"
+        )
     if grid.d_xi > w / 8 or grid.d_tau > h / 8:
         raise ResolutionError(
             "grid must resolve each thin dimension with at least 8 cells: "

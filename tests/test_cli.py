@@ -1,9 +1,13 @@
 """Tests for config parsing, dispatch, artifacts, and exit codes."""
 
+import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvb import cli, evolve, experiments
 from kdvb.cli import build_initial_data, main, parse_config, run
@@ -73,6 +77,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{nope")
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"subcommand": "solve", "epsilon": ' + "1" * 5000 + "}", "[" * 10**5 + "]" * 10**5],
+        ids=["5000-digit-number", "deep-nesting"],
+    )
+    def test_json_beyond_the_decoder_limits(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
     def test_spec_minimal_document(self):
         # the smallest viable solve document: defaults fill the rest
         doc = {"subcommand": "solve", "epsilon": 0.1, "alpha": 1, "modes": 256,
@@ -80,6 +93,59 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert cfg.initial_data["kind"] == "gaussian"
         assert cfg.out_path.name == "kdvb_out"
+
+    @pytest.mark.parametrize(
+        "subcommand,block,missing",
+        [
+            ("sharpness", {"n_ladder": [16, 32, 64, 128]}, "s_list"),
+            ("sharpness", {"s_list": [-0.75]}, "n_ladder"),
+            ("imethod-bounds", {"n_samples": 10_000}, "n1_ladder"),
+        ],
+    )
+    def test_missing_required_block_key(self, tmp_path, capsys, subcommand, block, missing):
+        doc = solve_doc(tmp_path / "out", subcommand=subcommand, **{subcommand: block})
+        with pytest.raises(ConfigError, match=f"{subcommand}.{missing}"):
+            parse_config(json.dumps(doc))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert f"{subcommand}.{missing}" in payload["message"]
+
+    def test_block_defaults_filled_but_not_echoed(self, tmp_path):
+        doc = solve_doc(tmp_path, subcommand="sharpness", alpha=0.75)
+        doc["sharpness"] = {"s_list": [-0.6], "n_ladder": [16, 32, 64, 128]}
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.block["regime"] == "high_alpha"
+        assert cfg.block["delta"] == 0.01
+        assert cfg.resolved()["sharpness"] == {
+            "s_list": (-0.6,),
+            "n_ladder": (16.0, 32.0, 64.0, 128.0),
+        }
+
+    def test_power_law_seed_defaults_to_the_run_seed(self, tmp_path):
+        data = {"kind": "power_law"}
+        cfg = parse_config(json.dumps(solve_doc(tmp_path, seed=3, initial_data=data)))
+        assert cfg.data["seed"] == 3
+        assert replace(cfg, seed=9).data["seed"] == 9
+        assert replace(cfg, seed=9).resolved()["initial_data"] == data
+        data["seed"] = 5
+        cfg = parse_config(json.dumps(solve_doc(tmp_path, seed=3, initial_data=data)))
+        assert replace(cfg, seed=9).data["seed"] == 5
+
+    def test_constructor_reached_through_its_module_name(self, tmp_path, monkeypatch):
+        calls = []
+        gaussian = experiments.gaussian_initial_data
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return gaussian(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "gaussian_initial_data", counted)
+        build_initial_data(parse_config(json.dumps(solve_doc(tmp_path))))
+        assert len(calls) == 1 and calls[0]["width"] == 2.0
 
     def test_initial_data_kinds(self, tmp_path):
         for data in (
@@ -90,6 +156,50 @@ class TestParseConfig:
             cfg = parse_config(json.dumps(solve_doc(tmp_path, initial_data=data)))
             field = build_initial_data(cfg)
             assert field.values.shape == (64,)
+
+
+CRITERIA = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("criterion*.json"))]
+SCHEMA_KEYS = sorted(
+    {*cli._TOP}
+    | {key for _, schema in cli._INITIAL_DATA.values() for key in schema}
+    | {key for _, schema, _ in cli._COMMANDS.values() for key in schema}
+)
+# arbitrary JSON: null, booleans, strings, numbers huge or non-finite
+# (json.dumps writes NaN and Infinity tokens), nested lists and objects
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.text(max_size=6)
+    | st.sampled_from([*cli.SUBCOMMANDS, *cli._INITIAL_DATA, "low_alpha", "high_alpha"])
+    | st.integers(-(10**400), 10**400)
+    | st.floats(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzzed_config_raises_only_config_error(data):
+    # one key of a criterion config replaced, dropped or added, at top
+    # level, in initial_data or in the experiment block
+    doc = copy.deepcopy(data.draw(st.sampled_from(CRITERIA)))
+    where = data.draw(st.sampled_from(["", "initial_data", doc["subcommand"]]))
+    target = doc[where] if isinstance(doc.get(where), dict) else doc
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "add":
+        target[data.draw(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=6))] = data.draw(
+            JSON_VALUES
+        )
+    elif action == "drop":
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    else:
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(JSON_VALUES)
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError:
+        pass
 
 
 class TestRun:
@@ -180,6 +290,47 @@ class TestRun:
         assert run(parse_config(json.dumps(doc))) == 3
         error = json.loads((tmp_path / "ovf" / "error.json").read_text())
         assert error["error"] == "RangeError"
+
+    @pytest.mark.parametrize(
+        "alpha,n_ladder",
+        [
+            (0.25, [1e7, 2e7, 4e7, 8e7]),
+            (0.25, [3e7, 6e7, 1.2e8, 2.4e8]),
+            (0.25, [1e10, 2e10, 4e10, 8e10]),
+            (0.75, [1e200, 2e200, 4e200, 8e200]),
+        ],
+    )
+    def test_tau_lattice_overflow_is_range_error(self, tmp_path, capsys, alpha, n_ladder):
+        doc = solve_doc(tmp_path / "out", subcommand="sharpness", alpha=alpha)
+        doc["sharpness"] = {"s_list": [-0.75], "n_ladder": n_ladder}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "RangeError"
+        assert "scale_n" in payload["message"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"kind": "gaussian", "width": 0}, "width"),
+            ({"kind": "gaussian", "width": -2.0}, "width"),
+            ({"kind": "gaussian", "l2_norm": -1}, "l2_norm"),
+            ({"kind": "power_law", "l2_norm": -1}, "l2_norm"),
+            ({"kind": "power_law", "decay_exponent": 1e5}, "initial_data.kind 'power_law'"),
+            ({"kind": "power_law", "decay_exponent": -1e5}, "initial_data.kind 'power_law'"),
+        ],
+    )
+    def test_bad_initial_data_is_parameter_error(self, tmp_path, capsys, data, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", initial_data=data)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert message in payload["message"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_h1_bound_divergence_names_epsilon(self, tmp_path):

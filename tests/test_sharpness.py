@@ -1,11 +1,13 @@
 """Tests for the bilinear-estimate failure probes."""
 
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kdvb.errors import ParameterError, ResolutionError
+from kdvb.errors import ParameterError, RangeError, ResolutionError
 from kdvb.reports import fit_power_law
 from kdvb.sharpness import (
     CounterexampleFunction,
@@ -93,6 +95,30 @@ class TestBuildCounterexample:
         )
         with pytest.raises(ResolutionError, match="thin"):
             build_counterexample(spec, coarse)
+
+    @pytest.mark.parametrize(
+        "regime,alpha,inside,beyond",
+        [
+            # the outermost tau index is about 16 N^2, 16 N^1.5 and 16 N
+            ("low_alpha", 0.25, 2e7, [3e7, 4e7, 1e10, 1e300]),
+            ("high_alpha", 0.75, 6e9, [7e9, 1e200, 1e300]),
+            ("high_alpha", 1.0, 1e14, [1e15, 1e200, 1e300]),
+        ],
+    )
+    def test_tau_index_beyond_2_pow_53_is_range_error(self, regime, alpha, inside, beyond):
+        build_counterexample(CounterexampleSpec(regime, inside, -0.75, alpha))
+        for n in beyond:
+            with pytest.raises(RangeError, match="scale_n"):
+                build_counterexample(CounterexampleSpec(regime, n, -0.75, alpha))
+
+    @pytest.mark.parametrize(
+        "regime,alpha", [("low_alpha", 0.25), ("high_alpha", 0.75), ("high_alpha", 1.0)]
+    )
+    def test_criterion07_ladder_inside_the_bound(self, regime, alpha):
+        config = Path(__file__).resolve().parent.parent / "configs" / "criterion07.json"
+        for n in json.loads(config.read_text())["sharpness"]["n_ladder"]:
+            f = build_counterexample(CounterexampleSpec(regime, n, -0.75, alpha))
+            assert np.abs(f.tau_idx).max() < 2**20
 
 
 class TestBilinearFunctional:
