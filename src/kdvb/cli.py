@@ -41,8 +41,8 @@ from .errors import (
     ResolutionError,
     ResonantDenominatorError,
 )
-from .evolve import SolverConfig, solve, write_trajectory
-from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check, solve_batch
+from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
+from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
 from .imethod import MAX_SAMPLES, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, write_ledger_csv
 from .propagator import ModelParams
@@ -300,7 +300,7 @@ def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     if cfg.block["refine_check"]:
         cfgs.append(replace(cfgs[0], dt=cfg.dt / 2))
     # the dt/2 run is stepped on the base run's clock, so both are held
-    base, *refined = solve_batch(build_initial_data(cfg), cfgs, name_epsilon=False)
+    base, *refined = solve_ladder(build_initial_data(cfg), cfgs)
     result = {"ledger_residual": _ledger_artifact(base, artifacts)}
     if refined:
         result["ledger_residual_refined"] = l2_dissipation_residual(refined[0])

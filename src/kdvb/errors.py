@@ -22,6 +22,8 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """The time integration produced a non-finite state."""
 
+    run = 0  # the index of the diverged run in its batch
+
     def __init__(self, step_index: int, time: float):
         self.step_index = step_index
         self.time = time

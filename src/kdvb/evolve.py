@@ -41,7 +41,10 @@ length and the tableau's wavenumbers are the grid's, which is why the
 rescaled run of ``scaling_check`` (a larger box with more modes) stays
 single.  Batched together are the epsilon = 0 reference, the ladder and
 the dt/2 floor of ``inviscid_sweep``, the ladder of ``h1_bound_check``
-and the energy run with its dt/2 refinement.
+and the energy run with its dt/2 refinement.  A row that turns
+non-finite records its own DivergenceError; the first run that diverges
+raises its error once the runs before it have finished, as its single
+solve would.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat, zip_longest
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -327,39 +329,6 @@ def step(
     return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
 
 
-def _schedule(cfg: SolverConfig) -> tuple[int, float]:
-    """The full steps of cfg and the length of its short last step (0 when
-    t_final is a multiple of dt)."""
-    n_full, remainder = divmod(cfg.t_final, cfg.dt)
-    n_full = int(n_full)
-    if remainder < 1e-12 * cfg.dt and n_full > 0:
-        remainder = 0.0
-    return n_full, remainder
-
-
-def _row_steps(ratio: int, dt: float, n_full: int, remainder: float) -> Iterator:
-    """Per tick of the shared clock, the step a row takes: dt on every
-    ratio-th tick for n_full steps, then the short last step, else None.
-    Built from itertools, so a tick costs the loop no Python call."""
-    full = islice(map({0: dt}.get, map(ratio.__rmod__, count(1))), ratio * n_full)
-    if not remainder:
-        return full
-    return chain(full, repeat(None, ratio - 1), (remainder,))
-
-
-def _tick_stepper(grid, params, due, nl) -> tuple[Callable, object]:
-    """The stepper of one tick's due steps (None for an idle row) and the
-    index of its rows in the state: None for all rows, an int for one row
-    of several (stepped as a 1-D view), else a list."""
-    rows = [b for b, d in enumerate(due) if d is not None]
-    if not rows:  # every row waits for a coarser step
-        return (lambda h: h), None
-    stepper = _Stepper(grid, [params[b] for b in rows], [due[b] for b in rows], nl)
-    if len(rows) == len(due):
-        return stepper, None
-    return stepper, rows[0] if len(rows) == 1 else rows
-
-
 def _march(
     phi: RealField,
     cfgs: Sequence[SolverConfig],
@@ -370,61 +339,84 @@ def _march(
 
     The loop ticks at the smallest dt; row b, with ratio r = dt_b / min dt,
     takes its step i on tick r i, so on each tick the due rows step
-    together, with one stepper cached per set of due steps.  Returns per
-    config the snapshot times and the (snapshots, M) matrix of the stored
-    states in FFT order.
+    together, with one stepper cached per set of due steps.  A row that
+    turns non-finite on its step i records the error of step i - 1 and
+    steps on.  Returns per config the snapshot times and the
+    (snapshots, M) matrix of the stored states in FFT order.
     """
     grid = cfgs[0].grid
-    if phi.grid is not grid and (
-        phi.grid.modes != grid.modes or phi.grid.box_length != grid.box_length
-    ):
+    if phi.grid != grid:
         raise ContractViolationError("initial data grid does not match solver grid")
     c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
 
     dt0 = min(cfg.dt for cfg in cfgs)
-    ratios = [round(cfg.dt / dt0) for cfg in cfgs]
-    plans = [_schedule(cfg) for cfg in cfgs]
-    n_steps = [n_full + (remainder > 0) for n_full, remainder in plans]
-    n_ticks = max(r * n for r, n in zip(ratios, n_steps))
-    # tick -> rows that store a snapshot after it.  Each row stores into one
+    # plans: per run its ratio r = dt / dt0, full steps, all steps n, dt and
+    # short last step (0 when t_final is a multiple of dt).  snapshots: tick
+    # -> rows that store a snapshot after it.  Each row stores into one
     # preallocated matrix that its trajectory takes over without a copy, so
     # a batch holds each snapshot once.
-    snapshots: dict[int, list[int]] = {}
-    runs = []
-    for b, (cfg, r, n) in enumerate(zip(cfgs, ratios, n_steps)):
+    plans, snapshots, runs = [], {}, []
+    for b, cfg in enumerate(cfgs):
+        n_full, rem = divmod(cfg.t_final, cfg.dt)
+        n_full = int(n_full)
+        if rem < 1e-12 * cfg.dt and n_full > 0:
+            rem = 0.0
+        r, n = round(cfg.dt / dt0), n_full + (rem > 0)
+        plans.append((r, n_full, n, cfg.dt, rem))
         stored = [*range(cfg.snapshot_stride, n, cfg.snapshot_stride), n]
         for i in stored:
             snapshots.setdefault(r * i, []).append(b)
         coeffs = np.empty((len(stored) + 1, grid.modes), dtype=np.complex128)
         coeffs[0] = c
         runs.append(([0.0], coeffs))
+    ends = [r * n for r, _, n, _, _ in plans]  # the tick of each run's last step
+
+    def t_after(b: int, i: int) -> float:  # the time of run b after its step i
+        return cfgs[b].t_final if i == plans[b][2] else i * cfgs[b].dt
 
     nl = _half_nonlinearity(grid) if nonlinearity is None else nonlinearity
-    params = [cfg.params for cfg in cfgs]
-    steppers: dict[tuple, tuple[Callable, object]] = {}
+    steppers: dict[tuple, tuple[Callable, object]] = {}  # due steps -> stepper, rows
+    errors: dict[int, DivergenceError] = {}
     h = _to_half(c)
     if len(cfgs) > 1:
         h = np.tile(h, (len(cfgs), 1))
-    ticks = zip_longest(
-        *[_row_steps(r, cfg.dt, *plan) for r, cfg, plan in zip(ratios, cfgs, plans)]
-    )
-    for j, due in enumerate(ticks, 1):
+    for j in range(1, max(ends) + 1):
+        # from a list: tuple() of a generator fills CPython's tuple free lists
+        due = tuple(
+            [
+                None if j % r or j > r * n else dt if j <= r * n_full else rem
+                for r, n_full, n, dt, rem in plans
+            ]
+        )
         entry = steppers.get(due)
         if entry is None:
-            entry = steppers[due] = _tick_stepper(grid, params, due, nl)
-        stepper, rows = entry
-        if rows is None:
+            rows = [b for b, d in enumerate(due) if d is not None]
+            stepper = (
+                _Stepper(grid, [cfgs[b].params for b in rows], [due[b] for b in rows], nl)
+                if rows
+                else lambda h: h  # every row waits for a coarser step
+            )
+            # the due rows' index in the state: None for all rows, an int for
+            # one row of several (stepped as a 1-D view), else a list
+            index = None if len(rows) == len(due) else rows[0] if len(rows) == 1 else rows
+            entry = steppers[due] = stepper, index
+        stepper, index = entry
+        if index is None:
             h = new = stepper(h)
         else:
-            h[rows] = new = stepper(h[rows])
+            h[index] = new = stepper(h[index])
         if not np.isfinite(new).all():
-            t = cfgs[0].t_final if j == n_ticks else j * dt0
-            raise DivergenceError(step_index=j - 1, time=t)
+            for b in map(int, np.flatnonzero(~np.isfinite(h.reshape(len(cfgs), -1)).all(1))):
+                if b not in errors:
+                    i = j // plans[b][0]
+                    errors[b] = DivergenceError(step_index=i - 1, time=t_after(b, i))
+                    errors[b].run = b
+        if errors and max(ends[: min(errors)], default=0) <= j:
+            raise errors[min(errors)]
         for b in snapshots.get(j, ()):
-            i = j // ratios[b]
             times, coeffs = runs[b]
             coeffs[len(times)] = _to_full(h if len(cfgs) == 1 else h[b])
-            times.append(cfgs[b].t_final if i == n_steps[b] else i * cfgs[b].dt)
+            times.append(t_after(b, j // plans[b][0]))
     for _, coeffs in runs:
         coeffs.setflags(write=False)
     return runs
@@ -454,8 +446,9 @@ def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajecto
     params and snapshot_stride may differ.  Each tick of the smallest dt
     steps the due runs as one (B, M/2 + 1) half-spectrum (one run as a 1-D
     state), and trajectory b equals ``solve(phi, cfgs[b])`` bit for bit.
-    A non-finite state in any row aborts with a DivergenceError naming
-    the tick of the smallest dt, not the row.
+    If any run turns non-finite, the DivergenceError raised is the one
+    ``solve`` raises for the first config, in order, that diverges alone:
+    its step and time, with its index in cfgs as ``run``.
     """
     dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
     if (

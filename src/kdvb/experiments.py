@@ -8,7 +8,9 @@ discretization error largely cancels in the difference.  The reported
 floor is the self-convergence error of the reference solve (dt versus
 dt/2), the resolution-limited scale against which the smallest-epsilon
 observable is judged.  The reference, the ladder and the dt/2 run are
-stepped as one batch (see ``kdvb.evolve.solve_ladder``).
+stepped as one batch (see ``kdvb.evolve.solve_ladder``), as is the
+ladder of the H1 bound; ``solve_batch`` prefixes a DivergenceError with
+the epsilon of the run it names.
 
 The scaling map u -> lam^2 u(lam x, lam^3 t) with epsilon ->
 lam^(3-2a) epsilon is probed with lam = 2^-m by re-solving on a box
@@ -109,8 +111,7 @@ def power_law_initial_data(
     coeffs[0] = 0.0
     coeffs[half] = 0.0
     # impose Hermitian symmetry from the positive half
-    for k in range(1, half):
-        coeffs[grid.modes - k] = np.conj(coeffs[k])
+    coeffs[half + 1 :] = np.conj(coeffs[1:half][::-1])
     coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
     norm = np.linalg.norm(coeffs)
     field = SpectralField(coeffs * (l2_norm / norm), grid)
@@ -118,7 +119,14 @@ def power_law_initial_data(
 
 
 def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -> RealField:
-    """amplitude * sin(2 pi wavenumber_index x / L)."""
+    """amplitude * sin(2 pi wavenumber_index x / L), for an index inside the
+    dealiased band, since the solver zeroes every mode outside it."""
+    cutoff = grid.dealias_fraction * grid.modes / 2.0
+    if not abs(wavenumber_index) <= cutoff:
+        raise ParameterError(
+            f"wavenumber_index must lie in the dealiased band |k| <= {cutoff:.6g} "
+            f"of {grid.modes} modes, got {wavenumber_index}"
+        )
     x = grid.collocation_points()
     return RealField(
         amplitude * np.sin(2.0 * np.pi * wavenumber_index * x / grid.box_length), grid
@@ -149,28 +157,11 @@ def _sweep_configs(
     ]
 
 
-def solve_batch(
-    phi: RealField, cfgs: Sequence[SolverConfig], name_epsilon: bool = True
-) -> tuple[Trajectory, ...]:
-    """The solves of phi under each of cfgs, stepped together by solve_ladder.
-
-    If any row diverges, the solves are run again one at a time, in order,
-    so the DivergenceError names the first config that diverges on its
-    own, at its own step, and with name_epsilon also its epsilon.
-    """
+def solve_batch(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
     try:
         return solve_ladder(phi, cfgs)
-    except DivergenceError as batch_error:
-        for cfg in cfgs:
-            try:
-                if len(cfgs) > 1:
-                    solve(phi, cfg)
-                else:  # one run: the batch was its single solve
-                    raise batch_error
-            except DivergenceError as exc:
-                if name_epsilon:
-                    exc.args = (f"epsilon = {cfg.params.epsilon}: {exc.args[0]}",)
-                raise
+    except DivergenceError as exc:
+        exc.args = (f"epsilon = {cfgs[exc.run].params.epsilon}: {exc}",)
         raise
 
 

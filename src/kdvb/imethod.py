@@ -53,6 +53,7 @@ from .errors import (
 from .evolve import Trajectory
 from .norms import spectral_energies
 from .propagator import ModelParams
+from .reports import fit_power_law
 from .spectral import SpectralField
 
 _TINY = 1e-30
@@ -434,14 +435,11 @@ def m4_bound_sample(
             envelope = envelope / (spec.cutoff_n + np.abs(x))
         ratio = np.where(resonant, 0.0, lhs / envelope)
         max_ratios.append(float(np.max(ratio)))
-    logs_n = np.log(np.asarray(dyadic_config.n1_ladder))
-    logs_r = np.log(np.asarray(max_ratios))
-    slope = float(np.polyfit(logs_n, logs_r, 1)[0])
     return BoundReport(
         dyadic_config=dyadic_config.describe(),
         samples=n_samples,
         max_ratio=float(np.max(max_ratios)),
-        slope_vs_logn=slope,
+        slope_vs_logn=fit_power_law(dyadic_config.n1_ladder, max_ratios)["slope"],
         n1_ladder=dyadic_config.n1_ladder,
         max_ratios=tuple(max_ratios),
         seed=dyadic_config.seed,
@@ -485,7 +483,7 @@ def lambda_k(
         raise ContractViolationError(f"lambda_k supports k = 2..5, got {k}")
     grid = fields[0].grid
     for f in fields[1:]:
-        if f.grid.modes != grid.modes or f.grid.box_length != grid.box_length:
+        if f.grid != grid:
             raise ContractViolationError("lambda_k fields must share one grid")
     m_modes = grid.modes
     if m_modes > _LAMBDA_MAX_MODES[k]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ResolutionError
-from .reports import SweepReport, format_csv
+from .reports import SweepReport, fit_power_law, format_csv
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
@@ -235,10 +235,6 @@ def bilinear_functional(f: CounterexampleFunction) -> float:
     return float(np.sqrt(norm_sq) / f.l2_norm_sq())
 
 
-def _fit_slope(ns: np.ndarray, ratios: np.ndarray) -> float:
-    return float(np.polyfit(np.log(ns), np.log(ratios), 1)[0])
-
-
 def exponent_sweep(
     regime: str,
     alpha: float,
@@ -269,7 +265,7 @@ def exponent_sweep(
             )
             ratios.append(bilinear_functional(build_counterexample(spec)))
         ratios_by_s.append(tuple(ratios))
-        slopes.append(_fit_slope(ns, np.asarray(ratios)))
+        slopes.append(fit_power_law(ns, ratios)["slope"])
 
     crossover = None
     s_arr = np.asarray(s_list)

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,22 +39,32 @@ NORMALIZATION = "unitary-l2"
 # Largest lattice a GridSpec accepts: one complex field of this size is
 # 16 MiB, so a mistyped mode count fails by name instead of in allocation.
 MAX_MODES = 2**20
+# Largest wavenumber whose cube, the dispersive symbol, is a finite float.
+_MAX_WAVENUMBER = sys.float_info.max ** (1 / 3)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GridSpec:
-    """Periodic spatial box and its discrete wavenumber lattice."""
+    """Periodic spatial box and its discrete wavenumber lattice; grids
+    compare by value."""
 
     box_length: float
     modes: int
     dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
-        if not self.box_length > 0:
-            raise ParameterError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < math.inf:
+            raise ParameterError(
+                f"box_length must be positive and finite, got {self.box_length}"
+            )
         if not 8 <= self.modes <= MAX_MODES or self.modes % 2 != 0:
             raise ParameterError(
                 f"modes must be even, >= 8 and <= {MAX_MODES}, got {self.modes}"
+            )
+        if not math.pi * self.modes / self.box_length <= _MAX_WAVENUMBER:
+            raise ParameterError(
+                f"box_length {self.box_length} puts the largest wavenumber pi M / L "
+                f"past {_MAX_WAVENUMBER:.6g}, where its cube overflows"
             )
         if not 0 < self.dealias_fraction <= 1:
             raise ParameterError(

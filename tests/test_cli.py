@@ -332,6 +332,30 @@ class TestRun:
         assert payload["error"] == "ParameterError"
         assert message in payload["message"]
 
+    @pytest.mark.parametrize("index", [40, -22, 10**30])
+    def test_sine_outside_the_dealiased_band_is_parameter_error(self, tmp_path, capsys, index):
+        data = {"kind": "sine", "amplitude": 0.5, "wavenumber_index": index}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", initial_data=data)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert "wavenumber_index" in payload["message"]
+
+    def test_sine_at_the_band_edge_runs(self, tmp_path):
+        data = {"kind": "sine", "amplitude": 0.5, "wavenumber_index": 21}
+        assert run(parse_config(json.dumps(solve_doc(tmp_path, initial_data=data)))) == 0
+
+    def test_box_length_past_the_symbol_range_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", box_length=1e-300)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "box_length" in payload["message"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_h1_bound_divergence_names_epsilon(self, tmp_path):
         doc = solve_doc(
@@ -486,9 +510,10 @@ class TestBatchedCompanions:
 
         assert run(cfg) == 3
         batched = json.loads((tmp_path / "batched" / "error.json").read_text())
-        monkeypatch.setattr(
-            experiments, "solve_ladder", lambda phi, cfgs: tuple(solve(phi, c) for c in cfgs)
-        )
+        for module in (cli, experiments):
+            monkeypatch.setattr(
+                module, "solve_ladder", lambda phi, cfgs: tuple(solve(phi, c) for c in cfgs)
+            )
         doc["out"] = str(tmp_path / "per_run")
         assert run(parse_config(json.dumps(doc))) == 3
         per_run = json.loads((tmp_path / "per_run" / "error.json").read_text())

@@ -458,15 +458,69 @@ class TestSolveLadder:
         grid = GridSpec(box_length=32.0, modes=64)
         phi = gaussian_initial_data(grid, width=2.0, l2_norm=28.0)
         cfgs = [SolverConfig(ModelParams(e, 1.0), grid, 0.05, 0.5) for e in (1.0, 0.0)]
-        steps = []
+        singles = []
         for cfg in cfgs:
             with pytest.raises(DivergenceError) as single:
                 solve(phi, cfg)
-            steps.append(single.value.step_index)
+            singles.append(single.value)
         with pytest.raises(DivergenceError) as batched:
             solve_ladder(phi, cfgs)
-        assert steps == [5, 4]
-        assert batched.value.step_index == 4
+        assert [e.step_index for e in singles] == [5, 4]
+        # the batch names run 0, at its own step, as its single solve does
+        assert batched.value.run == 0
+        assert batched.value.step_index == singles[0].step_index
+        assert batched.value.time == singles[0].time
+        assert str(batched.value) == str(singles[0])
+
+    def test_equal_grids_share_a_batch(self):
+        # three GridSpec objects with one value: the data's and each config's
+        phi = smooth_data(GridSpec(16.0, 64))
+        cfgs = [
+            SolverConfig(ModelParams(e, 1.0), GridSpec(16.0, 64), dt=0.01, t_final=0.1)
+            for e in (0.1, 0.0)
+        ]
+        assert cfgs[0].grid is not cfgs[1].grid
+        for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
+            single = solve(phi, cfg)
+            assert np.array_equal(traj.times, single.times)
+            assert np.array_equal(traj.coeffs, single.coeffs)
+        other = SolverConfig(
+            ModelParams(0.1, 1.0), GridSpec(16.0, 64, dealias_fraction=0.5), 0.01, 0.1
+        )
+        with pytest.raises(ParameterError, match="share"):
+            solve_ladder(phi, [cfgs[0], other])
+
+    # (l2_norm, t_final, (epsilon, dt) of each run).  Alone at l2_norm 28
+    # and dt 0.05, epsilon = 1 diverges at step 5 and epsilon <= 0.1 at
+    # step 4; at l2_norm 24, epsilon = 1 stays finite and 0.1 diverges at
+    # step 5; dt 0.1 stays finite to t = 0.3 and diverges at step 3.
+    DIVERGING_BATCHES = {
+        "run1_after_finite_run0": (24.0, 0.5, ((1.0, 0.05), (0.1, 0.05))),
+        "finer_companion": (28.0, 0.3, ((0.1, 0.1), (0.1, 0.05))),
+        "coarse_run0_last": (28.0, 0.5, ((1.0, 0.1), (0.0, 0.05))),
+        "middle_run": (28.0, 0.5, ((1.0, 0.025), (1.0, 0.05), (0.0, 0.05))),
+    }
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("batch", sorted(DIVERGING_BATCHES))
+    def test_divergence_is_the_first_diverging_single_solve(self, batch):
+        l2_norm, t_final, runs = self.DIVERGING_BATCHES[batch]
+        grid = GridSpec(box_length=32.0, modes=64)
+        phi = gaussian_initial_data(grid, width=2.0, l2_norm=l2_norm)
+        cfgs = [SolverConfig(ModelParams(e, 1.0), grid, dt, t_final) for e, dt in runs]
+        alone = []
+        for b, cfg in enumerate(cfgs):
+            try:
+                solve(phi, cfg)
+            except DivergenceError as exc:
+                alone.append((b, exc))
+        (first, expected), *_ = alone
+        with pytest.raises(DivergenceError) as batched:
+            solve_ladder(phi, cfgs)
+        assert batched.value.run == first
+        assert batched.value.step_index == expected.step_index
+        assert batched.value.time == expected.time
+        assert str(batched.value) == str(expected)
 
 
 class TestTrajectorySerialization:

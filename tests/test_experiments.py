@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kdvb import experiments
+from kdvb import evolve, experiments
 from kdvb.errors import DivergenceError, ParameterError, ResolutionError
 from kdvb.evolve import SolverConfig, solve
 from kdvb.experiments import (
@@ -14,6 +14,7 @@ from kdvb.experiments import (
     power_law_initial_data,
     rate_fit,
     scaling_check,
+    sine_initial_data,
     soliton_initial_data,
 )
 from kdvb.propagator import ModelParams
@@ -106,6 +107,20 @@ class TestRoughData:
         u = forward_transform(a)
         assert hermitian_residual(u) <= 1e-12
         assert u.l2_norm() == pytest.approx(0.5, rel=1e-12)
+
+
+class TestSineData:
+    @pytest.mark.parametrize("index", [1, 21, -21])
+    def test_index_inside_the_dealiased_band(self, index):
+        grid = GridSpec(box_length=16.0, modes=64)
+        u = forward_transform(sine_initial_data(grid, 0.5, index))
+        # the whole mass lies in the band that the solver keeps
+        assert dealias(u).l2_norm() == pytest.approx(0.5 * np.sqrt(8.0), rel=1e-12)
+
+    @pytest.mark.parametrize("index", [22, -22, 40, 10**30])
+    def test_index_outside_the_band_is_rejected(self, index):
+        with pytest.raises(ParameterError, match="wavenumber_index"):
+            sine_initial_data(GridSpec(box_length=16.0, modes=64), 0.5, index)
 
 
 class TestRateFit:
@@ -268,6 +283,21 @@ class TestBatchedSweeps:
         with pytest.raises(DivergenceError) as exc:
             h1_bound_check(phi, 1.0, ladder, t_final=0.5, dt=0.05)
         assert str(exc.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nothing_is_solved_again_after_a_batch_error(self, monkeypatch):
+        solves = []
+
+        def counted(phi, cfg, nonlinearity=None):
+            solves.append(cfg)
+            return solve(phi, cfg, nonlinearity)
+
+        monkeypatch.setattr(evolve, "solve", counted)
+        monkeypatch.setattr(experiments, "solve", counted)
+        phi = gaussian_initial_data(GridSpec(32.0, 64), width=2.0, l2_norm=28.0)
+        with pytest.raises(DivergenceError, match="epsilon = 1.0: "):
+            h1_bound_check(phi, 1.0, (1.0, 0.1, 0.0), t_final=0.5, dt=0.05)
+        assert solves == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inviscid_divergence_names_reference_first(self):

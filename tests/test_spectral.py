@@ -45,6 +45,17 @@ class TestGridSpec:
         with pytest.raises(ParameterError, match="dealias"):
             GridSpec(box_length=1.0, modes=16, dealias_fraction=1.5)
 
+    def test_grids_compare_by_value(self):
+        assert GridSpec(16.0, 64) == GridSpec(16.0, 64)
+        assert len({GridSpec(16.0, 64), GridSpec(16.0, 64)}) == 1
+        assert GridSpec(16.0, 64) != GridSpec(16.0, 64, dealias_fraction=0.5)
+        assert GridSpec(16.0, 64) != GridSpec(16.0, 128)
+
+    @pytest.mark.parametrize("box_length", [float("inf"), float("nan"), 1e-300, 5e-324])
+    def test_box_length_the_symbol_cannot_represent(self, box_length):
+        with pytest.raises(ParameterError, match="box_length"):
+            GridSpec(box_length=box_length, modes=64)
+
     def test_modes_capped(self):
         assert GridSpec(box_length=1.0, modes=MAX_MODES).modes == MAX_MODES
         with pytest.raises(ParameterError, match=str(MAX_MODES)):
