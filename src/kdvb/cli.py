@@ -7,6 +7,13 @@ subcommand, whose keys are listed in ``_COMMANDS``.  Each table gives a
 key's value kind and default.  Unknown keys anywhere are rejected, and
 every numeric value must be a finite number.
 
+``parse_config`` builds every RunConfig.  It checks the top level,
+builds the model, the grid and, for a subcommand that steps, the one
+SolverConfig the run steps with; it then applies the --seed and --out
+overrides, and only then checks initial_data and the block against the
+final top-level values, so a power-law seed left to default follows
+--seed.
+
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
 wall time goes to the separate timing.json sidecar, which is excluded
@@ -43,11 +50,11 @@ from .errors import (
 )
 from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
 from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
-from .imethod import MAX_SAMPLES, DyadicConfig, IMultiplierSpec, m4_bound_sample
-from .norms import build_energy_ledger, l2_dissipation_residual, write_ledger_csv
+from .imethod import MAX_SAMPLES, RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
+from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
 from .reports import SweepReport, canonical_json, format_csv
-from .sharpness import DELTA_DEFAULT, exponent_sweep, write_sweep_csv
+from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
 from .spectral import GridSpec, RealField
 
 # Schema tables map each key to (value kind, default).  A default is a
@@ -155,72 +162,36 @@ def _checked(obj: dict, schema: dict, name: str, top: dict | None = None) -> dic
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated run description.
+    """A fully validated run description, built only by ``parse_config``.
 
-    initial_data and experiment hold the keys the document gave; data and
-    block hold them checked, with every default filled in.  These are
-    computed on construction, replace() included, so a power-law seed
-    left to default follows a changed run seed.
+    solver is the one SolverConfig of a subcommand that steps, None for
+    sharpness and imethod-bounds.  data and block are initial_data and the
+    experiment block checked, with every default filled in; echo is the
+    config as echoed into the results.  Nothing is derived again from
+    these fields, so a changed run is parsed again (``parse_config``'s
+    seed and out), not built by replace().
     """
 
     subcommand: str
     params: ModelParams
     grid: GridSpec
-    dt: float
-    t_final: float
-    snapshot_stride: int
+    solver: SolverConfig | None
     seed: int
     out_path: Path
-    initial_data: dict
-    experiment: dict = field(default_factory=dict)
-    data: dict = field(init=False, repr=False)
-    block: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        top = self._top()
-        kind = self.initial_data.get("kind")
-        if kind not in tuple(_INITIAL_DATA):
-            raise ConfigError(
-                f"initial_data.kind must be one of {sorted(_INITIAL_DATA)}, got {kind!r}"
-            )
-        schema = {"kind": (str, REQUIRED), **_INITIAL_DATA[kind][1]}
-        object.__setattr__(self, "data", _checked(self.initial_data, schema, "initial_data", top))
-        block = _checked(self.experiment, _COMMANDS[self.subcommand][1], self.subcommand, top)
-        if block.get("n_samples", 0) > MAX_SAMPLES:
-            raise ConfigError(
-                f"{self.subcommand}.n_samples = {block['n_samples']} "
-                f"exceeds MAX_SAMPLES = {MAX_SAMPLES}"
-            )
-        object.__setattr__(self, "block", block)
-
-    def _top(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "epsilon": self.params.epsilon,
-            "alpha": self.params.alpha,
-            "modes": self.grid.modes,
-            "box_length": self.grid.box_length,
-            "dealias_fraction": self.grid.dealias_fraction,
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "snapshot_stride": self.snapshot_stride,
-            "seed": self.seed,
-            "out": str(self.out_path),
-        }
+    data: dict = field(repr=False)
+    block: dict = field(repr=False)
+    echo: dict = field(repr=False)
 
     def resolved(self) -> dict:
         """The config as it will be echoed into the manifest: every
         top-level value, and of initial_data and the experiment block
         only the keys the document gave."""
-        return {
-            **self._top(),
-            "initial_data": {key: self.data[key] for key in self.initial_data},
-            self.subcommand: {key: self.block[key] for key in self.experiment},
-        }
+        return self.echo
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON run description; errors name the offending key."""
+def parse_config(text: str, seed: int | None = None, out: Path | None = None) -> RunConfig:
+    """Validate a JSON run description; errors name the offending key.
+    seed and out, when given, replace the document's (--seed and --out)."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -234,22 +205,34 @@ def parse_config(text: str) -> RunConfig:
     try:
         params = ModelParams(top["epsilon"], top["alpha"])
         grid = GridSpec(top["box_length"], top["modes"], top["dealias_fraction"])
+        solver = None
         if _COMMANDS[sub][2]:
-            SolverConfig(params, grid, top["dt"], top["t_final"], top["snapshot_stride"])
+            solver = SolverConfig(params, grid, top["dt"], top["t_final"], top["snapshot_stride"])
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        subcommand=sub,
-        params=params,
-        grid=grid,
-        dt=top["dt"],
-        t_final=top["t_final"],
-        snapshot_stride=top["snapshot_stride"],
-        seed=top["seed"],
-        out_path=Path(top["out"]),
-        initial_data=top["initial_data"],
-        experiment=top[sub],
-    )
+    if seed is not None:
+        top["seed"] = _coerce(seed, "--seed", _SEED)
+    out_path = Path(top["out"]) if out is None else out
+    initial_data, given_block = top.pop("initial_data"), top.pop(sub)
+    kind = initial_data.get("kind")
+    if kind not in tuple(_INITIAL_DATA):
+        raise ConfigError(
+            f"initial_data.kind must be one of {sorted(_INITIAL_DATA)}, got {kind!r}"
+        )
+    schema = {"kind": (str, REQUIRED), **_INITIAL_DATA[kind][1]}
+    data = _checked(initial_data, schema, "initial_data", top)
+    block = _checked(given_block, _COMMANDS[sub][1], sub, top)
+    if block.get("n_samples", 0) > MAX_SAMPLES:
+        raise ConfigError(
+            f"{sub}.n_samples = {block['n_samples']} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
+        )
+    echo = {
+        **top,
+        "out": str(out_path),
+        "initial_data": {key: data[key] for key in initial_data},
+        sub: {key: block[key] for key in given_block},
+    }
+    return RunConfig(sub, params, grid, solver, top["seed"], out_path, data, block, echo)
 
 
 def build_initial_data(cfg: RunConfig) -> RealField:
@@ -263,16 +246,6 @@ def build_initial_data(cfg: RunConfig) -> RealField:
     return initial
 
 
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        params=cfg.params,
-        grid=cfg.grid,
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        snapshot_stride=cfg.snapshot_stride,
-    )
-
-
 def _sweep_csv_rows(report: SweepReport) -> str:
     rows = ((value, rec["observable"]) for value, rec in zip(report.values, report.observables))
     return format_csv(("epsilon", "observable"), rows)
@@ -281,14 +254,12 @@ def _sweep_csv_rows(report: SweepReport) -> str:
 def _ledger_artifact(traj, artifacts: dict) -> float:
     """Write ledger.csv for traj; return its relative ledger residual."""
     ledger = build_energy_ledger(traj)
-    csv = io.StringIO()
-    write_ledger_csv(csv, ledger)
-    artifacts["ledger.csv"] = csv.getvalue().encode()
+    artifacts["ledger.csv"] = ledger_csv(ledger).encode()
     return ledger.relative_residual()
 
 
 def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
-    traj = solve(build_initial_data(cfg), _solver_config(cfg))
+    traj = solve(build_initial_data(cfg), cfg.solver)
     buf = io.BytesIO()
     write_trajectory(buf, traj)
     artifacts["trajectory.bin"] = buf.getvalue()
@@ -296,9 +267,9 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
-    cfgs = [_solver_config(cfg)]
+    cfgs = [cfg.solver]
     if cfg.block["refine_check"]:
-        cfgs.append(replace(cfgs[0], dt=cfg.dt / 2))
+        cfgs.append(replace(cfg.solver, dt=cfg.solver.dt / 2))
     # the dt/2 run is stepped on the base run's clock, so both are held
     base, *refined = solve_ladder(build_initial_data(cfg), cfgs)
     result = {"ledger_residual": _ledger_artifact(base, artifacts)}
@@ -322,7 +293,7 @@ def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
         "floors": {"self_convergence": report.meta.get("floor")},
         "seed": report.seed,
         "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
-        "dt": cfg.dt,
+        "dt": cfg.solver.dt,
         "meta": report.meta,
     }
 
@@ -335,10 +306,10 @@ def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
         eps_ladder=ladder,
-        t_final=cfg.t_final,
+        t_final=cfg.solver.t_final,
         s=cfg.block["sobolev_s"],
-        dt=cfg.dt,
-        snapshot_stride=cfg.snapshot_stride,
+        dt=cfg.solver.dt,
+        snapshot_stride=cfg.solver.snapshot_stride,
         seed=cfg.seed,
     )
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
@@ -353,8 +324,8 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
         build_initial_data(cfg),
         cfg.params,
         lambda_exp=cfg.block["lambda_exp"],
-        t_final=cfg.t_final,
-        dt=cfg.dt,
+        t_final=cfg.solver.t_final,
+        dt=cfg.solver.dt,
     )
     return {"distance": distance}
 
@@ -364,9 +335,7 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
     report = exponent_sweep(
         block["regime"], cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"]
     )
-    csv = io.StringIO()
-    write_sweep_csv(csv, report)
-    artifacts["sweep.csv"] = csv.getvalue().encode()
+    artifacts["sweep.csv"] = sweep_csv(report).encode()
     return report.to_dict()
 
 
@@ -388,9 +357,9 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
         build_initial_data(cfg),
         alpha=cfg.params.alpha,
         eps_ladder=cfg.block["eps_ladder"],
-        t_final=cfg.t_final,
-        dt=cfg.dt,
-        snapshot_stride=cfg.snapshot_stride,
+        t_final=cfg.solver.t_final,
+        dt=cfg.solver.dt,
+        snapshot_stride=cfg.solver.snapshot_stride,
         seed=cfg.seed,
     )
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
@@ -423,7 +392,7 @@ _COMMANDS = {
         _run_imethod_bounds,
         {
             "n1_ladder": (_FLOATS, REQUIRED),
-            "ratios": (_FLOATS, (1.0, 0.75, 0.5)),
+            "ratios": (_FLOATS, RATIOS_DEFAULT),
             "cutoff_n": (float, 0.5),
             "s_exp": (float, -0.74),
             "n_samples": (int, 10_000),
@@ -529,11 +498,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         return _fail(ConfigError(str(exc)), 2, out)
     try:
-        cfg = parse_config(text)
-        if out is not None:
-            cfg = replace(cfg, out_path=out)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=_coerce(args.seed, "--seed", _SEED))
+        cfg = parse_config(text, seed=args.seed, out=out)
     except ConfigError as exc:
         # a document rejected before its out was validated may still name one
         return _fail(exc, 2, out if out is not None else _named_out(text))

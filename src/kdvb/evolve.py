@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,6 +76,9 @@ Nonlinearity = Callable[[np.ndarray], np.ndarray]
 # step (M = 256 to 4096), 10**7 steps take 10 minutes to an hour, and a
 # larger count is a mistaken dt or t_final.
 MAX_STEPS = 10**7
+# Largest |dt L(xi)| whose cube, formed by the closed-form ETDRK4
+# coefficients, is a finite float.
+_MAX_ETD_ARGUMENT = sys.float_info.max ** (1 / 3)
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,12 @@ class SolverConfig:
             raise ParameterError(
                 f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
                 f"MAX_STEPS = {MAX_STEPS}"
+            )
+        largest = float(np.abs(linear_symbol(self.grid, self.params)).max()) * self.dt
+        if not largest <= _MAX_ETD_ARGUMENT:
+            raise ParameterError(
+                f"dt = {self.dt} puts |dt L(xi)| at {largest:.6g}, past "
+                f"{_MAX_ETD_ARGUMENT:.6g}, where the ETDRK4 coefficients overflow"
             )
 
 

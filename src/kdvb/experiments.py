@@ -250,7 +250,10 @@ def scaling_check(
     lam^2 phi(lam x), dissipation lam^(3-2a) epsilon, horizon lam^-3 T,
     and step lam^-3 dt, then is compared after exact band restriction.
     Wavenumber m on the fine grid is xi_m / lam, so copying coefficients
-    index by index realizes phi -> phi(lam x) exactly.
+    index by index realizes phi -> phi(lam x) exactly.  The fine grid is
+    dealiased at lam times the base fraction, which keeps the same
+    indices |m| <= dealias_fraction M / 2 (exactly, lam being a power of
+    2), so both runs carry the same modes and differ only by roundoff.
     """
     if lambda_exp < 0 or int(lambda_exp) != lambda_exp:
         raise ParameterError(f"lambda_exp must be a nonnegative integer, got {lambda_exp}")
@@ -266,7 +269,7 @@ def scaling_check(
     fine_grid = GridSpec(
         box_length=grid.box_length * factor,
         modes=grid.modes * factor,
-        dealias_fraction=grid.dealias_fraction,
+        dealias_fraction=grid.dealias_fraction * lam,
     )
     if factor == 1:
         phi_scaled_real = phi

@@ -62,6 +62,8 @@ _TINY = 1e-30
 # time: sampling holds about 750 B per sample at its peak (the 4x
 # oversampled draws and the M4 pairing temporaries), 0.75 GB at the cap.
 MAX_SAMPLES = 10**6
+# Default annulus ratios N_i / N1 of the pointwise-bound sampler.
+RATIOS_DEFAULT = (1.0, 0.75, 0.5)
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,7 @@ class DyadicConfig:
     """
 
     n1_ladder: tuple[float, ...]
-    ratios: tuple[float, float, float] = (1.0, 0.5, 0.25)
+    ratios: tuple[float, float, float] = RATIOS_DEFAULT
     seed: int = 0
 
     def __post_init__(self):

@@ -13,7 +13,6 @@ H[u] = int (u_x)^2 - (2/3) u^3 + u^2 dx.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,8 +259,8 @@ def l2_dissipation_residual(traj: Trajectory) -> float:
     return _relative_residual(*_quadratic_ledger(traj))
 
 
-def write_ledger_csv(stream: io.TextIOBase, ledger: EnergyLedger) -> None:
-    """Emit the ledger as CSV with 17 significant digits per float."""
+def ledger_csv(ledger: EnergyLedger) -> str:
+    """The ledger as CSV text with 17 significant digits per float."""
     columns = (
         ledger.times,
         ledger.l2_half_sq,
@@ -270,9 +269,6 @@ def write_ledger_csv(stream: io.TextIOBase, ledger: EnergyLedger) -> None:
         ledger.hamiltonian,
         ledger.h1_norms,
     )
-    stream.write(
-        format_csv(
-            ("t", "half_l2_sq", "dissipated", "residual", "hamiltonian", "h1_norm"),
-            zip(*columns),
-        )
+    return format_csv(
+        ("t", "half_l2_sq", "dissipated", "residual", "hamiltonian", "h1_norm"), zip(*columns)
     )

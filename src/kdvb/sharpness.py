@@ -291,8 +291,8 @@ def exponent_sweep(
     )
 
 
-def write_sweep_csv(stream, report: SweepReport) -> None:
-    """sharpness sweep rows: alpha, s, N, ratio, slope, crossover_estimate."""
+def sweep_csv(report: SweepReport) -> str:
+    """CSV text of the sharpness sweep: alpha, s, N, ratio, slope, crossover_estimate."""
     alpha = report.meta["alpha"]
     cross = report.crossover_estimate
     rows = (
@@ -300,6 +300,4 @@ def write_sweep_csv(stream, report: SweepReport) -> None:
         for rec in report.observables
         for n, ratio in zip(rec["n_ladder"], rec["ratios"])
     )
-    stream.write(
-        format_csv(("alpha", "s", "N", "ratio", "slope", "crossover_estimate"), rows)
-    )
+    return format_csv(("alpha", "s", "N", "ratio", "slope", "crossover_estimate"), rows)

@@ -2,7 +2,6 @@
 
 import copy
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,7 +45,7 @@ class TestParseConfig:
     def test_minimal_solve_accepts_defaults(self, tmp_path):
         cfg = parse_config(json.dumps(solve_doc(tmp_path)))
         assert cfg.grid.dealias_fraction == pytest.approx(2.0 / 3.0)
-        assert cfg.snapshot_stride == 1
+        assert cfg.solver.snapshot_stride == 1
         assert cfg.seed == 0
         echoed = cfg.resolved()
         assert echoed["epsilon"] == 0.1
@@ -71,7 +70,7 @@ class TestParseConfig:
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         cfg = parse_config(json.dumps(solve_doc(tmp_path, modes=64.0, snapshot_stride=2.0)))
         assert cfg.grid.modes == 64 and type(cfg.grid.modes) is int
-        assert cfg.snapshot_stride == 2 and type(cfg.snapshot_stride) is int
+        assert cfg.solver.snapshot_stride == 2 and type(cfg.solver.snapshot_stride) is int
 
     def test_not_json(self):
         with pytest.raises(ConfigError, match="JSON"):
@@ -91,7 +90,7 @@ class TestParseConfig:
         doc = {"subcommand": "solve", "epsilon": 0.1, "alpha": 1, "modes": 256,
                "box_length": 64, "dt": 1e-3, "t_final": 1}
         cfg = parse_config(json.dumps(doc))
-        assert cfg.initial_data["kind"] == "gaussian"
+        assert cfg.data["kind"] == "gaussian"
         assert cfg.out_path.name == "kdvb_out"
 
     @pytest.mark.parametrize(
@@ -127,13 +126,13 @@ class TestParseConfig:
 
     def test_power_law_seed_defaults_to_the_run_seed(self, tmp_path):
         data = {"kind": "power_law"}
-        cfg = parse_config(json.dumps(solve_doc(tmp_path, seed=3, initial_data=data)))
-        assert cfg.data["seed"] == 3
-        assert replace(cfg, seed=9).data["seed"] == 9
-        assert replace(cfg, seed=9).resolved()["initial_data"] == data
+        text = json.dumps(solve_doc(tmp_path, seed=3, initial_data=data))
+        assert parse_config(text).data["seed"] == 3
+        assert parse_config(text, seed=9).data["seed"] == 9
+        assert parse_config(text, seed=9).resolved()["initial_data"] == data
         data["seed"] = 5
-        cfg = parse_config(json.dumps(solve_doc(tmp_path, seed=3, initial_data=data)))
-        assert replace(cfg, seed=9).data["seed"] == 5
+        text = json.dumps(solve_doc(tmp_path, seed=3, initial_data=data))
+        assert parse_config(text, seed=9).data["seed"] == 5
 
     def test_constructor_reached_through_its_module_name(self, tmp_path, monkeypatch):
         calls = []
@@ -356,6 +355,20 @@ class TestRun:
         assert payload["error"] == "ConfigError"
         assert "box_length" in payload["message"]
 
+    def test_step_past_the_etd_range_is_config_error(self, tmp_path, capsys):
+        # dt L(xi) reaches 8.1e183 at box_length 1e-60, past the 5.6e102 whose
+        # cube the ETDRK4 coefficients can form
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", box_length=1e-60)))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "dt = 0.001" in payload["message"] and "ETDRK4" in payload["message"]
+
+    def test_box_length_inside_the_etd_range_runs(self, tmp_path):
+        assert run(parse_config(json.dumps(solve_doc(tmp_path, box_length=1e-32)))) == 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_h1_bound_divergence_names_epsilon(self, tmp_path):
         doc = solve_doc(
@@ -501,11 +514,11 @@ class TestBatchedCompanions:
             initial_data={"kind": "gaussian", "width": 2.0, "l2_norm": 28.0},
         )
         cfg = parse_config(json.dumps(doc))
-        base = SolverConfig(cfg.params, cfg.grid, cfg.dt, cfg.t_final)
+        base = SolverConfig(cfg.params, cfg.grid, cfg.solver.dt, cfg.solver.t_final)
         phi = build_initial_data(cfg)
         solve(phi, base)
         with pytest.raises(DivergenceError) as alone:
-            solve(phi, SolverConfig(cfg.params, cfg.grid, cfg.dt / 2, cfg.t_final))
+            solve(phi, SolverConfig(cfg.params, cfg.grid, cfg.solver.dt / 2, cfg.solver.t_final))
         assert alone.value.step_index == 4
 
         assert run(cfg) == 3
@@ -615,7 +628,7 @@ class TestMain:
         assert payload["error"] == "ConfigError"
         assert "MAX_SAMPLES" in payload["message"]
         block["n_samples"] = MAX_SAMPLES
-        assert parse_config(json.dumps(doc)).experiment["n_samples"] == MAX_SAMPLES
+        assert parse_config(json.dumps(doc)).block["n_samples"] == MAX_SAMPLES
 
     def test_config_error_written_to_the_config_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -361,6 +361,24 @@ class TestSolve:
             with pytest.raises(ParameterError, match="MAX_STEPS"):
                 SolverConfig(params=p, grid=grid, dt=1.0, t_final=t_final)
 
+    def test_etd_argument_capped(self):
+        # the closed-form ETDRK4 coefficients cube z = dt L(xi), finite up to
+        # float max ** (1/3) = 5.6438e102; at M = 64 and dt = 1e-3 a box of
+        # 1e-32 puts max |z| at 8.1e99, 1e-40 at 8.1e123 and 1e-60 at 8.1e183
+        p = ModelParams(0.1, 1.0)
+        grid = GridSpec(box_length=1e-32, modes=64)
+        phi = gaussian_initial_data(grid, width=1e-33)
+        traj = solve(phi, SolverConfig(params=p, grid=grid, dt=1e-3, t_final=1e-2))
+        assert np.all(np.isfinite(traj.coeffs))
+        for box_length in (1e-40, 1e-60):
+            grid = GridSpec(box_length=box_length, modes=64)
+            with pytest.raises(ParameterError, match=r"dt = 0\.001 .*5\.6438e\+102"):
+                SolverConfig(params=p, grid=grid, dt=1e-3, t_final=1e-2)
+        # a step past the bound on an ordinary grid
+        grid = GridSpec(box_length=4.0, modes=32)
+        with pytest.raises(ParameterError, match="ETDRK4"):
+            SolverConfig(params=p, grid=grid, dt=1e100, t_final=1e100)
+
 
 # (box_length, alpha, epsilon rows, dt, initial data) of criteria 04, 05
 # and 06: the reference plus ladder of the inviscid and rate sweeps and

@@ -1,7 +1,5 @@
 """Tests for Sobolev/dyadic diagnostics, modulation norms, and ledgers."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,9 @@ from kdvb.norms import (
     dyadic_profile,
     hamiltonian,
     l2_dissipation_residual,
+    ledger_csv,
     sobolev_norm,
     spectral_energies,
-    write_ledger_csv,
     xk_norm,
     xk_norm_report,
 )
@@ -223,9 +221,7 @@ class TestLedgerCsv:
     def test_columns_and_precision(self):
         traj = smooth_traj(t_final=0.05, stride=10)
         ledger = build_energy_ledger(traj)
-        out = io.StringIO()
-        write_ledger_csv(out, ledger)
-        lines = out.getvalue().splitlines()
+        lines = ledger_csv(ledger).splitlines()
         assert lines[0] == "t,half_l2_sq,dissipated,residual,hamiltonian,h1_norm"
         first = lines[1].split(",")
         assert len(first) == 6

@@ -1,6 +1,5 @@
 """Tests for the bilinear-estimate failure probes."""
 
-import io
 import json
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from kdvb.sharpness import (
     bilinear_functional,
     build_counterexample,
     exponent_sweep,
-    write_sweep_csv,
+    sweep_csv,
 )
 
 LADDER = (16.0, 32.0, 64.0, 128.0)
@@ -197,8 +196,6 @@ class TestExponentSweep:
 
     def test_csv_shape(self):
         rep = exponent_sweep("low_alpha", 0.25, (-0.9, -0.75, -0.6), LADDER)
-        out = io.StringIO()
-        write_sweep_csv(out, rep)
-        lines = out.getvalue().splitlines()
+        lines = sweep_csv(rep).splitlines()
         assert lines[0] == "alpha,s,N,ratio,slope,crossover_estimate"
         assert len(lines) == 1 + 3 * len(LADDER)
