@@ -21,7 +21,8 @@ from the determinism contract.
 
 Exit codes (one per error class, in ``_EXIT_CODES``): 0 success;
 2 config, parameter, contract or resonant-denominator error;
-3 numerical divergence or overflow; 4 resolution error; 1 anything else.
+3 numerical divergence or overflow, or a NaN or infinity in the result;
+4 resolution error; 1 anything else.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
 from .reports import SweepReport, canonical_json, format_csv
 from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
-from .spectral import GridSpec, RealField
+from .spectral import MAX_MODES, GridSpec, RealField
 
 # Schema tables map each key to (value kind, default).  A default is a
 # value, REQUIRED, or a function of the top-level values computing one.
@@ -226,6 +227,14 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
         raise ConfigError(
             f"{sub}.n_samples = {block['n_samples']} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
         )
+    # the rescaled grid has modes * 2**lambda_exp modes; the exponent is
+    # bounded by integer arithmetic, since 2**lambda_exp may be vast
+    max_exp = (MAX_MODES // grid.modes).bit_length() - 1
+    if block.get("lambda_exp", 0) > max_exp:
+        raise ConfigError(
+            f"{sub}.lambda_exp = {block['lambda_exp']} exceeds {max_exp}: the rescaled grid's "
+            f"modes * 2**lambda_exp must stay within MAX_MODES = {MAX_MODES}"
+        )
     echo = {
         **top,
         "out": str(out_path),
@@ -364,6 +373,12 @@ def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     )
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
     obs = [rec["observable"] for rec in report.observables]
+    if min(obs) == 0.0:
+        raise ParameterError(
+            f"h1-bound needs non-zero data: initial_data.kind {cfg.data['kind']!r} gives "
+            f"observable 0 at epsilon = {report.values[obs.index(0.0)]:g}, so the band ratio "
+            "is undefined"
+        )
     result = _sweep_result(cfg, report, "h1-bound")
     result["band_ratio"] = max(obs) / min(obs)
     return result
@@ -425,15 +440,17 @@ def run(cfg: RunConfig) -> int:
     artifacts: dict[str, bytes] = {}
     started = time.monotonic()
     runner = _COMMANDS[cfg.subcommand][0]
+    resolved = cfg.resolved()
     try:
         result = runner(cfg, artifacts)
+        result["config"] = resolved
+        # a NaN or infinity in the result is a RangeError here, before any
+        # artifact is written
+        artifacts["result.json"] = (canonical_json(result) + "\n").encode()
     except tuple(_EXIT_CODES) as exc:
         code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
         return _fail(exc, code, cfg.out_path)
 
-    resolved = cfg.resolved()
-    result["config"] = resolved
-    artifacts["result.json"] = (canonical_json(result) + "\n").encode()
     config_comment = ("# config: " + canonical_json(resolved).replace("\n", " ") + "\n").encode()
     for name in list(artifacts):
         if name.endswith(".csv"):

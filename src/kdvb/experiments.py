@@ -254,6 +254,7 @@ def scaling_check(
     dealiased at lam times the base fraction, which keeps the same
     indices |m| <= dealias_fraction M / 2 (exactly, lam being a power of
     2), so both runs carry the same modes and differ only by roundoff.
+    Data whose base solve ends at norm 0 is a ParameterError.
     """
     if lambda_exp < 0 or int(lambda_exp) != lambda_exp:
         raise ParameterError(f"lambda_exp must be a nonnegative integer, got {lambda_exp}")
@@ -265,6 +266,10 @@ def scaling_check(
         params=params, grid=grid, dt=dt, t_final=t_final, snapshot_stride=10**9
     )
     base = solve(phi, base_cfg)
+    target = base.coeffs[-1]
+    target_norm = np.linalg.norm(target)
+    if target_norm == 0.0:
+        raise ParameterError("scaling_check needs non-zero data: the base solve ends at norm 0")
 
     fine_grid = GridSpec(
         box_length=grid.box_length * factor,
@@ -291,9 +296,8 @@ def scaling_check(
     scaled = solve(phi_scaled_real, scaled_cfg)
 
     pulled_back = resize_band(scaled.coeffs[-1], grid.modes) * lam**-1.5
-    target = base.coeffs[-1]
     defect = np.linalg.norm(pulled_back - target)
-    return float(defect / np.linalg.norm(target))
+    return float(defect / target_norm)
 
 
 def h1_bound_check(

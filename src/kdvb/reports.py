@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, RangeError
 
 
 @dataclass(frozen=True)
@@ -68,5 +68,11 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def canonical_json(payload) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+    """Deterministic JSON: sorted keys, no whitespace variance.  A NaN or
+    an infinity, which JSON cannot hold, is a RangeError."""
+    try:
+        return json.dumps(
+            payload, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False
+        )
+    except ValueError as exc:
+        raise RangeError(f"a non-finite number cannot be written as JSON: {exc}") from exc

@@ -32,7 +32,7 @@ pair sums of cell indices stay on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,6 +189,60 @@ def _outer_weight(xi: np.ndarray, tau: np.ndarray, spec: CounterexampleSpec) -> 
     return np.abs(xi) * (1.0 + np.abs(xi)) ** spec.s_test * y ** (-0.5 + spec.delta)
 
 
+class _PairLattice:
+    """The s-independent part of bilinear_functional for one probe f.
+
+    It holds the positive half (xi_p, tau_p) of f's cells, the mask keep
+    of the (+set) x (-set) pairs whose sum lies in the near-origin
+    window, the output cell of each kept pair as inverse, and the
+    occupied output cells xi_cells, tau_cells.  ratio(s) then weighs
+    these pairs for one test exponent s.
+    """
+
+    def __init__(self, f: CounterexampleFunction):
+        self.f = f
+        grid = f.grid
+        positive = f.xi_idx > 0
+        self.xi_p, self.tau_p = f.xi_idx[positive], f.tau_idx[positive]
+        xi_m, tau_m = -self.xi_p, -self.tau_p
+
+        # all cross pairs (+set) x (-set); the convolution counts both orders
+        i_out = (self.xi_p[:, None] + xi_m[None, :]).ravel()
+        width_cells = int(round(f.spec.set_width() / grid.d_xi))
+        self.keep = (np.abs(i_out) >= max(1, width_cells // 6)) & (
+            np.abs(i_out) <= width_cells // 2
+        )
+        if not np.any(self.keep):
+            raise ResolutionError("near-origin window is empty; grid too coarse")
+        i_out = i_out[self.keep]
+        j_out = (self.tau_p[:, None] + tau_m[None, :]).ravel()[self.keep]
+
+        i_min, j_min = i_out.min(), j_out.min()
+        j_span = int(j_out.max() - j_min + 1)
+        keys = (i_out - i_min).astype(np.int64) * j_span + (j_out - j_min)
+        # np.unique, not a dense bincount over keys: the key span,
+        # (i range) * j_span, reaches about 8e9 at N = 1e7
+        uniq, self.inverse = np.unique(keys, return_inverse=True)
+        self.xi_cells = (uniq // j_span + i_min) * grid.d_xi
+        self.tau_cells = (uniq % j_span + j_min) * grid.d_tau
+
+    def ratio(self, s_test: float) -> float:
+        """bilinear_functional of f with its test exponent set to s_test."""
+        f, grid = self.f, self.f.grid
+        spec = replace(f.spec, s_test=s_test)
+        g_p = f.amplitude * _inner_weight(self.xi_p * grid.d_xi, self.tau_p * grid.d_tau, spec)
+        g_m = f.amplitude * _inner_weight(-self.xi_p * grid.d_xi, -self.tau_p * grid.d_tau, spec)
+        mass = ((2.0 * grid.cell_area() ** 2) * (g_p[:, None] * g_m[None, :]).ravel())[self.keep]
+        cell_mass = np.bincount(self.inverse, weights=mass)
+
+        conv_values = cell_mass / grid.cell_area()
+        weighted = _outer_weight(self.xi_cells, self.tau_cells, spec) * conv_values
+        norm_sq = np.sum(weighted**2) * grid.cell_area()
+        if not np.isfinite(norm_sq):
+            raise RangeError("bilinear functional overflowed; reduce the scale ladder")
+        return float(np.sqrt(norm_sq) / f.l2_norm_sq())
+
+
 def bilinear_functional(f: CounterexampleFunction) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2.
 
@@ -196,43 +250,9 @@ def bilinear_functional(f: CounterexampleFunction) -> float:
     between one sixth and one half of the full interaction width, the
     away-from-origin third of the interaction rectangle.
     """
-    spec, grid = f.spec, f.grid
     if len(f.xi_idx) == 0 or f.amplitude == 0.0:
         return 0.0
-    positive = f.xi_idx > 0
-    xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
-    xi_m, tau_m = -xi_p, -tau_p
-
-    g_p = f.amplitude * _inner_weight(xi_p * grid.d_xi, tau_p * grid.d_tau, spec)
-    g_m = f.amplitude * _inner_weight(xi_m * grid.d_xi, tau_m * grid.d_tau, spec)
-
-    # all cross pairs (+set) x (-set); the convolution counts both orders
-    i_out = (xi_p[:, None] + xi_m[None, :]).ravel()
-    j_out = (tau_p[:, None] + tau_m[None, :]).ravel()
-    mass = (2.0 * grid.cell_area() ** 2) * (g_p[:, None] * g_m[None, :]).ravel()
-
-    width_cells = int(round(spec.set_width() / grid.d_xi))
-    keep = (np.abs(i_out) >= max(1, width_cells // 6)) & (
-        np.abs(i_out) <= width_cells // 2
-    )
-    if not np.any(keep):
-        raise ResolutionError("near-origin window is empty; grid too coarse")
-    i_out, j_out, mass = i_out[keep], j_out[keep], mass[keep]
-
-    i_min, j_min = i_out.min(), j_out.min()
-    j_span = int(j_out.max() - j_min + 1)
-    keys = (i_out - i_min).astype(np.int64) * j_span + (j_out - j_min)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    cell_mass = np.bincount(inverse, weights=mass)
-    xi_cells = (uniq // j_span + i_min) * grid.d_xi
-    tau_cells = (uniq % j_span + j_min) * grid.d_tau
-
-    conv_values = cell_mass / grid.cell_area()
-    weighted = _outer_weight(xi_cells, tau_cells, spec) * conv_values
-    norm_sq = np.sum(weighted**2) * grid.cell_area()
-    if not np.isfinite(norm_sq):
-        raise RangeError("bilinear functional overflowed; reduce the scale ladder")
-    return float(np.sqrt(norm_sq) / f.l2_norm_sq())
+    return _PairLattice(f).ratio(f.spec.s_test)
 
 
 def exponent_sweep(
@@ -254,18 +274,20 @@ def exponent_sweep(
         raise ParameterError("n_ladder needs at least 4 dyadic points")
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ParameterError("n_ladder must be strictly increasing")
-    ratios_by_s = []
-    slopes = []
+    # every N's set first: a ladder past the tau-lattice bound fails
+    # before any pair work
+    functions = [
+        build_counterexample(CounterexampleSpec(regime, n, s_list[0], alpha, delta))
+        for n in n_ladder
+    ]
+    ratios_by_n = []
+    for f in functions:
+        lattice = _PairLattice(f)
+        ratios_by_n.append([lattice.ratio(s) for s in s_list])
+        del lattice  # one lattice alive at a time: released before the next is built
+    ratios_by_s = list(zip(*ratios_by_n))
     ns = np.asarray(n_ladder, dtype=np.float64)
-    for s in s_list:
-        ratios = []
-        for n in n_ladder:
-            spec = CounterexampleSpec(
-                regime=regime, scale_n=n, s_test=s, alpha=alpha, delta=delta
-            )
-            ratios.append(bilinear_functional(build_counterexample(spec)))
-        ratios_by_s.append(tuple(ratios))
-        slopes.append(fit_power_law(ns, ratios)["slope"])
+    slopes = [fit_power_law(ns, ratios)["slope"] for ratios in ratios_by_s]
 
     crossover = None
     s_arr = np.asarray(s_list)

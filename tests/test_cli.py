@@ -383,6 +383,54 @@ class TestRun:
         assert error["error"] == "DivergenceError"
         assert error["message"].startswith("epsilon = 1.0: non-finite state")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"kind": "gaussian", "l2_norm": 0.0},
+            # its H1 norm squared underflows to 0
+            {"kind": "power_law", "l2_norm": 1e-300},
+        ],
+    )
+    def test_h1_bound_of_zero_data_is_parameter_error(self, tmp_path, capsys, data):
+        doc = solve_doc(
+            tmp_path / "out",
+            subcommand="h1-bound",
+            t_final=0.01,
+            initial_data=data,
+            **{"h1-bound": {"eps_ladder": [0.1, 0.01]}},
+        )
+        assert run(parse_config(json.dumps(doc))) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert "non-zero data" in payload["message"]
+        assert repr(data["kind"]) in payload["message"]
+
+    def test_scaling_of_zero_data_is_parameter_error(self, tmp_path):
+        doc = solve_doc(
+            tmp_path / "out",
+            subcommand="scaling",
+            t_final=0.01,
+            initial_data={"kind": "sine", "wavenumber_index": 0},
+        )
+        assert run(parse_config(json.dumps(doc))) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert "non-zero data" in payload["message"]
+        assert not (tmp_path / "out" / "result.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_result_is_range_error(self, tmp_path, monkeypatch, value):
+        # JSON has no NaN or infinity: nothing but error.json is written
+        monkeypatch.setattr(cli, "scaling_check", lambda *args, **kwargs: value)
+        doc = solve_doc(tmp_path / "out", subcommand="scaling")
+        assert run(parse_config(json.dumps(doc))) == 3
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["error.json"]
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "RangeError"
+        with pytest.raises(RangeError, match="non-finite"):
+            cli.canonical_json({"distance": value})
+
     def test_inviscid_rows_in_ladder_order(self, tmp_path):
         doc = {
             "subcommand": "inviscid",
@@ -629,6 +677,23 @@ class TestMain:
         assert "MAX_SAMPLES" in payload["message"]
         block["n_samples"] = MAX_SAMPLES
         assert parse_config(json.dumps(doc)).block["n_samples"] == MAX_SAMPLES
+
+    @pytest.mark.parametrize(
+        "lambda_exp", [15, 60, 10000, 10**300], ids=["15", "60", "10000", "1e300"]
+    )
+    def test_lambda_exp_past_max_modes_is_config_error(self, tmp_path, capsys, lambda_exp):
+        # 64 * 2**14 = MAX_MODES; 2**10000 makes lam = 2**-lambda_exp zero
+        doc = solve_doc(tmp_path / "out", subcommand="scaling", scaling={"lambda_exp": 14})
+        assert parse_config(json.dumps(doc)).block["lambda_exp"] == 14
+        doc["scaling"]["lambda_exp"] = lambda_exp
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "lambda_exp" in payload["message"]
+        assert "MAX_MODES" in payload["message"]
 
     def test_config_error_written_to_the_config_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kdvb import sharpness
 from kdvb.errors import ParameterError, RangeError, ResolutionError
 from kdvb.reports import fit_power_law
 from kdvb.sharpness import (
@@ -19,6 +20,7 @@ from kdvb.sharpness import (
 )
 
 LADDER = (16.0, 32.0, 64.0, 128.0)
+CRITERION07 = Path(__file__).resolve().parent.parent / "configs" / "criterion07.json"
 
 
 class TestSpecValidation:
@@ -114,8 +116,7 @@ class TestBuildCounterexample:
         "regime,alpha", [("low_alpha", 0.25), ("high_alpha", 0.75), ("high_alpha", 1.0)]
     )
     def test_criterion07_ladder_inside_the_bound(self, regime, alpha):
-        config = Path(__file__).resolve().parent.parent / "configs" / "criterion07.json"
-        for n in json.loads(config.read_text())["sharpness"]["n_ladder"]:
+        for n in json.loads(CRITERION07.read_text())["sharpness"]["n_ladder"]:
             f = build_counterexample(CounterexampleSpec(regime, n, -0.75, alpha))
             assert np.abs(f.tau_idx).max() < 2**20
 
@@ -199,3 +200,26 @@ class TestExponentSweep:
         lines = sweep_csv(rep).splitlines()
         assert lines[0] == "alpha,s,N,ratio,slope,crossover_estimate"
         assert len(lines) == 1 + 3 * len(LADDER)
+
+    @pytest.mark.parametrize(
+        "regime,alpha", [("low_alpha", 0.25), ("high_alpha", 0.75)]
+    )
+    def test_ratios_equal_the_one_s_functional(self, regime, alpha):
+        # the sweep builds each N's pair lattice once; every ratio must be
+        # the one-s functional's, bit for bit
+        block = json.loads(CRITERION07.read_text())["sharpness"]
+        s_list, n_ladder = tuple(block["s_list"]), tuple(block["n_ladder"])
+        rep = exponent_sweep(regime, alpha, s_list, n_ladder, block["delta"])
+        for s, rec in zip(s_list, rep.observables):
+            for n, ratio in zip(n_ladder, rec["ratios"]):
+                spec = CounterexampleSpec(regime, n, s, alpha, block["delta"])
+                assert ratio == bilinear_functional(build_counterexample(spec))
+
+    def test_whole_ladder_checked_before_any_pair_work(self, monkeypatch):
+        def no_lattice(f):
+            raise AssertionError(f"pair lattice built at N = {f.spec.scale_n:g}")
+
+        monkeypatch.setattr(sharpness, "_PairLattice", no_lattice)
+        # 1e7 and 2e7 are inside the tau-lattice bound, 4e7 is not
+        with pytest.raises(RangeError, match="scale_n = 4e"):
+            exponent_sweep("low_alpha", 0.25, (-0.75,), (1e7, 2e7, 4e7, 8e7))
