@@ -16,7 +16,7 @@ by their Taylor series for |z| <= 1 and by the closed forms beyond,
 which keeps every regime cancellation-free.
 
 The quadratic product is formed in physical space and dealiased with the
-2/3 rule, so the retained modes carry the exact convolution.
+strict 2/3 rule, |k| < M/3, so the retained modes carry the exact convolution.
 
 The state is stepped as the real-FFT half-spectrum: the M/2 + 1
 coefficients k = 0..M/2 of a real field, the negative wavenumbers being
@@ -193,14 +193,13 @@ def _half_nonlinearity(grid: GridSpec) -> Nonlinearity:
     """N on rfft half-spectra of one grid.
 
     One cached multiplier folds the derivative -i xi, the dealias mask and
-    both transform scales together; the Nyquist entry's derivative factor
-    is 0, since the mode k = -M/2 pairs with no +M/2 on the lattice.
+    both transform scales together; the strict cutoff drops the Nyquist
+    entry, whose mode k = -M/2 pairs with no +M/2 on the lattice.
     """
     m = grid.modes
     half = m // 2 + 1
     mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
     mult[~grid.dealias_mask()[:half]] = 0.0
-    mult[-1] = 0.0
     rfft, irfft = np.fft.rfft, np.fft.irfft
 
     def nl(h: np.ndarray) -> np.ndarray:

@@ -122,9 +122,9 @@ def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -
     """amplitude * sin(2 pi wavenumber_index x / L), for an index inside the
     dealiased band, since the solver zeroes every mode outside it."""
     cutoff = grid.dealias_fraction * grid.modes / 2.0
-    if not abs(wavenumber_index) <= cutoff:
+    if not abs(wavenumber_index) < cutoff:
         raise ParameterError(
-            f"wavenumber_index must lie in the dealiased band |k| <= {cutoff:.6g} "
+            f"wavenumber_index must lie in the dealiased band |k| < {cutoff:.6g} "
             f"of {grid.modes} modes, got {wavenumber_index}"
         )
     x = grid.collocation_points()
@@ -252,7 +252,7 @@ def scaling_check(
     Wavenumber m on the fine grid is xi_m / lam, so copying coefficients
     index by index realizes phi -> phi(lam x) exactly.  The fine grid is
     dealiased at lam times the base fraction, which keeps the same
-    indices |m| <= dealias_fraction M / 2 (exactly, lam being a power of
+    indices |m| < dealias_fraction M / 2 (exactly, lam being a power of
     2), so both runs carry the same modes and differ only by roundoff.
     Data whose base solve ends at norm 0 is a ParameterError.
     """

@@ -26,13 +26,16 @@ delta regularization.
 Discretization: cells live on the origin-aligned lattice (i d_xi, j d_tau)
 with d_xi a sixteenth of the set width and d_tau a sixteenth of the
 modulation height, so the mirrored set lands exactly on the lattice and
-pair sums of cell indices stay on it.
+pair sums of cell indices stay on it.  The positive half is 17 xi-columns
+of at most 4h/d_tau + 1 = 65 rows, so the convolution is one tau correlation
+per column pair in the near-origin window (about 170), not a sum over about
+3e5 cell pairs; no array grows with N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,45 +180,59 @@ def build_counterexample(
     return CounterexampleFunction(spec=spec, grid=grid, xi_idx=xi_idx, tau_idx=tau_idx)
 
 
-def _inner_weight(xi: np.ndarray, tau: np.ndarray, spec: CounterexampleSpec) -> np.ndarray:
-    """(1 + |xi|)^(-s) <|xi|^(2a) + |tau - xi^3|>^(-1/2) applied to f."""
-    y = np.abs(xi) ** (2.0 * spec.alpha) + np.abs(tau - xi**3)
-    return (1.0 + np.abs(xi)) ** (-spec.s_test) * (1.0 + y**2) ** (-0.25)
+def _inner_weight(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
+    """<|xi|^(2a) + |tau - xi^3|>^(-1/2): the inner weight without (1 + |xi|)^(-s)."""
+    y = np.abs(xi) ** (2.0 * alpha) + np.abs(tau - xi**3)
+    return (1.0 + y**2) ** (-0.25)
 
 
 def _outer_weight(xi: np.ndarray, tau: np.ndarray, spec: CounterexampleSpec) -> np.ndarray:
-    """|xi| (1 + |xi|)^s (1 + |xi|^(2a) + |tau - xi^3|)^(-1/2 + delta)."""
+    """|xi| (1 + |xi|^(2a) + |tau - xi^3|)^(-1/2 + delta): the outer weight without
+    (1 + |xi|)^s."""
     y = 1.0 + np.abs(xi) ** (2.0 * spec.alpha) + np.abs(tau - xi**3)
-    return np.abs(xi) * (1.0 + np.abs(xi)) ** spec.s_test * y ** (-0.5 + spec.delta)
+    return np.abs(xi) * y ** (-0.5 + spec.delta)
 
 
 class _PairLattice:
     """The s-independent part of bilinear_functional for one probe f.
 
-    It holds the positive half (xi_p, tau_p) of f's cells, the mask keep
-    of the (+set) x (-set) pairs whose sum lies in the near-origin
-    window, the output cell of each kept pair as inverse, and the
-    occupied output cells xi_cells, tau_cells.  ratio(s) then weighs
-    these pairs for one test exponent s.
+    The s-free inner weights of f's positive half fill a dense (column, row)
+    array, each xi-column at its own row offset.  For each column pair
+    (col_a, col_b) in the near-origin window, np.correlate of the two columns
+    sums the (+set) x (-set) cell pairs into their output cells (a mirrored
+    cell carries its image's weight: both weights are even).  inverse maps
+    these (pair, mass) entries to the occupied cells xi_cells, tau_cells;
+    ratio(s) weighs column pair (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
     """
 
     def __init__(self, f: CounterexampleFunction):
         self.f = f
         grid = f.grid
         positive = f.xi_idx > 0
-        self.xi_p, self.tau_p = f.xi_idx[positive], f.tau_idx[positive]
-        xi_m, tau_m = -self.xi_p, -self.tau_p
+        xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
+        cols, col = np.unique(xi_p, return_inverse=True)
+        row0 = np.array([tau_p[col == c].min() for c in range(len(cols))])
+        row = tau_p - row0[col]
+        weight = np.zeros((len(cols), row.max() + 1))
+        weight[col, row] = _inner_weight(xi_p * grid.d_xi, tau_p * grid.d_tau, f.spec.alpha)
 
-        # all cross pairs (+set) x (-set); the convolution counts both orders
-        i_out = (self.xi_p[:, None] + xi_m[None, :]).ravel()
+        offset = cols[:, None] - cols[None, :]
         width_cells = int(round(f.spec.set_width() / grid.d_xi))
-        self.keep = (np.abs(i_out) >= max(1, width_cells // 6)) & (
-            np.abs(i_out) <= width_cells // 2
+        near = (np.abs(offset) >= max(1, width_cells // 6)) & (
+            np.abs(offset) <= width_cells // 2
         )
-        if not np.any(self.keep):
+        if not np.any(near):
             raise ResolutionError("near-origin window is empty; grid too coarse")
-        i_out = i_out[self.keep]
-        j_out = (self.tau_p[:, None] + tau_m[None, :]).ravel()[self.keep]
+        self.col_a, self.col_b = np.nonzero(near)
+        pairs = zip(self.col_a, self.col_b)
+        mass = np.array([np.correlate(weight[a], weight[b], "full") for a, b in pairs])
+        # positive weights, no cancellation: the nonzero entries are exactly
+        # the output cells that some cell pair reaches
+        self.pair, lag = np.nonzero(mass)
+        self.mass = mass[self.pair, lag]
+        self.xi_cols = cols * grid.d_xi
+        i_out = offset[self.col_a, self.col_b][self.pair]
+        j_out = (row0[self.col_a] - row0[self.col_b])[self.pair] + lag - (weight.shape[1] - 1)
 
         i_min, j_min = i_out.min(), j_out.min()
         j_span = int(j_out.max() - j_min + 1)
@@ -225,18 +242,17 @@ class _PairLattice:
         uniq, self.inverse = np.unique(keys, return_inverse=True)
         self.xi_cells = (uniq // j_span + i_min) * grid.d_xi
         self.tau_cells = (uniq % j_span + j_min) * grid.d_tau
+        self.outer = _outer_weight(self.xi_cells, self.tau_cells, f.spec)
 
     def ratio(self, s_test: float) -> float:
         """bilinear_functional of f with its test exponent set to s_test."""
         f, grid = self.f, self.f.grid
-        spec = replace(f.spec, s_test=s_test)
-        g_p = f.amplitude * _inner_weight(self.xi_p * grid.d_xi, self.tau_p * grid.d_tau, spec)
-        g_m = f.amplitude * _inner_weight(-self.xi_p * grid.d_xi, -self.tau_p * grid.d_tau, spec)
-        mass = ((2.0 * grid.cell_area() ** 2) * (g_p[:, None] * g_m[None, :]).ravel())[self.keep]
-        cell_mass = np.bincount(self.inverse, weights=mass)
+        col_factor = (1.0 + self.xi_cols) ** (-s_test)
+        pair_factor = (col_factor[self.col_a] * col_factor[self.col_b])[self.pair]
+        cell_mass = np.bincount(self.inverse, weights=pair_factor * self.mass)
 
-        conv_values = cell_mass / grid.cell_area()
-        weighted = _outer_weight(self.xi_cells, self.tau_cells, spec) * conv_values
+        conv_values = (2.0 * f.amplitude**2 * grid.cell_area()) * cell_mass
+        weighted = (1.0 + np.abs(self.xi_cells)) ** s_test * self.outer * conv_values
         norm_sq = np.sum(weighted**2) * grid.cell_area()
         if not np.isfinite(norm_sq):
             raise RangeError("bilinear functional overflowed; reduce the scale ladder")

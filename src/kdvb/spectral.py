@@ -84,9 +84,10 @@ class GridSpec:
         return (2.0 * np.pi / self.box_length) * self.integer_wavenumbers()
 
     def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping |k| <= dealias_fraction * M / 2."""
+        """Boolean mask of |k| < dealias_fraction * M / 2, strict so that 2/3 at M
+        divisible by 3 drops the aliasing edge modes +-M/3 (1 drops only -M/2)."""
         cutoff = self.dealias_fraction * self.modes / 2.0
-        return np.abs(self.integer_wavenumbers()) <= cutoff
+        return np.abs(self.integer_wavenumbers()) < cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +184,7 @@ def fractional_dissipation(u: SpectralField, alpha: float) -> SpectralField:
 
 
 def dealias(u: SpectralField) -> SpectralField:
-    """Zero every coefficient with |k| > dealias_fraction * M / 2."""
+    """Zero every coefficient with |k| >= dealias_fraction * M / 2."""
     return SpectralField(np.where(u.grid.dealias_mask(), u.coeffs, 0.0), u.grid)
 
 

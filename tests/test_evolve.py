@@ -27,10 +27,12 @@ from kdvb.propagator import ModelParams, propagate
 from kdvb.spectral import (
     GridSpec,
     RealField,
+    SpectralField,
     dealias,
     forward_transform,
     hermitian_residual,
     inverse_transform,
+    resize_band,
 )
 
 
@@ -58,6 +60,19 @@ class TestNonlinearTerm:
         rng = np.random.default_rng(2)
         u = dealias(forward_transform(RealField(rng.standard_normal(64), grid)))
         assert abs(nonlinear_term(u).coeffs[0]) <= 1e-14
+
+    @pytest.mark.parametrize("modes", [64, 96, 384])
+    def test_band_is_alias_free(self, modes):
+        # band-filling data: its square has no alias on a 2M grid, and the
+        # strict cutoff leaves none on the band at M divisible by 3 either
+        grid = GridSpec(box_length=5.0, modes=modes)
+        rng = np.random.default_rng(modes)
+        u = dealias(forward_transform(RealField(rng.standard_normal(modes), grid)))
+        fine = GridSpec(box_length=5.0, modes=2 * modes, dealias_fraction=1.0 / 3.0)
+        u_fine = SpectralField(resize_band(u.coeffs, fine.modes), fine)
+        reference = resize_band(nonlinear_term(u_fine).coeffs, modes)
+        coeffs = nonlinear_term(u).coeffs
+        assert np.linalg.norm(coeffs - reference) <= 1e-15 * np.linalg.norm(reference)
 
 
 class TestStep:
@@ -199,14 +214,15 @@ class TestSolve:
         assert all(hermitian_residual(s) == 0.0 for s in traj.states[1:])
 
     def test_undealiased_states_finite_and_hermitian(self):
-        # dealias_fraction = 1 keeps the Nyquist mode, whose linear symbol is
-        # reduced to its real part so that the state stays real
+        # dealias_fraction = 1 keeps every mode but the Nyquist mode k = -M/2
         grid = GridSpec(box_length=8.0, modes=64, dealias_fraction=1.0)
         cfg = SolverConfig(
             params=ModelParams(0.2, 0.9), grid=grid, dt=1e-3, t_final=0.05,
             snapshot_stride=10,
         )
         traj = solve(smooth_data(grid), cfg)
+        assert np.count_nonzero(grid.dealias_mask()) == grid.modes - 1
+        assert np.all(traj.coeffs[:, grid.modes // 2] == 0)
         for s in traj.states[1:]:
             assert np.all(np.isfinite(s.coeffs))
             assert hermitian_residual(s) == 0.0
@@ -223,7 +239,7 @@ class TestSolve:
         m = grid.modes
         k = np.fft.fftfreq(m, d=1.0 / m)
         xi = 2.0 * np.pi * k / grid.box_length
-        keep = np.abs(k) <= grid.dealias_fraction * m / 2
+        keep = np.abs(k) < grid.dealias_fraction * m / 2
         z = dt * (1j * xi**3 - eps * np.where(xi != 0, np.abs(xi) ** (2 * alpha), 0.0))
 
         def phis(w):
@@ -312,7 +328,7 @@ class TestSolve:
 
         m = grid.modes
         xi = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.box_length / m)
-        keep = np.abs(np.fft.fftfreq(m, d=1.0 / m)) <= grid.dealias_fraction * m / 2
+        keep = np.abs(np.fft.fftfreq(m, d=1.0 / m)) < grid.dealias_fraction * m / 2
         lin = 1j * xi**3 - eps * np.where(xi != 0, np.abs(xi) ** (2 * alpha), 0.0)
 
         def rhs(c):

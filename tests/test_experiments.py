@@ -122,6 +122,14 @@ class TestSineData:
         with pytest.raises(ParameterError, match="wavenumber_index"):
             sine_initial_data(GridSpec(box_length=16.0, modes=64), 0.5, index)
 
+    def test_band_edge_at_a_whole_cutoff(self):
+        # at M = 96 the 2/3 cutoff is the wavenumber 32 itself, which the
+        # strict cutoff leaves out of the band
+        grid = GridSpec(box_length=16.0, modes=96)
+        sine_initial_data(grid, 0.5, 31)
+        with pytest.raises(ParameterError, match="wavenumber_index"):
+            sine_initial_data(grid, 0.5, 32)
+
 
 class TestRateFit:
     def synthetic_report(self, power):

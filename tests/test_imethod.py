@@ -12,6 +12,7 @@ from kdvb.errors import (
     ResolutionError,
     ResonantDenominatorError,
 )
+from kdvb import imethod
 from kdvb.evolve import SolverConfig, solve, zero_nonlinearity
 from kdvb.imethod import (
     BoundReport,
@@ -308,6 +309,15 @@ class TestM4BoundSampler:
         large = m4_bound_sample(cfg, spec, ModelParams(0.0, 0.5), 100_000)
         assert large.max_ratio == pytest.approx(small.max_ratio, rel=0.2)
 
+    @pytest.mark.parametrize("eps,alpha", [(0.0, 0.5), (1.0, 1.0)])
+    def test_block_size_leaves_the_report_unchanged(self, monkeypatch, eps, alpha):
+        # 10,000 samples from 40,000 draws: several blocks and a partial one
+        cfg = DyadicConfig(n1_ladder=self.LADDER, ratios=(1.0, 0.75, 0.5), seed=42)
+        args = (cfg, IMultiplierSpec(0.5, -0.74), ModelParams(eps, alpha), 10_000)
+        whole = m4_bound_sample(*args)
+        monkeypatch.setattr(imethod, "M4_BLOCK", 3_000)
+        assert m4_bound_sample(*args) == whole
+
     def test_sample_floor_enforced(self):
         cfg = DyadicConfig(n1_ladder=(16.0, 32.0), seed=0)
         with pytest.raises(ParameterError, match="1e4"):
@@ -544,3 +554,19 @@ class TestRearrangement:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError, match="nonnegative"):
             rearrangement_check([1.0, -0.1], [0.0, 1.0])
+
+    @pytest.mark.parametrize("a,b", [([1.0, 2.0], [1.0]), ([[1.0], [2.0]], [[1.0], [2.0]])])
+    def test_unequal_or_non_1d_rejected(self, a, b):
+        with pytest.raises(ContractViolationError, match="1-d"):
+            rearrangement_check(a, b)
+
+    def test_equals_the_numpy_products(self):
+        # the Python products must reproduce numpy's bit for bit
+        rng = np.random.default_rng(19)
+        scales = 10.0 ** rng.integers(-3, 7, size=(20_000, 2, 1))
+        for k, scale in zip(rng.integers(1, 13, size=20_000), scales):
+            a, b = rng.random((2, k)) * scale
+            assert rearrangement_check(a, b) == (
+                float(np.prod(a + b)),
+                float(np.prod(np.sort(a) + np.sort(b))),
+            )

@@ -1,6 +1,9 @@
 """Tests for the bilinear-estimate failure probes."""
 
 import json
+import math
+import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,35 @@ from kdvb.sharpness import (
 
 LADDER = (16.0, 32.0, 64.0, 128.0)
 CRITERION07 = Path(__file__).resolve().parent.parent / "configs" / "criterion07.json"
+REGIMES = [("low_alpha", 0.25), ("high_alpha", 0.75)]
+
+
+def brute_force_functional(f: CounterexampleFunction) -> tuple[float, set]:
+    """The functional from its definition, one cell pair at a time: every
+    ordered pair of cells whose xi-sum lies in the near-origin window adds
+    to its output cell in a dict.  Returns the ratio and the output cells."""
+    spec, grid = f.spec, f.grid
+
+    def weights(i, j):
+        xi, tau = i * grid.d_xi, j * grid.d_tau
+        y = abs(xi) ** (2 * spec.alpha) + abs(tau - xi**3)
+        inner = f.amplitude * (1 + abs(xi)) ** -spec.s_test * (1 + y * y) ** -0.25
+        outer = abs(xi) * (1 + abs(xi)) ** spec.s_test * (1 + y) ** (-0.5 + spec.delta)
+        return inner, outer
+
+    columns = defaultdict(list)
+    for i, j in zip(f.xi_idx.tolist(), f.tau_idx.tolist()):
+        columns[i].append((j, weights(i, j)[0]))
+    width = round(spec.set_width() / grid.d_xi)
+    conv = defaultdict(float)
+    for i1, col1 in columns.items():
+        for i2, col2 in columns.items():
+            if max(1, width // 6) <= abs(i1 + i2) <= width // 2:
+                for j1, g1 in col1:
+                    for j2, g2 in col2:
+                        conv[i1 + i2, j1 + j2] += g1 * g2 * grid.cell_area()
+    norm_sq = sum((weights(*cell)[1] * v) ** 2 for cell, v in conv.items()) * grid.cell_area()
+    return math.sqrt(norm_sq) / f.l2_norm_sq(), set(conv)
 
 
 class TestSpecValidation:
@@ -160,6 +192,40 @@ class TestBilinearFunctional:
         ]
         slope = fit_power_law(np.asarray(LADDER), np.asarray(ratios))["slope"]
         assert lo <= slope <= hi
+
+    @pytest.mark.parametrize("regime,alpha", REGIMES)
+    @pytest.mark.parametrize("s", [-1.05, -0.45])
+    def test_equals_the_cell_pair_definition(self, regime, alpha, s):
+        f = build_counterexample(CounterexampleSpec(regime, 16.0, s, alpha))
+        ratio, cells = brute_force_functional(f)
+        assert bilinear_functional(f) == pytest.approx(ratio, rel=1e-13)
+        lattice = sharpness._PairLattice(f)
+        occupied = zip(
+            np.rint(lattice.xi_cells / f.grid.d_xi).astype(int).tolist(),
+            np.rint(lattice.tau_cells / f.grid.d_tau).astype(int).tolist(),
+        )
+        assert set(occupied) == cells
+
+    @pytest.mark.parametrize("regime,alpha", REGIMES)
+    def test_lattice_memory_does_not_grow_with_the_pairs(self, regime, alpha):
+        # about 3e5 cell pairs at N = 128; the lattice and five ratios stay
+        # under 3 MB at their peak
+        f = build_counterexample(CounterexampleSpec(regime, 128.0, -0.75, alpha))
+        tracemalloc.start()
+        try:
+            lattice = sharpness._PairLattice(f)
+            for s in (-1.05, -0.9, -0.75, -0.6, -0.45):
+                lattice.ratio(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
+    @pytest.mark.parametrize("regime,alpha", REGIMES)
+    def test_largest_scale_runs(self, regime, alpha):
+        f = build_counterexample(CounterexampleSpec(regime, 1e7, -0.75, alpha))
+        ratio = bilinear_functional(f)
+        assert np.isfinite(ratio) and ratio > 0
 
     def test_slope_monotone_in_s(self):
         slopes = []

@@ -68,6 +68,13 @@ class TestGridSpec:
         assert np.all(mask[np.abs(k) <= 21])
         assert not np.any(mask[np.abs(k) > 21])
 
+    @pytest.mark.parametrize("fraction,modes,kept", [(2.0 / 3.0, 96, 31), (1.0, 64, 31)])
+    def test_dealias_cutoff_is_strict(self, fraction, modes, kept):
+        # a cutoff f M / 2 that is itself a wavenumber is left out
+        grid = GridSpec(box_length=1.0, modes=modes, dealias_fraction=fraction)
+        k = grid.integer_wavenumbers()
+        assert np.array_equal(grid.dealias_mask(), np.abs(k) <= kept)
+
 
 class TestTransforms:
     @pytest.mark.parametrize("modes", [8, 32, 256, 1024, 4096])
