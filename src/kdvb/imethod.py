@@ -59,13 +59,15 @@ from .spectral import SpectralField
 
 _TINY = 1e-30
 
-# Largest n_samples of one m4_bound_sample call: at the cap a call holds
-# about 210 MB (the 4x oversampled draws and their int64 signs) and takes
-# about 6 s on a 2-core VM.
+# Largest n_samples of one m4_bound_sample call: at the cap a call peaks at
+# about 150 MB (mostly the 4x oversampled uniform draws) and takes about
+# 5 s on a 2-core VM.
 MAX_SAMPLES = 10**6
 # Draws per block of the rejection test and the M4 evaluation; both are
 # elementwise and the draws stay one batch, so it leaves reports unchanged.
 M4_BLOCK = 10**5
+# Draws per requested sample after which a sampler annulus is a ParameterError.
+MAX_DRAWS_PER_SAMPLE = 1000
 # Default annulus ratios N_i / N1 of the pointwise-bound sampler.
 RATIOS_DEFAULT = (1.0, 0.75, 0.5)
 
@@ -114,7 +116,8 @@ class DyadicConfig:
     Magnitudes are N_i = ratios[i] * N1 with 1 = ratios[0] >= ... and
     |xi_i| drawn uniformly from [N_i, 2 N_i] with random signs; N1 runs
     over n1_ladder.  ratios[1] >= 1/4 keeps the top two comparable, and
-    the ratio sum >= 1/2 keeps the zero-sum constraint realizable.
+    a ratio sum > 1/2 keeps the zero-sum constraint realizable (at 1/2,
+    |xi_1| >= N1 has probability zero).
     """
 
     n1_ladder: tuple[float, ...]
@@ -135,9 +138,9 @@ class DyadicConfig:
             raise ParameterError(f"ratios must be nonincreasing in (0, 1], got {self.ratios}")
         if r2 < 0.25:
             raise ParameterError("ratios[0] < 1/4 breaks the comparable-top-pair constraint")
-        if r2 + r3 + r4 < 0.5:
+        if r2 + r3 + r4 <= 0.5:
             raise ParameterError(
-                "ratio sum < 1/2 makes the zero-sum constraint unrealizable"
+                f"ratio sum <= 1/2 makes the zero-sum constraint unrealizable, got {self.ratios}"
             )
 
     def describe(self) -> str:
@@ -380,26 +383,31 @@ def _sample_annulus_tuples(
     """count zero-sum 4-tuples with |xi_1| in [N1, 2N1], |xi_i| in [N_i, 2N_i],
     as (4, n) blocks of the tuples kept from M4_BLOCK draws each.
 
-    Rejection keeps the leading magnitude in its annulus and discards
-    tuples within 1e-9 relative of a resonant zero (vanishing frequency
-    or pair sum).
+    Each of xi_2, xi_3, xi_4 takes one uniform draw u in [-1, 1) and is
+    sign(u) (1 + |u|) N_i: a magnitude uniform in [N_i, 2N_i] and an
+    independent fair sign.  xi_1 = -(xi_2 + xi_3 + xi_4); rejection keeps
+    it in its annulus and discards tuples within 1e-9 relative of a
+    resonant zero (vanishing frequency or pair sum).  An annulus that has
+    used more than MAX_DRAWS_PER_SAMPLE * count draws is a ParameterError.
     """
-    mags = np.array([n1 * r for r in ratios])
-    needed = count
+    mags = np.array([n1 * r for r in ratios])[:, None]
+    needed, drawn = count, 0
     while needed > 0:
+        if drawn > MAX_DRAWS_PER_SAMPLE * count:
+            share = f"{(count - needed) / drawn:.2g} of its {drawn} draws for {count} samples"
+            raise ParameterError(f"annulus N1 = {n1:g} with ratios {list(ratios)} kept {share}")
         batch = max(4 * needed, 1024)
-        draws = rng.uniform(1.0, 2.0, size=(3, batch)) * mags[:, None]
-        draws *= rng.integers(0, 2, size=(3, batch)) * 2 - 1
+        drawn += batch
+        draws = rng.uniform(-1.0, 1.0, size=(3, batch))
         for start in range(0, batch, M4_BLOCK):
-            x234 = draws[:, start : start + M4_BLOCK]
+            u = draws[:, start : start + M4_BLOCK]
+            x234 = np.copysign(1.0 + np.abs(u), u) * mags
             x1 = -np.sum(x234, axis=0)
-            ok = (np.abs(x1) >= n1) & (np.abs(x1) <= 2 * n1)
-            xs = np.vstack([x1, x234])
-            scale = np.max(np.abs(xs), axis=0)
-            for i in range(4):
-                ok &= np.abs(xs[i]) > 1e-9 * scale
-            for i, j in itertools.combinations(range(4), 2):
-                ok &= np.abs(xs[i] + xs[j]) > 1e-9 * scale
+            in_annulus = (np.abs(x1) >= n1) & (np.abs(x1) <= 2 * n1)
+            xs = np.compress(in_annulus, np.vstack([x1, x234]), axis=1)
+            floor = 1e-9 * np.max(np.abs(xs), axis=0)
+            sums = [*xs, *(xs[i] + xs[j] for i, j in itertools.combinations(range(4), 2))]
+            ok = np.logical_and.reduce([np.abs(v) > floor for v in sums])
             kept = np.compress(ok, xs, axis=1)[:, :needed]  # rows stay contiguous
             needed -= kept.shape[1]
             if kept.size:
@@ -430,18 +438,16 @@ def m4_bound_sample(
     for n1 in dyadic_config.n1_ladder:
         block_maxima = []
         for xs in _sample_annulus_tuples(rng, n1, dyadic_config.ratios, n_samples):
-            lhs_num, resonant = _m4_values(xs, spec, params)
-            den = _h4_values(xs) - params.epsilon * _beta_values(xs, params.alpha)
-            lhs = np.abs(lhs_num) / np.abs(den)
-            mags = [np.abs(x) for x in xs] + [
-                np.abs(xs[0] + xs[1]),
-                np.abs(xs[0] + xs[2]),
-                np.abs(xs[0] + xs[3]),
-            ]
-            envelope = _msq(np.minimum.reduce(mags), spec)
-            for x in xs:
-                envelope = envelope / (spec.cutoff_n + np.abs(x))
-            block_maxima.append(np.max(np.where(resonant, 0.0, lhs / envelope)))
+            # magnitudes past float64 give a non-finite maximum: a RangeError in the fit
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                lhs_num, resonant = _m4_values(xs, spec, params)
+                den = _h4_values(xs) - params.epsilon * _beta_values(xs, params.alpha)
+                lhs = np.abs(lhs_num) / np.abs(den)
+                sums = (xs[0] + xs[1], xs[0] + xs[2], xs[0] + xs[3])
+                envelope = _msq(np.minimum.reduce([np.abs(x) for x in (*xs, *sums)]), spec)
+                for x in xs:
+                    envelope = envelope / (spec.cutoff_n + np.abs(x))
+                block_maxima.append(np.max(np.where(resonant, 0.0, lhs / envelope)))
         max_ratios.append(float(np.max(block_maxima)))
     return BoundReport(
         dyadic_config=dyadic_config.describe(),
@@ -567,6 +573,18 @@ def modified_energy(
     return float(e4)
 
 
+def _m3_flux(coeffs: np.ndarray, grid, spec: IMultiplierSpec) -> np.ndarray:
+    """Lambda_3(M3) of each row of an (S, M) coefficient matrix, by the identity
+    in ``denergy_identity_residual``; complex FFTs, so rows need not be Hermitian."""
+    kint = np.fft.fftshift(grid.integer_wavenumbers())
+    xi = kint * (2.0 * np.pi / grid.box_length)
+    c = np.fft.fftshift(coeffs, axes=-1)
+    # zero-padded to 2M, the autoconvolution is linear; its entry n is wavenumber n - M
+    auto = np.fft.ifft(np.fft.fft(c, 2 * grid.modes) ** 2)
+    g = _msq(xi, spec) * xi
+    return 3j * grid.box_length ** (-0.5) * np.sum(g * c * auto[..., grid.modes - kint], axis=-1)
+
+
 def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
     """Defect of the quadratic ledger identity along a trajectory.
 
@@ -577,31 +595,21 @@ def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
 
     and returns the maximal defect over interior snapshots, divided by
     scale = max(sup |rhs|, sup E_I^2 / time span).
+
+    M3 = i (g(xi_1) + g(xi_2) + g(xi_3)) with g = m^2 xi is a sum of one-slot
+    terms and the lattice {k_1 + k_2 + k_3 = 0, all k_j in [-M/2, M/2 - 1]}
+    is permutation-invariant, so Lambda_3(M3) = 3i L^(-1/2) sum_k g(xi_k)
+    u(k) S(-k) with S the linear autoconvolution of u over the grid's
+    wavenumbers: one FFT pair of length 2M, O(M log M) a snapshot, not O(M^2).
     """
     if len(traj.times) < 3:
         raise ResolutionError("need at least three snapshots for a centered difference")
-    grid = traj.grid
-    if grid.modes > 256:
-        raise ContractViolationError(
-            f"identity check accepts at most 256 modes, got {grid.modes}"
-        )
     params = traj.params
-    xi = grid.wavenumbers()
+    xi = traj.grid.wavenumbers()
     msq = _msq(xi, spec)
     diss_weight = 2.0 * params.epsilon * msq * np.abs(xi) ** (2 * params.alpha)
-
-    kint = grid.integer_wavenumbers()
-    (k1, k2), k3, valid = _zero_sum_lattice([kint, kint], grid.modes)
-    dxi = 2.0 * np.pi / grid.box_length
-    m3_vals = np.where(valid, _m3_values(k1 * dxi, k2 * dxi, k3 * dxi, spec), 0.0)
-    gather = k3 % grid.modes
-    gamma3 = grid.box_length ** (-0.5)
-
     energies, diss = spectral_energies(traj.coeffs, msq, diss_weight)
-    flux = gamma3 * np.array(
-        [np.sum(m3_vals * (c[:, None] * c[None, :]) * c[gather]) for c in traj.coeffs]
-    )
-    rhs = -diss + (2.0 / 3.0) * flux.real
+    rhs = -diss + (2.0 / 3.0) * _m3_flux(traj.coeffs, traj.grid, spec).real
     dts = traj.times[2:] - traj.times[:-2]
     lhs = (energies[2:] - energies[:-2]) / dts
     defects = np.abs(lhs - rhs[1:-1])

@@ -49,9 +49,11 @@ class SweepReport:
 
 
 def fit_power_law(values: np.ndarray, observables: np.ndarray) -> dict:
-    """Least-squares fit of log(observable) against log(value)."""
-    x = np.log(np.asarray(values, dtype=np.float64))
-    y = np.log(np.asarray(observables, dtype=np.float64))
+    """Least-squares fit of log(observable) against log(value), both positive."""
+    x, y = (np.asarray(a, dtype=np.float64) for a in (values, observables))
+    if not all(np.all((a > 0) & np.isfinite(a)) for a in (x, y)):
+        raise RangeError(f"power-law fit needs positive finite data: {x.tolist()}, {y.tolist()}")
+    x, y = np.log(x), np.log(y)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = np.sum((y - y.mean()) ** 2)

@@ -247,13 +247,15 @@ class _PairLattice:
     def ratio(self, s_test: float) -> float:
         """bilinear_functional of f with its test exponent set to s_test."""
         f, grid = self.f, self.f.grid
-        col_factor = (1.0 + self.xi_cols) ** (-s_test)
-        pair_factor = (col_factor[self.col_a] * col_factor[self.col_b])[self.pair]
-        cell_mass = np.bincount(self.inverse, weights=pair_factor * self.mass)
+        # an |s_test| too large for float64 overflows to the RangeError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            col_factor = (1.0 + self.xi_cols) ** (-s_test)
+            pair_factor = (col_factor[self.col_a] * col_factor[self.col_b])[self.pair]
+            cell_mass = np.bincount(self.inverse, weights=pair_factor * self.mass)
 
-        conv_values = (2.0 * f.amplitude**2 * grid.cell_area()) * cell_mass
-        weighted = (1.0 + np.abs(self.xi_cells)) ** s_test * self.outer * conv_values
-        norm_sq = np.sum(weighted**2) * grid.cell_area()
+            conv_values = (2.0 * f.amplitude**2 * grid.cell_area()) * cell_mass
+            weighted = (1.0 + np.abs(self.xi_cells)) ** s_test * self.outer * conv_values
+            norm_sq = np.sum(weighted**2) * grid.cell_area()
         if not np.isfinite(norm_sq):
             raise RangeError("bilinear functional overflowed; reduce the scale ladder")
         return float(np.sqrt(norm_sq) / f.l2_norm_sq())

@@ -2,6 +2,9 @@
 
 import copy
 import json
+import math
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -199,6 +202,68 @@ def test_fuzzed_config_raises_only_config_error(data):
         parse_config(json.dumps(doc))
     except ConfigError:
         pass
+
+
+# edge values for the calculus blocks: in range, on a bound, just past it,
+# zero, negative, tiny and vast
+EDGE_FLOATS = [1.0, 0.75, 0.5, 0.25, 0.13, 0.125, 0.1, 0.0, -0.5, 1e-300, 2.0, 1e300]
+CALCULUS_EDGES = {
+    "imethod-bounds": {
+        "ratios": st.lists(st.sampled_from(EDGE_FLOATS), min_size=2, max_size=4),
+        "n1_ladder": st.lists(
+            st.sampled_from([16.0, 32.0, 1e6, 1e150, 1e300, 1e-300, 0.0, -16.0]),
+            min_size=1,
+            max_size=3,
+        ),
+        "cutoff_n": st.sampled_from([0.5, 16.0, 1e6, 1e300, 1e-300, 0.0, -1.0]),
+        "s_exp": st.sampled_from([-0.74, -0.75, -0.7500001, 0.0, 1e-300, -1e-300, 0.5]),
+    },
+    "sharpness": {
+        "s_list": st.lists(
+            st.sampled_from([-1.05, -0.75, 0.0, -5.0, 5.0, 1e300, -1e300]), max_size=3
+        ),
+        "n_ladder": st.lists(
+            st.sampled_from([16.0, 32.0, 64.0, 128.0, 1e5, 1e7, 1e300, 15.0, 0.0]),
+            min_size=3,
+            max_size=5,
+        ).map(sorted),
+        "delta": st.sampled_from([0.01, 0.5, 1e-300, 0.0, 1e300]),
+    },
+}
+
+
+def _finite_numbers(node) -> bool:
+    if isinstance(node, dict):
+        return all(_finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite_numbers(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzzed_calculus_run_exits_by_name(data):
+    # criterion 07 or 08 (n_samples 1e4) with edge values in 1-3 keys of its
+    # block, through main: parse_config and run
+    doc = copy.deepcopy(
+        data.draw(st.sampled_from([c for c in CRITERIA if c["subcommand"] in CALCULUS_EDGES]))
+    )
+    edges = CALCULUS_EDGES[doc["subcommand"]]
+    block = doc[doc["subcommand"]]
+    for key in data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=1, max_size=3)):
+        block[key] = data.draw(edges[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "out": str(out)}))
+        code = main(["--config", str(cfg_path)])
+        assert code in (0, 2, 3, 4)
+        assert (out / "error.json").exists() == (code != 0)
+        if code == 0:
+            # strict JSON: NaN and Infinity tokens are rejected too
+            text = (out / "result.json").read_text()
+            result = json.loads(text, parse_constant=lambda token: math.nan)
+            assert _finite_numbers(result)
 
 
 class TestRun:
@@ -655,6 +720,60 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
+
+    @pytest.mark.parametrize(
+        "ratios,error",
+        [
+            ([0.25, 0.125, 0.125], "unrealizable"),
+            ([0.25, 0.13, 0.13], "N1 = 16 with ratios [0.25, 0.13, 0.13] kept"),
+        ],
+        ids=["sum-half", "sum-0.51"],
+    )
+    def test_edge_ratio_sum_exits_by_name(self, tmp_path, capsys, ratios, error):
+        # a ratio sum of 1/2 never fills the annulus, and 0.51 keeps under
+        # 1e-4 of the draws: both must end, not spin
+        cfg_path = tmp_path / "cfg.json"
+        block = {"n1_ladder": [16.0, 32.0], "ratios": ratios}
+        doc = solve_doc(tmp_path / "out", subcommand="imethod-bounds", **{"imethod-bounds": block})
+        cfg_path.write_text(json.dumps(doc))
+        started = time.monotonic()
+        assert main(["--config", str(cfg_path)]) == 2
+        assert time.monotonic() - started < 5.0
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert error in payload["message"]
+
+    @pytest.mark.parametrize(
+        "subcommand,block",
+        [
+            ("imethod-bounds", {"n1_ladder": [16.0, 32.0], "cutoff_n": 1e300}),
+            ("imethod-bounds", {"n1_ladder": [16.0, 32.0], "cutoff_n": 1e-300}),
+            ("imethod-bounds", {"n1_ladder": [32.0, 1e300]}),
+            ("sharpness", {"s_list": [1e300, -0.75], "n_ladder": [16, 32, 64, 128]}),
+            ("sharpness", {"s_list": [-1e300, -0.75], "n_ladder": [16, 32, 64, 128]}),
+        ],
+        ids=["cutoff-1e300", "cutoff-1e-300", "n1-1e300", "s-1e300", "s-minus-1e300"],
+    )
+    def test_calculus_past_float64_is_range_error(self, tmp_path, capsys, subcommand, block):
+        # a value float64 cannot carry through the multipliers is a named
+        # RangeError, not a RuntimeWarning on the way to one
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(tmp_path / "out", subcommand=subcommand, **{subcommand: block})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads((tmp_path / "out" / "error.json").read_text())["error"] == "RangeError"
+
+    def test_sparse_but_fillable_annulus_runs(self, tmp_path):
+        # ratios (0.3, 0.15, 0.1) keep about 1% of the draws
+        cfg_path = tmp_path / "cfg.json"
+        block = {"n1_ladder": [16.0, 32.0], "ratios": [0.3, 0.15, 0.1]}
+        doc = solve_doc(tmp_path / "out", subcommand="imethod-bounds", **{"imethod-bounds": block})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 0
+        report = json.loads((tmp_path / "out" / "bound_report.json").read_text())
+        assert report["samples"] == 10_000
 
     def test_step_count_above_cap_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -328,6 +328,29 @@ class TestM4BoundSampler:
     def test_unrealizable_config_rejected(self):
         with pytest.raises(ParameterError, match="unrealizable"):
             DyadicConfig(n1_ladder=(16.0, 32.0), ratios=(0.3, 0.1, 0.05))
+        # a sum of exactly 1/2 puts |xi_1| >= N1 on a set of probability zero
+        with pytest.raises(ParameterError, match="unrealizable"):
+            DyadicConfig(n1_ladder=(16.0, 32.0), ratios=(0.25, 0.125, 0.125))
+
+    def test_draw_law(self):
+        n1, ratios, count = 16.0, (1.0, 0.75, 0.5), 100_000
+        rng = np.random.default_rng(5)
+        xs = np.hstack(list(imethod._sample_annulus_tuples(rng, n1, ratios, count)))
+        assert xs.shape == (4, count)
+        for x, n in zip(xs, (n1, *(n1 * r for r in ratios))):
+            assert np.all((np.abs(x) >= n) & (np.abs(x) <= 2 * n))
+        np.testing.assert_array_equal(xs[0], -(xs[1] + xs[2] + xs[3]))
+        # the law is even under xi -> -xi, so every slot's sign is fair
+        for x in xs:
+            assert abs(np.mean(x > 0) - 0.5) <= 5 * np.sqrt(0.25 / count)
+
+    def test_draw_budget_leaves_the_report_unchanged(self, monkeypatch):
+        # criterion 08's annuli keep about 30% of 4 * count draws in one batch
+        cfg = DyadicConfig(n1_ladder=self.LADDER, ratios=(1.0, 0.75, 0.5), seed=42)
+        args = (cfg, IMultiplierSpec(0.5, -0.74), ModelParams(0.0, 0.5), 10_000)
+        whole = m4_bound_sample(*args)
+        monkeypatch.setattr(imethod, "MAX_DRAWS_PER_SAMPLE", 4)
+        assert m4_bound_sample(*args) == whole
 
 
 class TestLambdaK:
@@ -479,6 +502,45 @@ def ledger_trajectory(stride, dt=1e-3, t_final=0.5, modes=128):
         snapshot_stride=stride,
     )
     return solve(RealField(vals, grid), cfg)
+
+
+def lattice_flux(coeffs, grid, spec):
+    """Lambda_3(M3) of each row of coeffs over the O(M^2) zero-sum lattice."""
+    half = grid.modes // 2
+    k1, k2 = np.meshgrid(np.arange(-half, half), np.arange(-half, half), indexing="ij")
+    k3 = -(k1 + k2)
+    valid = (k3 >= -half) & (k3 < half)
+    dxi = 2.0 * np.pi / grid.box_length
+
+    def g(k):
+        return m_weight_array(k * dxi, spec) ** 2 * (k * dxi)
+
+    m3 = np.where(valid, 1j * (g(k1) + g(k2) + g(k3)), 0.0)
+    k1, k2, k3 = (k % grid.modes for k in (k1, k2, k3))
+    return grid.box_length**-0.5 * np.array([np.sum(m3 * c[k1] * c[k2] * c[k3]) for c in coeffs])
+
+
+class TestM3Flux:
+    @pytest.mark.parametrize("modes", [64, 128, 256])
+    def test_matches_the_lattice(self, modes):
+        # the band reaches |xi| = 2 pi modes / 64, so both cutoffs lie inside it
+        grid = GridSpec(box_length=32.0, modes=modes)
+        rng = np.random.default_rng(modes)
+        coeffs = rng.standard_normal((4, modes)) + 1j * rng.standard_normal((4, modes))
+        for cutoff in (1.0, 4.0):
+            spec = IMultiplierSpec(cutoff, -0.74)
+            expected = lattice_flux(coeffs, grid, spec)
+            got = imethod._m3_flux(coeffs, grid, spec)
+            np.testing.assert_array_less(np.abs(got - expected), 1e-13 * np.abs(expected))
+
+    def test_vanishes_without_smoothing(self):
+        # m = 1 on the whole band: M3 = i (xi_1 + xi_2 + xi_3) = 0 on the lattice
+        grid = GridSpec(box_length=32.0, modes=64)
+        rng = np.random.default_rng(1)
+        coeffs = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+        flux = imethod._m3_flux(coeffs, grid, IMultiplierSpec(100.0, -0.74))
+        scale = np.sum(np.abs(coeffs), axis=1) ** 3
+        assert np.all(np.abs(flux) <= 1e-15 * scale)
 
 
 class TestEnergyDerivativeIdentity:
