@@ -577,7 +577,7 @@ def _m3_flux(coeffs: np.ndarray, grid, spec: IMultiplierSpec) -> np.ndarray:
     """Lambda_3(M3) of each row of an (S, M) coefficient matrix, by the identity
     in ``denergy_identity_residual``; complex FFTs, so rows need not be Hermitian."""
     kint = np.fft.fftshift(grid.integer_wavenumbers())
-    xi = kint * (2.0 * np.pi / grid.box_length)
+    xi = np.fft.fftshift(grid.wavenumbers())
     c = np.fft.fftshift(coeffs, axes=-1)
     # zero-padded to 2M, the autoconvolution is linear; its entry n is wavenumber n - M
     auto = np.fft.ifft(np.fft.fft(c, 2 * grid.modes) ** 2)
