@@ -246,10 +246,13 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
 
 def build_initial_data(cfg: RunConfig) -> RealField:
     """The configured initial field; a non-finite one is a ParameterError
-    naming its kind, raised before any step."""
+    naming its kind, raised before any step.  A vast or tiny parameter
+    overflows either to its limit (exp(-inf) = 0) or to a non-finite
+    field, so numpy's warnings are not printed."""
     params = dict(cfg.data)
     kind = params.pop("kind")
-    initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
     if not np.all(np.isfinite(initial.values)):
         raise ParameterError(f"initial_data.kind {kind!r} gives a non-finite field for {params}")
     return initial
@@ -292,15 +295,15 @@ def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
 
 def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
     """CLI-facing sweep record: experiment, params, ladder, observables,
-    fit, floors, seed, grid, dt."""
+    fit (always null; rate's slope is its own key), floors, seed, grid, dt."""
     return {
         "experiment": experiment,
         "params": {"epsilon": cfg.params.epsilon, "alpha": cfg.params.alpha},
         "ladder": list(report.values),
         "observables": list(report.observables),
-        "fit": report.fit,
+        "fit": None,
         "floors": {"self_convergence": report.meta.get("floor")},
-        "seed": report.seed,
+        "seed": cfg.seed,
         "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
         "dt": cfg.solver.dt,
         "meta": report.meta,
@@ -311,16 +314,7 @@ def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
     ladder = cfg.block["eps_ladder"]
     if with_rate and len(ladder) < 2:
         raise ParameterError(f"rate needs at least two epsilons, got {list(ladder)}")
-    report = inviscid_sweep(
-        build_initial_data(cfg),
-        alpha=cfg.params.alpha,
-        eps_ladder=ladder,
-        t_final=cfg.solver.t_final,
-        s=cfg.block["sobolev_s"],
-        dt=cfg.solver.dt,
-        snapshot_stride=cfg.solver.snapshot_stride,
-        seed=cfg.seed,
-    )
+    report = inviscid_sweep(build_initial_data(cfg), cfg.solver, ladder, cfg.block["sobolev_s"])
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
     result = _sweep_result(cfg, report, "rate" if with_rate else "inviscid")
     if with_rate:
@@ -329,13 +323,7 @@ def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
 
 
 def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
-    distance = scaling_check(
-        build_initial_data(cfg),
-        cfg.params,
-        lambda_exp=cfg.block["lambda_exp"],
-        t_final=cfg.solver.t_final,
-        dt=cfg.solver.dt,
-    )
+    distance = scaling_check(build_initial_data(cfg), cfg.solver, cfg.block["lambda_exp"])
     return {"distance": distance}
 
 
@@ -345,7 +333,7 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
         block["regime"], cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"]
     )
     artifacts["sweep.csv"] = sweep_csv(report).encode()
-    return report.to_dict()
+    return {**report.to_dict(), "fit": None, "seed": cfg.seed}
 
 
 def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
@@ -362,15 +350,7 @@ def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
 
 
 def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
-    report = h1_bound_check(
-        build_initial_data(cfg),
-        alpha=cfg.params.alpha,
-        eps_ladder=cfg.block["eps_ladder"],
-        t_final=cfg.solver.t_final,
-        dt=cfg.solver.dt,
-        snapshot_stride=cfg.solver.snapshot_stride,
-        seed=cfg.seed,
-    )
+    report = h1_bound_check(build_initial_data(cfg), cfg.solver, cfg.block["eps_ladder"])
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
     obs = [rec["observable"] for rec in report.observables]
     if min(obs) == 0.0:

@@ -338,6 +338,9 @@ def step(
     return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
 
 
+# a diverging row overflows on its way to the non-finite state that names its
+# step in a DivergenceError; numpy's warnings would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def _march(
     phi: RealField,
     cfgs: Sequence[SolverConfig],

@@ -1,6 +1,11 @@
 """Headline numerics: inviscid limit, rate fit, scaling invariance, and
 the uniform H1 bound, plus benchmark initial data.
 
+Each driver takes the SolverConfig it sweeps, which holds the grid,
+alpha, dt, t_final and snapshot stride.  A sweep runs it once per ladder
+entry, with that epsilon in place of its own (``dataclasses.replace``);
+``scaling_check`` solves it as given, then its rescaled image.
+
 The inviscid sweep solves the dissipative equation on a ladder of
 epsilon values and measures the sup-in-time H^s distance to the
 epsilon = 0 solution computed with the same grid and step, so the shared
@@ -21,6 +26,7 @@ two grids by exact Fourier-band embedding.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -142,21 +148,6 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     return float(np.sqrt(np.max(energies)))
 
 
-def _sweep_configs(
-    grid: GridSpec,
-    epsilons: tuple[float, ...],
-    alpha: float,
-    dt: float,
-    t_final: float,
-    snapshot_stride: int,
-) -> list[SolverConfig]:
-    """One solver config per epsilon, sharing the rest."""
-    return [
-        SolverConfig(ModelParams(e, alpha), grid, dt, t_final, snapshot_stride)
-        for e in epsilons
-    ]
-
-
 def solve_batch(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
     try:
         return solve_ladder(phi, cfgs)
@@ -166,19 +157,13 @@ def solve_batch(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajector
 
 
 def inviscid_sweep(
-    phi: RealField,
-    alpha: float,
-    eps_ladder: tuple[float, ...],
-    t_final: float,
-    s: float,
-    dt: float,
-    snapshot_stride: int = 1,
-    seed: int = 0,
+    phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...], s: float
 ) -> SweepReport:
     """sup-in-time H^s distance to the KdV solution for each epsilon.
 
-    eps_ladder must be decreasing in (0, 1]; every run, including the
-    epsilon = 0 reference and its dt/2 floor companion, shares the grid.
+    Every run is cfg with its own epsilon (cfg's own epsilon is not used);
+    eps_ladder must be decreasing in (0, 1].  The epsilon = 0 reference,
+    the ladder and the reference's dt/2 floor companion share the grid.
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 < e <= 1 for e in ladder):
@@ -188,10 +173,9 @@ def inviscid_sweep(
     if s > 0:
         raise ParameterError(f"sweep is defined for s <= 0, got {s}")
 
-    grid = phi.grid
+    cfgs = [replace(cfg, params=ModelParams(e, cfg.params.alpha)) for e in (0.0,) + ladder]
     # the dt/2 floor run rides on the same clock, storing every other tick
-    cfgs = _sweep_configs(grid, (0.0,) + ladder, alpha, dt, t_final, snapshot_stride)
-    cfgs += _sweep_configs(grid, (0.0,), alpha, dt / 2.0, t_final, 2 * snapshot_stride)
+    cfgs.append(replace(cfgs[0], dt=cfg.dt / 2.0, snapshot_stride=2 * cfg.snapshot_stride))
     reference, *runs, fine = solve_batch(phi, cfgs)
     observables = [
         {"epsilon": e, "observable": _sup_distance(traj, reference, s)}
@@ -203,15 +187,13 @@ def inviscid_sweep(
         parameter="epsilon",
         values=ladder,
         observables=tuple(observables),
-        fit=None,
-        seed=seed,
         meta={
-            "alpha": alpha,
+            "alpha": cfg.params.alpha,
             "sobolev_s": s,
-            "t_final": t_final,
-            "dt": dt,
+            "t_final": cfg.t_final,
+            "dt": cfg.dt,
             "floor": floor,
-            "grid": {"box_length": grid.box_length, "modes": grid.modes},
+            "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
         },
     )
 
@@ -236,19 +218,14 @@ def rate_fit(report: SweepReport) -> float:
     return fit["slope"]
 
 
-def scaling_check(
-    phi: RealField,
-    params: ModelParams,
-    lambda_exp: int,
-    t_final: float,
-    dt: float,
-) -> float:
-    """Relative L2 distance between the base solve and the pulled-back
-    rescaled solve with lam = 2^-lambda_exp.
+def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
+    """Relative L2 distance between the base solve, cfg from phi, and the
+    pulled-back rescaled solve with lam = 2^-lambda_exp.
 
-    The rescaled run uses box lam^-1 L with lam^-1 M modes, data
-    lam^2 phi(lam x), dissipation lam^(3-2a) epsilon, horizon lam^-3 T,
-    and step lam^-3 dt, then is compared after exact band restriction.
+    Both runs store only their final state.  The rescaled run uses box
+    lam^-1 L with lam^-1 M modes, data lam^2 phi(lam x), dissipation
+    lam^(3-2a) epsilon, horizon lam^-3 T, and step lam^-3 dt, then is
+    compared after exact band restriction.
     Wavenumber m on the fine grid is xi_m / lam, so copying coefficients
     index by index realizes phi -> phi(lam x) exactly.  The fine grid is
     dealiased at lam times the base fraction, which keeps the same
@@ -259,13 +236,10 @@ def scaling_check(
     if lambda_exp < 0 or int(lambda_exp) != lambda_exp:
         raise ParameterError(f"lambda_exp must be a nonnegative integer, got {lambda_exp}")
     lam = 2.0**-lambda_exp
-    grid = phi.grid
+    grid, params = cfg.grid, cfg.params
     factor = int(round(1.0 / lam))
 
-    base_cfg = SolverConfig(
-        params=params, grid=grid, dt=dt, t_final=t_final, snapshot_stride=10**9
-    )
-    base = solve(phi, base_cfg)
+    base = solve(phi, replace(cfg, snapshot_stride=10**9))
     target = base.coeffs[-1]
     target_norm = np.linalg.norm(target)
     if target_norm == 0.0:
@@ -282,16 +256,9 @@ def scaling_check(
         # unitary coefficients scale by lam^2 * sqrt(1/lam) = lam^(3/2)
         embedded = resize_band(forward_transform(phi).coeffs, fine_grid.modes)
         phi_scaled_real = inverse_transform(SpectralField(embedded * lam**1.5, fine_grid))
-    scaled_params = ModelParams(
-        epsilon=params.epsilon * lam ** (3.0 - 2.0 * params.alpha),
-        alpha=params.alpha,
-    )
+    scaled_params = ModelParams(params.epsilon * lam ** (3.0 - 2.0 * params.alpha), params.alpha)
     scaled_cfg = SolverConfig(
-        params=scaled_params,
-        grid=fine_grid,
-        dt=dt / lam**3,
-        t_final=t_final / lam**3,
-        snapshot_stride=10**9,
+        scaled_params, fine_grid, cfg.dt / lam**3, cfg.t_final / lam**3, snapshot_stride=10**9
     )
     scaled = solve(phi_scaled_real, scaled_cfg)
 
@@ -301,16 +268,11 @@ def scaling_check(
 
 
 def h1_bound_check(
-    phi: RealField,
-    alpha: float,
-    eps_ladder: tuple[float, ...],
-    t_final: float,
-    dt: float,
-    snapshot_stride: int = 1,
-    seed: int = 0,
+    phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...]
 ) -> SweepReport:
     """Per epsilon: sup_t ||u||_H1 + sqrt(eps) (int ||Lambda^(2a) u||^2)^(1/2).
 
+    Every run is cfg with its own epsilon (cfg's own epsilon is not used).
     The time integral uses trapezoid quadrature over snapshots.  A
     uniform bound across the ladder is the expected behavior; the report
     carries the observables for the band check.
@@ -318,11 +280,12 @@ def h1_bound_check(
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 <= e <= 1 for e in ladder):
         raise ParameterError(f"eps_ladder must be non-empty in [0, 1], got {ladder}")
-    xi = phi.grid.wavenumbers()
+    alpha = cfg.params.alpha
+    xi = cfg.grid.wavenumbers()
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
     weights = (1.0 + xi**2, np.abs(xi) ** (4.0 * alpha))
     observables = []
-    trajs = solve_batch(phi, _sweep_configs(phi.grid, ladder, alpha, dt, t_final, snapshot_stride))
+    trajs = solve_batch(phi, [replace(cfg, params=ModelParams(e, alpha)) for e in ladder])
     for eps, traj in zip(ladder, trajs):
         h1_sq, rates = spectral_energies(traj.coeffs, *weights)
         sup_h1 = float(np.sqrt(np.max(h1_sq)))
@@ -339,7 +302,5 @@ def h1_bound_check(
         parameter="epsilon",
         values=ladder,
         observables=tuple(observables),
-        fit=None,
-        seed=seed,
-        meta={"alpha": alpha, "t_final": t_final, "dt": dt},
+        meta={"alpha": alpha, "t_final": cfg.t_final, "dt": cfg.dt},
     )

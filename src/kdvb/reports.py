@@ -16,16 +16,13 @@ class SweepReport:
     """One observable recorded along a monotone parameter ladder.
 
     ``observables[i]`` is a plain-dict record aligned with ``values[i]``;
-    ``fit`` carries {slope, intercept, r_squared} when a power law was
-    fitted, and ``crossover_estimate`` the interpolated sign change of a
-    fitted exponent when one exists.
+    ``crossover_estimate`` is the interpolated sign change of a fitted
+    exponent when one exists.
     """
 
     parameter: str
     values: tuple[float, ...]
     observables: tuple[dict, ...]
-    fit: dict | None
-    seed: int
     meta: dict = field(default_factory=dict)
     crossover_estimate: float | None = None
 
@@ -41,8 +38,6 @@ class SweepReport:
             "parameter": self.parameter,
             "values": list(self.values),
             "observables": list(self.observables),
-            "fit": self.fit,
-            "seed": self.seed,
             "meta": self.meta,
             "crossover_estimate": self.crossover_estimate,
         }

@@ -324,8 +324,6 @@ def exponent_sweep(
         parameter="s",
         values=tuple(float(s) for s in s_list),
         observables=observables,
-        fit=None,
-        seed=0,
         meta={"alpha": alpha, "regime": regime, "delta": delta},
         crossover_estimate=None if crossover is None else float(crossover),
     )

@@ -98,9 +98,8 @@ class TestCriterion03ScalingInvariance:
     def test_half_lambda_cross_solve(self):
         grid = GridSpec(box_length=32.0, modes=256)
         phi = soliton_initial_data(4.0, x0=16.0, grid=grid)
-        distance = scaling_check(
-            phi, ModelParams(0.5, 1.0), lambda_exp=1, t_final=0.5, dt=5e-4
-        )
+        cfg = SolverConfig(ModelParams(0.5, 1.0), grid, dt=5e-4, t_final=0.5)
+        distance = scaling_check(phi, cfg, lambda_exp=1)
         assert distance <= 1e-7
         report(3, "scaling invariance", f"cross-solve distance {distance:.3e} <= 1e-7;")
 
@@ -114,15 +113,10 @@ def inviscid_phi():
 class TestCriterion04InviscidLimit:
     @pytest.mark.parametrize("s", [0.0, -0.5])
     def test_observable_decreases_to_floor(self, inviscid_phi, s):
-        rep = inviscid_sweep(
-            inviscid_phi,
-            alpha=1.0,
-            eps_ladder=(1e-1, 1e-2, 1e-3, 1e-4),
-            t_final=1.0,
-            s=s,
-            dt=1e-2,
-            snapshot_stride=10,
+        cfg = SolverConfig(
+            ModelParams(0.0, 1.0), inviscid_phi.grid, dt=1e-2, t_final=1.0, snapshot_stride=10
         )
+        rep = inviscid_sweep(inviscid_phi, cfg, eps_ladder=(1e-1, 1e-2, 1e-3, 1e-4), s=s)
         obs = [rec["observable"] for rec in rep.observables]
         assert all(a > b for a, b in zip(obs, obs[1:]))
         floor = rep.meta["floor"]
@@ -138,16 +132,8 @@ class TestCriterion05RateBound:
     def test_rough_data_rate(self):
         grid = GridSpec(box_length=8.0, modes=512)
         phi = power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=1234)
-        rep = inviscid_sweep(
-            phi,
-            alpha=1.0,
-            eps_ladder=(1e-1, 1e-2, 1e-3, 1e-4),
-            t_final=1.0,
-            s=0.0,
-            dt=2e-3,
-            snapshot_stride=25,
-            seed=1234,
-        )
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt=2e-3, t_final=1.0, snapshot_stride=25)
+        rep = inviscid_sweep(phi, cfg, eps_ladder=(1e-1, 1e-2, 1e-3, 1e-4), s=0.0)
         slope = rate_fit(rep)
         assert slope >= 0.4
         report(5, "inviscid rate bound", f"fitted slope {slope:.3f} >= 0.4;")
@@ -157,14 +143,8 @@ class TestCriterion06H1UniformBound:
     def test_band(self):
         grid = GridSpec(box_length=32.0, modes=256)
         phi = gaussian_initial_data(grid, width=2.0, l2_norm=2.0, modulation=1.0)
-        rep = h1_bound_check(
-            phi,
-            alpha=0.8,
-            eps_ladder=(1.0, 0.1, 0.01, 0.001),
-            t_final=1.0,
-            dt=5e-3,
-            snapshot_stride=10,
-        )
+        cfg = SolverConfig(ModelParams(0.0, 0.8), grid, dt=5e-3, t_final=1.0, snapshot_stride=10)
+        rep = h1_bound_check(phi, cfg, eps_ladder=(1.0, 0.1, 0.01, 0.001))
         obs = [rec["observable"] for rec in rep.observables]
         band = max(obs) / min(obs)
         assert band <= 3.0

@@ -266,6 +266,63 @@ def test_fuzzed_calculus_run_exits_by_name(data):
             assert _finite_numbers(result)
 
 
+# tiny documents of the stepping subcommands: M = 64 and 20 steps of dt
+# (scaling's rescaled run has 2**lambda_exp times the modes)
+STEPPING_BLOCKS = {
+    "solve": {},
+    "energy": {"refine_check": True},
+    "inviscid": {"eps_ladder": [0.1, 0.01], "sobolev_s": -0.5},
+    "rate": {"eps_ladder": [0.1, 0.01, 0.001]},
+    "scaling": {"lambda_exp": 1},
+    "h1-bound": {"eps_ladder": [1.0, 0.1, 0.0]},
+}
+STEPPING_DATA = [
+    {"kind": "gaussian", "width": 2.0, "l2_norm": 1.0, "modulation": 0.5},
+    {"kind": "soliton", "c": 4.0, "x0": 16.0},
+    {"kind": "power_law", "decay_exponent": -1.51, "l2_norm": 0.5, "seed": 3},
+    {"kind": "sine", "amplitude": 0.5, "wavenumber_index": 2},
+]
+STEPPING_TOP = ("epsilon", "alpha", "modes", "box_length", "dealias_fraction", "dt", "t_final",
+                "snapshot_stride", "seed")
+# zero, subnormals, tiny, vast, 2**53, a few signs and ordinary values
+EDGE_NUMBERS = st.sampled_from(
+    [0, 0.0, 5e-324, 1e-310, 1e-300, 1e300, -1e300, 2**53, -1.0, 0.5, 1, 2.0]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fuzzed_stepping_run_exits_by_name(data):
+    # a tiny document of a stepping subcommand with edge numbers in 1-3 of
+    # its top-level, initial_data or block keys (a ladder drawn whole, of
+    # 2-4 entries), through main: parse_config and run
+    sub = data.draw(st.sampled_from(sorted(STEPPING_BLOCKS)))
+    doc = solve_doc(None, subcommand=sub, dt=0.01, t_final=0.2)
+    doc["initial_data"] = dict(data.draw(st.sampled_from(STEPPING_DATA)))
+    doc[sub] = dict(STEPPING_BLOCKS[sub])
+    keys = [("", k) for k in STEPPING_TOP]
+    keys += [("initial_data", k) for k in doc["initial_data"] if k != "kind"]
+    keys += [(sub, k) for k in doc[sub]]
+    for where, key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        target = doc[where] if where else doc
+        if key == "eps_ladder":
+            target[key] = data.draw(st.lists(EDGE_NUMBERS, min_size=2, max_size=4))
+        else:
+            target[key] = data.draw(EDGE_NUMBERS)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps({**doc, "out": str(out)}))
+        code = main(["--config", str(cfg_path)])
+        assert code in (0, 2, 3, 4)
+        assert (out / "error.json").exists() == (code != 0)
+        if code == 0:
+            # strict JSON: NaN and Infinity tokens are rejected too
+            text = (out / "result.json").read_text()
+            result = json.loads(text, parse_constant=lambda token: math.nan)
+            assert _finite_numbers(result)
+
+
 class TestRun:
     def test_solve_artifacts(self, tmp_path):
         cfg = parse_config(json.dumps(solve_doc(tmp_path / "run")))
@@ -395,6 +452,34 @@ class TestRun:
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
         assert message in payload["message"]
+
+    @pytest.mark.parametrize(
+        "data,overrides,code",
+        [
+            # the profile overflows, or underflows to a zero norm
+            ({"kind": "power_law", "decay_exponent": 1e300}, {}, 2),
+            ({"kind": "power_law", "decay_exponent": -1e300}, {}, 2),
+            ({"kind": "power_law"}, {"dealias_fraction": 1e-300}, 2),
+            ({"kind": "gaussian", "modulation": 1e300}, {"box_length": 1e300}, 2),
+            # exp(-inf) = 0 away from the center, or cosh(inf) at the edge
+            ({"kind": "gaussian", "width": 5e-324}, {}, 0),
+            ({"kind": "gaussian"}, {"box_length": 1e300}, 0),
+            ({"kind": "soliton", "c": 4.0, "x0": 16.0}, {"box_length": 2.0**53}, 0),
+            ({"kind": "soliton", "c": 2.0**53}, {}, 3),
+        ],
+    )
+    def test_vast_or_tiny_initial_data_prints_only_its_record(
+        self, tmp_path, capsys, data, overrides, code
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(tmp_path / "out", initial_data=data, **overrides)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert json.loads(err) == json.loads((tmp_path / "out" / "error.json").read_text())
+        else:
+            assert err == ""
 
     @pytest.mark.parametrize("index", [40, -22, 10**30])
     def test_sine_outside_the_dealiased_band_is_parameter_error(self, tmp_path, capsys, index):
@@ -854,6 +939,35 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_sharpness_result_carries_the_run_seed(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        block = {"s_list": [-0.75], "n_ladder": [16.0, 32.0, 64.0, 128.0]}
+        cfg_path.write_text(
+            json.dumps(solve_doc(tmp_path / "s", subcommand="sharpness", sharpness=block))
+        )
+        assert main(["--config", str(cfg_path), "--seed", "5"]) == 0
+        result = json.loads((tmp_path / "s" / "result.json").read_text())
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert result["seed"] == manifest["seed"] == 5
+
+    def test_diverging_sweep_prints_only_its_error_record(self, tmp_path, capsys):
+        # every row overflows on its way to the non-finite state that names
+        # its step; under this suite's filter a numpy RuntimeWarning raises
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(
+            tmp_path / "out",
+            subcommand="h1-bound",
+            dt=0.05,
+            t_final=0.5,
+            initial_data={"kind": "gaussian", "width": 2.0, "l2_norm": 28.0},
+            **{"h1-bound": {"eps_ladder": [1.0, 0.1, 0.0]}},
+        )
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 3
+        error = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert error["message"].startswith("epsilon = 1.0: non-finite state detected at step 5")
+        assert json.loads(capsys.readouterr().err) == error
 
     def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

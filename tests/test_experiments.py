@@ -138,8 +138,6 @@ class TestRateFit:
             parameter="epsilon",
             values=ladder,
             observables=tuple({"observable": e**power} for e in ladder),
-            fit=None,
-            seed=0,
         )
 
     def test_linear_and_square_root(self):
@@ -151,8 +149,6 @@ class TestRateFit:
             parameter="epsilon",
             values=(1e-1, 1e-2, 1e-3),
             observables=({"observable": 1.0}, {"observable": 2.0}, {"observable": 0.5}),
-            fit=None,
-            seed=0,
         )
         with pytest.warns(UserWarning, match="r\\^2"):
             rate_fit(report)
@@ -163,52 +159,53 @@ def small_grid_phi():
     return gaussian_initial_data(grid, width=1.5, l2_norm=1.5, modulation=1.0)
 
 
+def sweep_cfg(phi, alpha, t_final, dt, snapshot_stride=1):
+    """The config a driver sweeps over phi's grid; sweeps replace its epsilon."""
+    return SolverConfig(ModelParams(0.0, alpha), phi.grid, dt, t_final, snapshot_stride)
+
+
 class TestInviscidSweep:
     def test_zero_data_zero_observables(self):
         grid = GridSpec(box_length=16.0, modes=64)
         phi = RealField(np.zeros(64), grid)
-        rep = inviscid_sweep(phi, 1.0, (1e-1, 1e-2), t_final=0.05, s=0.0, dt=5e-3)
+        rep = inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3), (1e-1, 1e-2), s=0.0)
         assert all(rec["observable"] == 0.0 for rec in rep.observables)
 
     def test_observables_decrease_and_norm_monotone_in_s(self):
         phi = small_grid_phi()
-        rep0 = inviscid_sweep(
-            phi, 0.8, (1e-1, 1e-2, 1e-3), t_final=0.25, s=0.0, dt=2e-3,
-            snapshot_stride=5,
-        )
+        cfg = sweep_cfg(phi, 0.8, 0.25, 2e-3, snapshot_stride=5)
+        rep0 = inviscid_sweep(phi, cfg, (1e-1, 1e-2, 1e-3), s=0.0)
         obs0 = [rec["observable"] for rec in rep0.observables]
         assert obs0[0] > obs0[1] > obs0[2] > 0
-        rep_neg = inviscid_sweep(
-            phi, 0.8, (1e-1, 1e-2, 1e-3), t_final=0.25, s=-0.5, dt=2e-3,
-            snapshot_stride=5,
-        )
+        rep_neg = inviscid_sweep(phi, cfg, (1e-1, 1e-2, 1e-3), s=-0.5)
         for a, b in zip(rep_neg.observables, rep0.observables):
             assert a["observable"] <= b["observable"] + 1e-15
 
     def test_ladder_validated(self):
         phi = small_grid_phi()
         with pytest.raises(ParameterError, match="decreasing"):
-            inviscid_sweep(phi, 1.0, (1e-2, 1e-1), t_final=0.1, s=0.0, dt=5e-3)
+            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-2, 1e-1), s=0.0)
         with pytest.raises(ParameterError, match="\\(0, 1\\]"):
-            inviscid_sweep(phi, 1.0, (2.0, 0.1), t_final=0.1, s=0.0, dt=5e-3)
+            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (2.0, 0.1), s=0.0)
 
 
 class TestScalingCheck:
     def test_identity_at_unit_lambda(self):
         grid = GridSpec(box_length=16.0, modes=64)
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=0.5)
-        assert scaling_check(phi, ModelParams(0.3, 0.9), 0, t_final=0.1, dt=5e-3) == 0.0
+        cfg = SolverConfig(ModelParams(0.3, 0.9), grid, dt=5e-3, t_final=0.1)
+        assert scaling_check(phi, cfg, 0) == 0.0
 
     def test_dispersive_scaling_invariance(self):
         grid = GridSpec(box_length=32.0, modes=192)
         phi = soliton_initial_data(4.0, x0=16.0, grid=grid)
-        d = scaling_check(phi, ModelParams(0.0, 1.0), 1, t_final=0.2, dt=1e-3)
+        d = scaling_check(phi, SolverConfig(ModelParams(0.0, 1.0), grid, 1e-3, 0.2), 1)
         assert d <= 1e-7
 
     def test_dissipative_scaling_invariance(self):
         grid = GridSpec(box_length=32.0, modes=192)
         phi = soliton_initial_data(4.0, x0=16.0, grid=grid)
-        d = scaling_check(phi, ModelParams(0.5, 1.0), 1, t_final=0.2, dt=1e-3)
+        d = scaling_check(phi, SolverConfig(ModelParams(0.5, 1.0), grid, 1e-3, 0.2), 1)
         assert d <= 1e-7
 
 
@@ -216,14 +213,12 @@ class TestH1Bound:
     def test_zero_data(self):
         grid = GridSpec(box_length=16.0, modes=64)
         phi = RealField(np.zeros(64), grid)
-        rep = h1_bound_check(phi, 0.8, (1.0, 0.1), t_final=0.05, dt=5e-3)
+        rep = h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.05, 5e-3), (1.0, 0.1))
         assert all(rec["observable"] == 0.0 for rec in rep.observables)
 
     def test_dispersive_entry_is_bare_h1_sup(self):
         phi = small_grid_phi()
-        rep = h1_bound_check(
-            phi, 0.8, (0.1, 0.0), t_final=0.1, dt=2e-3, snapshot_stride=5
-        )
+        rep = h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.1, 2e-3, snapshot_stride=5), (0.1, 0.0))
         eps0 = rep.observables[-1]
         assert eps0["epsilon"] == 0.0
         assert eps0["observable"] == pytest.approx(eps0["sup_h1"])
@@ -231,9 +226,8 @@ class TestH1Bound:
 
     def test_band_is_narrow_for_smooth_data(self):
         phi = small_grid_phi()
-        rep = h1_bound_check(
-            phi, 0.8, (1.0, 0.1, 0.01), t_final=0.25, dt=2e-3, snapshot_stride=5
-        )
+        cfg = sweep_cfg(phi, 0.8, 0.25, 2e-3, snapshot_stride=5)
+        rep = h1_bound_check(phi, cfg, (1.0, 0.1, 0.01))
         obs = [rec["observable"] for rec in rep.observables]
         assert max(obs) / min(obs) <= 3.0
 
@@ -260,19 +254,17 @@ class TestBatchedSweeps:
 
     def test_inviscid_sweep_equals_per_run_path(self, monkeypatch):
         phi = power_law_initial_data(GridSpec(8.0, 128), -1.51, 0.5, seed=7)
-        args = (phi, 1.0, (1e-1, 1e-2, 1e-3, 1e-4))
-        kwargs = dict(t_final=0.1, s=-0.5, dt=2e-3, snapshot_stride=5)
-        batched = inviscid_sweep(*args, **kwargs)
+        args = (phi, sweep_cfg(phi, 1.0, 0.1, 2e-3, snapshot_stride=5), (1e-1, 1e-2, 1e-3, 1e-4))
+        batched = inviscid_sweep(*args, s=-0.5)
         monkeypatch.setattr(experiments, "solve_ladder", solve_one_at_a_time)
-        assert batched == inviscid_sweep(*args, **kwargs)
+        assert batched == inviscid_sweep(*args, s=-0.5)
 
     def test_h1_bound_equals_per_run_path(self, monkeypatch):
         phi = small_grid_phi()
-        args = (phi, 0.8, (1.0, 0.1, 0.01, 0.0))
-        kwargs = dict(t_final=0.1, dt=2e-3, snapshot_stride=3)
-        batched = h1_bound_check(*args, **kwargs)
+        args = (phi, sweep_cfg(phi, 0.8, 0.1, 2e-3, snapshot_stride=3), (1.0, 0.1, 0.01, 0.0))
+        batched = h1_bound_check(*args)
         monkeypatch.setattr(experiments, "solve_ladder", solve_one_at_a_time)
-        assert batched == h1_bound_check(*args, **kwargs)
+        assert batched == h1_bound_check(*args)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -289,7 +281,7 @@ class TestBatchedSweeps:
         message = per_run_divergence(phi, 1.0, ladder, 0.05, 0.5)
         assert message.startswith(expected)
         with pytest.raises(DivergenceError) as exc:
-            h1_bound_check(phi, 1.0, ladder, t_final=0.5, dt=0.05)
+            h1_bound_check(phi, sweep_cfg(phi, 1.0, 0.5, 0.05), ladder)
         assert str(exc.value) == message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -304,7 +296,7 @@ class TestBatchedSweeps:
         monkeypatch.setattr(experiments, "solve", counted)
         phi = gaussian_initial_data(GridSpec(32.0, 64), width=2.0, l2_norm=28.0)
         with pytest.raises(DivergenceError, match="epsilon = 1.0: "):
-            h1_bound_check(phi, 1.0, (1.0, 0.1, 0.0), t_final=0.5, dt=0.05)
+            h1_bound_check(phi, sweep_cfg(phi, 1.0, 0.5, 0.05), (1.0, 0.1, 0.0))
         assert solves == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -313,5 +305,5 @@ class TestBatchedSweeps:
         message = per_run_divergence(phi, 1.0, (0.0, 1.0), 0.05, 0.5)
         assert message.startswith("epsilon = 0.0: ")
         with pytest.raises(DivergenceError) as exc:
-            inviscid_sweep(phi, 1.0, (1.0,), t_final=0.5, s=0.0, dt=0.05)
+            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.5, 0.05), (1.0,), s=0.0)
         assert str(exc.value) == message

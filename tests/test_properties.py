@@ -135,5 +135,6 @@ def test_scaling_map(phi, eps, alpha, lambda_exp, dt, n_steps):
     # u -> lam^2 u(lam x, lam^3 t), epsilon -> lam^(3 - 2 alpha) epsilon maps
     # solutions to solutions; the two runs carry the same modes, so they
     # agree to roundoff: at most 6.9e-16 over 5,000 random examples
-    distance = scaling_check(phi, ModelParams(eps, alpha), lambda_exp, n_steps * dt, dt)
+    cfg = SolverConfig(ModelParams(eps, alpha), phi.grid, dt, n_steps * dt)
+    distance = scaling_check(phi, cfg, lambda_exp)
     assert distance <= 1e-14
