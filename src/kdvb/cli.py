@@ -245,14 +245,18 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
 
 
 def build_initial_data(cfg: RunConfig) -> RealField:
-    """The configured initial field; a non-finite one is a ParameterError
-    naming its kind, raised before any step.  A vast or tiny parameter
-    overflows either to its limit (exp(-inf) = 0) or to a non-finite
-    field, so numpy's warnings are not printed."""
+    """The configured initial field; a non-finite field, or a ParameterError
+    of its constructor, is a ParameterError naming its kind, raised before
+    any step.  A vast or tiny parameter overflows either to its limit
+    (exp(-inf) = 0) or to a non-finite field, so numpy's warnings are not
+    printed."""
     params = dict(cfg.data)
     kind = params.pop("kind")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
+        try:
+            initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
+        except ParameterError as exc:
+            raise ParameterError(f"initial_data.kind {kind!r}: {exc}") from exc
     if not np.all(np.isfinite(initial.values)):
         raise ParameterError(f"initial_data.kind {kind!r} gives a non-finite field for {params}")
     return initial
@@ -416,7 +420,10 @@ def run(cfg: RunConfig) -> int:
     Returns the process exit code.  On failure an error.json artifact
     records the exception class and message.
     """
-    cfg.out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(ConfigError(f"cannot make out directory {str(cfg.out_path)!r}: {exc}"), 2)
     artifacts: dict[str, bytes] = {}
     started = time.monotonic()
     runner = _COMMANDS[cfg.subcommand][0]

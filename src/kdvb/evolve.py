@@ -64,9 +64,7 @@ from .spectral import (
     RealField,
     SpectralField,
     forward_transform,
-    read_snapshot,
     synthesize,
-    write_snapshot,
 )
 
 Nonlinearity = Callable[[np.ndarray], np.ndarray]
@@ -480,37 +478,55 @@ def zero_nonlinearity(c: np.ndarray) -> np.ndarray:
     return np.zeros_like(c)
 
 
+SNAPSHOT_MAGIC = b"KDVBSNAP"
+
+
+def _write_json(stream, doc: dict) -> None:
+    """A little-endian uint32 byte count, then doc as sorted-key JSON."""
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    stream.write(struct.pack("<I", len(blob)) + blob)
+
+
+def _read(stream, size: int) -> bytes:
+    blob = stream.read(size)
+    if len(blob) != size:
+        raise ContractViolationError(f"trajectory ends early: {len(blob)} of {size} bytes read")
+    return blob
+
+
+def _read_json(stream) -> dict:
+    (size,) = struct.unpack("<I", _read(stream, 4))
+    return json.loads(_read(stream, size))
+
+
 def write_trajectory(stream, traj: Trajectory) -> None:
-    """Serialize: a length-prefixed JSON manifest {count, dt,
-    snapshot_stride, params}, then one snapshot record per state."""
-    manifest = {
-        "count": len(traj.times),
-        "dt": traj.config.dt,
-        "snapshot_stride": traj.config.snapshot_stride,
-        "params": {"epsilon": traj.params.epsilon, "alpha": traj.params.alpha},
-    }
-    blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    stream.write(struct.pack("<I", len(blob)))
-    stream.write(blob)
-    values = synthesize(traj.coeffs, traj.grid.box_length)
-    for t, v in zip(traj.times, values):
-        write_snapshot(
-            stream,
-            RealField(v, traj.grid),
-            float(t),
-            traj.params.epsilon,
-            traj.params.alpha,
-        )
+    """Write traj as trajectory.bin: the manifest {count, dt,
+    snapshot_stride, params}, then per snapshot the magic "KDVBSNAP", the
+    header {box_length, modes, time, epsilon, alpha, normalization} and M
+    little-endian float64 collocation values; each JSON length-prefixed."""
+    cfg = traj.config
+    params = {"epsilon": cfg.params.epsilon, "alpha": cfg.params.alpha}
+    manifest = {"count": len(traj.times), "dt": cfg.dt, "snapshot_stride": cfg.snapshot_stride}
+    _write_json(stream, {**manifest, "params": params})
+    header = {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes, **params}
+    values = np.asarray(synthesize(traj.coeffs, cfg.grid.box_length), dtype="<f8")
+    for t, row in zip(traj.times, values):
+        stream.write(SNAPSHOT_MAGIC)
+        _write_json(stream, {**header, "time": float(t), "normalization": "unitary-l2"})
+        stream.write(row.tobytes())
 
 
 def read_trajectory(stream) -> tuple[list[float], list, dict]:
-    """Read back a serialized trajectory: (times, real fields, manifest)."""
-    (hlen,) = struct.unpack("<I", stream.read(4))
-    manifest = json.loads(stream.read(hlen).decode("utf-8"))
-    times = []
-    fields = []
+    """Read back a trajectory.bin stream: (times, real fields, manifest).
+    A bad magic or a stream that ends early is a ContractViolationError."""
+    manifest = _read_json(stream)
+    times, fields = [], []
     for _ in range(int(manifest["count"])):
-        field, header = read_snapshot(stream)
+        magic = _read(stream, len(SNAPSHOT_MAGIC))
+        if magic != SNAPSHOT_MAGIC:
+            raise ContractViolationError(f"bad snapshot magic {magic!r}")
+        header = _read_json(stream)
+        grid = GridSpec(float(header["box_length"]), int(header["modes"]))
         times.append(float(header["time"]))
-        fields.append(field)
+        fields.append(RealField(np.frombuffer(_read(stream, 8 * grid.modes), "<f8"), grid))
     return times, fields, manifest

@@ -39,10 +39,9 @@ from .reports import SweepReport, fit_power_law
 from .spectral import (
     GridSpec,
     RealField,
-    SpectralField,
     forward_transform,
-    inverse_transform,
     resize_band,
+    synthesize,
 )
 
 
@@ -120,8 +119,9 @@ def power_law_initial_data(
     coeffs[half + 1 :] = np.conj(coeffs[1:half][::-1])
     coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
     norm = np.linalg.norm(coeffs)
-    field = SpectralField(coeffs * (l2_norm / norm), grid)
-    return inverse_transform(field)
+    if norm == 0:
+        raise ParameterError("the dealiased band holds no nonzero mode of <xi>^decay_exponent")
+    return RealField(synthesize(coeffs * (l2_norm / norm), grid.box_length), grid)
 
 
 def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -> RealField:
@@ -254,8 +254,8 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
         phi_scaled_real = phi
     else:
         # unitary coefficients scale by lam^2 * sqrt(1/lam) = lam^(3/2)
-        embedded = resize_band(forward_transform(phi).coeffs, fine_grid.modes)
-        phi_scaled_real = inverse_transform(SpectralField(embedded * lam**1.5, fine_grid))
+        embedded = resize_band(forward_transform(phi).coeffs, fine_grid.modes) * lam**1.5
+        phi_scaled_real = RealField(synthesize(embedded, fine_grid.box_length), fine_grid)
     scaled_params = ModelParams(params.epsilon * lam ** (3.0 - 2.0 * params.alpha), params.alpha)
     scaled_cfg = SolverConfig(
         scaled_params, fine_grid, cfg.dt / lam**3, cfg.t_final / lam**3, snapshot_stride=10**9

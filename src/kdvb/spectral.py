@@ -23,10 +23,7 @@ mapped to 0, so the mean of the field is untouched by dissipation.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
 import sys
 from dataclasses import dataclass
 
@@ -34,8 +31,6 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 
-SNAPSHOT_MAGIC = b"KDVBSNAP"
-NORMALIZATION = "unitary-l2"
 # Largest lattice a GridSpec accepts: one complex field of this size is
 # 16 MiB, so a mistyped mode count fails by name instead of in allocation.
 MAX_MODES = 2**20
@@ -214,47 +209,3 @@ def hermitian_residual(u: SpectralField) -> float:
     norm = np.linalg.norm(c)
     return float(defect / norm) if norm > 0 else float(defect)
 
-
-# ---------------------------------------------------------------------------
-# Snapshot binary format
-#
-# Layout: 8-byte magic "KDVBSNAP", a little-endian uint32 header length,
-# a JSON header {box_length, modes, time, epsilon, alpha, normalization},
-# then M little-endian float64 collocation values.
-# ---------------------------------------------------------------------------
-
-
-def write_snapshot(
-    stream: io.BufferedIOBase,
-    field: RealField,
-    time: float,
-    epsilon: float,
-    alpha: float,
-) -> None:
-    """Append one snapshot record to a binary stream."""
-    header = {
-        "box_length": field.grid.box_length,
-        "modes": field.grid.modes,
-        "time": time,
-        "epsilon": epsilon,
-        "alpha": alpha,
-        "normalization": NORMALIZATION,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    stream.write(SNAPSHOT_MAGIC)
-    stream.write(struct.pack("<I", len(blob)))
-    stream.write(blob)
-    stream.write(np.asarray(field.values, dtype="<f8").tobytes())
-
-
-def read_snapshot(stream: io.BufferedIOBase) -> tuple[RealField, dict]:
-    """Read one snapshot record; returns the field and its header dict."""
-    magic = stream.read(len(SNAPSHOT_MAGIC))
-    if magic != SNAPSHOT_MAGIC:
-        raise ContractViolationError(f"bad snapshot magic {magic!r}")
-    (hlen,) = struct.unpack("<I", stream.read(4))
-    header = json.loads(stream.read(hlen).decode("utf-8"))
-    modes = int(header["modes"])
-    values = np.frombuffer(stream.read(8 * modes), dtype="<f8").copy()
-    grid = GridSpec(box_length=float(header["box_length"]), modes=modes)
-    return RealField(values, grid), header

@@ -356,7 +356,6 @@ class TestRun:
         }
         assert first == second
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
         doc = solve_doc(
             tmp_path / "bad",
@@ -397,7 +396,6 @@ class TestRun:
         error = json.loads((tmp_path / "e" / "error.json").read_text())
         assert error == {"error": type(exc).__name__, "exit_code": code, "message": str(exc)}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_exit_code(self, tmp_path):
         doc = {
             "subcommand": "sharpness",
@@ -432,7 +430,6 @@ class TestRun:
         assert payload["error"] == "RangeError"
         assert "scale_n" in payload["message"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "data,message",
         [
@@ -519,7 +516,6 @@ class TestRun:
     def test_box_length_inside_the_etd_range_runs(self, tmp_path):
         assert run(parse_config(json.dumps(solve_doc(tmp_path, box_length=1e-32)))) == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_h1_bound_divergence_names_epsilon(self, tmp_path):
         doc = solve_doc(
             tmp_path / "h1",
@@ -678,7 +674,6 @@ class TestBatchedCompanions:
         assert run(parse_config(json.dumps(doc))) == 0
         assert len(stepper_calls) == calls
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "subcommand,block,prefix",
         [("energy", {}, ""), ("h1-bound", {"eps_ladder": [0.1]}, "epsilon = 0.1: ")],
@@ -700,7 +695,6 @@ class TestBatchedCompanions:
         message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
         assert message == prefix + "non-finite state detected at step 4 (t = 0.25)"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_energy_refine_divergence_matches_per_run_path(self, tmp_path, monkeypatch):
         # dt = 0.1 stays finite over its 3 steps; dt/2 diverges at its step 4
         doc = solve_doc(
@@ -909,6 +903,19 @@ class TestMain:
         # --out still wins over the config's own out
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "flag")]) == 2
         assert (tmp_path / "flag" / "error.json").exists()
+
+    @pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+    def test_unusable_out_is_config_error(self, tmp_path, capsys, out):
+        (tmp_path / "a_file").write_text("not a directory")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "unused")))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(str(tmp_path / out)) in payload["message"]
+        assert (tmp_path / "a_file").read_text() == "not a directory"
 
     def test_one_epsilon_rate_ladder_rejected_before_solving(self, tmp_path, monkeypatch):
         calls = []

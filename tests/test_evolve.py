@@ -1,6 +1,8 @@
 """Tests for the ETDRK4 solver with exact linear flow."""
 
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from kdvb.spectral import (
     hermitian_residual,
     inverse_transform,
     resize_band,
+    synthesize,
 )
 
 
@@ -287,7 +290,6 @@ class TestSolve:
         rel = np.linalg.norm(ours - reference) / np.linalg.norm(reference)
         assert rel <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected_with_step_index(self):
         grid = GridSpec(box_length=4.0, modes=64)
         phi = smooth_data(grid, amplitude=50.0)
@@ -486,7 +488,6 @@ class TestSolveLadder:
             with pytest.raises(ParameterError, match="share"):
                 solve_ladder(phi, [base, other])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_first_diverging_step(self):
         # alone, epsilon = 1 diverges at step 5 and epsilon = 0 at step 4
         grid = GridSpec(box_length=32.0, modes=64)
@@ -535,7 +536,6 @@ class TestSolveLadder:
         "middle_run": (28.0, 0.5, ((1.0, 0.025), (1.0, 0.05), (0.0, 0.05))),
     }
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("batch", sorted(DIVERGING_BATCHES))
     def test_divergence_is_the_first_diverging_single_solve(self, batch):
         l2_norm, t_final, runs = self.DIVERGING_BATCHES[batch]
@@ -574,6 +574,57 @@ class TestTrajectorySerialization:
         assert np.allclose(times, traj.times)
         for field, state in zip(fields, traj.states):
             assert np.allclose(field.values, inverse_transform(state).values)
+
+    @staticmethod
+    def written(traj) -> bytes:
+        buf = io.BytesIO()
+        write_trajectory(buf, traj)
+        return buf.getvalue()
+
+    def test_layout_parses_without_kdvb(self):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(ModelParams(0.3, 0.8), grid, dt=0.01, t_final=0.05, snapshot_stride=2)
+        traj = solve(smooth_data(grid, 0.5), cfg)
+        blob = self.written(traj)
+        (size,) = struct.unpack_from("<I", blob, 0)
+        manifest = json.loads(blob[4 : 4 + size])
+        assert manifest == {
+            "count": 4,
+            "dt": 0.01,
+            "snapshot_stride": 2,
+            "params": {"epsilon": 0.3, "alpha": 0.8},
+        }
+        pos = 4 + size
+        for t, expected in zip(traj.times, synthesize(traj.coeffs, grid.box_length)):
+            assert blob[pos : pos + 8] == b"KDVBSNAP"
+            (size,) = struct.unpack_from("<I", blob, pos + 8)
+            header = json.loads(blob[pos + 12 : pos + 12 + size])
+            assert header == {
+                "box_length": 8.0,
+                "modes": 32,
+                "time": t,
+                "epsilon": 0.3,
+                "alpha": 0.8,
+                "normalization": "unitary-l2",
+            }
+            pos += 12 + size
+            values = np.frombuffer(blob[pos : pos + 8 * 32], dtype="<f8")
+            assert values.tobytes() == expected.tobytes()
+            pos += 8 * 32
+        assert pos == len(blob)
+
+    def test_bad_magic_and_truncation_are_contract_violations(self):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(ModelParams(0.3, 0.8), grid, dt=0.01, t_final=0.02)
+        blob = self.written(solve(smooth_data(grid, 0.5), cfg))
+        magic_at = blob.index(b"KDVBSNAP")
+        bad = blob[:magic_at] + b"NOTMAGIC" + blob[magic_at + 8 :]
+        with pytest.raises(ContractViolationError, match="magic"):
+            read_trajectory(io.BytesIO(bad))
+        # cut inside the manifest's byte count, a snapshot header and the last values
+        for cut in (2, magic_at + 14, len(blob) - 1):
+            with pytest.raises(ContractViolationError, match="ends early"):
+                read_trajectory(io.BytesIO(blob[:cut]))
 
     def test_trajectory_invariants(self):
         grid = GridSpec(box_length=8.0, modes=32)

@@ -108,6 +108,15 @@ class TestRoughData:
         assert hermitian_residual(u) <= 1e-12
         assert u.l2_norm() == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "decay_exponent,dealias_fraction", [(-1.51, 1e-300), (-1e300, 2.0 / 3.0)]
+    )
+    def test_empty_band_is_parameter_error(self, decay_exponent, dealias_fraction):
+        # the suite turns RuntimeWarnings into errors, so a 0/0 would fail here
+        grid = GridSpec(box_length=32.0, modes=64, dealias_fraction=dealias_fraction)
+        with pytest.raises(ParameterError, match="no nonzero mode"):
+            power_law_initial_data(grid, decay_exponent, l2_norm=0.5, seed=7)
+
 
 class TestSineData:
     @pytest.mark.parametrize("index", [1, 21, -21])
@@ -266,7 +275,6 @@ class TestBatchedSweeps:
         monkeypatch.setattr(experiments, "solve_ladder", solve_one_at_a_time)
         assert batched == h1_bound_check(*args)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "l2_norm,ladder,expected",
         [
@@ -284,7 +292,6 @@ class TestBatchedSweeps:
             h1_bound_check(phi, sweep_cfg(phi, 1.0, 0.5, 0.05), ladder)
         assert str(exc.value) == message
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nothing_is_solved_again_after_a_batch_error(self, monkeypatch):
         solves = []
 
@@ -299,7 +306,6 @@ class TestBatchedSweeps:
             h1_bound_check(phi, sweep_cfg(phi, 1.0, 0.5, 0.05), (1.0, 0.1, 0.0))
         assert solves == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inviscid_divergence_names_reference_first(self):
         phi = gaussian_initial_data(GridSpec(32.0, 64), width=2.0, l2_norm=28.0)
         message = per_run_divergence(phi, 1.0, (0.0, 1.0), 0.05, 0.5)

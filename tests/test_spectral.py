@@ -1,7 +1,5 @@
 """Tests for the periodic spectral core: transforms, symbols, dealiasing."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,8 @@ from kdvb.spectral import (
     fractional_dissipation,
     hermitian_residual,
     inverse_transform,
-    read_snapshot,
     resize_band,
     spatial_derivative,
-    write_snapshot,
 )
 
 
@@ -227,22 +223,3 @@ class TestResizeBand:
         assert np.all(padded[4:12] == 0)
         assert np.array_equal(resize_band(padded, 8), c)
 
-
-class TestSnapshotFormat:
-    def test_round_trip(self):
-        grid = GridSpec(box_length=6.0, modes=32)
-        f = random_field(grid, seed=9)
-        buf = io.BytesIO()
-        write_snapshot(buf, f, time=1.25, epsilon=0.3, alpha=0.8)
-        buf.seek(0)
-        back, header = read_snapshot(buf)
-        assert np.array_equal(back.values, f.values)
-        assert header["time"] == 1.25
-        assert header["epsilon"] == 0.3
-        assert header["alpha"] == 0.8
-        assert header["modes"] == 32
-        assert header["normalization"] == "unitary-l2"
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ContractViolationError, match="magic"):
-            read_snapshot(io.BytesIO(b"NOTMAGIC" + b"\x00" * 16))
