@@ -453,12 +453,15 @@ def run(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     artifacts["manifest.json"] = (canonical_json(manifest) + "\n").encode()
-    for name, blob in sorted(artifacts.items()):
-        (cfg.out_path / name).write_bytes(blob)
-    # wall time is deliberately outside the deterministic artifact set
-    (cfg.out_path / "timing.json").write_text(
-        canonical_json({"wall_time_s": time.monotonic() - started}) + "\n"
-    )
+    try:
+        for name, blob in sorted(artifacts.items()):
+            path = cfg.out_path / name
+            path.write_bytes(blob)
+        # wall time is deliberately outside the deterministic artifact set
+        path = cfg.out_path / "timing.json"
+        path.write_text(canonical_json({"wall_time_s": time.monotonic() - started}) + "\n")
+    except OSError as exc:
+        return _fail(ConfigError(f"cannot write artifact {str(path)!r}: {exc}"), 2, cfg.out_path)
     return 0
 
 

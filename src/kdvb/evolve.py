@@ -494,9 +494,21 @@ def _read(stream, size: int) -> bytes:
     return blob
 
 
-def _read_json(stream) -> dict:
+def _read_json(stream, what: str, checks: dict) -> dict:
+    """A length-prefixed JSON object whose entries pass checks {key: predicate};
+    anything else is a ContractViolationError naming what."""
     (size,) = struct.unpack("<I", _read(stream, 4))
-    return json.loads(_read(stream, size))
+    try:
+        doc = json.loads(_read(stream, size))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ContractViolationError(f"trajectory {what} is not JSON: {exc}") from None
+    if not isinstance(doc, dict) or not all(k in doc and ok(doc[k]) for k, ok in checks.items()):
+        raise ContractViolationError(f"trajectory {what} needs {sorted(checks)}, got {doc!r:.200}")
+    return doc
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON true or false is not one
 
 
 def write_trajectory(stream, traj: Trajectory) -> None:
@@ -518,15 +530,23 @@ def write_trajectory(stream, traj: Trajectory) -> None:
 
 def read_trajectory(stream) -> tuple[list[float], list, dict]:
     """Read back a trajectory.bin stream: (times, real fields, manifest).
-    A bad magic or a stream that ends early is a ContractViolationError."""
-    manifest = _read_json(stream)
+    A bad magic, a stream that ends early or goes on past the last record,
+    and JSON that does not parse, lacks a key the reader uses or has it of
+    the wrong kind or out of range are each a ContractViolationError."""
+    manifest = _read_json(stream, "manifest", {"count": lambda v: type(v) is int and v >= 0})
     times, fields = [], []
-    for _ in range(int(manifest["count"])):
+    keys = {"box_length": _is_number, "modes": lambda v: type(v) is int, "time": _is_number}
+    for _ in range(manifest["count"]):
         magic = _read(stream, len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
             raise ContractViolationError(f"bad snapshot magic {magic!r}")
-        header = _read_json(stream)
-        grid = GridSpec(float(header["box_length"]), int(header["modes"]))
-        times.append(float(header["time"]))
+        header = _read_json(stream, "header", keys)
+        try:
+            grid = GridSpec(float(header["box_length"]), header["modes"])
+            times.append(float(header["time"]))
+        except (ParameterError, OverflowError) as exc:
+            raise ContractViolationError(f"trajectory header: {exc}") from None
         fields.append(RealField(np.frombuffer(_read(stream, 8 * grid.modes), "<f8"), grid))
+    if stream.read(1):
+        raise ContractViolationError("trajectory has bytes after its last record")
     return times, fields, manifest

@@ -33,6 +33,16 @@ Resonance-function evaluation uses the factored on-hyperplane forms
 3i xi_1 xi_2 xi_3 and 3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4), which are
 free of the catastrophic cancellation the raw cube sums suffer when the
 frequencies are widely separated.
+
+The multipliers are array kernels: ``m_weight(xi)`` and, on ``xs``, a
+sequence of k broadcastable arrays whose slot j holds xi_j of every tuple
+(kept on the hyperplane by the caller), ``beta_values``, ``h4_values``,
+``m3_values``, ``sigma3_values``, ``m4_values``, ``sigma4_values`` and
+``m5_values``.  The quotient kernels (sigma3, M4, sigma4, M5) return
+``(values, resonant)``: where a denominator vanishes (|den| <= 1e-30) the
+value is 0, and the boolean mask is set only under a numerator above 1e-30,
+so 0/0 maps to 0 with the mask unset; M4 and M5 join their inner masks.  No
+kernel raises; ``modified_energy`` raises ``ResonantDenominatorError``.
 """
 
 from __future__ import annotations
@@ -84,29 +94,6 @@ class IMultiplierSpec:
             raise ParameterError(f"cutoff_n must be positive, got {self.cutoff_n}")
         if not -0.75 <= self.s_exp <= 0:
             raise ParameterError(f"s_exp must lie in [-3/4, 0], got {self.s_exp}")
-
-
-@dataclass(frozen=True)
-class HyperplaneTuple:
-    """A k-tuple of real frequencies constrained to sum to zero, k in 2..5."""
-
-    xis: tuple[float, ...]
-
-    def __post_init__(self):
-        xis = tuple(float(x) for x in self.xis)
-        object.__setattr__(self, "xis", xis)
-        k = len(xis)
-        if not 2 <= k <= 5:
-            raise ContractViolationError(f"tuple length must be 2..5, got {k}")
-        scale = max((abs(x) for x in xis), default=0.0)
-        if abs(sum(xis)) > 1e-9 * max(scale, _TINY):
-            raise ContractViolationError(
-                f"frequencies must sum to zero, got sum {sum(xis):.3e}"
-            )
-
-    @property
-    def k(self) -> int:
-        return len(self.xis)
 
 
 @dataclass(frozen=True)
@@ -184,47 +171,48 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels (arrays of hyperplane tuples, one frequency per slot)
+# Multiplier kernels on arrays of hyperplane tuples (see the module docstring)
 # ---------------------------------------------------------------------------
 
 
-def m_weight_array(xi: np.ndarray, spec: IMultiplierSpec) -> np.ndarray:
+def m_weight(xi, spec: IMultiplierSpec) -> np.ndarray:
+    """The smoothing weight m(xi): 1 below the cutoff, (|xi|/N)^s above."""
     ratio = np.maximum(np.abs(np.asarray(xi, dtype=np.float64)) / spec.cutoff_n, 1.0)
     return ratio**spec.s_exp
 
 
 def _msq(xi, spec):
-    return m_weight_array(xi, spec) ** 2
+    return m_weight(xi, spec) ** 2
 
 
-def _m3_values(x1, x2, x3, spec):
+def m3_values(xs, spec: IMultiplierSpec) -> np.ndarray:
+    """M3 = i sum m^2(xi_j) xi_j on three slots; no denominator, so no mask."""
+    x1, x2, x3 = xs
     return 1j * (_msq(x1, spec) * x1 + _msq(x2, spec) * x2 + _msq(x3, spec) * x3)
 
 
 def _guarded_quotient(num, den):
     """-num/den with 0/0 mapped to 0; returns (values, resonant_mask)."""
-    den = np.asarray(den)
-    num = np.asarray(num)
     small = np.abs(den) <= _TINY
-    safe = np.where(small, 1.0, den)
-    values = np.where(small, 0.0, -num / safe)
-    resonant = small & (np.abs(num) > _TINY)
-    return values, resonant
+    values = np.where(small, 0.0, -num / np.where(small, 1.0, den))
+    return values, small & (np.abs(num) > _TINY)
 
 
-def _beta_values(xs, alpha):
-    total = 0.0
-    for x in xs:
-        total = total + np.abs(x) ** (2 * alpha)
-    return total
+def beta_values(xs, alpha: float):
+    """beta_{alpha,k} = sum |xi_j|^(2 alpha) over the k slots."""
+    return sum(np.abs(x) ** (2 * alpha) for x in xs)
 
 
-def _sigma3_values(x1, x2, x3, spec, params, sign="+"):
-    """sigma3 (sign '+') or sigma3^- (sign '-') on hyperplane arrays."""
+def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+"):
+    """(sigma3, resonant) on three slots, sigma3 = -M3 / (h3 - eps beta_3) with
+    h3 = 3i xi_1 xi_2 xi_3; sign '-' selects sigma3^-, denominator h3 + eps beta_3."""
+    if sign not in ("+", "-"):
+        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+    x1, x2, x3 = xs
     h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
-    eps_term = params.epsilon * _beta_values((x1, x2, x3), params.alpha)
+    eps_term = params.epsilon * beta_values(xs, params.alpha)
     den = h3 - eps_term if sign == "+" else h3 + eps_term
-    return _guarded_quotient(_m3_values(x1, x2, x3, spec), den)
+    return _guarded_quotient(m3_values(xs, spec), den)
 
 
 def _pair_symmetrized(xs, inner, prefactor):
@@ -245,128 +233,28 @@ def _pair_symmetrized(xs, inner, prefactor):
     return (prefactor / len(kept_slots)) * total, resonant
 
 
-def _m4_values(xs, spec, params):
-    """M4 on hyperplane arrays; xs is a sequence of four broadcastable arrays."""
-    return _pair_symmetrized(xs, lambda ys: _sigma3_values(*ys, spec, params), -1.5j)
+def m4_values(xs, spec: IMultiplierSpec, params: ModelParams):
+    """(M4, resonant) on four slots: the six-pairing symmetrization of sigma3."""
+    return _pair_symmetrized(xs, lambda ys: sigma3_values(ys, spec, params), -1.5j)
 
 
-def _h4_values(xs):
+def h4_values(xs) -> np.ndarray:
+    """h4 = i sum xi_j^3 on four slots, as 3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4)."""
     return 3j * (xs[0] + xs[1]) * (xs[0] + xs[2]) * (xs[0] + xs[3])
 
 
-def _sigma4_values(xs, spec, params):
-    num, resonant = _m4_values(xs, spec, params)
-    den = _h4_values(xs) - params.epsilon * _beta_values(xs, params.alpha)
+def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
+    """(sigma4, resonant) on four slots, sigma4 = -M4 / (h4 - eps beta_4); the
+    mask joins M4's with this quotient's own."""
+    num, resonant = m4_values(xs, spec, params)
+    den = h4_values(xs) - params.epsilon * beta_values(xs, params.alpha)
     values, res4 = _guarded_quotient(num, den)
     return values, resonant | res4
 
 
-def _m5_values(xs, spec, params):
-    return _pair_symmetrized(xs, lambda ys: _sigma4_values(ys, spec, params), -2j)
-
-
-# ---------------------------------------------------------------------------
-# Scalar operations on explicit hyperplane tuples
-# ---------------------------------------------------------------------------
-
-
-def m_weight(xi: float, spec: IMultiplierSpec) -> float:
-    """The smoothing weight m(xi): 1 below the cutoff, (|xi|/N)^s above."""
-    return float(m_weight_array(np.asarray([xi]), spec)[0])
-
-
-def resonance_h(t: HyperplaneTuple) -> complex:
-    """h_k = i sum xi_j^3; equals 3i xi_1 xi_2 xi_3 (k=3) and
-    3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4) (k=4) on the hyperplane."""
-    return complex(1j * sum(x**3 for x in t.xis))
-
-
-def beta_alpha(t: HyperplaneTuple, alpha: float) -> float:
-    """beta_{alpha,k} = sum |xi_j|^(2 alpha)."""
-    if not 0 < alpha <= 1:
-        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
-    return float(sum(abs(x) ** (2 * alpha) for x in t.xis))
-
-
-def _require_k(t: HyperplaneTuple, k: int, op: str) -> None:
-    if t.k != k:
-        raise ContractViolationError(f"{op} needs a {k}-tuple, got k = {t.k}")
-
-
-def big_m3(t: HyperplaneTuple, spec: IMultiplierSpec) -> complex:
-    """M3 = i sum m^2(xi_j) xi_j, fully permutation-symmetric."""
-    _require_k(t, 3, "big_m3")
-    return complex(_m3_values(*(np.asarray([x]) for x in t.xis), spec)[0])
-
-
-def _check_resonant_set(t: HyperplaneTuple, params: ModelParams, op: str) -> None:
-    """Scalar evaluations reject the resonant zero set outright.
-
-    With eps = 0 the denominators vanish when any frequency (and, for the
-    quartic calculus, any pair sum) is zero; with eps > 0 only the
-    all-zero tuple is degenerate.
-    """
-    scale = max(max(abs(x) for x in t.xis), _TINY)
-    if params.epsilon == 0:
-        if any(abs(x) <= 1e-9 * scale for x in t.xis):
-            raise ResonantDenominatorError(
-                f"{op}: eps = 0 with a vanishing frequency; exclude the zero set"
-            )
-        if t.k > 3 and any(
-            abs(a + b) <= 1e-9 * scale for a, b in itertools.combinations(t.xis, 2)
-        ):
-            raise ResonantDenominatorError(
-                f"{op}: eps = 0 with a vanishing pair sum; exclude the zero set"
-            )
-    elif all(x == 0 for x in t.xis):
-        raise ResonantDenominatorError(f"{op}: all-zero tuple is degenerate")
-
-
-def _scalar(t: HyperplaneTuple, k: int, op: str, params: ModelParams, values) -> complex:
-    """The gate of the scalar multipliers: t must be a k-tuple off the
-    resonant set; values maps k one-element arrays to (values, resonant)."""
-    _require_k(t, k, op)
-    _check_resonant_set(t, params, op)
-    vals, resonant = values(tuple(np.asarray([x]) for x in t.xis))
-    if resonant[0]:
-        raise ResonantDenominatorError(f"{op}: resonant denominator on this tuple")
-    return complex(vals[0])
-
-
-def sigma3(
-    t: HyperplaneTuple,
-    spec: IMultiplierSpec,
-    params: ModelParams,
-    sign: str = "+",
-) -> complex:
-    """sigma3 = -M3 / (h3 - eps beta_3); sign '-' selects sigma3^- with
-    the reflected denominator h3 + eps beta_3."""
-    if sign not in ("+", "-"):
-        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    return _scalar(
-        t, 3, "sigma3", params, lambda xs: _sigma3_values(*xs, spec, params, sign=sign)
-    )
-
-
-def big_m4(
-    t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
-) -> complex:
-    """M4 as the six-pairing symmetrization of sigma3 terms."""
-    return _scalar(t, 4, "big_m4", params, lambda xs: _m4_values(xs, spec, params))
-
-
-def sigma4(
-    t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
-) -> complex:
-    """sigma4 = -M4 / (h4 - eps beta_4)."""
-    return _scalar(t, 4, "sigma4", params, lambda xs: _sigma4_values(xs, spec, params))
-
-
-def big_m5(
-    t: HyperplaneTuple, spec: IMultiplierSpec, params: ModelParams
-) -> complex:
-    """M5 as the ten-pairing symmetrization of sigma4 terms."""
-    return _scalar(t, 5, "big_m5", params, lambda xs: _m5_values(xs, spec, params))
+def m5_values(xs, spec: IMultiplierSpec, params: ModelParams):
+    """(M5, resonant) on five slots: the ten-pairing symmetrization of sigma4."""
+    return _pair_symmetrized(xs, lambda ys: sigma4_values(ys, spec, params), -2j)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +328,8 @@ def m4_bound_sample(
         for xs in _sample_annulus_tuples(rng, n1, dyadic_config.ratios, n_samples):
             # magnitudes past float64 give a non-finite maximum: a RangeError in the fit
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                lhs_num, resonant = _m4_values(xs, spec, params)
-                den = _h4_values(xs) - params.epsilon * _beta_values(xs, params.alpha)
+                lhs_num, resonant = m4_values(xs, spec, params)
+                den = h4_values(xs) - params.epsilon * beta_values(xs, params.alpha)
                 lhs = np.abs(lhs_num) / np.abs(den)
                 sums = (xs[0] + xs[1], xs[0] + xs[2], xs[0] + xs[3])
                 envelope = _msq(np.minimum.reduce([np.abs(x) for x in (*xs, *sums)]), spec)
@@ -550,8 +438,8 @@ def modified_energy(
             "order >= 3 with eps = 0 requires a zero-mode-free field"
         )
 
-    def sigma3_mult(x1, x2, x3):
-        values, resonant = _sigma3_values(x1, x2, x3, spec, params)
+    def sigma3_mult(*xs):
+        values, resonant = sigma3_values(xs, spec, params)
         if params.epsilon > 0 and np.any(resonant):
             raise ResonantDenominatorError("resonant sigma3 denominator on lattice")
         return values
@@ -565,11 +453,7 @@ def modified_energy(
             "E_I^4 needs eps > 0: opposite lattice pairs are sigma4-resonant"
         )
 
-    def sigma4_mult(x1, x2, x3, x4):
-        values, _ = _sigma4_values((x1, x2, x3, x4), spec, params)
-        return values
-
-    e4 = e3 + complex(lambda_k(sigma4_mult, [u, u, u, u])).real
+    e4 = e3 + complex(lambda_k(lambda *xs: sigma4_values(xs, spec, params)[0], [u] * 4)).real
     return float(e4)
 
 

@@ -917,6 +917,20 @@ class TestMain:
         assert repr(str(tmp_path / out)) in payload["message"]
         assert (tmp_path / "a_file").read_text() == "not a directory"
 
+    @pytest.mark.parametrize("blocked", ["result.json", "timing.json"])
+    def test_unwritable_artifact_is_config_error(self, tmp_path, capsys, blocked):
+        # a directory where an artifact goes makes its write an IsADirectoryError
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out")))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError"
+        assert repr(str(tmp_path / "out" / blocked)) in payload["message"]
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == payload
+
     def test_one_epsilon_rate_ladder_rejected_before_solving(self, tmp_path, monkeypatch):
         calls = []
 

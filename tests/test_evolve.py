@@ -1,11 +1,14 @@
 """Tests for the ETDRK4 solver with exact linear flow."""
 
+import functools
 import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvb.errors import ContractViolationError, DivergenceError, ParameterError
 from kdvb.evolve import (
@@ -557,6 +560,38 @@ class TestSolveLadder:
         assert str(batched.value) == str(expected)
 
 
+@functools.cache
+def mutation_base() -> bytes:
+    """The trajectory.bin bytes of an M = 16 solve with 3 snapshots."""
+    grid = GridSpec(box_length=8.0, modes=16)
+    cfg = SolverConfig(ModelParams(0.3, 0.8), grid, dt=0.01, t_final=0.02)
+    buf = io.BytesIO()
+    write_trajectory(buf, solve(smooth_data(grid, 0.5), cfg))
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_trajectory_reads_or_fails_by_name(data):
+    # flip, delete or insert 1-4 bytes anywhere: the reader returns count fields
+    # or raises ContractViolationError, and nothing else escapes
+    blob = bytearray(mutation_base())
+    for _ in range(data.draw(st.integers(1, 4))):
+        edit = data.draw(st.sampled_from(["flip", "delete", "insert"]))
+        at = data.draw(st.integers(0, len(blob) - 1))
+        if edit == "flip":
+            blob[at] ^= data.draw(st.integers(1, 255))
+        elif edit == "delete":
+            del blob[at]
+        else:
+            blob.insert(at, data.draw(st.integers(0, 255)))
+    try:
+        times, fields, manifest = read_trajectory(io.BytesIO(bytes(blob)))
+    except ContractViolationError:
+        return
+    assert len(times) == len(fields) == manifest["count"]
+
+
 class TestTrajectorySerialization:
     def test_round_trip(self):
         grid = GridSpec(box_length=8.0, modes=32)
@@ -625,6 +660,51 @@ class TestTrajectorySerialization:
         for cut in (2, magic_at + 14, len(blob) - 1):
             with pytest.raises(ContractViolationError, match="ends early"):
                 read_trajectory(io.BytesIO(blob[:cut]))
+
+    @staticmethod
+    def framed(doc) -> bytes:
+        blob = json.dumps(doc).encode()
+        return struct.pack("<I", len(blob)) + blob
+
+    BAD_MANIFESTS = [
+        b"{not json",
+        b"\xff\xfe",
+        b"[3]",
+        b'{"dt": 0.01}',
+        b'{"count": 3.0}',
+        b'{"count": "3"}',
+        b'{"count": true}',
+        b'{"count": -1}',
+    ]
+    BAD_HEADERS = [
+        {"box_length": 8.0, "time": 0.0},
+        {"box_length": 8.0, "modes": 16.0, "time": 0.0},
+        {"box_length": 8.0, "modes": 16},
+        {"box_length": "8", "modes": 16, "time": 0.0},
+        {"box_length": 8.0, "modes": 7, "time": 0.0},
+        {"box_length": -8.0, "modes": 16, "time": 0.0},
+    ]
+
+    @pytest.mark.parametrize("manifest", BAD_MANIFESTS)
+    def test_bad_manifest_is_contract_violation(self, manifest):
+        blob = mutation_base()
+        (size,) = struct.unpack_from("<I", blob, 0)
+        bad = struct.pack("<I", len(manifest)) + manifest + blob[4 + size :]
+        with pytest.raises(ContractViolationError, match="manifest"):
+            read_trajectory(io.BytesIO(bad))
+
+    @pytest.mark.parametrize("header", BAD_HEADERS)
+    def test_bad_header_is_contract_violation(self, header):
+        blob = mutation_base()
+        at = blob.index(b"KDVBSNAP") + 8
+        (size,) = struct.unpack_from("<I", blob, at)
+        bad = blob[:at] + self.framed(header) + blob[at + 4 + size :]
+        with pytest.raises(ContractViolationError, match="header"):
+            read_trajectory(io.BytesIO(bad))
+
+    def test_bytes_after_the_last_record_are_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="after its last record"):
+            read_trajectory(io.BytesIO(mutation_base() + b"\x00\x00"))
 
     def test_trajectory_invariants(self):
         grid = GridSpec(box_length=8.0, modes=32)

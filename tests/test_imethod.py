@@ -17,23 +17,20 @@ from kdvb.evolve import SolverConfig, solve, zero_nonlinearity
 from kdvb.imethod import (
     BoundReport,
     DyadicConfig,
-    HyperplaneTuple,
     IMultiplierSpec,
-    beta_alpha,
-    big_m3,
-    big_m4,
-    big_m5,
+    beta_values,
     denergy_identity_residual,
+    h4_values,
     lambda_k,
+    m3_values,
     m4_bound_sample,
+    m4_values,
+    m5_values,
     m_weight,
-    m_weight_array,
     modified_energy,
     rearrangement_check,
-    resonance_h,
-    sigma3,
-    sigma4,
-    _sigma3_values,
+    sigma3_values,
+    sigma4_values,
 )
 from kdvb.propagator import ModelParams
 from kdvb.spectral import GridSpec, RealField, SpectralField, dealias, forward_transform
@@ -42,21 +39,39 @@ SPEC = IMultiplierSpec(cutoff_n=4.0, s_exp=-0.74)
 PARAMS = ModelParams(0.5, 1.0)
 
 
-def random_tuple(rng, k, scale=6.0):
-    x = rng.standard_normal(k - 1) * scale
-    return HyperplaneTuple((*x, -x.sum()))
+def random_tuples(rng, k, count, scale=6.0):
+    """count zero-sum k-tuples as k slot arrays of shape (count,)."""
+    x = rng.standard_normal((count, k - 1)).T * scale
+    return (*x, -x.sum(axis=0))
+
+
+def slots(*xis):
+    """One tuple as k one-element slot arrays."""
+    return tuple(np.array([x]) for x in xis)
+
+
+def permuted(xs):
+    """Every permutation of the slots of xs, one per column: slot j of the
+    result has shape (k!, *xs[j].shape)."""
+    perms = np.array(list(itertools.permutations(range(len(xs)))))
+    return tuple(np.stack(xs)[perms[:, j]] for j in range(len(xs)))
+
+
+def below_cutoff_triples(rng, count):
+    """Zero-sum triples with every |xi_j| <= SPEC.cutoff_n, so m = 1 on each slot."""
+    x1, x2 = rng.uniform(-2.0, 2.0, (2, count))
+    return (np.append(x1, 1.0), np.append(x2, 0.5), -np.append(x1 + x2, 1.5))
 
 
 class TestMWeight:
     def test_plateau_and_tail(self):
-        assert m_weight(2.0, SPEC) == 1.0
+        np.testing.assert_array_equal(m_weight(np.array([0.0, 2.0, -4.0]), SPEC), 1.0)
         spec = IMultiplierSpec(4.0, -0.75)
-        assert m_weight(16.0, spec) == pytest.approx(4.0**-0.75)
+        assert m_weight(np.array([16.0, -16.0]), spec) == pytest.approx(4.0**-0.75)
 
     def test_even(self):
-        rng = np.random.default_rng(0)
-        for xi in rng.standard_normal(20) * 30:
-            assert m_weight(-xi, SPEC) == m_weight(xi, SPEC)
+        xi = np.random.default_rng(0).standard_normal(20) * 30
+        np.testing.assert_array_equal(m_weight(-xi, SPEC), m_weight(xi, SPEC))
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError, match="cutoff"):
@@ -69,88 +84,91 @@ class TestMWeight:
 
 class TestResonance:
     def test_cubic_sum_example(self):
-        assert resonance_h(HyperplaneTuple((1.0, 1.0, -2.0))) == pytest.approx(-6j)
+        # the triple (1, 1, -2) with a zero fourth slot: h4 = i (1 + 1 - 8)
+        assert h4_values(slots(1.0, 1.0, -2.0, 0.0)) == pytest.approx(-6j)
 
     def test_opposite_pair_cancels(self):
-        for a in (0.3, -2.7, 11.0):
-            assert resonance_h(HyperplaneTuple((a, -a))) == 0
+        a = np.array([0.3, -2.7, 11.0])
+        np.testing.assert_array_equal(h4_values((a, -a, 2 * a, -2 * a)), 0)
 
     def test_factored_forms(self):
+        # the kernels' factored h3 and h4 against the raw cube sums i sum xi_j^3;
+        # h3 is read back from sigma3 at eps = 0, where m^2(xi) xi = N sign(xi)
+        # keeps M3 = +-i N away from zero
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            t3 = random_tuple(rng, 3)
-            h = resonance_h(t3)
-            factored = 3j * t3.xis[0] * t3.xis[1] * t3.xis[2]
-            assert abs(h - factored) <= 1e-10 * max(abs(h), 1.0)
-            t4 = random_tuple(rng, 4)
-            h4 = resonance_h(t4)
-            a = t4.xis
-            factored4 = 3j * (a[0] + a[1]) * (a[0] + a[2]) * (a[0] + a[3])
-            assert abs(h4 - factored4) <= 1e-10 * max(abs(h4), 1.0)
+        low = IMultiplierSpec(1e-3, -0.5)
+        p0 = ModelParams(0.0, 1.0)
+        t3, t4 = random_tuples(rng, 3, 10), random_tuples(rng, 4, 10)
+        for xs, h in (
+            (t3, -m3_values(t3, low) / sigma3_values(t3, low, p0)[0]),
+            (t4, h4_values(t4)),
+        ):
+            raw = 1j * sum(x**3 for x in xs)
+            assert np.all(np.abs(h - raw) <= 1e-10 * np.maximum(np.abs(raw), 1.0))
 
     def test_beta(self):
-        assert beta_alpha(HyperplaneTuple((1.0, 1.0, -2.0)), 1.0) == pytest.approx(6.0)
-        assert beta_alpha(HyperplaneTuple((0.0, 0.0, 0.0)), 0.5) == 0.0
-        assert beta_alpha(HyperplaneTuple((1.0, -1.0)), 0.5) == pytest.approx(2.0)
-
-    def test_zero_sum_enforced(self):
-        with pytest.raises(ContractViolationError, match="sum to zero"):
-            HyperplaneTuple((1.0, 2.0, 3.0))
-        with pytest.raises(ContractViolationError, match="2..5"):
-            HyperplaneTuple((1.0,))
+        assert beta_values((1.0, 1.0, -2.0), 1.0) == pytest.approx(6.0)
+        assert beta_values((0.0, 0.0, 0.0), 0.5) == 0.0
+        assert beta_values((1.0, -1.0), 0.5) == pytest.approx(2.0)
 
 
 class TestBigM3:
     def test_vanishes_below_cutoff(self):
-        assert big_m3(HyperplaneTuple((1.0, 0.5, -1.5)), SPEC) == 0
+        xs = below_cutoff_triples(np.random.default_rng(20), 50)
+        np.testing.assert_array_equal(m3_values(xs, SPEC), 0)
 
     def test_symmetric(self):
         rng = np.random.default_rng(2)
-        t = random_tuple(rng, 3, scale=9.0)
-        vals = [
-            big_m3(HyperplaneTuple(tuple(t.xis[i] for i in perm)), SPEC)
-            for perm in itertools.permutations(range(3))
-        ]
-        assert max(abs(v - vals[0]) for v in vals) <= 1e-14 * abs(vals[0])
+        vals = m3_values(permuted(random_tuples(rng, 3, 20, scale=9.0)), SPEC)
+        assert np.all(np.abs(vals - vals[0]) <= 1e-14 * np.abs(vals[0]))
 
     def test_balanced_high_pair(self):
-        n = SPEC.cutoff_n
-        t = HyperplaneTuple((4 * n, -4 * n, 0.0))
-        assert big_m3(t, SPEC) == pytest.approx(0.0, abs=1e-14)
+        a = SPEC.cutoff_n * np.array([4.0, 7.0, 100.0])
+        vals = m3_values((a, -a, np.zeros(3)), SPEC)
+        assert np.all(np.abs(vals) <= 1e-14)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            t = random_tuple(rng, 3, scale=10.0)
-            direct = 1j * sum(m_weight(x, SPEC) ** 2 * x for x in t.xis)
-            assert big_m3(t, SPEC) == pytest.approx(direct, rel=1e-13)
+        xs = random_tuples(rng, 3, 20, scale=10.0)
+        direct = 1j * sum(m_weight(x, SPEC) ** 2 * x for x in xs)
+        np.testing.assert_allclose(m3_values(xs, SPEC), direct, rtol=1e-13)
 
 
 class TestSigma3:
     def test_zero_below_cutoff(self):
-        t = HyperplaneTuple((1.0, 0.5, -1.5))
-        assert sigma3(t, SPEC, PARAMS) == 0
+        xs = below_cutoff_triples(np.random.default_rng(21), 50)
+        values, resonant = sigma3_values(xs, SPEC, PARAMS)
+        np.testing.assert_array_equal(values, 0)
+        assert not resonant.any()
 
     def test_signs_coincide_without_dissipation(self):
         p0 = ModelParams(0.0, 1.0)
-        t = HyperplaneTuple((2.0, 3.0, -5.0))
-        assert sigma3(t, SPEC, p0) == sigma3(t, SPEC, p0, sign="-")
+        xs = random_tuples(np.random.default_rng(22), 3, 20)
+        xs = tuple(np.append(x, y) for x, y in zip(xs, (2.0, 3.0, -5.0)))
+        plus, _ = sigma3_values(xs, SPEC, p0)
+        minus, _ = sigma3_values(xs, SPEC, p0, sign="-")
+        np.testing.assert_array_equal(plus, minus)
+
+    def test_bad_sign_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="sign"):
+            sigma3_values(slots(2.0, 3.0, -5.0), SPEC, PARAMS, sign="0")
 
     def test_matches_quotient_oracle(self):
         rng = np.random.default_rng(4)
         p = ModelParams(0.5, 1.0)
-        for _ in range(8):
-            t = random_tuple(rng, 3, scale=8.0)
-            m3 = 1j * sum(m_weight(x, SPEC) ** 2 * x for x in t.xis)
-            h3 = 3j * t.xis[0] * t.xis[1] * t.xis[2]
-            beta = sum(abs(x) ** 2 for x in t.xis)
-            expected = -m3 / (h3 - p.epsilon * beta)
-            assert sigma3(t, SPEC, p) == pytest.approx(expected, rel=1e-12)
+        xs = random_tuples(rng, 3, 40, scale=8.0)
+        m3 = 1j * sum(m_weight(x, SPEC) ** 2 * x for x in xs)
+        h3 = 3j * xs[0] * xs[1] * xs[2]
+        beta = sum(abs(x) ** 2 for x in xs)
+        values, resonant = sigma3_values(xs, SPEC, p)
+        np.testing.assert_allclose(values, -m3 / (h3 - p.epsilon * beta), rtol=1e-12)
+        assert not resonant.any()
 
-    def test_resonant_zero_set_rejected(self):
+    def test_resonant_zero_set_maps_to_zero(self):
+        # eps = 0 with a vanishing frequency: M3 = 0 over h3 = 0, so 0 and no mask
         p0 = ModelParams(0.0, 1.0)
-        with pytest.raises(ResonantDenominatorError, match="zero set"):
-            sigma3(HyperplaneTuple((0.0, 2.0, -2.0)), SPEC, p0)
+        values, resonant = sigma3_values(slots(0.0, 2.0, -2.0), SPEC, p0)
+        assert values[0] == 0 and not resonant[0]
 
     def test_difference_envelope_stable_across_scales(self):
         # |sigma3 - sigma3^-| against
@@ -166,14 +184,14 @@ class TestSigma3:
             x3 = -x1 - x2
             ok = (np.abs(x3) >= mu / 2) & (np.abs(x3) <= 4 * mu)
             x1, x2, x3 = x1[ok], x2[ok], x3[ok]
-            plus, _ = _sigma3_values(x1, x2, x3, SPEC, p, sign="+")
-            minus, _ = _sigma3_values(x1, x2, x3, SPEC, p, sign="-")
+            plus, _ = sigma3_values((x1, x2, x3), SPEC, p, sign="+")
+            minus, _ = sigma3_values((x1, x2, x3), SPEC, p, sign="-")
             mags = np.maximum.reduce([np.abs(x1), np.abs(x2), np.abs(x3)])
             mins = np.minimum.reduce([np.abs(x1), np.abs(x2), np.abs(x3)])
             envelope = (
                 p.epsilon
                 * mags ** (2 * p.alpha)
-                * m_weight_array(mins, SPEC) ** 2
+                * m_weight(mins, SPEC) ** 2
                 * mins
                 / ((x1 * x2 * x3) ** 2 + p.epsilon**2 * mags ** (4 * p.alpha))
             )
@@ -194,101 +212,103 @@ class TestSigma3:
                     x3 = -x1 - x2
                     ok = np.abs(x3) >= mu / 2
                     x1, x2, x3 = x1[ok], x2[ok], x3[ok]
-                    vals, _ = _sigma3_values(x1, x2, x3, SPEC, p)
+                    vals, _ = sigma3_values((x1, x2, x3), SPEC, p)
                     lam_eff = np.minimum.reduce([np.abs(x1), np.abs(x2), np.abs(x3)])
                     mu_eff = np.sort(
                         np.stack([np.abs(x1), np.abs(x2), np.abs(x3)]), axis=0
                     )[1]
-                    envelope = m_weight_array(lam_eff, SPEC) ** 2 / mu_eff**2
+                    envelope = m_weight(lam_eff, SPEC) ** 2 / mu_eff**2
                     worst = max(worst, float(np.max(np.abs(vals) / envelope)))
         assert worst <= 1.0  # |h3| >= 3 lam mu^2 makes C about 1/3
 
 
-def brute_force_m4(t, spec, params):
-    total = 0.0
-    for perm in itertools.permutations(range(4)):
-        a, b, c, d = (t.xis[i] for i in perm)
-        s3 = sigma3(HyperplaneTuple((a, b, c + d)), spec, params)
-        total += s3 * (c + d)
-    return -1.5j * total / 24.0
+def brute_force_m4(xs, spec, params):
+    """M4 as the mean over all 24 orderings (a, b, c, d) of -(3i/2) sigma3(a, b, c + d) (c + d)."""
+    a, b, c, d = permuted(xs)
+    s3, _ = sigma3_values((a, b, c + d), spec, params)
+    return -1.5j * np.sum(s3 * (c + d), axis=0) / 24.0
 
 
-def brute_force_m5(t, spec, params):
-    total = 0.0
-    for perm in itertools.permutations(range(5)):
-        a, b, c, d, e = (t.xis[i] for i in perm)
-        s4 = sigma4(HyperplaneTuple((a, b, c, d + e)), spec, params)
-        total += s4 * (d + e)
-    return -2j * total / 120.0
+def brute_force_m5(xs, spec, params):
+    """M5 as the mean over all 120 orderings of -2i sigma4(a, b, c, d + e) (d + e)."""
+    a, b, c, d, e = permuted(xs)
+    s4, _ = sigma4_values((a, b, c, d + e), spec, params)
+    return -2j * np.sum(s4 * (d + e), axis=0) / 120.0
+
+
+def well_below_cutoff_quadruple():
+    n = SPEC.cutoff_n
+    return slots(n / 9, n / 10, -n / 11, -(n / 9 + n / 10 - n / 11))
 
 
 class TestBigM4:
     def test_permutation_invariance(self):
+        # one tuple: at 20, cancellation leaves one |M4| at 1.5e-5 whose six pairing
+        # sums, reordered, spread by 1.8e-13 relative
         rng = np.random.default_rng(7)
-        t = random_tuple(rng, 4, scale=7.0)
-        vals = [
-            big_m4(HyperplaneTuple(tuple(t.xis[i] for i in perm)), SPEC, PARAMS)
-            for perm in itertools.permutations(range(4))
-        ]
-        assert max(abs(v - vals[0]) for v in vals) <= 1e-14 * max(abs(vals[0]), 1e-30)
+        vals, _ = m4_values(permuted(random_tuples(rng, 4, 1, scale=7.0)), SPEC, PARAMS)
+        assert np.all(np.abs(vals - vals[0]) <= 1e-14 * np.maximum(np.abs(vals[0]), 1e-30))
 
     def test_vanishes_well_below_cutoff(self):
-        n = SPEC.cutoff_n
-        t = HyperplaneTuple((n / 9, n / 10, -n / 11, -(n / 9 + n / 10 - n / 11)))
-        assert big_m4(t, SPEC, PARAMS) == 0
+        values, resonant = m4_values(well_below_cutoff_quadruple(), SPEC, PARAMS)
+        assert values[0] == 0 and not resonant[0]
 
     def test_matches_brute_force_symmetrization(self):
         rng = np.random.default_rng(8)
-        for _ in range(5):
-            t = random_tuple(rng, 4, scale=6.0)
-            assert big_m4(t, SPEC, PARAMS) == pytest.approx(
-                brute_force_m4(t, SPEC, PARAMS), rel=1e-12
-            )
+        xs = random_tuples(rng, 4, 20, scale=6.0)
+        values, resonant = m4_values(xs, SPEC, PARAMS)
+        np.testing.assert_allclose(values, brute_force_m4(xs, SPEC, PARAMS), rtol=1e-12)
+        assert not resonant.any()
 
-    def test_degenerate_pairing_rejected(self):
+    def test_degenerate_pairing_maps_to_zero(self):
+        # eps = 0 with vanishing pair sums: every quotient is 0/0, so 0 and no mask
         p0 = ModelParams(0.0, 1.0)
-        with pytest.raises(ResonantDenominatorError, match="pair"):
-            big_m4(HyperplaneTuple((3.0, -3.0, 2.0, -2.0)), SPEC, p0)
+        for kernel in (m4_values, sigma4_values):
+            values, resonant = kernel(slots(3.0, -3.0, 2.0, -2.0), SPEC, p0)
+            assert values[0] == 0 and not resonant[0]
 
 
 class TestSigma4:
     def test_zero_below_cutoff(self):
-        n = SPEC.cutoff_n
-        t = HyperplaneTuple((n / 9, n / 10, -n / 11, -(n / 9 + n / 10 - n / 11)))
-        assert sigma4(t, SPEC, PARAMS) == 0
+        values, resonant = sigma4_values(well_below_cutoff_quadruple(), SPEC, PARAMS)
+        assert values[0] == 0 and not resonant[0]
 
     def test_quotient_identity(self):
         rng = np.random.default_rng(9)
-        for _ in range(6):
-            t = random_tuple(rng, 4, scale=8.0)
-            m4 = big_m4(t, SPEC, PARAMS)
-            h4 = resonance_h(t)
-            beta = beta_alpha(t, PARAMS.alpha)
-            lhs = abs(sigma4(t, SPEC, PARAMS)) * abs(h4 - PARAMS.epsilon * beta)
-            assert lhs == pytest.approx(abs(m4), rel=1e-12)
+        xs = random_tuples(rng, 4, 20, scale=8.0)
+        m4, _ = m4_values(xs, SPEC, PARAMS)
+        h4 = 1j * sum(x**3 for x in xs)
+        beta = beta_values(xs, PARAMS.alpha)
+        s4, _ = sigma4_values(xs, SPEC, PARAMS)
+        lhs = np.abs(s4) * np.abs(h4 - PARAMS.epsilon * beta)
+        np.testing.assert_allclose(lhs, np.abs(m4), rtol=1e-12)
+
+    def test_vanishing_denominator_sets_the_mask(self):
+        # at eps = 0 a tuple of size 1e-12 puts |h3| and |h4| near 1e-36, under the
+        # 1e-30 floor, while roundoff leaves M3 and M4 above it: value 0, mask set
+        p0 = ModelParams(0.0, 1.0)
+        values, resonant = sigma4_values(slots(1e-12, 2e-12, -0.5e-12, -2.5e-12), SPEC, p0)
+        assert values[0] == 0 and resonant[0]
 
 
 class TestBigM5:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
-        t = random_tuple(rng, 5, scale=5.0)
-        base = big_m5(t, SPEC, PARAMS)
-        for perm in itertools.islice(itertools.permutations(range(5)), 0, 24, 5):
-            v = big_m5(HyperplaneTuple(tuple(t.xis[i] for i in perm)), SPEC, PARAMS)
-            assert v == pytest.approx(base, rel=1e-12)
+        xs = random_tuples(rng, 5, 4, scale=5.0)
+        vals, _ = m5_values(permuted(xs), SPEC, PARAMS)
+        np.testing.assert_allclose(vals, np.broadcast_to(vals[0], vals.shape), rtol=1e-12)
 
     def test_vanishes_below_cutoff(self):
         n = SPEC.cutoff_n
         xs = (n / 13, n / 17, n / 19, n / 23)
-        t = HyperplaneTuple((*xs, -sum(xs)))
-        assert abs(big_m5(t, SPEC, PARAMS)) <= 1e-14
+        values, _ = m5_values(slots(*xs, -sum(xs)), SPEC, PARAMS)
+        assert abs(values[0]) <= 1e-14
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
-        t = random_tuple(rng, 5, scale=6.0)
-        assert big_m5(t, SPEC, PARAMS) == pytest.approx(
-            brute_force_m5(t, SPEC, PARAMS), rel=1e-12
-        )
+        xs = random_tuples(rng, 5, 4, scale=6.0)
+        values, _ = m5_values(xs, SPEC, PARAMS)
+        np.testing.assert_allclose(values, brute_force_m5(xs, SPEC, PARAMS), rtol=1e-12)
 
 
 class TestM4BoundSampler:
@@ -371,7 +391,7 @@ class TestLambdaK:
         grid = GridSpec(box_length=11.0, modes=32)
         u = self.make_field(grid)
         val = lambda_k(
-            lambda a, b: m_weight_array(a, SPEC) * m_weight_array(b, SPEC), [u, u]
+            lambda a, b: m_weight(a, SPEC) * m_weight(b, SPEC), [u, u]
         )
         assert val.real == pytest.approx(modified_energy(2, u, SPEC, PARAMS), rel=1e-12)
 
@@ -513,7 +533,7 @@ def lattice_flux(coeffs, grid, spec):
     dxi = 2.0 * np.pi / grid.box_length
 
     def g(k):
-        return m_weight_array(k * dxi, spec) ** 2 * (k * dxi)
+        return m_weight(k * dxi, spec) ** 2 * (k * dxi)
 
     m3 = np.where(valid, 1j * (g(k1) + g(k2) + g(k3)), 0.0)
     k1, k2, k3 = (k % grid.modes for k in (k1, k2, k3))
