@@ -452,7 +452,6 @@ def run(cfg: RunConfig) -> int:
         "floors": result.get("floors"),
         "seed": cfg.seed,
     }
-    artifacts["manifest.json"] = (canonical_json(manifest) + "\n").encode()
     try:
         for name, blob in sorted(artifacts.items()):
             path = cfg.out_path / name
@@ -460,6 +459,9 @@ def run(cfg: RunConfig) -> int:
         # wall time is deliberately outside the deterministic artifact set
         path = cfg.out_path / "timing.json"
         path.write_text(canonical_json({"wall_time_s": time.monotonic() - started}) + "\n")
+        # written last, so a manifest marks a run whose every artifact was written
+        path = cfg.out_path / "manifest.json"
+        path.write_bytes((canonical_json(manifest) + "\n").encode())
     except OSError as exc:
         return _fail(ConfigError(f"cannot write artifact {str(path)!r}: {exc}"), 2, cfg.out_path)
     return 0

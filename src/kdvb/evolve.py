@@ -45,6 +45,15 @@ and the energy run with its dt/2 refinement.  A row that turns
 non-finite records its own DivergenceError; the first run that diverges
 raises its error once the runs before it have finished, as its single
 solve would.
+
+A step's only new array is the state it returns.  Each stepper
+preallocates one buffer per stage nonlinearity, one for the stage
+arithmetic and one real (rows, M) buffer for the physical-space square,
+which the FFTs fill through ``out=`` (numpy >= 2.0).  The stage sums run
+in place with the operand order and grouping of the plain expressions,
+so a step is bit for bit the allocating one.  A substitute nonlinearity
+is called as ``nl(h, out)`` and either fills ``out`` or returns a new
+array.
 """
 
 from __future__ import annotations
@@ -67,7 +76,9 @@ from .spectral import (
     synthesize,
 )
 
-Nonlinearity = Callable[[np.ndarray], np.ndarray]
+# nl(h, out): N of the half-spectra h, written into out (of h's shape) and
+# returned, or returned as a new array; it must not return h itself
+Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Largest number of time steps one solve may take.  Steps are counted, not
 # listed, so memory does not bound the count; time does: at 60-400 us a
@@ -187,30 +198,36 @@ def _to_full(h: np.ndarray) -> np.ndarray:
     return np.concatenate((h, h[..., -2:0:-1].conj()), axis=-1)
 
 
-def _half_nonlinearity(grid: GridSpec) -> Nonlinearity:
-    """N on rfft half-spectra of one grid.
+def _half_nonlinearity(grid: GridSpec, shape: tuple[int, ...]) -> Nonlinearity:
+    """N on rfft half-spectra of one grid, for states of the given shape.
 
     One cached multiplier folds the derivative -i xi, the dealias mask and
     both transform scales together; the strict cutoff drops the Nyquist
-    entry, whose mode k = -M/2 pairs with no +M/2 on the lattice.
+    entry, whose mode k = -M/2 pairs with no +M/2 on the lattice.  The
+    physical-space square lives in one preallocated real buffer of shape
+    (*shape[:-1], M), and ``nl(h, out)`` returns out, filled.
     """
     m = grid.modes
     half = m // 2 + 1
     mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
     mult[~grid.dealias_mask()[:half]] = 0.0
-    rfft, irfft = np.fft.rfft, np.fft.irfft
+    w = np.empty((*shape[:-1], m))
+    rfft, irfft, multiply = np.fft.rfft, np.fft.irfft, np.multiply
 
-    def nl(h: np.ndarray) -> np.ndarray:
-        w = irfft(h, m)
-        return mult * rfft(w * w)
+    def nl(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+        irfft(h, m, out=w)
+        multiply(w, w, out=w)
+        rfft(w, out=out)
+        return multiply(mult, out, out=out)
 
     return nl
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
     """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased."""
+    h = _to_half(u.coeffs)
     return SpectralField(
-        _to_full(_half_nonlinearity(u.grid)(_to_half(u.coeffs))), u.grid
+        _to_full(_half_nonlinearity(u.grid, h.shape)(h, np.empty_like(h))), u.grid
     )
 
 
@@ -263,6 +280,13 @@ class _Stepper:
     k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
     kept, so a real state stays exactly real.  ``nl`` maps half-spectra to
     half-spectra along the last axis and defaults to N.
+
+    The stepper owns its working memory, allocated once in the tableau's
+    shape: n0, na, nb and nc for the stage nonlinearities, s for the stage
+    arithmetic and, inside the default N, one (rows, M) real buffer.  A
+    call steps in place in them, bit for bit as the allocating stage
+    formulas of ``__call__``, and returns a new array, never a buffer; so
+    one stepper must not be called from two threads at once.
     """
 
     def __init__(
@@ -272,7 +296,6 @@ class _Stepper:
         dts: Sequence[float],
         nl: Nonlinearity | None = None,
     ):
-        self.nl = _half_nonlinearity(grid) if nl is None else nl
         half = grid.modes // 2 + 1
         sym = np.array([linear_symbol(grid, p)[:half] for p in params])
         if len(params) == 1:
@@ -301,17 +324,36 @@ class _Stepper:
             lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3,
             _F3_SERIES,
         )
+        shape = self.e_full.shape
+        self.nl = _half_nonlinearity(grid, shape) if nl is None else nl
+        self.n0, self.na, self.nb, self.nc, self.s = (
+            np.empty(shape, dtype=np.complex128) for _ in range(5)
+        )
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
-        """One step of each row of h."""
-        nl, e_half, q = self.nl, self.e_half, self.q
-        n0 = nl(h)
-        e_h = e_half * h
-        a = e_h + q * n0
-        na = nl(a)
-        nb = nl(e_h + q * na)
-        nc = nl(e_half * a + q * (2.0 * nb - n0))
-        return self.e_full * h + self.f1 * n0 + self.f2_twice * (na + nb) + self.f3 * nc
+        """One step of each row of h, returned as a new array.
+
+        The stages are, in this operand order and grouping,
+        a = e_half h + q n0, b = e_half h + q na, c = e_half a + q (2 nb - n0)
+        and the step e_full h + f1 n0 + f2 (na + nb) + f3 nc summed left to
+        right.  e_half h, then b, then q (2 nb - n0) wait in nc's buffer
+        until nc is due.
+        """
+        nl, e_half, q, s, t = self.nl, self.e_half, self.q, self.s, self.nc
+        mul, add = np.multiply, np.add
+        n0 = nl(h, self.n0)
+        e_h = mul(e_half, h, out=t)
+        a = add(e_h, mul(q, n0, out=s), out=s)
+        na = nl(a, self.na)
+        b = add(e_h, mul(q, na, out=self.nb), out=t)
+        nb = nl(b, self.nb)
+        mul(q, np.subtract(mul(2.0, nb, out=t), n0, out=t), out=t)
+        c = add(mul(e_half, a, out=s), t, out=s)
+        nc = nl(c, self.nc)
+        x = mul(self.e_full, h)
+        add(x, mul(self.f1, n0, out=s), out=x)
+        add(x, mul(self.f2_twice, add(na, nb, out=s), out=s), out=x)
+        return add(x, mul(self.f3, nc, out=s), out=x)
 
 
 def step(
@@ -325,7 +367,8 @@ def step(
     Only the coefficients of u at k = 0..M/2 are read (the zero and
     Nyquist ones by their real parts), and the result is exactly
     Hermitian-symmetric.  ``nonlinearity`` maps rfft half-spectra to
-    half-spectra and defaults to N; passing a substitute (for instance
+    half-spectra as ``nl(h, out)``, filling out or returning a new array,
+    and defaults to N; passing a substitute (for instance
     ``zero_nonlinearity``) isolates the linear flow, which this scheme
     reproduces exactly.
     """
@@ -384,7 +427,6 @@ def _march(
     def t_after(b: int, i: int) -> float:  # the time of run b after its step i
         return cfgs[b].t_final if i == plans[b][2] else i * cfgs[b].dt
 
-    nl = _half_nonlinearity(grid) if nonlinearity is None else nonlinearity
     steppers: dict[tuple, tuple[Callable, object]] = {}  # due steps -> stepper, rows
     errors: dict[int, DivergenceError] = {}
     h = _to_half(c)
@@ -402,7 +444,12 @@ def _march(
         if entry is None:
             rows = [b for b, d in enumerate(due) if d is not None]
             stepper = (
-                _Stepper(grid, [cfgs[b].params for b in rows], [due[b] for b in rows], nl)
+                _Stepper(
+                    grid,
+                    [cfgs[b].params for b in rows],
+                    [due[b] for b in rows],
+                    nonlinearity,
+                )
                 if rows
                 else lambda h: h  # every row waits for a coarser step
             )
@@ -473,8 +520,9 @@ def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajecto
     return tuple(Trajectory(*run, cfg) for run, cfg in zip(_march(phi, cfgs, None), cfgs))
 
 
-def zero_nonlinearity(c: np.ndarray) -> np.ndarray:
-    """Substitute nonlinearity that switches the quadratic term off."""
+def zero_nonlinearity(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Substitute nonlinearity that switches the quadratic term off; it
+    returns a new zero array and ignores out."""
     return np.zeros_like(c)
 
 

@@ -42,7 +42,9 @@ sequence of k broadcastable arrays whose slot j holds xi_j of every tuple
 ``(values, resonant)``: where a denominator vanishes (|den| <= 1e-30) the
 value is 0, and the boolean mask is set only under a numerator above 1e-30,
 so 0/0 maps to 0 with the mask unset; M4 and M5 join their inner masks.  No
-kernel raises; ``modified_energy`` raises ``ResonantDenominatorError``.
+kernel raises on the resonant set; ``modified_energy`` raises
+``ResonantDenominatorError``.  A kernel given another number of slots than
+its k raises ``ContractViolationError``.
 """
 
 from __future__ import annotations
@@ -185,9 +187,16 @@ def _msq(xi, spec):
     return m_weight(xi, spec) ** 2
 
 
+def _slots(xs, k: int, kernel: str):
+    """xs, checked to hold the k slots the kernel takes."""
+    if len(xs) != k:
+        raise ContractViolationError(f"{kernel} takes k = {k} slots, got {len(xs)}")
+    return xs
+
+
 def m3_values(xs, spec: IMultiplierSpec) -> np.ndarray:
     """M3 = i sum m^2(xi_j) xi_j on three slots; no denominator, so no mask."""
-    x1, x2, x3 = xs
+    x1, x2, x3 = _slots(xs, 3, "m3_values")
     return 1j * (_msq(x1, spec) * x1 + _msq(x2, spec) * x2 + _msq(x3, spec) * x3)
 
 
@@ -208,7 +217,7 @@ def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+
     h3 = 3i xi_1 xi_2 xi_3; sign '-' selects sigma3^-, denominator h3 + eps beta_3."""
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    x1, x2, x3 = xs
+    x1, x2, x3 = _slots(xs, 3, "sigma3_values")
     h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
     eps_term = params.epsilon * beta_values(xs, params.alpha)
     den = h3 - eps_term if sign == "+" else h3 + eps_term
@@ -235,17 +244,20 @@ def _pair_symmetrized(xs, inner, prefactor):
 
 def m4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M4, resonant) on four slots: the six-pairing symmetrization of sigma3."""
+    xs = _slots(xs, 4, "m4_values")
     return _pair_symmetrized(xs, lambda ys: sigma3_values(ys, spec, params), -1.5j)
 
 
 def h4_values(xs) -> np.ndarray:
     """h4 = i sum xi_j^3 on four slots, as 3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4)."""
-    return 3j * (xs[0] + xs[1]) * (xs[0] + xs[2]) * (xs[0] + xs[3])
+    x1, x2, x3, x4 = _slots(xs, 4, "h4_values")
+    return 3j * (x1 + x2) * (x1 + x3) * (x1 + x4)
 
 
 def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(sigma4, resonant) on four slots, sigma4 = -M4 / (h4 - eps beta_4); the
     mask joins M4's with this quotient's own."""
+    xs = _slots(xs, 4, "sigma4_values")
     num, resonant = m4_values(xs, spec, params)
     den = h4_values(xs) - params.epsilon * beta_values(xs, params.alpha)
     values, res4 = _guarded_quotient(num, den)
@@ -254,6 +266,7 @@ def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
 
 def m5_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M5, resonant) on five slots: the ten-pairing symmetrization of sigma4."""
+    xs = _slots(xs, 5, "m5_values")
     return _pair_symmetrized(xs, lambda ys: sigma4_values(ys, spec, params), -2j)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from kdvb.cli import parse_config, run
-from kdvb.evolve import SolverConfig, solve
+from kdvb.evolve import SolverConfig, solve, solve_ladder
 from kdvb.experiments import (
     critical_index,
     gaussian_initial_data,
@@ -49,13 +49,18 @@ class TestCriterion01DissipationLedger:
     def test_l2_ledger_residual_and_refinement(self):
         grid = GridSpec(box_length=64.0, modes=512)
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=1.0, modulation=2.0)
-        residuals = {}
-        for dt in (5e-4, 2.5e-4):
-            cfg = SolverConfig(
+        # both runs step on one clock; each row is its single solve bit for bit
+        cfgs = [
+            SolverConfig(
                 params=ModelParams(0.3, 0.8), grid=grid, dt=dt, t_final=1.0,
                 snapshot_stride=10,
             )
-            residuals[dt] = l2_dissipation_residual(solve(phi, cfg))
+            for dt in (5e-4, 2.5e-4)
+        ]
+        residuals = {
+            cfg.dt: l2_dissipation_residual(traj)
+            for cfg, traj in zip(cfgs, solve_ladder(phi, cfgs))
+        }
         assert residuals[5e-4] <= 1e-5
         factor = residuals[5e-4] / residuals[2.5e-4]
         assert factor >= 4.0
@@ -74,16 +79,18 @@ class TestCriterion02SolitonTransport:
         target = forward_transform(phi).coeffs
         transit = grid.box_length / c
 
-        def shape_error(dt):
-            cfg = SolverConfig(
+        # both runs step on one clock; each row is its single solve bit for bit
+        cfgs = [
+            SolverConfig(
                 params=ModelParams(0.0, 1.0), grid=grid, dt=dt, t_final=transit,
                 snapshot_stride=10**9,
             )
-            final = solve(phi, cfg).states[-1].coeffs
-            return np.linalg.norm(final - target) / np.linalg.norm(target)
-
-        err = shape_error(4e-4)
-        err_half = shape_error(2e-4)
+            for dt in (4e-4, 2e-4)
+        ]
+        err, err_half = (
+            np.linalg.norm(traj.coeffs[-1] - target) / np.linalg.norm(target)
+            for traj in solve_ladder(phi, cfgs)
+        )
         assert err <= 1e-6
         ratio = err / err_half
         assert 14.0 <= ratio <= 18.0

@@ -930,6 +930,15 @@ class TestMain:
         assert payload["error"] == "ConfigError"
         assert repr(str(tmp_path / "out" / blocked)) in payload["message"]
         assert json.loads((tmp_path / "out" / "error.json").read_text()) == payload
+        # the manifest is written last, so only a complete run has one
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_failed_artifact_write_leaves_no_manifest(self, tmp_path, capsys):
+        (tmp_path / "out" / "result.json").mkdir(parents=True)
+        config = str(CONFIG_DIR / "criterion07.json")
+        assert main(["--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert json.loads((tmp_path / "out" / "error.json").read_text())["exit_code"] == 2
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_one_epsilon_rate_ladder_rejected_before_solving(self, tmp_path, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvb import evolve
 from kdvb.errors import ContractViolationError, DivergenceError, ParameterError
 from kdvb.evolve import (
     MAX_STEPS,
@@ -119,6 +120,82 @@ class TestStep:
         errs = [np.linalg.norm(terminal(dt) - ref) for dt in (1e-3, 5e-4)]
         ratio = errs[0] / errs[1]
         assert 15.0 <= ratio <= 17.0
+
+
+def reference_step(stepper: evolve._Stepper, grid: GridSpec, h: np.ndarray) -> np.ndarray:
+    """One ETDRK4 step written as plain allocating expressions, on the
+    stepper's tableau: the order of operations the in-place step keeps."""
+    m = grid.modes
+    half = m // 2 + 1
+    mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
+    mult[~grid.dealias_mask()[:half]] = 0.0
+
+    def nl(x):
+        w = np.fft.irfft(x, m)
+        return mult * np.fft.rfft(w * w)
+
+    e_half, q = stepper.e_half, stepper.q
+    n0 = nl(h)
+    e_h = e_half * h
+    a = e_h + q * n0
+    na = nl(a)
+    nb = nl(e_h + q * na)
+    nc = nl(e_half * a + q * (2.0 * nb - n0))
+    return stepper.e_full * h + stepper.f1 * n0 + stepper.f2_twice * (na + nb) + stepper.f3 * nc
+
+
+class TestStepperBuffers:
+    """Each stepper steps in its own preallocated buffers."""
+
+    @staticmethod
+    def stepper_and_state(rows: int):
+        grid = GridSpec(box_length=16.0, modes=96)
+        h = evolve._to_half(dealias(forward_transform(smooth_data(grid, 1.5))).coeffs)
+        params = [ModelParams(0.1 * b, 0.8) for b in range(rows)]
+        stepper = evolve._Stepper(grid, params, [1e-3 * (b + 1) for b in range(rows)])
+        return grid, stepper, h if rows == 1 else np.outer(np.arange(1.0, rows + 1), h)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_step_equals_the_plain_expressions_bit_for_bit(self, rows):
+        grid, stepper, h = self.stepper_and_state(rows)
+        for _ in range(20):
+            expected = reference_step(stepper, grid, h)
+            h = stepper(h)
+            assert np.array_equal(h, expected)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_returned_state_survives_the_next_call(self, rows):
+        _, stepper, h = self.stepper_and_state(rows)
+        first = stepper(h)
+        kept = first.copy()
+        second = stepper(first)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(stepper(h), kept)
+        buffers = (stepper.n0, stepper.na, stepper.nb, stepper.nc, stepper.s, h)
+        for state in (first, second):
+            assert not any(np.shares_memory(state, b) for b in buffers)
+        assert not np.shares_memory(first, second)
+
+    def test_nonlinear_term_result_survives_a_later_call(self):
+        grid = GridSpec(box_length=5.0, modes=64)
+        rng = np.random.default_rng(7)
+        u, v = (
+            dealias(forward_transform(RealField(rng.standard_normal(64), grid)))
+            for _ in range(2)
+        )
+        first = nonlinear_term(u)
+        kept = first.coeffs.copy()
+        nonlinear_term(v)
+        assert np.array_equal(first.coeffs, kept)
+        assert np.array_equal(nonlinear_term(u).coeffs, kept)
+
+    def test_substitute_may_fill_out_or_return_a_new_array(self):
+        grid = GridSpec(box_length=4.0, modes=64)
+        u = dealias(forward_transform(smooth_data(grid)))
+        p = ModelParams(0.4, 0.7)
+        filled = step(u, 0.02, p, lambda h, out: np.multiply(0.5, h, out=out))
+        fresh = step(u, 0.02, p, lambda h, out: 0.5 * h)
+        assert np.array_equal(filled.coeffs, fresh.coeffs)
 
 
 class TestSolve:

@@ -311,6 +311,28 @@ class TestBigM5:
         np.testing.assert_allclose(values, brute_force_m5(xs, SPEC, PARAMS), rtol=1e-12)
 
 
+class TestSlotCount:
+    KERNELS = {
+        "m3_values": (3, lambda xs: m3_values(xs, SPEC)),
+        "sigma3_values": (3, lambda xs: sigma3_values(xs, SPEC, PARAMS)),
+        "h4_values": (4, h4_values),
+        "m4_values": (4, lambda xs: m4_values(xs, SPEC, PARAMS)),
+        "sigma4_values": (4, lambda xs: sigma4_values(xs, SPEC, PARAMS)),
+        "m5_values": (5, lambda xs: m5_values(xs, SPEC, PARAMS)),
+    }
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_wrong_count_names_the_expected_k(self, kernel, count):
+        k, fn = self.KERNELS[kernel]
+        xs = random_tuples(np.random.default_rng(count), count, 8)
+        if count == k:
+            fn(xs)
+        else:
+            with pytest.raises(ContractViolationError, match=f"{kernel} takes k = {k} slots"):
+                fn(xs)
+
+
 class TestM4BoundSampler:
     LADDER = tuple(float(2**j) for j in range(4, 11))
 
