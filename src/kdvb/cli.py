@@ -168,9 +168,11 @@ class RunConfig:
     solver is the one SolverConfig of a subcommand that steps, None for
     sharpness and imethod-bounds.  data and block are initial_data and the
     experiment block checked, with every default filled in; echo is the
-    config as echoed into the results.  Nothing is derived again from
-    these fields, so a changed run is parsed again (``parse_config``'s
-    seed and out), not built by replace().
+    config as echoed into the manifest and every result: every top-level
+    value, and of initial_data and the experiment block only the keys the
+    document gave.  Nothing is derived again from these fields, so a
+    changed run is parsed again (``parse_config``'s seed and out), not
+    built by replace().
     """
 
     subcommand: str
@@ -182,12 +184,6 @@ class RunConfig:
     data: dict = field(repr=False)
     block: dict = field(repr=False)
     echo: dict = field(repr=False)
-
-    def resolved(self) -> dict:
-        """The config as it will be echoed into the manifest: every
-        top-level value, and of initial_data and the experiment block
-        only the keys the document gave."""
-        return self.echo
 
 
 def parse_config(text: str, seed: int | None = None, out: Path | None = None) -> RunConfig:
@@ -333,9 +329,7 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
 
 def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
     block = cfg.block
-    report = exponent_sweep(
-        block["regime"], cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"]
-    )
+    report = exponent_sweep(cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"])
     artifacts["sweep.csv"] = sweep_csv(report).encode()
     return {**report.to_dict(), "fit": None, "seed": cfg.seed}
 
@@ -383,7 +377,6 @@ _COMMANDS = {
             "s_list": (_FLOATS, REQUIRED),
             "n_ladder": (_FLOATS, REQUIRED),
             "delta": (float, DELTA_DEFAULT),
-            "regime": (str, lambda top: "low_alpha" if top["alpha"] <= 0.5 else "high_alpha"),
         },
         False,
     ),
@@ -427,10 +420,9 @@ def run(cfg: RunConfig) -> int:
     artifacts: dict[str, bytes] = {}
     started = time.monotonic()
     runner = _COMMANDS[cfg.subcommand][0]
-    resolved = cfg.resolved()
     try:
         result = runner(cfg, artifacts)
-        result["config"] = resolved
+        result["config"] = cfg.echo
         # a NaN or infinity in the result is a RangeError here, before any
         # artifact is written
         artifacts["result.json"] = (canonical_json(result) + "\n").encode()
@@ -438,12 +430,12 @@ def run(cfg: RunConfig) -> int:
         code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
         return _fail(exc, code, cfg.out_path)
 
-    config_comment = ("# config: " + canonical_json(resolved).replace("\n", " ") + "\n").encode()
+    config_comment = ("# config: " + canonical_json(cfg.echo).replace("\n", " ") + "\n").encode()
     for name in list(artifacts):
         if name.endswith(".csv"):
             artifacts[name] = config_comment + artifacts[name]
     manifest = {
-        "config": resolved,
+        "config": cfg.echo,
         "versions": {
             "kdvb": __version__,
             "numpy": np.__version__,

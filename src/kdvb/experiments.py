@@ -35,7 +35,7 @@ from .errors import DivergenceError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve, solve_ladder
 from .norms import cumulative_trapezoid, spectral_energies
 from .propagator import ModelParams
-from .reports import SweepReport, fit_power_law
+from .reports import SweepReport, fit_power_law, strictly_monotone
 from .spectral import (
     GridSpec,
     RealField,
@@ -272,14 +272,17 @@ def h1_bound_check(
 ) -> SweepReport:
     """Per epsilon: sup_t ||u||_H1 + sqrt(eps) (int ||Lambda^(2a) u||^2)^(1/2).
 
-    Every run is cfg with its own epsilon (cfg's own epsilon is not used).
-    The time integral uses trapezoid quadrature over snapshots.  A
-    uniform bound across the ladder is the expected behavior; the report
-    carries the observables for the band check.
+    Every run is cfg with its own epsilon (cfg's own epsilon is not used);
+    eps_ladder must be strictly monotone in [0, 1].  The time integral
+    uses trapezoid quadrature over snapshots.  A uniform bound across the
+    ladder is the expected behavior; the report carries the observables
+    for the band check.
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 <= e <= 1 for e in ladder):
         raise ParameterError(f"eps_ladder must be non-empty in [0, 1], got {ladder}")
+    if not strictly_monotone(ladder):
+        raise ParameterError(f"eps_ladder must be strictly monotone, got {list(ladder)}")
     alpha = cfg.params.alpha
     xi = cfg.grid.wavenumbers()
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2

@@ -29,8 +29,7 @@ class SweepReport:
     def __post_init__(self):
         if len(self.values) != len(self.observables):
             raise ContractViolationError("values and observables must align")
-        diffs = np.diff(np.asarray(self.values, dtype=np.float64))
-        if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        if not strictly_monotone(self.values):
             raise ContractViolationError("sweep values must be strictly monotone")
 
     def to_dict(self) -> dict:
@@ -41,6 +40,12 @@ class SweepReport:
             "meta": self.meta,
             "crossover_estimate": self.crossover_estimate,
         }
+
+
+def strictly_monotone(values: Sequence[float]) -> bool:
+    """Whether values strictly increase or strictly decrease (true for fewer than two)."""
+    diffs = np.diff(np.asarray(values, dtype=np.float64))
+    return bool(np.all(diffs > 0) or np.all(diffs < 0))
 
 
 def fit_power_law(values: np.ndarray, observables: np.ndarray) -> dict:

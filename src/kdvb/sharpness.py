@@ -1,18 +1,18 @@
 """Characteristic-function probes of the weighted bilinear estimate.
 
 The probe data concentrates near the cubic characteristic surface
-tau = xi^3.  In the low-order regime (alpha <= 1/2) the set is
+tau = xi^3, in a set that the scale N and alpha fix: for alpha <= 1/2
 
     A = { N <= xi <= N + 1,  N <= |tau - xi^3| <= 2N }
 
-and in the high-order regime (alpha >= 1/2)
+and for alpha >= 1/2
 
     B = { N <= xi <= N + N^(alpha - 1/2),
           N^(2 alpha) <= |tau - xi^3| <= 2 N^(2 alpha) },
 
-with f = chi_set + chi_(-set), so f is even and ||f||^2 = 2 |set|.  The
-functional convolves the inner-weighted f with itself, applies the outer
-weight
+which is A at alpha = 1/2.  f = chi_set + chi_(-set), so f is even and
+||f||^2 = 2 |set|.  The functional convolves the inner-weighted f with
+itself, applies the outer weight
 
     |xi| (1 + |xi|)^s (1 + |xi|^(2 alpha) + |tau - xi^3|)^(-1/2 + delta),
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ResolutionError
-from .reports import SweepReport, fit_power_law, format_csv
+from .reports import SweepReport, fit_power_law, format_csv, strictly_monotone
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
@@ -63,39 +63,28 @@ class PhaseSpaceGrid:
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
-    """Regime, scale, test exponent, and dissipation order of one probe."""
+    """Scale and dissipation order of one probe, which fix its set, and the
+    delta of the functional's outer weight."""
 
-    regime: str
     scale_n: float
-    s_test: float
     alpha: float
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if self.regime not in ("low_alpha", "high_alpha"):
-            raise ParameterError(f"regime must be low_alpha or high_alpha, got {self.regime!r}")
         if self.scale_n < 16:
             raise ParameterError(f"scale_n must be >= 16, got {self.scale_n}")
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.regime == "low_alpha" and self.alpha > 0.5:
-            raise ParameterError("low_alpha regime requires alpha <= 1/2")
-        if self.regime == "high_alpha" and self.alpha < 0.5:
-            raise ParameterError("high_alpha regime requires alpha in [1/2, 1]")
         if not 0 < self.delta < 0.25:
             raise ParameterError(f"delta must be a small positive number, got {self.delta}")
 
     def set_width(self) -> float:
-        """xi-extent of the set: 1 (low regime) or N^(alpha - 1/2) (high)."""
-        if self.regime == "low_alpha":
-            return 1.0
-        return self.scale_n ** (self.alpha - 0.5)
+        """xi-extent of the set: 1 (A) or N^(alpha - 1/2) (B)."""
+        return self.scale_n ** max(self.alpha - 0.5, 0.0)
 
     def modulation_height(self) -> float:
-        """|tau - xi^3| slab height: N (low regime) or N^(2 alpha) (high)."""
-        if self.regime == "low_alpha":
-            return self.scale_n
-        return self.scale_n ** (2.0 * self.alpha)
+        """|tau - xi^3| slab height: N (A) or N^(2 alpha) (B)."""
+        return self.scale_n ** max(2.0 * self.alpha, 1.0)
 
     def default_grid(self) -> PhaseSpaceGrid:
         return PhaseSpaceGrid(
@@ -106,7 +95,7 @@ class CounterexampleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleFunction:
-    """A {0, amplitude}-valued even function stored as occupied lattice cells.
+    """A {0, 1}-valued even function stored as occupied lattice cells.
 
     xi_idx and tau_idx list every occupied cell of both mirror halves as
     integer lattice indices; positive marks the cells with xi > 0.
@@ -116,10 +105,9 @@ class CounterexampleFunction:
     grid: PhaseSpaceGrid
     xi_idx: np.ndarray
     tau_idx: np.ndarray
-    amplitude: float = 1.0
 
     def l2_norm_sq(self) -> float:
-        return self.amplitude**2 * len(self.xi_idx) * self.grid.cell_area()
+        return len(self.xi_idx) * self.grid.cell_area()
 
     def is_even(self) -> bool:
         cells = set(zip(self.xi_idx.tolist(), self.tau_idx.tolist()))
@@ -245,7 +233,7 @@ class _PairLattice:
         self.outer = _outer_weight(self.xi_cells, self.tau_cells, f.spec)
 
     def ratio(self, s_test: float) -> float:
-        """bilinear_functional of f with its test exponent set to s_test."""
+        """bilinear_functional(f, s_test)."""
         f, grid = self.f, self.f.grid
         # an |s_test| too large for float64 overflows to the RangeError below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -253,7 +241,7 @@ class _PairLattice:
             pair_factor = (col_factor[self.col_a] * col_factor[self.col_b])[self.pair]
             cell_mass = np.bincount(self.inverse, weights=pair_factor * self.mass)
 
-            conv_values = (2.0 * f.amplitude**2 * grid.cell_area()) * cell_mass
+            conv_values = (2.0 * grid.cell_area()) * cell_mass
             weighted = (1.0 + np.abs(self.xi_cells)) ** s_test * self.outer * conv_values
             norm_sq = np.sum(weighted**2) * grid.cell_area()
         if not np.isfinite(norm_sq):
@@ -261,20 +249,20 @@ class _PairLattice:
         return float(np.sqrt(norm_sq) / f.l2_norm_sq())
 
 
-def bilinear_functional(f: CounterexampleFunction) -> float:
-    """Ratio of the weighted near-origin convolution norm to ||f||^2.
+def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:
+    """Ratio of the weighted near-origin convolution norm to ||f||^2 at the
+    test exponent s_test; 0 for an f with no cells.
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the
     away-from-origin third of the interaction rectangle.
     """
-    if len(f.xi_idx) == 0 or f.amplitude == 0.0:
+    if len(f.xi_idx) == 0:
         return 0.0
-    return _PairLattice(f).ratio(f.spec.s_test)
+    return _PairLattice(f).ratio(s_test)
 
 
 def exponent_sweep(
-    regime: str,
     alpha: float,
     s_list: tuple[float, ...],
     n_ladder: tuple[float, ...],
@@ -284,20 +272,21 @@ def exponent_sweep(
     locate the slope sign change.
 
     The crossover estimate interpolates the fitted slope linearly in s
-    between the last nonnegative and first negative slope.
+    between the last nonnegative and first negative slope.  meta["regime"]
+    names the probe set alpha selects: low_alpha (A) for alpha <= 1/2,
+    else high_alpha (B).
     """
     if not s_list:
         raise ParameterError("s_list must be non-empty")
+    if not strictly_monotone(s_list):
+        raise ParameterError(f"s_list must be strictly monotone, got {list(s_list)}")
     if len(n_ladder) < 4:
         raise ParameterError("n_ladder needs at least 4 dyadic points")
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise ParameterError("n_ladder must be strictly increasing")
     # every N's set first: a ladder past the tau-lattice bound fails
     # before any pair work
-    functions = [
-        build_counterexample(CounterexampleSpec(regime, n, s_list[0], alpha, delta))
-        for n in n_ladder
-    ]
+    functions = [build_counterexample(CounterexampleSpec(n, alpha, delta)) for n in n_ladder]
     ratios_by_n = []
     for f in functions:
         lattice = _PairLattice(f)
@@ -320,6 +309,7 @@ def exponent_sweep(
         {"s": float(s), "slope": float(sl), "ratios": list(r), "n_ladder": list(ns)}
         for s, sl, r in zip(s_list, slopes, ratios_by_s)
     )
+    regime = "low_alpha" if alpha <= 0.5 else "high_alpha"
     return SweepReport(
         parameter="s",
         values=tuple(float(s) for s in s_list),

@@ -167,7 +167,8 @@ class TestCriterion07SharpnessCrossover:
 
     @pytest.mark.parametrize("alpha,regime,s_list", CASES)
     def test_crossover_matches_critical_index(self, alpha, regime, s_list):
-        rep = exponent_sweep(regime, alpha, s_list, (16.0, 32.0, 64.0, 128.0))
+        rep = exponent_sweep(alpha, s_list, (16.0, 32.0, 64.0, 128.0))
+        assert rep.meta["regime"] == regime
         target = critical_index(alpha)
         assert rep.crossover_estimate == pytest.approx(target, abs=0.1)
         report(

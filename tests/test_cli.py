@@ -26,6 +26,7 @@ from kdvb.evolve import SolverConfig, solve
 from kdvb.imethod import MAX_SAMPLES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+LADDER = [16, 32, 64, 128]
 
 
 def solve_doc(out, **overrides):
@@ -50,7 +51,7 @@ class TestParseConfig:
         assert cfg.grid.dealias_fraction == pytest.approx(2.0 / 3.0)
         assert cfg.solver.snapshot_stride == 1
         assert cfg.seed == 0
-        echoed = cfg.resolved()
+        echoed = cfg.echo
         assert echoed["epsilon"] == 0.1
         assert echoed["solve"] == {}
 
@@ -120,19 +121,36 @@ class TestParseConfig:
         doc = solve_doc(tmp_path, subcommand="sharpness", alpha=0.75)
         doc["sharpness"] = {"s_list": [-0.6], "n_ladder": [16, 32, 64, 128]}
         cfg = parse_config(json.dumps(doc))
-        assert cfg.block["regime"] == "high_alpha"
-        assert cfg.block["delta"] == 0.01
-        assert cfg.resolved()["sharpness"] == {
+        assert cfg.block == {
+            "s_list": (-0.6,),
+            "n_ladder": (16.0, 32.0, 64.0, 128.0),
+            "delta": 0.01,
+        }
+        assert cfg.echo["sharpness"] == {
             "s_list": (-0.6,),
             "n_ladder": (16.0, 32.0, 64.0, 128.0),
         }
+
+    @pytest.mark.parametrize("alpha,regime", [(0.25, "low_alpha"), (0.75, "high_alpha")])
+    def test_regime_key_is_unknown(self, tmp_path, capsys, alpha, regime):
+        # alpha fixes the probe set, so the block has no regime key, even
+        # one that agrees with alpha
+        block = {"s_list": [-0.75], "n_ladder": LADDER, "regime": regime}
+        doc = solve_doc(tmp_path / "out", subcommand="sharpness", alpha=alpha, sharpness=block)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "unknown keys in sharpness: ['regime']" in payload["message"]
 
     def test_power_law_seed_defaults_to_the_run_seed(self, tmp_path):
         data = {"kind": "power_law"}
         text = json.dumps(solve_doc(tmp_path, seed=3, initial_data=data))
         assert parse_config(text).data["seed"] == 3
         assert parse_config(text, seed=9).data["seed"] == 9
-        assert parse_config(text, seed=9).resolved()["initial_data"] == data
+        assert parse_config(text, seed=9).echo["initial_data"] == data
         data["seed"] = 5
         text = json.dumps(solve_doc(tmp_path, seed=3, initial_data=data))
         assert parse_config(text, seed=9).data["seed"] == 5
@@ -799,6 +817,34 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
+
+    @pytest.mark.parametrize(
+        "subcommand,block,key",
+        [
+            ("sharpness", {"s_list": [-0.75, -0.9, -0.6], "n_ladder": LADDER}, "s_list"),
+            ("sharpness", {"s_list": [-0.75, -0.75], "n_ladder": LADDER}, "s_list"),
+            ("h1-bound", {"eps_ladder": [0.1, 1.0, 0.01]}, "eps_ladder"),
+        ],
+        ids=["s-unordered", "s-repeated", "eps-unordered"],
+    )
+    def test_unordered_sweep_fails_before_any_work(
+        self, tmp_path, capsys, monkeypatch, subcommand, block, key
+    ):
+        # the order is checked up front, not by the report after every
+        # pair lattice or solve
+        def no_work(*args, **kwargs):
+            raise AssertionError("a pair lattice or solve ran")
+
+        monkeypatch.setattr("kdvb.sharpness._PairLattice", no_work)
+        monkeypatch.setattr(experiments, "solve_batch", no_work)
+        cfg_path = tmp_path / "cfg.json"
+        doc = solve_doc(tmp_path / "out", subcommand=subcommand, **{subcommand: block})
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert f"{key} must be strictly monotone" in payload["message"]
 
     @pytest.mark.parametrize(
         "ratios,error",

@@ -24,10 +24,20 @@ from kdvb.sharpness import (
 
 LADDER = (16.0, 32.0, 64.0, 128.0)
 CRITERION07 = Path(__file__).resolve().parent.parent / "configs" / "criterion07.json"
-REGIMES = [("low_alpha", 0.25), ("high_alpha", 0.75)]
 
 
-def brute_force_functional(f: CounterexampleFunction) -> tuple[float, set]:
+def probe_set(alpha: float) -> str:
+    """The name of the set alpha selects: low_alpha (A) for alpha <= 1/2,
+    else high_alpha (B)."""
+    return "low_alpha" if alpha <= 0.5 else "high_alpha"
+
+
+def alphas(*values: float) -> list:
+    """alpha parameters, each id led by the name of the set it selects."""
+    return [pytest.param(a, id=f"{probe_set(a)}-{a}") for a in values]
+
+
+def brute_force_functional(f: CounterexampleFunction, s: float) -> tuple[float, set]:
     """The functional from its definition, one cell pair at a time: every
     ordered pair of cells whose xi-sum lies in the near-origin window adds
     to its output cell in a dict.  Returns the ratio and the output cells."""
@@ -36,8 +46,8 @@ def brute_force_functional(f: CounterexampleFunction) -> tuple[float, set]:
     def weights(i, j):
         xi, tau = i * grid.d_xi, j * grid.d_tau
         y = abs(xi) ** (2 * spec.alpha) + abs(tau - xi**3)
-        inner = f.amplitude * (1 + abs(xi)) ** -spec.s_test * (1 + y * y) ** -0.25
-        outer = abs(xi) * (1 + abs(xi)) ** spec.s_test * (1 + y) ** (-0.5 + spec.delta)
+        inner = (1 + abs(xi)) ** -s * (1 + y * y) ** -0.25
+        outer = abs(xi) * (1 + abs(xi)) ** s * (1 + y) ** (-0.5 + spec.delta)
         return inner, outer
 
     columns = defaultdict(list)
@@ -55,14 +65,24 @@ def brute_force_functional(f: CounterexampleFunction) -> tuple[float, set]:
     return math.sqrt(norm_sq) / f.l2_norm_sq(), set(conv)
 
 
+def set_a_cells(n: float, grid: PhaseSpaceGrid) -> set:
+    """The lattice cells of A and -A from A's definition, one cell centre
+    at a time: N <= xi <= N + 1, N <= |tau - xi^3| <= 2N."""
+    cells = set()
+    for i in range(math.ceil(n / grid.d_xi), math.floor((n + 1) / grid.d_xi) + 1):
+        center = (i * grid.d_xi) ** 3
+        lo = math.floor((center - 2 * n) / grid.d_tau) - 1
+        hi = math.ceil((center + 2 * n) / grid.d_tau) + 1
+        for j in range(lo, hi + 1):
+            if n <= abs(j * grid.d_tau - center) <= 2 * n:
+                cells |= {(i, j), (-i, -j)}
+    return cells
+
+
 class TestSpecValidation:
-    def test_regime_alpha_consistency(self):
-        with pytest.raises(ParameterError, match="low_alpha"):
-            CounterexampleSpec("low_alpha", 16.0, -0.75, 0.9)
-        with pytest.raises(ParameterError, match="high_alpha"):
-            CounterexampleSpec("high_alpha", 16.0, -1.0, 0.3)
+    def test_scale_n_below_16_rejected(self):
         with pytest.raises(ParameterError, match="scale_n"):
-            CounterexampleSpec("low_alpha", 8.0, -0.75, 0.25)
+            CounterexampleSpec(8.0, 0.25)
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError, match="steps"):
@@ -73,16 +93,12 @@ class TestBuildCounterexample:
     def test_low_regime_norm_tracks_measure(self):
         # |A| = 2N exactly, so ||f||^2 = 4N up to rasterization
         for n in LADDER:
-            f = build_counterexample(CounterexampleSpec("low_alpha", n, -0.75, 0.25))
+            f = build_counterexample(CounterexampleSpec(n, 0.25))
             assert f.l2_norm_sq() == pytest.approx(4.0 * n, rel=0.1)
 
     def test_low_regime_power_law_stable(self):
         norms = [
-            np.sqrt(
-                build_counterexample(
-                    CounterexampleSpec("low_alpha", n, -0.75, 0.3)
-                ).l2_norm_sq()
-            )
+            np.sqrt(build_counterexample(CounterexampleSpec(n, 0.3)).l2_norm_sq())
             for n in LADDER
         ]
         fit = fit_power_law(np.asarray(LADDER), np.asarray(norms))
@@ -93,18 +109,23 @@ class TestBuildCounterexample:
     def test_high_regime_exponent(self):
         # ||f|| grows like N^(3 alpha / 2 - 1/4); alpha = 1 gives 5/4
         norms = [
-            np.sqrt(
-                build_counterexample(
-                    CounterexampleSpec("high_alpha", n, -1.0, 1.0)
-                ).l2_norm_sq()
-            )
+            np.sqrt(build_counterexample(CounterexampleSpec(n, 1.0)).l2_norm_sq())
             for n in LADDER
         ]
         fit = fit_power_law(np.asarray(LADDER), np.asarray(norms))
         assert fit["slope"] == pytest.approx(1.25, abs=0.03)
 
+    @pytest.mark.parametrize("n", [16.0, 64.0])
+    def test_alpha_one_half_gives_set_a(self, n):
+        # at alpha = 1/2 the sets A and B coincide
+        f = build_counterexample(CounterexampleSpec(n, 0.5))
+        assert f.spec.set_width() == 1.0 and f.spec.modulation_height() == n
+        cells = list(zip(f.xi_idx.tolist(), f.tau_idx.tolist()))
+        assert len(cells) == len(set(cells))
+        assert set(cells) == set_a_cells(n, f.grid)
+
     def test_norm_converges_to_set_measure_under_refinement(self):
-        spec = CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25)
+        spec = CounterexampleSpec(16.0, 0.25)
         deviations = []
         for cells in (16, 64):
             grid = PhaseSpaceGrid(
@@ -117,11 +138,11 @@ class TestBuildCounterexample:
         assert deviations[1] <= 0.05
 
     def test_evenness_exact(self):
-        f = build_counterexample(CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25))
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
         assert f.is_even()
 
     def test_unresolved_thin_dimension_rejected(self):
-        spec = CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25)
+        spec = CounterexampleSpec(16.0, 0.25)
         coarse = PhaseSpaceGrid(
             d_xi=0.5,
             d_tau=spec.modulation_height() / 16,
@@ -130,53 +151,46 @@ class TestBuildCounterexample:
             build_counterexample(spec, coarse)
 
     @pytest.mark.parametrize(
-        "regime,alpha,inside,beyond",
+        "alpha,inside,beyond",
         [
-            # the outermost tau index is about 16 N^2, 16 N^1.5 and 16 N
-            ("low_alpha", 0.25, 2e7, [3e7, 4e7, 1e10, 1e300]),
-            ("high_alpha", 0.75, 6e9, [7e9, 1e200, 1e300]),
-            ("high_alpha", 1.0, 1e14, [1e15, 1e200, 1e300]),
+            pytest.param(a, inside, beyond, id=f"{probe_set(a)}-{a}-{inside}-beyond{k}")
+            for k, (a, inside, beyond) in enumerate(
+                [
+                    # the outermost tau index is about 16 N^2, 16 N^1.5 and 16 N
+                    (0.25, 2e7, [3e7, 4e7, 1e10, 1e300]),
+                    (0.75, 6e9, [7e9, 1e200, 1e300]),
+                    (1.0, 1e14, [1e15, 1e200, 1e300]),
+                ]
+            )
         ],
     )
-    def test_tau_index_beyond_2_pow_53_is_range_error(self, regime, alpha, inside, beyond):
-        build_counterexample(CounterexampleSpec(regime, inside, -0.75, alpha))
+    def test_tau_index_beyond_2_pow_53_is_range_error(self, alpha, inside, beyond):
+        build_counterexample(CounterexampleSpec(inside, alpha))
         for n in beyond:
             with pytest.raises(RangeError, match="scale_n"):
-                build_counterexample(CounterexampleSpec(regime, n, -0.75, alpha))
+                build_counterexample(CounterexampleSpec(n, alpha))
 
-    @pytest.mark.parametrize(
-        "regime,alpha", [("low_alpha", 0.25), ("high_alpha", 0.75), ("high_alpha", 1.0)]
-    )
-    def test_criterion07_ladder_inside_the_bound(self, regime, alpha):
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75, 1.0))
+    def test_criterion07_ladder_inside_the_bound(self, alpha):
         for n in json.loads(CRITERION07.read_text())["sharpness"]["n_ladder"]:
-            f = build_counterexample(CounterexampleSpec(regime, n, -0.75, alpha))
+            f = build_counterexample(CounterexampleSpec(n, alpha))
             assert np.abs(f.tau_idx).max() < 2**20
 
 
 class TestBilinearFunctional:
     def test_zero_function(self):
-        f = build_counterexample(CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25))
-        zero = CounterexampleFunction(
-            spec=f.spec, grid=f.grid, xi_idx=f.xi_idx, tau_idx=f.tau_idx, amplitude=0.0
-        )
-        assert bilinear_functional(zero) == 0.0
-
-    def test_ratio_invariant_under_amplitude(self):
-        f = build_counterexample(CounterexampleSpec("low_alpha", 16.0, -0.75, 0.25))
-        scaled = CounterexampleFunction(
-            spec=f.spec, grid=f.grid, xi_idx=f.xi_idx, tau_idx=f.tau_idx, amplitude=2.5
-        )
-        assert bilinear_functional(scaled) == pytest.approx(
-            bilinear_functional(f), rel=1e-12
-        )
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        empty = np.zeros(0, dtype=int)
+        zero = CounterexampleFunction(spec=f.spec, grid=f.grid, xi_idx=empty, tau_idx=empty)
+        assert bilinear_functional(zero, -0.75) == 0.0
 
     def test_ratio_invariant_under_reflection(self):
-        f = build_counterexample(CounterexampleSpec("low_alpha", 32.0, -0.6, 0.25))
+        f = build_counterexample(CounterexampleSpec(32.0, 0.25))
         flipped = CounterexampleFunction(
             spec=f.spec, grid=f.grid, xi_idx=-f.xi_idx, tau_idx=-f.tau_idx
         )
-        assert bilinear_functional(flipped) == pytest.approx(
-            bilinear_functional(f), rel=1e-12
+        assert bilinear_functional(flipped, -0.6) == pytest.approx(
+            bilinear_functional(f, -0.6), rel=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -185,20 +199,18 @@ class TestBilinearFunctional:
     )
     def test_low_regime_slope_signs(self, s, lo, hi):
         ratios = [
-            bilinear_functional(
-                build_counterexample(CounterexampleSpec("low_alpha", n, s, 0.25))
-            )
+            bilinear_functional(build_counterexample(CounterexampleSpec(n, 0.25)), s)
             for n in LADDER
         ]
         slope = fit_power_law(np.asarray(LADDER), np.asarray(ratios))["slope"]
         assert lo <= slope <= hi
 
-    @pytest.mark.parametrize("regime,alpha", REGIMES)
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75, 0.5, 1.0))
     @pytest.mark.parametrize("s", [-1.05, -0.45])
-    def test_equals_the_cell_pair_definition(self, regime, alpha, s):
-        f = build_counterexample(CounterexampleSpec(regime, 16.0, s, alpha))
-        ratio, cells = brute_force_functional(f)
-        assert bilinear_functional(f) == pytest.approx(ratio, rel=1e-13)
+    def test_equals_the_cell_pair_definition(self, alpha, s):
+        f = build_counterexample(CounterexampleSpec(16.0, alpha))
+        ratio, cells = brute_force_functional(f, s)
+        assert bilinear_functional(f, s) == pytest.approx(ratio, rel=1e-13)
         lattice = sharpness._PairLattice(f)
         occupied = zip(
             np.rint(lattice.xi_cells / f.grid.d_xi).astype(int).tolist(),
@@ -206,11 +218,11 @@ class TestBilinearFunctional:
         )
         assert set(occupied) == cells
 
-    @pytest.mark.parametrize("regime,alpha", REGIMES)
-    def test_lattice_memory_does_not_grow_with_the_pairs(self, regime, alpha):
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75))
+    def test_lattice_memory_does_not_grow_with_the_pairs(self, alpha):
         # about 3e5 cell pairs at N = 128; the lattice and five ratios stay
         # under 3 MB at their peak
-        f = build_counterexample(CounterexampleSpec(regime, 128.0, -0.75, alpha))
+        f = build_counterexample(CounterexampleSpec(128.0, alpha))
         tracemalloc.start()
         try:
             lattice = sharpness._PairLattice(f)
@@ -221,19 +233,17 @@ class TestBilinearFunctional:
             tracemalloc.stop()
         assert peak < 3e6
 
-    @pytest.mark.parametrize("regime,alpha", REGIMES)
-    def test_largest_scale_runs(self, regime, alpha):
-        f = build_counterexample(CounterexampleSpec(regime, 1e7, -0.75, alpha))
-        ratio = bilinear_functional(f)
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75))
+    def test_largest_scale_runs(self, alpha):
+        f = build_counterexample(CounterexampleSpec(1e7, alpha))
+        ratio = bilinear_functional(f, -0.75)
         assert np.isfinite(ratio) and ratio > 0
 
     def test_slope_monotone_in_s(self):
         slopes = []
         for s in (-1.0, -0.75, -0.5):
             ratios = [
-                bilinear_functional(
-                    build_counterexample(CounterexampleSpec("low_alpha", n, s, 0.4))
-                )
+                bilinear_functional(build_counterexample(CounterexampleSpec(n, 0.4)), s)
                 for n in LADDER
             ]
             slopes.append(fit_power_law(np.asarray(LADDER), np.asarray(ratios))["slope"])
@@ -243,43 +253,40 @@ class TestBilinearFunctional:
 class TestExponentSweep:
     def test_short_ladder_rejected(self):
         with pytest.raises(ParameterError, match="at least 4"):
-            exponent_sweep("low_alpha", 0.25, (-0.75,), (16.0, 32.0))
+            exponent_sweep(0.25, (-0.75,), (16.0, 32.0))
 
     def test_branch_point_alpha(self):
         # both branch formulas give -3/4 at alpha = 1/2
-        rep = exponent_sweep(
-            "high_alpha", 0.5, (-0.95, -0.85, -0.75, -0.65, -0.55), LADDER
-        )
+        rep = exponent_sweep(0.5, (-0.95, -0.85, -0.75, -0.65, -0.55), LADDER)
         assert rep.crossover_estimate == pytest.approx(-0.75, abs=0.1)
 
     def test_delta_sensitivity_is_mild(self):
         estimates = [
             exponent_sweep(
-                "low_alpha", 0.25, (-0.9, -0.8, -0.75, -0.7, -0.6), LADDER, delta=d
+                0.25, (-0.9, -0.8, -0.75, -0.7, -0.6), LADDER, delta=d
             ).crossover_estimate
             for d in (0.005, 0.02)
         ]
         assert abs(estimates[0] - estimates[1]) <= 0.05
 
     def test_csv_shape(self):
-        rep = exponent_sweep("low_alpha", 0.25, (-0.9, -0.75, -0.6), LADDER)
+        rep = exponent_sweep(0.25, (-0.9, -0.75, -0.6), LADDER)
         lines = sweep_csv(rep).splitlines()
         assert lines[0] == "alpha,s,N,ratio,slope,crossover_estimate"
         assert len(lines) == 1 + 3 * len(LADDER)
 
-    @pytest.mark.parametrize(
-        "regime,alpha", [("low_alpha", 0.25), ("high_alpha", 0.75)]
-    )
-    def test_ratios_equal_the_one_s_functional(self, regime, alpha):
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75))
+    def test_ratios_equal_the_one_s_functional(self, alpha):
         # the sweep builds each N's pair lattice once; every ratio must be
         # the one-s functional's, bit for bit
         block = json.loads(CRITERION07.read_text())["sharpness"]
         s_list, n_ladder = tuple(block["s_list"]), tuple(block["n_ladder"])
-        rep = exponent_sweep(regime, alpha, s_list, n_ladder, block["delta"])
+        rep = exponent_sweep(alpha, s_list, n_ladder, block["delta"])
+        assert rep.meta["regime"] == probe_set(alpha)
         for s, rec in zip(s_list, rep.observables):
             for n, ratio in zip(n_ladder, rec["ratios"]):
-                spec = CounterexampleSpec(regime, n, s, alpha, block["delta"])
-                assert ratio == bilinear_functional(build_counterexample(spec))
+                spec = CounterexampleSpec(n, alpha, block["delta"])
+                assert ratio == bilinear_functional(build_counterexample(spec), s)
 
     def test_whole_ladder_checked_before_any_pair_work(self, monkeypatch):
         def no_lattice(f):
@@ -288,4 +295,4 @@ class TestExponentSweep:
         monkeypatch.setattr(sharpness, "_PairLattice", no_lattice)
         # 1e7 and 2e7 are inside the tau-lattice bound, 4e7 is not
         with pytest.raises(RangeError, match="scale_n = 4e"):
-            exponent_sweep("low_alpha", 0.25, (-0.75,), (1e7, 2e7, 4e7, 8e7))
+            exponent_sweep(0.25, (-0.75,), (1e7, 2e7, 4e7, 8e7))
