@@ -17,6 +17,9 @@ which keeps every regime cancellation-free.
 
 The quadratic product is formed in physical space and dealiased with the
 strict 2/3 rule, |k| < M/3, so the retained modes carry the exact convolution.
+N is that product's rfft times one multiplier (the derivative, the dealias
+mask and the transform scales), and the stepper folds the multiplier into
+its ETDRK4 coefficients, so a stage evaluates only irfft, square and rfft.
 
 The state is stepped as the real-FFT half-spectrum: the M/2 + 1
 coefficients k = 0..M/2 of a real field, the negative wavenumbers being
@@ -35,30 +38,32 @@ integer multiple of the smallest.  The loop ticks at the smallest dt and
 steps the rows that are due on each tick together, so a run with twice
 the step rides on every other tick.  Every stage acts on each element or
 along the last axis, so each row is bit for bit the single solve of its
-run, while the 8 FFT calls and about 25 stage operations of a tick are
+run, while the 8 FFT calls and 21 other array operations of a tick are
 paid once for all its rows.  A batch shares the grid because the FFT
 length and the tableau's wavenumbers are the grid's, which is why the
 rescaled run of ``scaling_check`` (a larger box with more modes) stays
 single.  Batched together are the epsilon = 0 reference, the ladder and
 the dt/2 floor of ``inviscid_sweep``, the ladder of ``h1_bound_check``
-and the energy run with its dt/2 refinement.  A row that turns
-non-finite records its own DivergenceError; the first run that diverges
-raises its error once the runs before it have finished, as its single
-solve would.
+and the energy run with its dt/2 refinement.  Each tick screens its new
+state with one reduction, the squared norm, and scans the rows only when
+that is not finite.  A row that turns non-finite records its own
+DivergenceError; the first run that diverges raises its error once the
+runs before it have finished, as its single solve would.
 
 A step's only new array is the state it returns.  Each stepper
-preallocates one buffer per stage nonlinearity, one for the stage
-arithmetic and one real (rows, M) buffer for the physical-space square,
-which the FFTs fill through ``out=`` (numpy >= 2.0).  The stage sums run
-in place with the operand order and grouping of the plain expressions,
-so a step is bit for bit the allocating one.  A substitute nonlinearity
-is called as ``nl(h, out)`` and either fills ``out`` or returns a new
-array.
+preallocates one buffer per stage square, two for the stage arithmetic
+and one real (rows, M) buffer for the physical-space square, which the
+FFTs fill through ``out=`` (numpy >= 2.0).  The stage sums run in place
+with the operand order and grouping of the plain expressions, so a step
+is bit for bit the allocating one.  A substitute nonlinearity is called
+as ``nl(h, out)``, stands in for the square under a tableau without the
+multiplier, and either fills ``out`` or returns a new array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -90,6 +95,19 @@ MAX_STEPS = 10**7
 _MAX_ETD_ARGUMENT = sys.float_info.max ** (1 / 3)
 
 
+def _check_dt(grid: GridSpec, p: ModelParams, dt: float) -> None:
+    """A step dt must be positive and finite, and keep the largest |dt L(xi)|
+    within the range whose cube the closed-form ETDRK4 coefficients form."""
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt}")
+    largest = float(np.abs(linear_symbol(grid, p)).max()) * dt
+    if not largest <= _MAX_ETD_ARGUMENT:
+        raise ParameterError(
+            f"dt = {dt} puts |dt L(xi)| at {largest:.6g}, past "
+            f"{_MAX_ETD_ARGUMENT:.6g}, where the ETDRK4 coefficients overflow"
+        )
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping parameters for one solve."""
@@ -101,8 +119,7 @@ class SolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        _check_dt(self.grid, self.params, self.dt)
         if not self.t_final > 0:
             raise ParameterError(f"t_final must be positive, got {self.t_final}")
         if self.dt > self.t_final:
@@ -117,12 +134,6 @@ class SolverConfig:
             raise ParameterError(
                 f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
                 f"MAX_STEPS = {MAX_STEPS}"
-            )
-        largest = float(np.abs(linear_symbol(self.grid, self.params)).max()) * self.dt
-        if not largest <= _MAX_ETD_ARGUMENT:
-            raise ParameterError(
-                f"dt = {self.dt} puts |dt L(xi)| at {largest:.6g}, past "
-                f"{_MAX_ETD_ARGUMENT:.6g}, where the ETDRK4 coefficients overflow"
             )
 
 
@@ -198,37 +209,41 @@ def _to_full(h: np.ndarray) -> np.ndarray:
     return np.concatenate((h, h[..., -2:0:-1].conj()), axis=-1)
 
 
-def _half_nonlinearity(grid: GridSpec, shape: tuple[int, ...]) -> Nonlinearity:
-    """N on rfft half-spectra of one grid, for states of the given shape.
-
-    One cached multiplier folds the derivative -i xi, the dealias mask and
-    both transform scales together; the strict cutoff drops the Nyquist
-    entry, whose mode k = -M/2 pairs with no +M/2 on the lattice.  The
-    physical-space square lives in one preallocated real buffer of shape
-    (*shape[:-1], M), and ``nl(h, out)`` returns out, filled.
-    """
+def _multiplier(grid: GridSpec) -> np.ndarray:
+    """The factor that takes the rfft of the physical-space square to N on
+    rfft half-spectra: the derivative -i xi, the dealias mask and both
+    transform scales together.  The strict cutoff drops the Nyquist entry,
+    whose mode k = -M/2 pairs with no +M/2 on the lattice."""
     m = grid.modes
     half = m // 2 + 1
     mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
     mult[~grid.dealias_mask()[:half]] = 0.0
+    return mult
+
+
+def _half_square(grid: GridSpec, shape: tuple[int, ...]) -> Nonlinearity:
+    """rfft(irfft(h)**2) on rfft half-spectra of one grid, for states of the
+    given shape: N before its multiplier.  The physical-space square lives
+    in one preallocated real buffer of shape (*shape[:-1], M), and
+    ``sq(h, out)`` returns out, filled.
+    """
+    m = grid.modes
     w = np.empty((*shape[:-1], m))
     rfft, irfft, multiply = np.fft.rfft, np.fft.irfft, np.multiply
 
-    def nl(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def sq(h: np.ndarray, out: np.ndarray) -> np.ndarray:
         irfft(h, m, out=w)
         multiply(w, w, out=w)
-        rfft(w, out=out)
-        return multiply(mult, out, out=out)
+        return rfft(w, out=out)
 
-    return nl
+    return sq
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
     """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased."""
     h = _to_half(u.coeffs)
-    return SpectralField(
-        _to_full(_half_nonlinearity(u.grid, h.shape)(h, np.empty_like(h))), u.grid
-    )
+    out = _half_square(u.grid, h.shape)(h, np.empty_like(h))
+    return SpectralField(_to_full(np.multiply(_multiplier(u.grid), out, out=out)), u.grid)
 
 
 def _phi_series(z: np.ndarray, coeffs: tuple[float, ...]) -> np.ndarray:
@@ -278,12 +293,17 @@ class _Stepper:
     shape for one run.
     The tableau comes from the single propagator symbol restricted to
     k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
-    kept, so a real state stays exactly real.  ``nl`` maps half-spectra to
-    half-spectra along the last axis and defaults to N.
+    kept, so a real state stays exactly real.
+
+    N's multiplier is folded into the coefficients that weigh a stage
+    nonlinearity (q, 2 q, f1, 2 f2 and f3), so the stages call ``p``, the
+    physical-space square rfft(irfft(h)**2), and never multiply by it.  A
+    substitute ``nl`` maps half-spectra to half-spectra along the last axis
+    and stands in for p under the same tableau built with multiplier 1.
 
     The stepper owns its working memory, allocated once in the tableau's
-    shape: n0, na, nb and nc for the stage nonlinearities, s for the stage
-    arithmetic and, inside the default N, one (rows, M) real buffer.  A
+    shape: p0, pa, pb and pc for the stage squares, s and t for the stage
+    arithmetic and, inside the default p, one (rows, M) real buffer.  A
     call steps in place in them, bit for bit as the allocating stage
     formulas of ``__call__``, and returns a new array, never a buffer; so
     one stepper must not be called from two threads at once.
@@ -304,56 +324,58 @@ class _Stepper:
             dt = np.array(dts)[:, None]
         sym[..., -1] = sym[..., -1].real
         z = dt * sym
+        mult = _multiplier(grid) if nl is None else 1.0
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
         self.q = dt * _etd_coefficient(
             z, lambda w: (np.exp(0.5 * w) - 1.0) / w, _Q_SERIES
-        )
+        ) * mult
+        self.q_twice = 2.0 * self.q
         self.f1 = dt * _etd_coefficient(
             z,
             lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w * w)) / w**3,
             _F1_SERIES,
-        )
+        ) * mult
         self.f2_twice = 2.0 * dt * _etd_coefficient(
             z,
             lambda w: (2.0 + w + np.exp(w) * (w - 2.0)) / w**3,
             _F2_SERIES,
-        )
+        ) * mult
         self.f3 = dt * _etd_coefficient(
             z,
             lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3,
             _F3_SERIES,
-        )
+        ) * mult
         shape = self.e_full.shape
-        self.nl = _half_nonlinearity(grid, shape) if nl is None else nl
-        self.n0, self.na, self.nb, self.nc, self.s = (
-            np.empty(shape, dtype=np.complex128) for _ in range(5)
+        self.p = _half_square(grid, shape) if nl is None else nl
+        self.p0, self.pa, self.pb, self.pc, self.s, self.t = (
+            np.empty(shape, dtype=np.complex128) for _ in range(6)
         )
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         """One step of each row of h, returned as a new array.
 
         The stages are, in this operand order and grouping,
-        a = e_half h + q n0, b = e_half h + q na, c = e_half a + q (2 nb - n0)
-        and the step e_full h + f1 n0 + f2 (na + nb) + f3 nc summed left to
-        right.  e_half h, then b, then q (2 nb - n0) wait in nc's buffer
-        until nc is due.
+        a = e_half h + q p0, b = e_half h + q pa,
+        c = e_half a + (2 q) pb - q p0 and the step
+        e_full h + f1 p0 + f2 (pa + pb) + f3 pc summed left to right.  q p0
+        waits in t until c; e_half h, then b, then (2 q) pb wait in pc's
+        buffer until pc is due.
         """
-        nl, e_half, q, s, t = self.nl, self.e_half, self.q, self.s, self.nc
+        p, e_half, q, s, t, w = self.p, self.e_half, self.q, self.s, self.t, self.pc
         mul, add = np.multiply, np.add
-        n0 = nl(h, self.n0)
-        e_h = mul(e_half, h, out=t)
-        a = add(e_h, mul(q, n0, out=s), out=s)
-        na = nl(a, self.na)
-        b = add(e_h, mul(q, na, out=self.nb), out=t)
-        nb = nl(b, self.nb)
-        mul(q, np.subtract(mul(2.0, nb, out=t), n0, out=t), out=t)
-        c = add(mul(e_half, a, out=s), t, out=s)
-        nc = nl(c, self.nc)
+        p0 = p(h, self.p0)
+        e_h = mul(e_half, h, out=w)
+        a = add(e_h, mul(q, p0, out=t), out=s)
+        pa = p(a, self.pa)
+        b = add(e_h, mul(q, pa, out=self.pb), out=w)
+        pb = p(b, self.pb)
+        c = add(mul(e_half, a, out=s), mul(self.q_twice, pb, out=w), out=s)
+        pc = p(np.subtract(c, t, out=s), self.pc)
         x = mul(self.e_full, h)
-        add(x, mul(self.f1, n0, out=s), out=x)
-        add(x, mul(self.f2_twice, add(na, nb, out=s), out=s), out=x)
-        return add(x, mul(self.f3, nc, out=s), out=x)
+        add(x, mul(self.f1, p0, out=s), out=x)
+        add(x, mul(self.f2_twice, add(pa, pb, out=s), out=s), out=x)
+        return add(x, mul(self.f3, pc, out=s), out=x)
 
 
 def step(
@@ -370,10 +392,9 @@ def step(
     half-spectra as ``nl(h, out)``, filling out or returning a new array,
     and defaults to N; passing a substitute (for instance
     ``zero_nonlinearity``) isolates the linear flow, which this scheme
-    reproduces exactly.
+    reproduces exactly.  dt is checked as ``SolverConfig`` checks it.
     """
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
+    _check_dt(u.grid, p, dt)
     grid = u.grid
     stepper = _Stepper(grid, [p], [dt], nonlinearity)
     return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
@@ -462,7 +483,10 @@ def _march(
             h = new = stepper(h)
         else:
             h[index] = new = stepper(h[index])
-        if not np.isfinite(new).all():
+        # one reduction: the squared norm is finite when every entry is, and
+        # the exact scan below runs only when it is not (a state past ~1e154
+        # overflows it with every entry finite)
+        if not math.isfinite(np.vdot(new, new).real):
             for b in map(int, np.flatnonzero(~np.isfinite(h.reshape(len(cfgs), -1)).all(1))):
                 if b not in errors:
                     i = j // plans[b][0]

@@ -102,6 +102,15 @@ class TestStep:
         u = forward_transform(RealField(np.zeros(32), grid))
         with pytest.raises(ParameterError, match="dt"):
             step(u, -0.1, ModelParams(0.0, 1.0))
+        # step checks the ETD-argument bound of SolverConfig: at M = 64,
+        # dt = 1e200 puts max |dt L(xi)| at 1.2e205, past 5.6e102
+        grid = GridSpec(box_length=4.0, modes=64)
+        u = dealias(forward_transform(smooth_data(grid)))
+        with pytest.raises(ParameterError, match=r"dt = 1e\+200 .*5\.6438e\+102"):
+            step(u, 1e200, ModelParams(0.1, 1.0))
+        for dt in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                step(u, dt, ModelParams(0.1, 1.0))
 
     def test_fourth_order_self_convergence(self):
         # errors against a dt/8 reference shrink 16x per dt halving
@@ -124,24 +133,23 @@ class TestStep:
 
 def reference_step(stepper: evolve._Stepper, grid: GridSpec, h: np.ndarray) -> np.ndarray:
     """One ETDRK4 step written as plain allocating expressions, on the
-    stepper's tableau: the order of operations the in-place step keeps."""
+    stepper's tableau, whose q, f1, f2 and f3 carry N's multiplier: the
+    order of operations the in-place step keeps."""
     m = grid.modes
-    half = m // 2 + 1
-    mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
-    mult[~grid.dealias_mask()[:half]] = 0.0
 
-    def nl(x):
+    def p(x):
         w = np.fft.irfft(x, m)
-        return mult * np.fft.rfft(w * w)
+        return np.fft.rfft(w * w)
 
     e_half, q = stepper.e_half, stepper.q
-    n0 = nl(h)
+    p0 = p(h)
+    q_p0 = q * p0
     e_h = e_half * h
-    a = e_h + q * n0
-    na = nl(a)
-    nb = nl(e_h + q * na)
-    nc = nl(e_half * a + q * (2.0 * nb - n0))
-    return stepper.e_full * h + stepper.f1 * n0 + stepper.f2_twice * (na + nb) + stepper.f3 * nc
+    a = e_h + q_p0
+    pa = p(a)
+    pb = p(e_h + q * pa)
+    pc = p(e_half * a + stepper.q_twice * pb - q_p0)
+    return stepper.e_full * h + stepper.f1 * p0 + stepper.f2_twice * (pa + pb) + stepper.f3 * pc
 
 
 class TestStepperBuffers:
@@ -171,7 +179,7 @@ class TestStepperBuffers:
         second = stepper(first)
         assert np.array_equal(first, kept)
         assert np.array_equal(stepper(h), kept)
-        buffers = (stepper.n0, stepper.na, stepper.nb, stepper.nc, stepper.s, h)
+        buffers = (stepper.p0, stepper.pa, stepper.pb, stepper.pc, stepper.s, stepper.t, h)
         for state in (first, second):
             assert not any(np.shares_memory(state, b) for b in buffers)
         assert not np.shares_memory(first, second)
@@ -188,6 +196,37 @@ class TestStepperBuffers:
         nonlinear_term(v)
         assert np.array_equal(first.coeffs, kept)
         assert np.array_equal(nonlinear_term(u).coeffs, kept)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.sampled_from([1, 3]),
+        modes=st.sampled_from([64, 96, 384]),
+        eps=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        alpha=st.floats(0.05, 1.0),
+        dt=st.floats(1e-4, 2e-3),
+    )
+    def test_folded_multiplier_agrees_with_the_full_nonlinearity(
+        self, rows, modes, eps, alpha, dt
+    ):
+        # the default stepper folds N's multiplier into q, f1, f2 and f3; a
+        # substitute that is the whole N gets the unfolded tableau
+        grid = GridSpec(box_length=16.0, modes=modes)
+        mult = evolve._multiplier(grid)
+        shape = (modes // 2 + 1,) if rows == 1 else (rows, modes // 2 + 1)
+        sq = evolve._half_square(grid, shape)
+
+        def full_n(h, out):
+            return np.multiply(mult, sq(h, out), out=out)
+
+        params = [ModelParams(e, alpha) for e in eps[:rows]]
+        dts = [dt * (b + 1) for b in range(rows)]
+        folded = evolve._Stepper(grid, params, dts)
+        unfolded = evolve._Stepper(grid, params, dts, full_n)
+        h = evolve._to_half(dealias(forward_transform(smooth_data(grid, 1.5))).coeffs)
+        x = y = h if rows == 1 else np.outer(np.arange(1.0, rows + 1), h)
+        for _ in range(20):
+            x, y = folded(x), unfolded(y)
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
     def test_substitute_may_fill_out_or_return_a_new_array(self):
         grid = GridSpec(box_length=4.0, modes=64)
@@ -378,6 +417,20 @@ class TestSolve:
         )
         with pytest.raises(DivergenceError, match="step"):
             solve(phi, cfg)
+
+    def test_vast_finite_state_is_not_divergence(self):
+        # entries near 1e200 overflow the squared norm that screens each tick,
+        # while every entry stays finite: the exact scan must clear them
+        grid = GridSpec(box_length=4.0, modes=64)
+        phi = smooth_data(grid, amplitude=1e200)
+        p = ModelParams(0.0, 1.0)
+        cfg = SolverConfig(params=p, grid=grid, dt=0.01, t_final=0.1)
+        traj = solve(phi, cfg, nonlinearity=zero_nonlinearity)
+        assert len(traj.times) == 11 and np.all(np.isfinite(traj.coeffs))
+        assert not np.isfinite(np.vdot(traj.coeffs[-1], traj.coeffs[-1]).real)
+        exact = propagate(SpectralField(traj.coeffs[0], grid), 0.1, p)
+        error = np.max(np.abs(traj.coeffs[-1] - exact.coeffs))
+        assert error <= 1e-13 * np.max(np.abs(exact.coeffs))
 
     def test_resolution_robustness(self):
         # doubling the mode count leaves the terminal state essentially fixed;
