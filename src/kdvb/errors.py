@@ -22,11 +22,10 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """The time integration produced a non-finite state."""
 
-    run = 0  # the index of the diverged run in its batch
-
-    def __init__(self, step_index: int, time: float):
+    def __init__(self, step_index: int, time: float, run: int = 0):
         self.step_index = step_index
         self.time = time
+        self.run = run  # the index of the diverged run in its batch
         super().__init__(
             f"non-finite state detected at step {step_index} (t = {time:.6g})"
         )

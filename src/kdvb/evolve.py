@@ -30,6 +30,10 @@ Hermitian-symmetric after t = 0) and in the public ``step`` and
 k = M/2; its derivative factor is 0 and its linear symbol keeps only the
 dissipative real part, so it stays real.
 
+A run takes ``SolverConfig.steps`` = round(t_final / dt) whole steps; a
+t_final that is not a whole number of steps is a ParameterError, so
+there is no short last step, and the last snapshot is stamped exactly t_final.
+
 One stepping loop serves both entries.  ``solve`` steps a 1-D
 (M/2 + 1,) state.  ``solve_ladder`` steps B runs that share the grid and
 t_final as one (B, M/2 + 1) array, one tableau row per run; their
@@ -47,8 +51,8 @@ the dt/2 floor of ``inviscid_sweep``, the ladder of ``h1_bound_check``
 and the energy run with its dt/2 refinement.  Each tick screens its new
 state with one reduction, the squared norm, and scans the rows only when
 that is not finite.  A row that turns non-finite records its own
-DivergenceError; the first run that diverges raises its error once the
-runs before it have finished, as its single solve would.
+DivergenceError; run 0's is raised at once, and otherwise the first
+diverged run's is raised after the last tick, as its single solve would.
 
 A step's only new array is the state it returns.  Each stepper
 preallocates one buffer per stage square, two for the stage arithmetic
@@ -122,10 +126,6 @@ class SolverConfig:
         _check_dt(self.grid, self.params, self.dt)
         if not self.t_final > 0:
             raise ParameterError(f"t_final must be positive, got {self.t_final}")
-        if self.dt > self.t_final:
-            raise ParameterError(
-                f"dt = {self.dt} exceeds t_final = {self.t_final}"
-            )
         if self.snapshot_stride < 1:
             raise ParameterError(
                 f"snapshot_stride must be >= 1, got {self.snapshot_stride}"
@@ -135,14 +135,24 @@ class SolverConfig:
                 f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
                 f"MAX_STEPS = {MAX_STEPS}"
             )
+        if self.steps < 1 or abs(self.steps * self.dt - self.t_final) > 1e-12 * self.t_final:
+            raise ParameterError(
+                f"t_final = {self.t_final} must be a whole number of steps dt = {self.dt}"
+            )
+
+    @property
+    def steps(self) -> int:
+        """The number of steps of size dt that make up t_final."""
+        return round(self.t_final / self.dt)
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded states of one solve, uniformly spaced in time.
 
-    Snapshots sit at multiples of snapshot_stride * dt starting from 0;
-    the final interval may be shorter when t_final is not a multiple.
+    Snapshots sit at multiples of snapshot_stride * dt starting from 0,
+    the last at exactly t_final; the final interval is shorter when the
+    config's steps are not a multiple of snapshot_stride.
     ``coeffs`` is one read-only (n_snapshots, M) matrix, row i holding the
     FFT-order coefficients at times[i].  The constructor copies it once,
     unless it is already a read-only C-ordered complex matrix that owns
@@ -412,11 +422,12 @@ def _march(
     and t_final and whose dt are integer multiples of the smallest.
 
     The loop ticks at the smallest dt; row b, with ratio r = dt_b / min dt,
-    takes its step i on tick r i, so on each tick the due rows step
-    together, with one stepper cached per set of due steps.  A row that
-    turns non-finite on its step i records the error of step i - 1 and
-    steps on.  Returns per config the snapshot times and the
-    (snapshots, M) matrix of the stored states in FFT order.
+    takes its step i on tick r i, so each tick steps its due rows together
+    under one stepper cached per tuple of due rows, and all runs end on the
+    last tick.  A row that turns non-finite on its step i records the error
+    of step i - 1 and steps on; run 0's is raised at once, any other after
+    the last tick.  Returns per config the snapshot times, the last exactly
+    t_final, and the (snapshots, M) matrix of the stored states in FFT order.
     """
     grid = cfgs[0].grid
     if phi.grid != grid:
@@ -424,59 +435,38 @@ def _march(
     c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
 
     dt0 = min(cfg.dt for cfg in cfgs)
-    # plans: per run its ratio r = dt / dt0, full steps, all steps n, dt and
-    # short last step (0 when t_final is a multiple of dt).  snapshots: tick
-    # -> rows that store a snapshot after it.  Each row stores into one
-    # preallocated matrix that its trajectory takes over without a copy, so
-    # a batch holds each snapshot once.
-    plans, snapshots, runs = [], {}, []
-    for b, cfg in enumerate(cfgs):
-        n_full, rem = divmod(cfg.t_final, cfg.dt)
-        n_full = int(n_full)
-        if rem < 1e-12 * cfg.dt and n_full > 0:
-            rem = 0.0
-        r, n = round(cfg.dt / dt0), n_full + (rem > 0)
-        plans.append((r, n_full, n, cfg.dt, rem))
-        stored = [*range(cfg.snapshot_stride, n, cfg.snapshot_stride), n]
+    ratios = [round(cfg.dt / dt0) for cfg in cfgs]
+    # snapshots: tick -> rows that store a snapshot after it.  Each row
+    # stores into one preallocated matrix that its trajectory takes over
+    # without a copy, so a batch holds each snapshot once.
+    snapshots, runs = {}, []
+    for b, (cfg, r) in enumerate(zip(cfgs, ratios)):
+        stored = [*range(cfg.snapshot_stride, cfg.steps, cfg.snapshot_stride), cfg.steps]
         for i in stored:
             snapshots.setdefault(r * i, []).append(b)
         coeffs = np.empty((len(stored) + 1, grid.modes), dtype=np.complex128)
         coeffs[0] = c
         runs.append(([0.0], coeffs))
-    ends = [r * n for r, _, n, _, _ in plans]  # the tick of each run's last step
 
     def t_after(b: int, i: int) -> float:  # the time of run b after its step i
-        return cfgs[b].t_final if i == plans[b][2] else i * cfgs[b].dt
+        return cfgs[b].t_final if i == cfgs[b].steps else i * cfgs[b].dt
 
-    steppers: dict[tuple, tuple[Callable, object]] = {}  # due steps -> stepper, rows
+    steppers: dict[tuple, tuple[Callable, object]] = {}  # due rows -> stepper, index
     errors: dict[int, DivergenceError] = {}
     h = _to_half(c)
     if len(cfgs) > 1:
         h = np.tile(h, (len(cfgs), 1))
-    for j in range(1, max(ends) + 1):
+    for j in range(1, max(cfg.steps for cfg in cfgs) + 1):  # the finest run's steps
         # from a list: tuple() of a generator fills CPython's tuple free lists
-        due = tuple(
-            [
-                None if j % r or j > r * n else dt if j <= r * n_full else rem
-                for r, n_full, n, dt, rem in plans
-            ]
-        )
+        due = tuple([b for b, r in enumerate(ratios) if not j % r])
         entry = steppers.get(due)
         if entry is None:
-            rows = [b for b, d in enumerate(due) if d is not None]
-            stepper = (
-                _Stepper(
-                    grid,
-                    [cfgs[b].params for b in rows],
-                    [due[b] for b in rows],
-                    nonlinearity,
-                )
-                if rows
-                else lambda h: h  # every row waits for a coarser step
+            stepper = _Stepper(
+                grid, [cfgs[b].params for b in due], [cfgs[b].dt for b in due], nonlinearity
             )
             # the due rows' index in the state: None for all rows, an int for
             # one row of several (stepped as a 1-D view), else a list
-            index = None if len(rows) == len(due) else rows[0] if len(rows) == 1 else rows
+            index = None if len(due) == len(cfgs) else due[0] if len(due) == 1 else list(due)
             entry = steppers[due] = stepper, index
         stepper, index = entry
         if index is None:
@@ -489,15 +479,16 @@ def _march(
         if not math.isfinite(np.vdot(new, new).real):
             for b in map(int, np.flatnonzero(~np.isfinite(h.reshape(len(cfgs), -1)).all(1))):
                 if b not in errors:
-                    i = j // plans[b][0]
-                    errors[b] = DivergenceError(step_index=i - 1, time=t_after(b, i))
-                    errors[b].run = b
-        if errors and max(ends[: min(errors)], default=0) <= j:
-            raise errors[min(errors)]
+                    i = j // ratios[b]
+                    errors[b] = DivergenceError(i - 1, t_after(b, i), run=b)
+            if 0 in errors:
+                raise errors[0]
         for b in snapshots.get(j, ()):
             times, coeffs = runs[b]
             coeffs[len(times)] = _to_full(h if len(cfgs) == 1 else h[b])
-            times.append(t_after(b, j // plans[b][0]))
+            times.append(t_after(b, j // ratios[b]))
+    if errors:
+        raise errors[min(errors)]
     for _, coeffs in runs:
         coeffs.setflags(write=False)
     return runs

@@ -764,6 +764,15 @@ class TestMain:
         cfg_path.write_text(json.dumps(solve_doc(tmp_path, epsilon=2.0)))
         assert main(["--config", str(cfg_path)]) == 2
 
+    def test_t_final_off_the_step_grid_is_config_error(self, tmp_path):
+        # 1.0 / 0.003 is 333.3 steps: exit 2, with both values in error.json
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", dt=0.003, t_final=1.0)))
+        assert main(["--config", str(cfg_path)]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError" and payload["exit_code"] == 2
+        assert "t_final = 1.0" in payload["message"] and "dt = 0.003" in payload["message"]
+
     @pytest.mark.parametrize(
         "override",
         [

@@ -43,6 +43,20 @@ from kdvb.spectral import (
 )
 
 
+@pytest.fixture
+def tableau_builds(monkeypatch):
+    """A list that grows by one entry per ETDRK4 tableau built."""
+    builds = []
+    init = evolve._Stepper.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolve._Stepper, "__init__", counted)
+    return builds
+
+
 def smooth_data(grid: GridSpec, amplitude: float = 1.0) -> RealField:
     x = grid.collocation_points() - grid.box_length / 2.0
     values = amplitude * np.exp(-((x / 2.5) ** 2)) * (1.0 + 0.3 * np.cos(x))
@@ -113,20 +127,17 @@ class TestStep:
                 step(u, dt, ModelParams(0.1, 1.0))
 
     def test_fourth_order_self_convergence(self):
-        # errors against a dt/8 reference shrink 16x per dt halving
+        # errors against a dt/8 reference shrink 16x per dt halving; the three
+        # solves step as one ladder, dt being 16, 8 and 1 times 6.25e-5
         grid = GridSpec(box_length=16.0, modes=96)
         phi = smooth_data(grid, amplitude=1.5)
         p = ModelParams(0.1, 0.8)
-        t_final = 0.5
-
-        def terminal(dt):
-            cfg = SolverConfig(
-                params=p, grid=grid, dt=dt, t_final=t_final, snapshot_stride=10**9
-            )
-            return solve(phi, cfg).states[-1].coeffs
-
-        ref = terminal(5e-4 / 8.0)
-        errs = [np.linalg.norm(terminal(dt) - ref) for dt in (1e-3, 5e-4)]
+        cfgs = [
+            SolverConfig(params=p, grid=grid, dt=dt, t_final=0.5, snapshot_stride=10**9)
+            for dt in (1e-3, 5e-4, 5e-4 / 8.0)
+        ]
+        *runs, ref = (traj.coeffs[-1] for traj in solve_ladder(phi, cfgs))
+        errs = [np.linalg.norm(run - ref) for run in runs]
         ratio = errs[0] / errs[1]
         assert 15.0 <= ratio <= 17.0
 
@@ -258,18 +269,33 @@ class TestSolve:
         assert np.array_equal(traj.states[1].coeffs, stepped.coeffs)
 
     def test_snapshot_schedule(self):
+        # 10 steps at stride 3: the last snapshot interval is one step
         grid = GridSpec(box_length=4.0, modes=32)
         cfg = SolverConfig(
             params=ModelParams(0.0, 1.0),
             grid=grid,
             dt=0.01,
-            t_final=0.095,
+            t_final=0.1,
             snapshot_stride=3,
         )
         traj = solve(smooth_data(grid, 0.1), cfg)
         assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(0.095)
+        assert traj.times[-1] == 0.1
         assert np.allclose(traj.times[1:-1], [0.03, 0.06, 0.09])
+        # 3 * 0.1 is 0.30000000000000004: the last time is t_final itself
+        cfg = SolverConfig(cfg.params, grid, dt=0.1, t_final=0.3, snapshot_stride=2)
+        assert solve(smooth_data(grid, 0.1), cfg).times.tolist() == [0.0, 0.2, 0.3]
+
+    def test_one_tableau_for_a_whole_step_schedule(self, tableau_builds, monkeypatch):
+        # criterion 02's schedule: divmod(8.0, 0.0004) is (19999, 0.0004 - 4e-16),
+        # yet 8.0 is 20,000 whole steps, all under one tableau.  The count is
+        # the loop's, so the step itself is stubbed out to keep the test quick
+        monkeypatch.setattr(evolve._Stepper, "__call__", lambda self, h: h)
+        grid = GridSpec(box_length=32.0, modes=16)
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, 0.0004, 8.0, snapshot_stride=2500)
+        traj = solve(smooth_data(grid, 0.1), cfg)
+        assert cfg.steps == 20_000 and len(tableau_builds) == 1
+        assert traj.times[-1] == 8.0 and len(traj.times) == 9
 
     def test_mean_conserved(self):
         grid = GridSpec(box_length=8.0, modes=64)
@@ -494,6 +520,9 @@ class TestSolve:
         p = ModelParams(0.0, 1.0)
         with pytest.raises(ParameterError, match="dt"):
             SolverConfig(params=p, grid=grid, dt=0.2, t_final=0.1)
+        # 1.0 / 0.003 is 333.3 steps, and no short last step is taken
+        with pytest.raises(ParameterError, match=r"t_final = 1\.0 .* dt = 0\.003"):
+            SolverConfig(params=p, grid=grid, dt=0.003, t_final=1.0)
         with pytest.raises(ParameterError, match="stride"):
             SolverConfig(params=p, grid=grid, dt=0.01, t_final=0.1, snapshot_stride=0)
 
@@ -551,9 +580,9 @@ class TestSolveLadder:
         box, alpha, ladder, dt, data = CRITERION_LADDERS[criterion]
         grid = GridSpec(box_length=box, modes=modes)
         phi = data(grid)
-        # 30 full steps and one short last step, snapshots every 7 steps
+        # 31 steps, snapshots every 7 steps and after the last
         cfgs = [
-            SolverConfig(ModelParams(eps, alpha), grid, dt, 30.5 * dt, snapshot_stride=7)
+            SolverConfig(ModelParams(eps, alpha), grid, dt, 31 * dt, snapshot_stride=7)
             for eps in ladder
         ]
         batched = solve_ladder(phi, cfgs)
@@ -567,11 +596,11 @@ class TestSolveLadder:
             assert traj.coeffs.flags.c_contiguous
 
     # (dt of each row as a multiple of the smallest, snapshot strides,
-    # t_final in units of the smallest dt): a short last step for every
-    # row; idle ticks at the end (ratio 3 finishes after the finest row)
+    # t_final in units of the smallest dt, a multiple of every ratio): every
+    # row but the stride-1 one ends on a short snapshot interval
     MIXED_SCHEDULES = {
-        "halves": ((2, 1, 2, 1, 2, 1), (7, 3, 1, 14, 5, 2), 61.5),
-        "ratio3": ((3, 1, 2, 3), (2, 5, 1, 3), 10.0),
+        "halves": ((2, 1, 2, 1, 2, 1), (7, 3, 1, 14, 5, 4), 62),
+        "ratio3": ((3, 1, 2, 3), (3, 5, 4, 3), 12),
     }
 
     @pytest.mark.parametrize("modes", [256, 384, 512])
@@ -593,14 +622,19 @@ class TestSolveLadder:
             assert np.array_equal(traj.coeffs, single.coeffs)
 
     @pytest.mark.parametrize("modes", [256, 384, 512])
-    def test_refine_pair_on_divmod_inexact_schedule(self, modes):
-        # criterion 01's schedule: divmod(1.0, 0.0005) leaves 1999 full steps
-        # and a last step of 0.0005 - 2e-17; its dt/2 run 3999 and 0.00025 - 2e-17
+    def test_refine_pair_on_divmod_inexact_schedule(self, modes, tableau_builds):
+        # criterion 01's schedule: divmod(1.0, 0.0005) is (1999, 0.0005 - 2e-17),
+        # yet 1.0 is 2000 whole steps of dt and 4000 of dt/2.  The pair builds
+        # two tableaux, both rows and the dt/2 row alone, and none for a
+        # short last step
         grid = GridSpec(box_length=64.0, modes=modes)
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=1.0, modulation=2.0)
         base = SolverConfig(ModelParams(0.3, 0.8), grid, 0.0005, 1.0, snapshot_stride=10)
         cfgs = [base, SolverConfig(base.params, grid, 0.00025, 1.0, snapshot_stride=10)]
-        for traj, cfg in zip(solve_ladder(phi, cfgs), cfgs):
+        assert [cfg.steps for cfg in cfgs] == [2000, 4000]
+        ladder = solve_ladder(phi, cfgs)
+        assert len(tableau_builds) == 2
+        for traj, cfg in zip(ladder, cfgs):
             single = solve(phi, cfg)
             assert np.array_equal(traj.times, single.times)
             assert np.array_equal(traj.coeffs, single.coeffs)
@@ -609,13 +643,14 @@ class TestSolveLadder:
     def test_configs_must_share_schedule(self):
         grid = GridSpec(box_length=16.0, modes=64)
         phi = smooth_data(grid)
-        base = SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.1)
+        # 0.03 is 3 steps of 0.01 and 10 of 0.003
+        base = SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.03)
         with pytest.raises(ParameterError, match="share"):
             solve_ladder(phi, [])
         others = [
-            SolverConfig(ModelParams(0.1, 1.0), GridSpec(16.0, 128), dt=0.01, t_final=0.1),
-            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.2),
-            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.003, t_final=0.1),
+            SolverConfig(ModelParams(0.1, 1.0), GridSpec(16.0, 128), dt=0.01, t_final=0.03),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.01, t_final=0.06),
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt=0.003, t_final=0.03),
         ]
         for other in others:
             with pytest.raises(ParameterError, match="share"):

@@ -74,10 +74,11 @@ def test_solve_keeps_states_exactly_hermitian(phi, p, dt):
     band_limited_fields(),
     st.lists(st.tuples(params, st.booleans(), st.integers(1, 4)), min_size=1, max_size=6),
     st.floats(1e-4, 1e-3),
-    st.floats(1.0, 9.0),
+    st.integers(1, 9),
 )
 def test_ladder_rows_equal_single_solves(phi, rows, dt, n_steps):
-    # per row: params, a step of dt or dt/2, and a snapshot stride
+    # per row: params, a step of dt or dt/2, and a snapshot stride; t_final
+    # is n_steps steps of dt
     cfgs = [
         SolverConfig(
             params=p,
