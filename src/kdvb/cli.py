@@ -186,15 +186,20 @@ class RunConfig:
     echo: dict = field(repr=False)
 
 
-def parse_config(text: str, seed: int | None = None, out: Path | None = None) -> RunConfig:
-    """Validate a JSON run description; errors name the offending key.
-    seed and out, when given, replace the document's (--seed and --out)."""
+def _decode(text: str):
+    """The JSON document in text; text the decoder rejects is a ConfigError."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # besides malformed text: an integer past the interpreter's digit
         # limit, or nesting past its recursion limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
+def parse_config(text: str, seed: int | None = None, out: Path | None = None) -> RunConfig:
+    """Validate a JSON run description; errors name the offending key.
+    seed and out, when given, replace the document's (--seed and --out)."""
+    doc = _decode(text)
     sub = _coerce(doc, "config", dict).get("subcommand")
     if sub not in SUBCOMMANDS:
         raise ConfigError(f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}")
@@ -476,8 +481,8 @@ def _fail(exc: Exception, code: int, out_path: Path | None = None) -> int:
 def _named_out(text: str) -> Path | None:
     """The output directory a config document names by a string "out"."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+        doc = _decode(text)
+    except ConfigError:
         return None
     out = doc.get("out") if isinstance(doc, dict) else None
     return Path(out) if isinstance(out, str) else None

@@ -39,8 +39,10 @@ from .reports import SweepReport, fit_power_law, strictly_monotone
 from .spectral import (
     GridSpec,
     RealField,
+    dissipation_symbol,
     forward_transform,
     resize_band,
+    sobolev_weight,
     synthesize,
 )
 
@@ -78,7 +80,7 @@ def soliton_initial_data(c: float, x0: float, grid: GridSpec) -> RealField:
 
 
 def gaussian_initial_data(
-    grid: GridSpec, width: float, l2_norm: float = 1.0, modulation: float = 0.0
+    grid: GridSpec, width: float, l2_norm: float, modulation: float = 0.0
 ) -> RealField:
     """A centered Gaussian bump, optionally modulated, scaled to l2_norm."""
     if not width > 0:
@@ -108,9 +110,8 @@ def power_law_initial_data(
     if l2_norm < 0:
         raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
     rng = np.random.default_rng(seed)
-    xi = grid.wavenumbers()
     half = grid.modes // 2
-    profile = (1.0 + xi**2) ** (decay_exponent / 2.0)
+    profile = sobolev_weight(grid, decay_exponent / 2.0)
     phases = np.exp(2j * np.pi * rng.random(grid.modes))
     coeffs = profile * phases
     coeffs[0] = 0.0
@@ -143,8 +144,7 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     """sup over common snapshot times of || a(t) - b(t) ||_{H^s}."""
     if a.coeffs.shape != b.coeffs.shape:
         raise ParameterError("trajectories must share their snapshot schedule")
-    weight = (1.0 + a.grid.wavenumbers() ** 2) ** s
-    (energies,) = spectral_energies(a.coeffs - b.coeffs, weight)
+    (energies,) = spectral_energies(a.coeffs - b.coeffs, sobolev_weight(a.grid, s))
     return float(np.sqrt(np.max(energies)))
 
 
@@ -284,9 +284,8 @@ def h1_bound_check(
     if not strictly_monotone(ladder):
         raise ParameterError(f"eps_ladder must be strictly monotone, got {list(ladder)}")
     alpha = cfg.params.alpha
-    xi = cfg.grid.wavenumbers()
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
-    weights = (1.0 + xi**2, np.abs(xi) ** (4.0 * alpha))
+    weights = (sobolev_weight(cfg.grid, 1.0), dissipation_symbol(cfg.grid, alpha) ** 2)
     observables = []
     trajs = solve_batch(phi, [replace(cfg, params=ModelParams(e, alpha)) for e in ladder])
     for eps, traj in zip(ladder, trajs):

@@ -67,7 +67,7 @@ from .evolve import Trajectory
 from .norms import spectral_energies
 from .propagator import ModelParams
 from .reports import fit_power_law
-from .spectral import SpectralField
+from .spectral import SpectralField, dissipation_symbol
 
 _TINY = 1e-30
 
@@ -323,7 +323,7 @@ def m4_bound_sample(
     params: ModelParams,
     n_samples: int,
 ) -> BoundReport:
-    """Sample the ratio of |M4| / |h4 - eps beta_4| to its pointwise
+    """Sample the ratio of |sigma4| = |M4| / |h4 - eps beta_4| to its pointwise
     envelope m^2(min magnitude) / prod (N + |xi_i|) over dyadic annuli.
 
     The envelope minimum runs over the four frequencies and the three
@@ -341,14 +341,12 @@ def m4_bound_sample(
         for xs in _sample_annulus_tuples(rng, n1, dyadic_config.ratios, n_samples):
             # magnitudes past float64 give a non-finite maximum: a RangeError in the fit
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                lhs_num, resonant = m4_values(xs, spec, params)
-                den = h4_values(xs) - params.epsilon * beta_values(xs, params.alpha)
-                lhs = np.abs(lhs_num) / np.abs(den)
+                sigma4, resonant = sigma4_values(xs, spec, params)
                 sums = (xs[0] + xs[1], xs[0] + xs[2], xs[0] + xs[3])
                 envelope = _msq(np.minimum.reduce([np.abs(x) for x in (*xs, *sums)]), spec)
                 for x in xs:
                     envelope = envelope / (spec.cutoff_n + np.abs(x))
-                block_maxima.append(np.max(np.where(resonant, 0.0, lhs / envelope)))
+                block_maxima.append(np.max(np.where(resonant, 0.0, np.abs(sigma4) / envelope)))
         max_ratios.append(float(np.max(block_maxima)))
     return BoundReport(
         dyadic_config=dyadic_config.describe(),
@@ -504,7 +502,7 @@ def denergy_identity_residual(traj: Trajectory, spec: IMultiplierSpec) -> float:
     params = traj.params
     xi = traj.grid.wavenumbers()
     msq = _msq(xi, spec)
-    diss_weight = 2.0 * params.epsilon * msq * np.abs(xi) ** (2 * params.alpha)
+    diss_weight = 2.0 * params.epsilon * msq * dissipation_symbol(traj.grid, params.alpha)
     energies, diss = spectral_energies(traj.coeffs, msq, diss_weight)
     rhs = -diss + (2.0 / 3.0) * _m3_flux(traj.coeffs, traj.grid, spec).real
     dts = traj.times[2:] - traj.times[:-2]

@@ -3,7 +3,8 @@
 Dyadic bands are the sharp, disjoint variant: band 0 is |xi| < 1 and band
 k >= 1 is 2^(k-1) <= |xi| < 2^k, so the band energies satisfy Pythagoras
 exactly on the lattice.  The same sharp bands grade the modulation
-variable tau - xi^3 in the space-time norm.
+variable tau - xi^3 in the space-time norm.  Both band profiles,
+``dyadic_profile`` and ``xk_norm_bands``, are arrays indexed by band.
 
 Two ledgers track the solve: the quadratic ledger pairs (1/2)||u||^2 with
 the accumulated dissipation epsilon * int ||Lambda^alpha u||^2, whose sum
@@ -20,26 +21,14 @@ import numpy as np
 from .errors import ContractViolationError, ResolutionError
 from .evolve import Trajectory
 from .reports import format_csv
-from .spectral import GridSpec, SpectralField, dissipation_symbol, resize_band, synthesize
-
-
-@dataclass(frozen=True, eq=False)
-class DyadicProfile:
-    """Per-band L2 energies ||P_k u|| over the sharp dyadic bands."""
-
-    k_indices: np.ndarray
-    band_energies: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.k_indices, dtype=np.int64)
-        e = np.asarray(self.band_energies, dtype=np.float64)
-        if k.shape != e.shape:
-            raise ContractViolationError("band index and energy arrays differ in length")
-        object.__setattr__(self, "k_indices", k)
-        object.__setattr__(self, "band_energies", e)
-
-    def total_energy_sq(self) -> float:
-        return float(np.sum(self.band_energies**2))
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    dissipation_symbol,
+    resize_band,
+    sobolev_weight,
+    synthesize,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +53,7 @@ class EnergyLedger:
 
     def residuals(self) -> np.ndarray:
         """Ledger defect (1/2)||u||^2 + D(t) - (1/2)||phi||^2 per snapshot."""
-        return self.l2_half_sq + self.dissipated - self.l2_half_sq[0]
+        return _defect(self.l2_half_sq, self.dissipated)
 
     def relative_residual(self) -> float:
         """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2.
@@ -74,8 +63,12 @@ class EnergyLedger:
         return _relative_residual(self.l2_half_sq, self.dissipated)
 
 
+def _defect(half_l2: np.ndarray, dissipated: np.ndarray) -> np.ndarray:
+    return half_l2 + dissipated - half_l2[0]
+
+
 def _relative_residual(half_l2: np.ndarray, dissipated: np.ndarray) -> float:
-    defect = float(np.max(np.abs(half_l2 + dissipated - half_l2[0])))
+    defect = float(np.max(np.abs(_defect(half_l2, dissipated))))
     return defect / half_l2[0] if half_l2[0] > 0 else defect
 
 
@@ -105,7 +98,7 @@ def cumulative_trapezoid(values: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def sobolev_norm(u: SpectralField, s: float) -> float:
     """H^s norm (sum_k (1 + xi_k^2)^s |coeff(k)|^2)^(1/2)."""
-    (energy,) = spectral_energies(u.coeffs, (1.0 + u.grid.wavenumbers() ** 2) ** s)
+    (energy,) = spectral_energies(u.coeffs, sobolev_weight(u.grid, s))
     return float(np.sqrt(energy))
 
 
@@ -118,12 +111,11 @@ def dyadic_band_indices(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def dyadic_profile(u: SpectralField) -> DyadicProfile:
-    """Decompose ||u||^2 across the sharp dyadic bands."""
+def dyadic_profile(u: SpectralField) -> np.ndarray:
+    """The band norms ||P_k u|| over the sharp dyadic bands, entry k for
+    band k up to the grid's highest; their squares sum to ||u||^2."""
     bands = dyadic_band_indices(u.grid.wavenumbers())
-    n_bands = int(bands.max()) + 1
-    energy_sq = np.bincount(bands, weights=np.abs(u.coeffs) ** 2, minlength=n_bands)
-    return DyadicProfile(np.arange(n_bands), np.sqrt(energy_sq))
+    return np.sqrt(np.bincount(bands, weights=np.abs(u.coeffs) ** 2))
 
 
 def _taper(n: int, edge_fraction: float = 0.1) -> np.ndarray:
@@ -136,25 +128,17 @@ def _taper(n: int, edge_fraction: float = 0.1) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class XkReport:
-    """Weighted modulation-band sum with its truncation bookkeeping."""
-
-    value: float
-    band_values: tuple[float, ...]
-    max_resolved_modulation: float
-    truncation_band: int
-
-
-def xk_norm_report(traj: Trajectory, k: int, window: float) -> XkReport:
-    """Discrete space-time modulation norm of the band-k projected solution.
+def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
+    """Weighted modulation bands of the band-k projected solution, whose
+    sum is its discrete space-time modulation norm ``xk_norm``.
 
     The solution is restricted to the snapshots in [0, window], tapered
     with a raised cosine on the outer 10 percent, band-projected in xi,
     and transformed in time.  Each space-time mode is graded by the sharp
     dyadic band of its modulation tau - xi^3 (reduced to the principal
-    interval (-pi/dt, pi/dt], the maximal resolvable modulation), and the
-    bands are summed with weights 2^(j/2).
+    interval (-pi/dt, pi/dt], the maximal resolvable modulation).  Entry j
+    is 2^(j/2) times the L2 norm of modulation band j; the array is empty
+    when band k holds no mode of the grid.
     """
     if k < 0:
         raise ContractViolationError(f"band index must be nonnegative, got {k}")
@@ -182,8 +166,6 @@ def xk_norm_report(traj: Trajectory, k: int, window: float) -> XkReport:
     band_mask = dyadic_band_indices(xi) == k
     coeffs = traj.coeffs[:n, band_mask]
     xi_band = xi[band_mask]
-    if coeffs.size == 0:
-        return XkReport(0.0, (), np.pi / dt_snap, 0)
 
     tapered = coeffs * _taper(n)[:, None]
     # Time DFT: F(tau_m, xi) with tau_m = 2 pi m / (n dt_snap).
@@ -196,22 +178,13 @@ def xk_norm_report(traj: Trajectory, k: int, window: float) -> XkReport:
 
     bands = dyadic_band_indices(sigma.ravel())
     mass = (np.abs(f.ravel()) ** 2) * (tau_span / n)
-    band_energy_sq = np.bincount(bands, weights=mass)
-    band_values = np.sqrt(band_energy_sq)
-    j = np.arange(len(band_values))
-    weighted = (2.0 ** (0.5 * j)) * band_values
-    max_sigma = 0.5 * tau_span
-    return XkReport(
-        value=float(np.sum(weighted)),
-        band_values=tuple(float(v) for v in weighted),
-        max_resolved_modulation=float(max_sigma),
-        truncation_band=int(dyadic_band_indices(np.array([max_sigma]))[0]),
-    )
+    band_values = np.sqrt(np.bincount(bands, weights=mass))
+    return (2.0 ** (0.5 * np.arange(len(band_values)))) * band_values
 
 
 def xk_norm(traj: Trajectory, k: int, window: float) -> float:
-    """Scalar value of the band-k modulation norm (see xk_norm_report)."""
-    return xk_norm_report(traj, k, window).value
+    """The band-k modulation norm: the sum of ``xk_norm_bands``."""
+    return float(np.sum(xk_norm_bands(traj, k, window)))
 
 
 def _cubic_integral(coeffs: np.ndarray, grid: GridSpec) -> float:
@@ -228,7 +201,7 @@ def hamiltonian(u: SpectralField) -> float:
     collocation integral on a 2x zero-padded grid, exact for band-limited
     fields.
     """
-    (quad,) = spectral_energies(u.coeffs, u.grid.wavenumbers() ** 2 + 1.0)
+    (quad,) = spectral_energies(u.coeffs, sobolev_weight(u.grid, 1.0))
     return float(quad - (2.0 / 3.0) * _cubic_integral(u.coeffs, u.grid))
 
 
@@ -246,7 +219,7 @@ def _quadratic_ledger(traj: Trajectory, *weights) -> list[np.ndarray]:
 def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
     """Evaluate both ledgers along a trajectory; the quadratic part of H is
     the squared H^1 norm, so only the cubic term is taken row by row."""
-    half_l2, dissipated, h1_sq = _quadratic_ledger(traj, traj.grid.wavenumbers() ** 2 + 1.0)
+    half_l2, dissipated, h1_sq = _quadratic_ledger(traj, sobolev_weight(traj.grid, 1.0))
     cubic = np.array([_cubic_integral(c, traj.grid) for c in traj.coeffs])
     ham = h1_sq - (2.0 / 3.0) * cubic
     return EnergyLedger(traj.times, half_l2, dissipated, ham, np.sqrt(h1_sq))

@@ -162,6 +162,11 @@ def spatial_derivative(u: SpectralField, order: int) -> SpectralField:
     return SpectralField(u.coeffs * symbol, u.grid)
 
 
+def sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
+    """The H^s weight <xi>^(2 s) = (1 + xi^2)^s."""
+    return (1.0 + grid.wavenumbers() ** 2) ** s
+
+
 def dissipation_symbol(grid: GridSpec, alpha: float) -> np.ndarray:
     """The multiplier |xi|^(2 alpha) with the zero mode mapped to 0."""
     if not 0 < alpha <= 1:

@@ -85,9 +85,18 @@ class TestParseConfig:
         ['{"subcommand": "solve", "epsilon": ' + "1" * 5000 + "}", "[" * 10**5 + "]" * 10**5],
         ids=["5000-digit-number", "deep-nesting"],
     )
-    def test_json_beyond_the_decoder_limits(self, text):
+    def test_json_beyond_the_decoder_limits(self, text, tmp_path, monkeypatch, capsys):
         with pytest.raises(ConfigError):
             parse_config(text)
+        # through main, with no out known and with --out
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(text)
+        for argv in (["--config", "cfg.json"], ["--config", "cfg.json", "--out", "out"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert json.loads(err)["error"] == "ConfigError"
+        assert json.loads(Path("out/error.json").read_text())["error"] == "ConfigError"
 
     def test_spec_minimal_document(self):
         # the smallest viable solve document: defaults fill the rest
@@ -356,6 +365,18 @@ class TestRun:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["config"]["modes"] == 64
         assert "wall_time" not in json.dumps(manifest)
+
+    def test_ledger_csv_residual_column_gives_the_ledger_residual(self, tmp_path):
+        # the column's max |.| over (1/2)||phi||^2 is result.json's residual,
+        # far below the dissipated share that a wrong sign would leave
+        assert run(parse_config(json.dumps(solve_doc(tmp_path, subcommand="energy")))) == 0
+        lines = (tmp_path / "ledger.csv").read_text().splitlines()[1:]  # after the config
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        ledger = dict(zip(lines[0].split(","), zip(*rows)))
+        half_l2_0 = ledger["half_l2_sq"][0]
+        residual = json.loads((tmp_path / "result.json").read_text())["ledger_residual"]
+        assert max(abs(r) for r in ledger["residual"]) / half_l2_0 == residual
+        assert residual <= 1e-8 and ledger["dissipated"][-1] / half_l2_0 >= 1e-3
 
     def test_reruns_are_byte_identical(self, tmp_path):
         out = tmp_path / "det"
@@ -828,16 +849,20 @@ class TestMain:
         assert payload["error"] == "ParameterError"
 
     @pytest.mark.parametrize(
-        "subcommand,block,key",
+        "subcommand,block,message",
         [
-            ("sharpness", {"s_list": [-0.75, -0.9, -0.6], "n_ladder": LADDER}, "s_list"),
-            ("sharpness", {"s_list": [-0.75, -0.75], "n_ladder": LADDER}, "s_list"),
-            ("h1-bound", {"eps_ladder": [0.1, 1.0, 0.01]}, "eps_ladder"),
+            ("sharpness", {"s_list": [-0.75, -0.9, -0.6], "n_ladder": LADDER},
+             "s_list must be strictly monotone"),
+            ("sharpness", {"s_list": [-0.75, -0.75], "n_ladder": LADDER},
+             "s_list must be strictly monotone"),
+            ("h1-bound", {"eps_ladder": [0.1, 1.0, 0.01]}, "eps_ladder must be strictly monotone"),
+            ("inviscid", {"eps_ladder": [0.1, 0.1]}, "eps_ladder must be strictly decreasing"),
+            ("rate", {"eps_ladder": [0.1, 0.1]}, "eps_ladder must be strictly decreasing"),
         ],
-        ids=["s-unordered", "s-repeated", "eps-unordered"],
+        ids=["s-unordered", "s-repeated", "eps-unordered", "inviscid-repeated", "rate-repeated"],
     )
     def test_unordered_sweep_fails_before_any_work(
-        self, tmp_path, capsys, monkeypatch, subcommand, block, key
+        self, tmp_path, capsys, monkeypatch, subcommand, block, message
     ):
         # the order is checked up front, not by the report after every
         # pair lattice or solve
@@ -853,7 +878,7 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
-        assert f"{key} must be strictly monotone" in payload["message"]
+        assert message in payload["message"]
 
     @pytest.mark.parametrize(
         "ratios,error",

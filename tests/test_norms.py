@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kdvb import norms
 from kdvb.errors import ContractViolationError, ResolutionError
 from kdvb.evolve import SolverConfig, Trajectory, solve, zero_nonlinearity
 from kdvb.norms import (
@@ -15,7 +16,7 @@ from kdvb.norms import (
     sobolev_norm,
     spectral_energies,
     xk_norm,
-    xk_norm_report,
+    xk_norm_bands,
 )
 from kdvb.propagator import ModelParams, propagate
 from kdvb.spectral import GridSpec, RealField, SpectralField, dealias, forward_transform
@@ -72,22 +73,22 @@ class TestDyadicProfile:
         coeffs = np.zeros(32, dtype=complex)
         coeffs[4] = 1.0  # xi = 4 sits in band 3 = [4, 8)
         prof = dyadic_profile(SpectralField(coeffs, grid))
-        assert prof.band_energies[3] == pytest.approx(1.0)
-        assert prof.total_energy_sq() == pytest.approx(1.0)
-        others = np.delete(prof.band_energies, 3)
+        assert prof[3] == pytest.approx(1.0)
+        assert np.sum(prof**2) == pytest.approx(1.0)
+        others = np.delete(prof, 3)
         assert np.max(others) == 0.0
 
     def test_zero_field(self):
         grid = GridSpec(box_length=1.0, modes=16)
         prof = dyadic_profile(SpectralField(np.zeros(16, complex), grid))
-        assert np.all(prof.band_energies == 0)
+        assert np.all(prof == 0)
 
     def test_exact_pythagoras(self):
         grid = GridSpec(box_length=5.0, modes=256)
         rng = np.random.default_rng(2)
         u = forward_transform(RealField(rng.standard_normal(256), grid))
         prof = dyadic_profile(u)
-        assert prof.total_energy_sq() == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+        assert np.sum(prof**2) == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
 
 
 def band_limited_state(grid: GridSpec, band: int, seed: int = 3) -> SpectralField:
@@ -117,14 +118,34 @@ class TestXkNorm:
     def test_free_evolution_concentrates_at_zero_modulation(self):
         grid = GridSpec(box_length=16.0, modes=64)
         traj = free_trajectory(band_limited_state(grid, band=2), dt_snap=0.04, n=1000)
-        rep = xk_norm_report(traj, 2, window=float(traj.times[-1]))
-        tail = sum(rep.band_values[1:])
-        assert tail <= 0.2 * rep.value
+        bands = xk_norm_bands(traj, 2, window=float(traj.times[-1]))
+        assert np.sum(bands[1:]) <= 0.2 * np.sum(bands)
+
+    def test_single_mode_lands_in_its_modulation_band(self):
+        # the mode pair xi = +-2 whose coefficient runs as exp(i (xi^3 + 5) t)
+        # sits at modulation tau - xi^3 = +-5, in band 3 = [4, 8)
+        grid = GridSpec(box_length=2 * np.pi, modes=16)
+        dt_snap, n = 0.05, 256
+        times = np.arange(n) * dt_snap
+        coeffs = np.zeros((n, 16), dtype=complex)
+        coeffs[:, 2] = np.exp(1j * (2.0**3 + 5.0) * times)
+        coeffs[:, -2] = np.conj(coeffs[:, 2])
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt_snap, float(times[-1]))
+        bands = xk_norm_bands(Trajectory(times, coeffs, cfg), 2, window=float(times[-1]))
+        assert np.argmax(bands) == 3
+        # time Parseval: the unweighted band masses sum to 2 pi dt_snap
+        # times the squared norm of the tapered coefficients
+        masses = (bands / 2.0 ** (0.5 * np.arange(len(bands)))) ** 2
+        tapered = coeffs[:, [2, -2]] * norms._taper(n)[:, None]
+        parseval = 2 * np.pi * dt_snap * np.sum(np.abs(tapered) ** 2)
+        assert np.sum(masses) == pytest.approx(parseval, rel=1e-12)
 
     def test_zero_trajectory(self):
         grid = GridSpec(box_length=16.0, modes=64)
         traj = free_trajectory(SpectralField(np.zeros(64, complex), grid), 0.05, 32)
         assert xk_norm(traj, 1, window=1.0) == 0.0
+        # |xi| < 4 pi on this grid: band 10 holds no mode
+        assert xk_norm_bands(traj, 10, window=1.0).size == 0
 
     def test_homogeneity(self):
         grid = GridSpec(box_length=16.0, modes=64)

@@ -1,0 +1,128 @@
+"""Check that each pinned mutant of kdvb is killed by the test that pins it.
+
+Each row of MUTANTS names a file under src/kdvb, an exact piece of its
+source, the mutant text that replaces it, and the pytest node that must
+fail on the mutant.  The nodes must first pass on the unchanged source.
+Then, for each row, src/ is copied to a temporary directory, the source
+text must occur exactly once in the copied file, it is replaced by the
+mutant text, and the node runs with PYTHONPATH pointing at the copy (and
+pytest's own pythonpath setting cleared, so the copy is what imports).
+
+Standard library only.  Run from anywhere:
+
+    python tools/pinned_mutants.py
+
+Exits 0 when every node passes on the source and fails on its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# a mutant that makes its node run this long counts as killed
+TIMEOUT_S = 300
+
+# (file under src/kdvb, exact source text, mutant text, pytest node)
+MUTANTS = [
+    (
+        "norms.py",
+        "tau_span = 2.0 * np.pi / dt_snap",
+        "tau_span = 2.0 * np.pi * dt_snap",
+        "tests/test_norms.py::TestXkNorm::test_single_mode_lands_in_its_modulation_band",
+    ),
+    (
+        "norms.py",
+        "return half_l2 + dissipated - half_l2[0]",
+        "return half_l2 - dissipated - half_l2[0]",
+        "tests/test_cli.py::TestRun::test_ledger_csv_residual_column_gives_the_ledger_residual",
+    ),
+    (
+        "imethod.py",
+        "*(xs[i] + xs[j] for i, j in",
+        "*(xs[i] - xs[j] for i, j in",
+        "tests/test_imethod.py::TestM4BoundSampler::"
+        "test_draws_on_a_vanishing_pair_sum_are_dropped",
+    ),
+    (
+        "experiments.py",
+        "if any(b >= a for a, b in zip(ladder, ladder[1:])):",
+        "if any(b > a for a, b in zip(ladder, ladder[1:])):",
+        "tests/test_cli.py::TestMain::test_unordered_sweep_fails_before_any_work",
+    ),
+    (
+        "experiments.py",
+        "sobolev_weight(grid, decay_exponent / 2.0)",
+        "sobolev_weight(grid, decay_exponent / 2.002)",
+        "tests/test_experiments.py::TestRoughData::test_modulus_follows_the_power_law",
+    ),
+    (
+        "experiments.py",
+        "dissipation_symbol(cfg.grid, alpha) ** 2)",
+        "dissipation_symbol(cfg.grid, alpha) ** 2.002)",
+        "tests/test_experiments.py::TestH1Bound::"
+        "test_observables_are_the_h1_sup_and_the_dissipation_integral",
+    ),
+    (
+        "reports.py",
+        "r_sq = 1.0 - float(",
+        "r_sq = 1.001 - float(",
+        "tests/test_experiments.py::TestRateFit::test_exact_power_law_has_unit_r_squared",
+    ),
+    (
+        "spectral.py",
+        "return (1.0 + grid.wavenumbers() ** 2) ** s",
+        "return (1.001 + grid.wavenumbers() ** 2) ** s",
+        "tests/test_norms.py::TestSobolevNorm::test_single_unit_mode",
+    ),
+]
+
+
+def run_nodes(src: Path, nodes: list[str]) -> int:
+    """pytest's exit code for nodes with the kdvb package taken from src;
+    no bytecode is cached, so a same-size edit within a second is seen."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command += ["-o", "pythonpath=", *nodes]
+    try:
+        done = subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return -1
+    return done.returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        nodes = sorted({row[3] for row in MUTANTS})
+        code = run_nodes(src, nodes)
+        if code != 0:
+            print(f"the pinning tests do not pass on the source (pytest exit {code})")
+            return 1
+        survivors = 0
+        for name, source, mutant, node in MUTANTS:
+            path = src / "kdvb" / name
+            original = path.read_text()
+            count = original.count(source)
+            if count != 1:
+                print(f"{name}: {source!r} occurs {count} times, not once")
+                return 1
+            path.write_text(original.replace(source, mutant))
+            killed = run_nodes(src, [node]) != 0
+            path.write_text(original)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED'}: {name}: {mutant!r} by {node}")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} pinned mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
