@@ -82,6 +82,7 @@ from .spectral import (
     RealField,
     SpectralField,
     forward_transform,
+    is_integer,
     synthesize,
 )
 
@@ -114,7 +115,12 @@ def _check_dt(grid: GridSpec, p: ModelParams, dt: float) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters for one solve."""
+    """Time-stepping parameters for one solve.
+
+    t_final must be a whole number of steps dt, and snapshot_stride an
+    integer (an int or a numpy integer, not a bool) >= 1; a stride of 2.5,
+    nan or 1e300 is a ParameterError.
+    """
 
     params: ModelParams
     grid: GridSpec
@@ -126,9 +132,9 @@ class SolverConfig:
         _check_dt(self.grid, self.params, self.dt)
         if not self.t_final > 0:
             raise ParameterError(f"t_final must be positive, got {self.t_final}")
-        if self.snapshot_stride < 1:
+        if not (is_integer(self.snapshot_stride) and self.snapshot_stride >= 1):
             raise ParameterError(
-                f"snapshot_stride must be >= 1, got {self.snapshot_stride}"
+                f"snapshot_stride must be an integer >= 1, got {self.snapshot_stride}"
             )
         if not self.t_final / self.dt <= MAX_STEPS:
             raise ParameterError(
@@ -157,7 +163,8 @@ class Trajectory:
     FFT-order coefficients at times[i].  The constructor copies it once,
     unless it is already a read-only C-ordered complex matrix that owns
     its memory (as the solver hands over): nothing can write that without
-    first re-enabling writes, so it is taken as it is.
+    first re-enabling writes, so it is taken as it is.  times must start at
+    0 and be finite and strictly increasing, else ContractViolationError.
     """
 
     times: np.ndarray
@@ -182,8 +189,10 @@ class Trajectory:
             )
         if len(times) == 0 or times[0] != 0.0:
             raise ContractViolationError("trajectory must start at t = 0")
-        if np.any(np.diff(times) <= 0):
-            raise ContractViolationError("trajectory times must be increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ContractViolationError(
+                "trajectory times must be finite and strictly increasing"
+            )
         times.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "times", times)

@@ -23,13 +23,15 @@ of this ratio in N changes sign at the critical exponent
 s = -3/4 (alpha <= 1/2) or s = -3/(5 - 2 alpha) (alpha > 1/2), up to the
 delta regularization.
 
-Discretization: cells live on the origin-aligned lattice (i d_xi, j d_tau)
-with d_xi a sixteenth of the set width and d_tau a sixteenth of the
-modulation height, so the mirrored set lands exactly on the lattice and
-pair sums of cell indices stay on it.  The positive half is 17 xi-columns
-of at most 4h/d_tau + 1 = 65 rows, so the convolution is one tau correlation
-per column pair in the near-origin window (about 170), not a sum over about
-3e5 cell pairs; no array grows with N.
+Discretization: the spec alone fixes the lattice; no caller chooses it.
+Cells live on the origin-aligned lattice (i d_xi, j d_tau) with
+d_xi = w / CELLS_ACROSS_THIN and d_tau = h / CELLS_ACROSS_THIN, 16 cells
+across the set width w and across the modulation height h, so the mirrored
+set lands exactly on the lattice and pair sums of cell indices stay on it.
+The positive half is 17 xi-columns of at most 4h/d_tau + 1 = 65 rows, so
+the convolution is one tau correlation per column pair in the near-origin
+window (about 170), not a sum over about 3e5 cell pairs; no array grows
+with N.
 """
 
 from __future__ import annotations
@@ -44,21 +46,6 @@ from .reports import SweepReport, fit_power_law, format_csv, strictly_monotone
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
-
-
-@dataclass(frozen=True)
-class PhaseSpaceGrid:
-    """Origin-aligned rectangular lattice in (xi, tau)."""
-
-    d_xi: float
-    d_tau: float
-
-    def __post_init__(self):
-        if self.d_xi <= 0 or self.d_tau <= 0:
-            raise ParameterError("grid steps must be positive")
-
-    def cell_area(self) -> float:
-        return self.d_xi * self.d_tau
 
 
 @dataclass(frozen=True)
@@ -86,10 +73,12 @@ class CounterexampleSpec:
         """|tau - xi^3| slab height: N (A) or N^(2 alpha) (B)."""
         return self.scale_n ** max(2.0 * self.alpha, 1.0)
 
-    def default_grid(self) -> PhaseSpaceGrid:
-        return PhaseSpaceGrid(
-            d_xi=self.set_width() / CELLS_ACROSS_THIN,
-            d_tau=self.modulation_height() / CELLS_ACROSS_THIN,
+    def lattice_steps(self) -> tuple[float, float]:
+        """(d_xi, d_tau): the set width and the modulation height, each cut
+        into CELLS_ACROSS_THIN cells."""
+        return (
+            self.set_width() / CELLS_ACROSS_THIN,
+            self.modulation_height() / CELLS_ACROSS_THIN,
         )
 
 
@@ -102,22 +91,21 @@ class CounterexampleFunction:
     """
 
     spec: CounterexampleSpec
-    grid: PhaseSpaceGrid
     xi_idx: np.ndarray
     tau_idx: np.ndarray
 
     def l2_norm_sq(self) -> float:
-        return len(self.xi_idx) * self.grid.cell_area()
+        d_xi, d_tau = self.spec.lattice_steps()
+        return len(self.xi_idx) * (d_xi * d_tau)
 
     def is_even(self) -> bool:
         cells = set(zip(self.xi_idx.tolist(), self.tau_idx.tolist()))
         return all((-i, -j) in cells for (i, j) in cells)
 
 
-def build_counterexample(
-    spec: CounterexampleSpec, grid: PhaseSpaceGrid | None = None
-) -> CounterexampleFunction:
-    """Rasterize chi_set + chi_(-set) on the lattice by cell-center membership.
+def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFunction:
+    """Rasterize chi_set + chi_(-set) on the spec's lattice by cell-center
+    membership.
 
     float64 resolves every tau lattice index only below 2**53; a scale_n
     whose outermost index, ((N + w)^3 + 2h) / d_tau, reaches that is a
@@ -125,11 +113,10 @@ def build_counterexample(
     """
     n = spec.scale_n
     try:
-        if grid is None:
-            grid = spec.default_grid()
         w = spec.set_width()
         h = spec.modulation_height()
-        log_index = np.logaddexp(3.0 * math.log(n + w), math.log(2.0 * h)) - math.log(grid.d_tau)
+        d_xi, d_tau = spec.lattice_steps()
+        log_index = np.logaddexp(3.0 * math.log(n + w), math.log(2.0 * h)) - math.log(d_tau)
     except OverflowError:  # N^(2 alpha) itself overflows, far past the bound
         log_index = math.inf
     if log_index >= 53.0 * math.log(2.0):
@@ -137,16 +124,11 @@ def build_counterexample(
             f"scale_n = {n:g} puts tau lattice indices at 2**53 or beyond, "
             "where float64 no longer resolves the lattice"
         )
-    if grid.d_xi > w / 8 or grid.d_tau > h / 8:
-        raise ResolutionError(
-            "grid must resolve each thin dimension with at least 8 cells: "
-            f"d_xi = {grid.d_xi:.3g} vs width {w:.3g}, d_tau = {grid.d_tau:.3g} vs height {h:.3g}"
-        )
 
-    i_lo = int(np.ceil(n / grid.d_xi))
-    i_hi = int(np.floor((n + w) / grid.d_xi))
+    i_lo = int(np.ceil(n / d_xi))
+    i_hi = int(np.floor((n + w) / d_xi))
     xi_cols = np.arange(i_lo, i_hi + 1)
-    xi_vals = xi_cols * grid.d_xi
+    xi_vals = xi_cols * d_xi
 
     xi_list = []
     tau_list = []
@@ -155,8 +137,8 @@ def build_counterexample(
         for sign in (1.0, -1.0):
             lo = center + sign * h
             hi = center + sign * 2.0 * h
-            j_lo = int(np.ceil(min(lo, hi) / grid.d_tau))
-            j_hi = int(np.floor(max(lo, hi) / grid.d_tau))
+            j_lo = int(np.ceil(min(lo, hi) / d_tau))
+            j_hi = int(np.floor(max(lo, hi) / d_tau))
             rows = np.arange(j_lo, j_hi + 1)
             xi_list.append(np.full(rows.shape, i))
             tau_list.append(rows)
@@ -165,20 +147,13 @@ def build_counterexample(
     # mirror half: f(-xi, -tau) = f(xi, tau)
     xi_idx = np.concatenate([xi_idx, -xi_idx])
     tau_idx = np.concatenate([tau_idx, -tau_idx])
-    return CounterexampleFunction(spec=spec, grid=grid, xi_idx=xi_idx, tau_idx=tau_idx)
+    return CounterexampleFunction(spec=spec, xi_idx=xi_idx, tau_idx=tau_idx)
 
 
-def _inner_weight(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
-    """<|xi|^(2a) + |tau - xi^3|>^(-1/2): the inner weight without (1 + |xi|)^(-s)."""
-    y = np.abs(xi) ** (2.0 * alpha) + np.abs(tau - xi**3)
-    return (1.0 + y**2) ** (-0.25)
-
-
-def _outer_weight(xi: np.ndarray, tau: np.ndarray, spec: CounterexampleSpec) -> np.ndarray:
-    """|xi| (1 + |xi|^(2a) + |tau - xi^3|)^(-1/2 + delta): the outer weight without
-    (1 + |xi|)^s."""
-    y = 1.0 + np.abs(xi) ** (2.0 * spec.alpha) + np.abs(tau - xi**3)
-    return np.abs(xi) * y ** (-0.5 + spec.delta)
+def _modulation(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
+    """y = |xi|^(2a) + |tau - xi^3|.  Without their (1 + |xi|)^(-+s) factors
+    the inner weight is (1 + y^2)^(-1/4) and the outer |xi| (1 + y)^(-1/2 + delta)."""
+    return np.abs(xi) ** (2.0 * alpha) + np.abs(tau - xi**3)
 
 
 class _PairLattice:
@@ -195,22 +170,23 @@ class _PairLattice:
 
     def __init__(self, f: CounterexampleFunction):
         self.f = f
-        grid = f.grid
+        d_xi, d_tau = f.spec.lattice_steps()
+        self.cell_area = d_xi * d_tau
         positive = f.xi_idx > 0
         xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
         cols, col = np.unique(xi_p, return_inverse=True)
         row0 = np.array([tau_p[col == c].min() for c in range(len(cols))])
         row = tau_p - row0[col]
         weight = np.zeros((len(cols), row.max() + 1))
-        weight[col, row] = _inner_weight(xi_p * grid.d_xi, tau_p * grid.d_tau, f.spec.alpha)
+        y = _modulation(xi_p * d_xi, tau_p * d_tau, f.spec.alpha)
+        weight[col, row] = (1.0 + y**2) ** (-0.25)
 
+        # the set width is CELLS_ACROSS_THIN columns
         offset = cols[:, None] - cols[None, :]
-        width_cells = int(round(f.spec.set_width() / grid.d_xi))
-        near = (np.abs(offset) >= max(1, width_cells // 6)) & (
-            np.abs(offset) <= width_cells // 2
-        )
+        gap = np.abs(offset)
+        near = (gap >= CELLS_ACROSS_THIN // 6) & (gap <= CELLS_ACROSS_THIN // 2)
         if not np.any(near):
-            raise ResolutionError("near-origin window is empty; grid too coarse")
+            raise ResolutionError("near-origin window is empty: f has too few xi-columns")
         self.col_a, self.col_b = np.nonzero(near)
         pairs = zip(self.col_a, self.col_b)
         mass = np.array([np.correlate(weight[a], weight[b], "full") for a, b in pairs])
@@ -218,7 +194,7 @@ class _PairLattice:
         # the output cells that some cell pair reaches
         self.pair, lag = np.nonzero(mass)
         self.mass = mass[self.pair, lag]
-        self.xi_cols = cols * grid.d_xi
+        self.xi_cols = cols * d_xi
         i_out = offset[self.col_a, self.col_b][self.pair]
         j_out = (row0[self.col_a] - row0[self.col_b])[self.pair] + lag - (weight.shape[1] - 1)
 
@@ -228,25 +204,25 @@ class _PairLattice:
         # np.unique, not a dense bincount over keys: the key span,
         # (i range) * j_span, reaches about 8e9 at N = 1e7
         uniq, self.inverse = np.unique(keys, return_inverse=True)
-        self.xi_cells = (uniq // j_span + i_min) * grid.d_xi
-        self.tau_cells = (uniq % j_span + j_min) * grid.d_tau
-        self.outer = _outer_weight(self.xi_cells, self.tau_cells, f.spec)
+        self.xi_cells = (uniq // j_span + i_min) * d_xi
+        self.tau_cells = (uniq % j_span + j_min) * d_tau
+        y = _modulation(self.xi_cells, self.tau_cells, f.spec.alpha)
+        self.outer = np.abs(self.xi_cells) * (1.0 + y) ** (-0.5 + f.spec.delta)
 
     def ratio(self, s_test: float) -> float:
         """bilinear_functional(f, s_test)."""
-        f, grid = self.f, self.f.grid
         # an |s_test| too large for float64 overflows to the RangeError below
         with np.errstate(over="ignore", invalid="ignore"):
             col_factor = (1.0 + self.xi_cols) ** (-s_test)
             pair_factor = (col_factor[self.col_a] * col_factor[self.col_b])[self.pair]
             cell_mass = np.bincount(self.inverse, weights=pair_factor * self.mass)
 
-            conv_values = (2.0 * grid.cell_area()) * cell_mass
+            conv_values = (2.0 * self.cell_area) * cell_mass
             weighted = (1.0 + np.abs(self.xi_cells)) ** s_test * self.outer * conv_values
-            norm_sq = np.sum(weighted**2) * grid.cell_area()
+            norm_sq = np.sum(weighted**2) * self.cell_area
         if not np.isfinite(norm_sq):
             raise RangeError("bilinear functional overflowed; reduce the scale ladder")
-        return float(np.sqrt(norm_sq) / f.l2_norm_sq())
+        return float(np.sqrt(norm_sq) / self.f.l2_norm_sq())
 
 
 def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:

@@ -38,10 +38,17 @@ MAX_MODES = 2**20
 _MAX_WAVENUMBER = sys.float_info.max ** (1 / 3)
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic spatial box and its discrete wavenumber lattice; grids
-    compare by value."""
+    compare by value.  modes must be an even integer (an int or a numpy
+    integer) in [8, MAX_MODES]; anything else, 32.0 included, is a
+    ParameterError."""
 
     box_length: float
     modes: int
@@ -52,9 +59,9 @@ class GridSpec:
             raise ParameterError(
                 f"box_length must be positive and finite, got {self.box_length}"
             )
-        if not 8 <= self.modes <= MAX_MODES or self.modes % 2 != 0:
+        if not (is_integer(self.modes) and 8 <= self.modes <= MAX_MODES and self.modes % 2 == 0):
             raise ParameterError(
-                f"modes must be even, >= 8 and <= {MAX_MODES}, got {self.modes}"
+                f"modes must be an even integer, >= 8 and <= {MAX_MODES}, got {self.modes}"
             )
         if not math.pi * self.modes / self.box_length <= _MAX_WAVENUMBER:
             raise ParameterError(

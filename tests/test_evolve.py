@@ -526,6 +526,13 @@ class TestSolve:
         with pytest.raises(ParameterError, match="stride"):
             SolverConfig(params=p, grid=grid, dt=0.01, t_final=0.1, snapshot_stride=0)
 
+    @pytest.mark.parametrize("stride", [2.5, float("nan"), 1e300])
+    def test_non_integer_stride_rejected(self, stride):
+        p, grid = ModelParams(0.0, 1.0), GridSpec(box_length=8.0, modes=32)
+        with pytest.raises(ParameterError, match="snapshot_stride must be an integer"):
+            SolverConfig(p, grid, 0.01, 0.1, snapshot_stride=stride)
+        assert SolverConfig(p, grid, 0.01, 0.1, snapshot_stride=np.int64(2)).steps == 10
+
     def test_grid_mismatch_rejected(self):
         grid = GridSpec(box_length=4.0, modes=32)
         other = GridSpec(box_length=4.0, modes=64)
@@ -877,6 +884,17 @@ class TestTrajectorySerialization:
             Trajectory(traj.times + 1.0, traj.coeffs, cfg)
         with pytest.raises(ContractViolationError, match="length"):
             Trajectory(traj.times[:-1], traj.coeffs, cfg)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
+        traj = solve(smooth_data(grid, 0.5), cfg)
+        for i in (2, -1):
+            times = traj.times.copy()
+            times[i] = bad
+            with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
+                Trajectory(times, traj.coeffs, cfg)
 
     def test_states_are_rows_of_one_read_only_matrix(self):
         grid = GridSpec(box_length=8.0, modes=32)

@@ -15,7 +15,6 @@ from kdvb.reports import fit_power_law
 from kdvb.sharpness import (
     CounterexampleFunction,
     CounterexampleSpec,
-    PhaseSpaceGrid,
     bilinear_functional,
     build_counterexample,
     exponent_sweep,
@@ -41,10 +40,11 @@ def brute_force_functional(f: CounterexampleFunction, s: float) -> tuple[float, 
     """The functional from its definition, one cell pair at a time: every
     ordered pair of cells whose xi-sum lies in the near-origin window adds
     to its output cell in a dict.  Returns the ratio and the output cells."""
-    spec, grid = f.spec, f.grid
+    spec = f.spec
+    d_xi, d_tau = spec.lattice_steps()
 
     def weights(i, j):
-        xi, tau = i * grid.d_xi, j * grid.d_tau
+        xi, tau = i * d_xi, j * d_tau
         y = abs(xi) ** (2 * spec.alpha) + abs(tau - xi**3)
         inner = (1 + abs(xi)) ** -s * (1 + y * y) ** -0.25
         outer = abs(xi) * (1 + abs(xi)) ** s * (1 + y) ** (-0.5 + spec.delta)
@@ -53,28 +53,28 @@ def brute_force_functional(f: CounterexampleFunction, s: float) -> tuple[float, 
     columns = defaultdict(list)
     for i, j in zip(f.xi_idx.tolist(), f.tau_idx.tolist()):
         columns[i].append((j, weights(i, j)[0]))
-    width = round(spec.set_width() / grid.d_xi)
+    width = round(spec.set_width() / d_xi)
     conv = defaultdict(float)
     for i1, col1 in columns.items():
         for i2, col2 in columns.items():
             if max(1, width // 6) <= abs(i1 + i2) <= width // 2:
                 for j1, g1 in col1:
                     for j2, g2 in col2:
-                        conv[i1 + i2, j1 + j2] += g1 * g2 * grid.cell_area()
-    norm_sq = sum((weights(*cell)[1] * v) ** 2 for cell, v in conv.items()) * grid.cell_area()
+                        conv[i1 + i2, j1 + j2] += g1 * g2 * d_xi * d_tau
+    norm_sq = sum((weights(*cell)[1] * v) ** 2 for cell, v in conv.items()) * d_xi * d_tau
     return math.sqrt(norm_sq) / f.l2_norm_sq(), set(conv)
 
 
-def set_a_cells(n: float, grid: PhaseSpaceGrid) -> set:
+def set_a_cells(n: float, d_xi: float, d_tau: float) -> set:
     """The lattice cells of A and -A from A's definition, one cell centre
     at a time: N <= xi <= N + 1, N <= |tau - xi^3| <= 2N."""
     cells = set()
-    for i in range(math.ceil(n / grid.d_xi), math.floor((n + 1) / grid.d_xi) + 1):
-        center = (i * grid.d_xi) ** 3
-        lo = math.floor((center - 2 * n) / grid.d_tau) - 1
-        hi = math.ceil((center + 2 * n) / grid.d_tau) + 1
+    for i in range(math.ceil(n / d_xi), math.floor((n + 1) / d_xi) + 1):
+        center = (i * d_xi) ** 3
+        lo = math.floor((center - 2 * n) / d_tau) - 1
+        hi = math.ceil((center + 2 * n) / d_tau) + 1
         for j in range(lo, hi + 1):
-            if n <= abs(j * grid.d_tau - center) <= 2 * n:
+            if n <= abs(j * d_tau - center) <= 2 * n:
                 cells |= {(i, j), (-i, -j)}
     return cells
 
@@ -83,10 +83,6 @@ class TestSpecValidation:
     def test_scale_n_below_16_rejected(self):
         with pytest.raises(ParameterError, match="scale_n"):
             CounterexampleSpec(8.0, 0.25)
-
-    def test_grid_validation(self):
-        with pytest.raises(ParameterError, match="steps"):
-            PhaseSpaceGrid(0.0, 0.1)
 
 
 class TestBuildCounterexample:
@@ -122,17 +118,15 @@ class TestBuildCounterexample:
         assert f.spec.set_width() == 1.0 and f.spec.modulation_height() == n
         cells = list(zip(f.xi_idx.tolist(), f.tau_idx.tolist()))
         assert len(cells) == len(set(cells))
-        assert set(cells) == set_a_cells(n, f.grid)
+        assert set(cells) == set_a_cells(n, *f.spec.lattice_steps())
 
-    def test_norm_converges_to_set_measure_under_refinement(self):
+    def test_norm_converges_to_set_measure_under_refinement(self, monkeypatch):
         spec = CounterexampleSpec(16.0, 0.25)
         deviations = []
         for cells in (16, 64):
-            grid = PhaseSpaceGrid(
-                d_xi=spec.set_width() / cells,
-                d_tau=spec.modulation_height() / cells,
-            )
-            f = build_counterexample(spec, grid)
+            monkeypatch.setattr(sharpness, "CELLS_ACROSS_THIN", cells)
+            assert spec.lattice_steps() == (1.0 / cells, 16.0 / cells)
+            f = build_counterexample(spec)
             deviations.append(abs(f.l2_norm_sq() - 4.0 * 16.0) / (4.0 * 16.0))
         assert deviations[1] <= deviations[0]
         assert deviations[1] <= 0.05
@@ -140,15 +134,6 @@ class TestBuildCounterexample:
     def test_evenness_exact(self):
         f = build_counterexample(CounterexampleSpec(16.0, 0.25))
         assert f.is_even()
-
-    def test_unresolved_thin_dimension_rejected(self):
-        spec = CounterexampleSpec(16.0, 0.25)
-        coarse = PhaseSpaceGrid(
-            d_xi=0.5,
-            d_tau=spec.modulation_height() / 16,
-        )
-        with pytest.raises(ResolutionError, match="thin"):
-            build_counterexample(spec, coarse)
 
     @pytest.mark.parametrize(
         "alpha,inside,beyond",
@@ -181,14 +166,22 @@ class TestBilinearFunctional:
     def test_zero_function(self):
         f = build_counterexample(CounterexampleSpec(16.0, 0.25))
         empty = np.zeros(0, dtype=int)
-        zero = CounterexampleFunction(spec=f.spec, grid=f.grid, xi_idx=empty, tau_idx=empty)
+        zero = CounterexampleFunction(spec=f.spec, xi_idx=empty, tau_idx=empty)
         assert bilinear_functional(zero, -0.75) == 0.0
+
+    def test_empty_near_origin_window_is_resolution_error(self):
+        # one xi-column and its mirror: no column pair sums into the window
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        column = np.abs(f.xi_idx) == f.xi_idx.max()
+        single = CounterexampleFunction(
+            spec=f.spec, xi_idx=f.xi_idx[column], tau_idx=f.tau_idx[column]
+        )
+        with pytest.raises(ResolutionError, match="window is empty"):
+            bilinear_functional(single, -0.75)
 
     def test_ratio_invariant_under_reflection(self):
         f = build_counterexample(CounterexampleSpec(32.0, 0.25))
-        flipped = CounterexampleFunction(
-            spec=f.spec, grid=f.grid, xi_idx=-f.xi_idx, tau_idx=-f.tau_idx
-        )
+        flipped = CounterexampleFunction(spec=f.spec, xi_idx=-f.xi_idx, tau_idx=-f.tau_idx)
         assert bilinear_functional(flipped, -0.6) == pytest.approx(
             bilinear_functional(f, -0.6), rel=1e-12
         )
@@ -212,9 +205,10 @@ class TestBilinearFunctional:
         ratio, cells = brute_force_functional(f, s)
         assert bilinear_functional(f, s) == pytest.approx(ratio, rel=1e-13)
         lattice = sharpness._PairLattice(f)
+        d_xi, d_tau = f.spec.lattice_steps()
         occupied = zip(
-            np.rint(lattice.xi_cells / f.grid.d_xi).astype(int).tolist(),
-            np.rint(lattice.tau_cells / f.grid.d_tau).astype(int).tolist(),
+            np.rint(lattice.xi_cells / d_xi).astype(int).tolist(),
+            np.rint(lattice.tau_cells / d_tau).astype(int).tolist(),
         )
         assert set(occupied) == cells
 

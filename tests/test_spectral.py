@@ -41,6 +41,11 @@ class TestGridSpec:
         with pytest.raises(ParameterError, match="dealias"):
             GridSpec(box_length=1.0, modes=16, dealias_fraction=1.5)
 
+    def test_modes_must_be_an_integer(self):
+        with pytest.raises(ParameterError, match="modes must be an even integer"):
+            GridSpec(8.0, 32.0)
+        assert len(GridSpec(8.0, np.int64(32)).wavenumbers()) == 32
+
     def test_grids_compare_by_value(self):
         assert GridSpec(16.0, 64) == GridSpec(16.0, 64)
         assert len({GridSpec(16.0, 64), GridSpec(16.0, 64)}) == 1

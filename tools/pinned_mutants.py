@@ -80,6 +80,12 @@ MUTANTS = [
         "return (1.001 + grid.wavenumbers() ** 2) ** s",
         "tests/test_norms.py::TestSobolevNorm::test_single_unit_mode",
     ),
+    (
+        "sharpness.py",
+        "np.abs(tau - xi**3)",
+        "np.abs(tau + xi**3)",
+        "tests/test_sharpness.py::TestBilinearFunctional::test_equals_the_cell_pair_definition",
+    ),
 ]
 
 
