@@ -52,9 +52,9 @@ from .errors import (
 from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
 from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
 from .imethod import MAX_SAMPLES, RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
-from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
+from .norms import _relative_residual, build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
-from .reports import SweepReport, canonical_json, format_csv
+from .reports import canonical_json, format_csv
 from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
 from .spectral import MAX_MODES, GridSpec, RealField
 
@@ -263,8 +263,8 @@ def build_initial_data(cfg: RunConfig) -> RealField:
     return initial
 
 
-def _sweep_csv_rows(report: SweepReport) -> str:
-    rows = ((value, rec["observable"]) for value, rec in zip(report.values, report.observables))
+def _sweep_csv_rows(report: dict) -> str:
+    rows = ((rec["epsilon"], rec["observable"]) for rec in report["observables"])
     return format_csv(("epsilon", "observable"), rows)
 
 
@@ -272,7 +272,7 @@ def _ledger_artifact(traj, artifacts: dict) -> float:
     """Write ledger.csv for traj; return its relative ledger residual."""
     ledger = build_energy_ledger(traj)
     artifacts["ledger.csv"] = ledger_csv(ledger).encode()
-    return ledger.relative_residual()
+    return _relative_residual(ledger["half_l2_sq"], ledger["dissipated"])
 
 
 def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
@@ -298,20 +298,20 @@ def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     return result
 
 
-def _sweep_result(cfg: RunConfig, report: SweepReport, experiment: str) -> dict:
+def _sweep_result(cfg: RunConfig, report: dict, experiment: str) -> dict:
     """CLI-facing sweep record: experiment, params, ladder, observables,
     fit (always null; rate's slope is its own key), floors, seed, grid, dt."""
     return {
         "experiment": experiment,
         "params": {"epsilon": cfg.params.epsilon, "alpha": cfg.params.alpha},
-        "ladder": list(report.values),
-        "observables": list(report.observables),
+        "ladder": report["values"],
+        "observables": report["observables"],
         "fit": None,
-        "floors": {"self_convergence": report.meta.get("floor")},
+        "floors": {"self_convergence": report["meta"].get("floor")},
         "seed": cfg.seed,
         "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
         "dt": cfg.solver.dt,
-        "meta": report.meta,
+        "meta": report["meta"],
     }
 
 
@@ -336,7 +336,7 @@ def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
     block = cfg.block
     report = exponent_sweep(cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"])
     artifacts["sweep.csv"] = sweep_csv(report).encode()
-    return {**report.to_dict(), "fit": None, "seed": cfg.seed}
+    return {**report, "fit": None, "seed": cfg.seed}
 
 
 def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
@@ -344,22 +344,22 @@ def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
     dyadic = DyadicConfig(block["n1_ladder"], block["ratios"], cfg.seed)
     spec = IMultiplierSpec(cutoff_n=block["cutoff_n"], s_exp=block["s_exp"])
     report = m4_bound_sample(dyadic, spec, cfg.params, block["n_samples"])
-    artifacts["bound_report.json"] = (report.to_json() + "\n").encode()
+    artifacts["bound_report.json"] = (json.dumps(report, sort_keys=True) + "\n").encode()
     return {
-        "slope": report.slope_vs_logn,
-        "max_ratio": report.max_ratio,
-        "max_ratios": list(report.max_ratios),
+        "slope": report["slope"],
+        "max_ratio": max(report["max_ratios"]),
+        "max_ratios": report["max_ratios"],
     }
 
 
 def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
     report = h1_bound_check(build_initial_data(cfg), cfg.solver, cfg.block["eps_ladder"])
     artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
-    obs = [rec["observable"] for rec in report.observables]
+    obs = [rec["observable"] for rec in report["observables"]]
     if min(obs) == 0.0:
         raise ParameterError(
             f"h1-bound needs non-zero data: initial_data.kind {cfg.data['kind']!r} gives "
-            f"observable 0 at epsilon = {report.values[obs.index(0.0)]:g}, so the band ratio "
+            f"observable 0 at epsilon = {report['values'][obs.index(0.0)]:g}, so the band ratio "
             "is undefined"
         )
     result = _sweep_result(cfg, report, "h1-bound")

@@ -35,7 +35,7 @@ from .errors import DivergenceError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve, solve_ladder
 from .norms import cumulative_trapezoid, spectral_energies
 from .propagator import ModelParams
-from .reports import SweepReport, fit_power_law, strictly_monotone
+from .reports import fit_power_law, strictly_monotone
 from .spectral import (
     GridSpec,
     RealField,
@@ -158,8 +158,10 @@ def solve_batch(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajector
 
 def inviscid_sweep(
     phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...], s: float
-) -> SweepReport:
-    """sup-in-time H^s distance to the KdV solution for each epsilon.
+) -> dict:
+    """sup-in-time H^s distance to the KdV solution for each epsilon, as
+    the record {"values": the ladder, "observables": one record per epsilon,
+    "meta"}.
 
     Every run is cfg with its own epsilon (cfg's own epsilon is not used);
     eps_ladder must be decreasing in (0, 1].  The epsilon = 0 reference,
@@ -183,11 +185,10 @@ def inviscid_sweep(
     ]
     floor = _sup_distance(reference, fine, s)
 
-    return SweepReport(
-        parameter="epsilon",
-        values=ladder,
-        observables=tuple(observables),
-        meta={
+    return {
+        "values": list(ladder),
+        "observables": observables,
+        "meta": {
             "alpha": cfg.params.alpha,
             "sobolev_s": s,
             "t_final": cfg.t_final,
@@ -195,17 +196,18 @@ def inviscid_sweep(
             "floor": floor,
             "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
         },
-    )
+    }
 
 
-def rate_fit(report: SweepReport) -> float:
-    """Least-squares slope of log observable against log epsilon.
+def rate_fit(report: dict) -> float:
+    """Least-squares slope of log observable against log epsilon over a
+    sweep record's values and observables.
 
     Warns (with the fit's r^2) when the observables are not monotone in
     epsilon, which makes the fitted rate unreliable.
     """
-    eps = np.asarray(report.values, dtype=np.float64)
-    obs = np.asarray([rec["observable"] for rec in report.observables])
+    eps = np.asarray(report["values"], dtype=np.float64)
+    obs = np.asarray([rec["observable"] for rec in report["observables"]])
     if len(obs) < 2 or np.any(obs <= 0):
         raise ParameterError("rate fit needs at least two strictly positive observables")
     fit = fit_power_law(eps, obs)
@@ -269,14 +271,14 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
 
 def h1_bound_check(
     phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...]
-) -> SweepReport:
+) -> dict:
     """Per epsilon: sup_t ||u||_H1 + sqrt(eps) (int ||Lambda^(2a) u||^2)^(1/2).
 
     Every run is cfg with its own epsilon (cfg's own epsilon is not used);
     eps_ladder must be strictly monotone in [0, 1].  The time integral
     uses trapezoid quadrature over snapshots.  A uniform bound across the
-    ladder is the expected behavior; the report carries the observables
-    for the band check.
+    ladder is the expected behavior; the record, shaped as
+    ``inviscid_sweep``'s, carries the observables for the band check.
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 <= e <= 1 for e in ladder):
@@ -300,9 +302,8 @@ def h1_bound_check(
                 "dissipation_integral": integral,
             }
         )
-    return SweepReport(
-        parameter="epsilon",
-        values=ladder,
-        observables=tuple(observables),
-        meta={"alpha": alpha, "t_final": cfg.t_final, "dt": cfg.dt},
-    )
+    return {
+        "values": list(ladder),
+        "observables": observables,
+        "meta": {"alpha": alpha, "t_final": cfg.t_final, "dt": cfg.dt},
+    }

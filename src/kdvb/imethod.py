@@ -50,7 +50,6 @@ its k raises ``ContractViolationError``.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -116,8 +115,10 @@ class DyadicConfig:
     def __post_init__(self):
         ladder = tuple(float(n) for n in self.n1_ladder)
         object.__setattr__(self, "n1_ladder", ladder)
-        if len(ladder) < 2 or any(n <= 0 for n in ladder):
-            raise ParameterError("n1_ladder needs at least two positive entries")
+        if len(ladder) < 2 or any(not 0 < n < math.inf for n in ladder):
+            raise ParameterError(
+                f"n1_ladder needs at least two positive finite entries, got {list(ladder)}"
+            )
         if any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ParameterError("n1_ladder must be strictly increasing")
         if len(self.ratios) != 3:
@@ -131,45 +132,6 @@ class DyadicConfig:
             raise ParameterError(
                 f"ratio sum <= 1/2 makes the zero-sum constraint unrealizable, got {self.ratios}"
             )
-
-    def describe(self) -> str:
-        return (
-            f"N1 in {list(self.n1_ladder)}, (N2,N3,N4) = N1 * {list(self.ratios)}"
-        )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Sampled verification record for a pointwise multiplier bound."""
-
-    dyadic_config: str
-    samples: int
-    max_ratio: float
-    slope_vs_logn: float
-    n1_ladder: tuple[float, ...]
-    max_ratios: tuple[float, ...]
-    seed: int
-
-    def __post_init__(self):
-        if self.samples < 10_000:
-            raise ParameterError(
-                f"bound reports need >= 1e4 samples per ladder point, got {self.samples}"
-            )
-        if not np.isfinite(self.max_ratio):
-            raise ContractViolationError("max_ratio must be finite")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config": self.dyadic_config,
-                "N_ladder": list(self.n1_ladder),
-                "max_ratios": list(self.max_ratios),
-                "slope": self.slope_vs_logn,
-                "seed": self.seed,
-                "samples": self.samples,
-            },
-            sort_keys=True,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +284,15 @@ def m4_bound_sample(
     spec: IMultiplierSpec,
     params: ModelParams,
     n_samples: int,
-) -> BoundReport:
+) -> dict:
     """Sample the ratio of |sigma4| = |M4| / |h4 - eps beta_4| to its pointwise
     envelope m^2(min magnitude) / prod (N + |xi_i|) over dyadic annuli.
 
     The envelope minimum runs over the four frequencies and the three
-    distinct pair sums.  Reported are the per-ladder maxima and the
-    least-squares slope of log max-ratio versus log N1.
+    distinct pair sums.  Returns the bound report: "max_ratios", the
+    per-ladder maxima over "N_ladder"; "slope", the least-squares slope of
+    log max-ratio versus log N1; "config", the annuli in words; "seed"; and
+    "samples", the tuples kept per ladder point.
     """
     if not 10_000 <= n_samples <= MAX_SAMPLES:
         raise ParameterError(
@@ -348,15 +312,15 @@ def m4_bound_sample(
                     envelope = envelope / (spec.cutoff_n + np.abs(x))
                 block_maxima.append(np.max(np.where(resonant, 0.0, np.abs(sigma4) / envelope)))
         max_ratios.append(float(np.max(block_maxima)))
-    return BoundReport(
-        dyadic_config=dyadic_config.describe(),
-        samples=n_samples,
-        max_ratio=float(np.max(max_ratios)),
-        slope_vs_logn=fit_power_law(dyadic_config.n1_ladder, max_ratios)["slope"],
-        n1_ladder=dyadic_config.n1_ladder,
-        max_ratios=tuple(max_ratios),
-        seed=dyadic_config.seed,
-    )
+    ladder, ratios = list(dyadic_config.n1_ladder), list(dyadic_config.ratios)
+    return {
+        "config": f"N1 in {ladder}, (N2,N3,N4) = N1 * {ratios}",
+        "N_ladder": ladder,
+        "max_ratios": max_ratios,
+        "slope": fit_power_law(ladder, max_ratios)["slope"],
+        "seed": dyadic_config.seed,
+        "samples": n_samples,
+    }
 
 
 # ---------------------------------------------------------------------------

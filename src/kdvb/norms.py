@@ -14,8 +14,6 @@ H[u] = int (u_x)^2 - (2/3) u^3 + u^2 dx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError, ResolutionError
@@ -31,43 +29,13 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyLedger:
-    """Snapshot series of the quadratic ledger and the H functional."""
-
-    times: np.ndarray
-    l2_half_sq: np.ndarray
-    dissipated: np.ndarray
-    hamiltonian: np.ndarray
-    h1_norms: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        for name in ("l2_half_sq", "dissipated", "hamiltonian", "h1_norms"):
-            if len(getattr(self, name)) != n:
-                raise ContractViolationError(f"ledger column {name} has wrong length")
-        if self.dissipated[0] != 0.0:
-            raise ContractViolationError("dissipated must start at 0")
-        if np.any(np.diff(self.dissipated) < 0):
-            raise ContractViolationError("dissipated must be nondecreasing")
-
-    def residuals(self) -> np.ndarray:
-        """Ledger defect (1/2)||u||^2 + D(t) - (1/2)||phi||^2 per snapshot."""
-        return _defect(self.l2_half_sq, self.dissipated)
-
-    def relative_residual(self) -> float:
-        """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2.
-
-        Returns the absolute defect when the initial data vanishes.
-        """
-        return _relative_residual(self.l2_half_sq, self.dissipated)
-
-
 def _defect(half_l2: np.ndarray, dissipated: np.ndarray) -> np.ndarray:
     return half_l2 + dissipated - half_l2[0]
 
 
 def _relative_residual(half_l2: np.ndarray, dissipated: np.ndarray) -> float:
+    """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2;
+    the absolute defect when the initial data vanishes."""
     defect = float(np.max(np.abs(_defect(half_l2, dissipated))))
     return defect / half_l2[0] if half_l2[0] > 0 else defect
 
@@ -216,32 +184,32 @@ def _quadratic_ledger(traj: Trajectory, *weights) -> list[np.ndarray]:
     return [0.5 * l2_sq, cumulative_trapezoid(p.epsilon * rates, traj.times), *rest]
 
 
-def build_energy_ledger(traj: Trajectory) -> EnergyLedger:
-    """Evaluate both ledgers along a trajectory; the quadratic part of H is
-    the squared H^1 norm, so only the cubic term is taken row by row."""
+def build_energy_ledger(traj: Trajectory) -> dict:
+    """Both ledgers along a trajectory, one array per snapshot series keyed
+    by its ledger.csv column: t, half_l2_sq, dissipated, residual (the
+    defect (1/2)||u||^2 + D(t) - (1/2)||phi||^2), hamiltonian, h1_norm.
+    The quadratic part of H is the squared H^1 norm, so only the cubic term
+    is taken row by row."""
     half_l2, dissipated, h1_sq = _quadratic_ledger(traj, sobolev_weight(traj.grid, 1.0))
     cubic = np.array([_cubic_integral(c, traj.grid) for c in traj.coeffs])
-    ham = h1_sq - (2.0 / 3.0) * cubic
-    return EnergyLedger(traj.times, half_l2, dissipated, ham, np.sqrt(h1_sq))
+    return {
+        "t": traj.times,
+        "half_l2_sq": half_l2,
+        "dissipated": dissipated,
+        "residual": _defect(half_l2, dissipated),
+        "hamiltonian": h1_sq - (2.0 / 3.0) * cubic,
+        "h1_norm": np.sqrt(h1_sq),
+    }
 
 
 def l2_dissipation_residual(traj: Trajectory) -> float:
-    """The relative quadratic-ledger residual of traj, equal to
-    build_energy_ledger(traj).relative_residual() but evaluating neither
-    H nor the H^1 norm."""
+    """The relative quadratic-ledger residual of traj, the one that
+    build_energy_ledger(traj)'s half_l2_sq and dissipated columns give, but
+    evaluating neither H nor the H^1 norm."""
     return _relative_residual(*_quadratic_ledger(traj))
 
 
-def ledger_csv(ledger: EnergyLedger) -> str:
-    """The ledger as CSV text with 17 significant digits per float."""
-    columns = (
-        ledger.times,
-        ledger.l2_half_sq,
-        ledger.dissipated,
-        ledger.residuals(),
-        ledger.hamiltonian,
-        ledger.h1_norms,
-    )
-    return format_csv(
-        ("t", "half_l2_sq", "dissipated", "residual", "hamiltonian", "h1_norm"), zip(*columns)
-    )
+def ledger_csv(ledger: dict) -> str:
+    """The ledger as CSV text, one column per key, with 17 significant
+    digits per float."""
+    return format_csv(ledger, zip(*ledger.values()))

@@ -1,45 +1,14 @@
-"""Parameter-sweep result records and deterministic serialization helpers."""
+"""Helpers shared by the drivers and the CLI: the monotone-ladder test,
+the power-law fit, and deterministic CSV and JSON text."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, RangeError
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """One observable recorded along a monotone parameter ladder.
-
-    ``observables[i]`` is a plain-dict record aligned with ``values[i]``;
-    ``crossover_estimate`` is the interpolated sign change of a fitted
-    exponent when one exists.
-    """
-
-    parameter: str
-    values: tuple[float, ...]
-    observables: tuple[dict, ...]
-    meta: dict = field(default_factory=dict)
-    crossover_estimate: float | None = None
-
-    def __post_init__(self):
-        if len(self.values) != len(self.observables):
-            raise ContractViolationError("values and observables must align")
-        if not strictly_monotone(self.values):
-            raise ContractViolationError("sweep values must be strictly monotone")
-
-    def to_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "values": list(self.values),
-            "observables": list(self.observables),
-            "meta": self.meta,
-            "crossover_estimate": self.crossover_estimate,
-        }
+from .errors import RangeError
 
 
 def strictly_monotone(values: Sequence[float]) -> bool:

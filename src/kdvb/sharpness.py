@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, RangeError, ResolutionError
-from .reports import SweepReport, fit_power_law, format_csv, strictly_monotone
+from .reports import fit_power_law, format_csv, strictly_monotone
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
@@ -58,7 +58,7 @@ class CounterexampleSpec:
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if self.scale_n < 16:
+        if not self.scale_n >= 16:
             raise ParameterError(f"scale_n must be >= 16, got {self.scale_n}")
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
@@ -87,7 +87,7 @@ class CounterexampleFunction:
     """A {0, 1}-valued even function stored as occupied lattice cells.
 
     xi_idx and tau_idx list every occupied cell of both mirror halves as
-    integer lattice indices; positive marks the cells with xi > 0.
+    integer lattice indices.
     """
 
     spec: CounterexampleSpec
@@ -243,9 +243,12 @@ def exponent_sweep(
     s_list: tuple[float, ...],
     n_ladder: tuple[float, ...],
     delta: float = DELTA_DEFAULT,
-) -> SweepReport:
+) -> dict:
     """Fit the growth exponent of the bilinear ratio in N for each s and
     locate the slope sign change.
+
+    Returns the record {"parameter": "s", "values": s_list, "observables":
+    one record per s, "meta", "crossover_estimate"}.
 
     The crossover estimate interpolates the fitted slope linearly in s
     between the last nonnegative and first negative slope.  meta["regime"]
@@ -281,27 +284,27 @@ def exponent_sweep(
             crossover = s_arr[lo] + (s_arr[hi] - s_arr[lo]) * a / (a - b)
             break
 
-    observables = tuple(
+    observables = [
         {"s": float(s), "slope": float(sl), "ratios": list(r), "n_ladder": list(ns)}
         for s, sl, r in zip(s_list, slopes, ratios_by_s)
-    )
+    ]
     regime = "low_alpha" if alpha <= 0.5 else "high_alpha"
-    return SweepReport(
-        parameter="s",
-        values=tuple(float(s) for s in s_list),
-        observables=observables,
-        meta={"alpha": alpha, "regime": regime, "delta": delta},
-        crossover_estimate=None if crossover is None else float(crossover),
-    )
+    return {
+        "parameter": "s",
+        "values": [float(s) for s in s_list],
+        "observables": observables,
+        "meta": {"alpha": alpha, "regime": regime, "delta": delta},
+        "crossover_estimate": None if crossover is None else float(crossover),
+    }
 
 
-def sweep_csv(report: SweepReport) -> str:
+def sweep_csv(report: dict) -> str:
     """CSV text of the sharpness sweep: alpha, s, N, ratio, slope, crossover_estimate."""
-    alpha = report.meta["alpha"]
-    cross = report.crossover_estimate
+    alpha = report["meta"]["alpha"]
+    cross = report["crossover_estimate"]
     rows = (
         (alpha, rec["s"], n, ratio, rec["slope"], cross)
-        for rec in report.observables
+        for rec in report["observables"]
         for n, ratio in zip(rec["n_ladder"], rec["ratios"])
     )
     return format_csv(("alpha", "s", "N", "ratio", "slope", "crossover_estimate"), rows)

@@ -124,9 +124,9 @@ class TestCriterion04InviscidLimit:
             ModelParams(0.0, 1.0), inviscid_phi.grid, dt=1e-2, t_final=1.0, snapshot_stride=10
         )
         rep = inviscid_sweep(inviscid_phi, cfg, eps_ladder=(1e-1, 1e-2, 1e-3, 1e-4), s=s)
-        obs = [rec["observable"] for rec in rep.observables]
+        obs = [rec["observable"] for rec in rep["observables"]]
         assert all(a > b for a, b in zip(obs, obs[1:]))
-        floor = rep.meta["floor"]
+        floor = rep["meta"]["floor"]
         assert obs[-1] <= 10.0 * floor
         report(
             4,
@@ -152,7 +152,7 @@ class TestCriterion06H1UniformBound:
         phi = gaussian_initial_data(grid, width=2.0, l2_norm=2.0, modulation=1.0)
         cfg = SolverConfig(ModelParams(0.0, 0.8), grid, dt=5e-3, t_final=1.0, snapshot_stride=10)
         rep = h1_bound_check(phi, cfg, eps_ladder=(1.0, 0.1, 0.01, 0.001))
-        obs = [rec["observable"] for rec in rep.observables]
+        obs = [rec["observable"] for rec in rep["observables"]]
         band = max(obs) / min(obs)
         assert band <= 3.0
         report(6, "H1 uniform bound", f"observable band max/min {band:.2f} <= 3;")
@@ -168,13 +168,13 @@ class TestCriterion07SharpnessCrossover:
     @pytest.mark.parametrize("alpha,regime,s_list", CASES)
     def test_crossover_matches_critical_index(self, alpha, regime, s_list):
         rep = exponent_sweep(alpha, s_list, (16.0, 32.0, 64.0, 128.0))
-        assert rep.meta["regime"] == regime
+        assert rep["meta"]["regime"] == regime
         target = critical_index(alpha)
-        assert rep.crossover_estimate == pytest.approx(target, abs=0.1)
+        assert rep["crossover_estimate"] == pytest.approx(target, abs=0.1)
         report(
             7,
             f"sharpness crossover (alpha = {alpha})",
-            f"crossover {rep.crossover_estimate:+.3f} within 0.1 of {target:+.3f};",
+            f"crossover {rep['crossover_estimate']:+.3f} within 0.1 of {target:+.3f};",
         )
 
 
@@ -188,11 +188,11 @@ class TestCriterion08M4PointwiseBound:
         rep = m4_bound_sample(
             cfg, IMultiplierSpec(0.5, -0.74), ModelParams(eps, alpha), 10_000
         )
-        assert abs(rep.slope_vs_logn) <= 0.1
+        assert abs(rep["slope"]) <= 0.1
         report(
             8,
             f"quartic multiplier bound (eps = {eps}, alpha = {alpha})",
-            f"max-ratio slope {rep.slope_vs_logn:+.3f} within +-0.1;",
+            f"max-ratio slope {rep['slope']:+.3f} within +-0.1;",
         )
 
 

@@ -683,6 +683,83 @@ class TestRun:
         assert report["samples"] == 10000
 
 
+def key_paths(node, prefix=""):
+    """The dotted key paths of a JSON document; a list's entries share its path."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            paths |= {prefix + key} | key_paths(value, f"{prefix}{key}.")
+    elif isinstance(node, list):
+        for value in node:
+            paths |= key_paths(value, prefix)
+    return paths
+
+
+LEDGER_HEADER = "t,half_l2_sq,dissipated,residual,hamiltonian,h1_norm"
+SWEEP_PATHS = {
+    "experiment", "params", "params.epsilon", "params.alpha", "ladder", "observables",
+    "observables.epsilon", "observables.observable", "fit", "floors",
+    "floors.self_convergence", "seed", "grid", "grid.box_length", "grid.modes", "dt",
+    "meta", "meta.alpha", "meta.t_final", "meta.dt",
+}
+INVISCID_PATHS = SWEEP_PATHS | {
+    "meta.sobolev_s", "meta.floor", "meta.grid", "meta.grid.box_length", "meta.grid.modes",
+}
+# subcommand -> (experiment block, key paths of result.json but its config
+# echo, header of each CSV artifact)
+RECORD_SHAPES = {
+    "solve": ({}, {"snapshots", "ledger_residual"}, {"ledger.csv": LEDGER_HEADER}),
+    "energy": (
+        {"refine_check": True},
+        {"ledger_residual", "ledger_residual_refined", "refinement_factor"},
+        {"ledger.csv": LEDGER_HEADER},
+    ),
+    "inviscid": (
+        {"eps_ladder": [0.1, 0.01]}, INVISCID_PATHS, {"sweep.csv": "epsilon,observable"}
+    ),
+    "rate": (
+        {"eps_ladder": [0.1, 0.01]},
+        INVISCID_PATHS | {"rate_slope"},
+        {"sweep.csv": "epsilon,observable"},
+    ),
+    "scaling": ({"lambda_exp": 1}, {"distance"}, {}),
+    "sharpness": (
+        {"s_list": [-0.75], "n_ladder": LADDER},
+        {
+            "parameter", "values", "observables", "observables.s", "observables.slope",
+            "observables.ratios", "observables.n_ladder", "meta", "meta.alpha",
+            "meta.regime", "meta.delta", "crossover_estimate", "fit", "seed",
+        },
+        {"sweep.csv": "alpha,s,N,ratio,slope,crossover_estimate"},
+    ),
+    "imethod-bounds": ({"n1_ladder": [16.0, 32.0]}, {"slope", "max_ratio", "max_ratios"}, {}),
+    "h1-bound": (
+        {"eps_ladder": [1.0, 0.1]},
+        SWEEP_PATHS
+        | {"band_ratio", "observables.sup_h1", "observables.dissipation_integral"},
+        {"sweep.csv": "epsilon,observable"},
+    ),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(RECORD_SHAPES))
+def test_record_shapes(tmp_path, subcommand):
+    # every key a result.json holds and every CSV header, so a key that is
+    # dropped or renamed shows here
+    block, paths, headers = RECORD_SHAPES[subcommand]
+    alpha = 0.25 if subcommand == "sharpness" else 1.0
+    doc = solve_doc(tmp_path, subcommand=subcommand, alpha=alpha, t_final=0.02)
+    assert run(parse_config(json.dumps({**doc, subcommand: block}))) == 0
+    result = json.loads((tmp_path / "result.json").read_text())
+    del result["config"]
+    assert key_paths(result) == paths
+    csv_names = {p.name for p in tmp_path.glob("*.csv")}
+    assert csv_names == set(headers)
+    for name, header in headers.items():
+        # the header follows the config comment line
+        assert (tmp_path / name).read_text().splitlines()[1] == header
+
+
 @pytest.fixture
 def stepper_calls(monkeypatch):
     """A list that grows by one entry per ETDRK4 stepper call."""

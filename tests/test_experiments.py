@@ -21,7 +21,7 @@ from kdvb.experiments import (
 )
 from kdvb.norms import sobolev_norm
 from kdvb.propagator import ModelParams
-from kdvb.reports import SweepReport, fit_power_law
+from kdvb.reports import fit_power_law
 from kdvb.spectral import (
     GridSpec,
     RealField,
@@ -155,22 +155,17 @@ class TestSineData:
 class TestRateFit:
     def synthetic_report(self, power):
         ladder = (1e-1, 1e-2, 1e-3, 1e-4)
-        return SweepReport(
-            parameter="epsilon",
-            values=ladder,
-            observables=tuple({"observable": e**power} for e in ladder),
-        )
+        return {"values": ladder, "observables": [{"observable": e**power} for e in ladder]}
 
     def test_linear_and_square_root(self):
         assert rate_fit(self.synthetic_report(1.0)) == pytest.approx(1.0, abs=1e-12)
         assert rate_fit(self.synthetic_report(0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_non_monotone_warns(self):
-        report = SweepReport(
-            parameter="epsilon",
-            values=(1e-1, 1e-2, 1e-3),
-            observables=({"observable": 1.0}, {"observable": 2.0}, {"observable": 0.5}),
-        )
+        report = {
+            "values": (1e-1, 1e-2, 1e-3),
+            "observables": [{"observable": 1.0}, {"observable": 2.0}, {"observable": 0.5}],
+        }
         with pytest.warns(UserWarning, match="r\\^2"):
             rate_fit(report)
 
@@ -195,16 +190,16 @@ class TestInviscidSweep:
         grid = GridSpec(box_length=16.0, modes=64)
         phi = RealField(np.zeros(64), grid)
         rep = inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3), (1e-1, 1e-2), s=0.0)
-        assert all(rec["observable"] == 0.0 for rec in rep.observables)
+        assert all(rec["observable"] == 0.0 for rec in rep["observables"])
 
     def test_observables_decrease_and_norm_monotone_in_s(self):
         phi = small_grid_phi()
         cfg = sweep_cfg(phi, 0.8, 0.25, 2e-3, snapshot_stride=5)
         rep0 = inviscid_sweep(phi, cfg, (1e-1, 1e-2, 1e-3), s=0.0)
-        obs0 = [rec["observable"] for rec in rep0.observables]
+        obs0 = [rec["observable"] for rec in rep0["observables"]]
         assert obs0[0] > obs0[1] > obs0[2] > 0
         rep_neg = inviscid_sweep(phi, cfg, (1e-1, 1e-2, 1e-3), s=-0.5)
-        for a, b in zip(rep_neg.observables, rep0.observables):
+        for a, b in zip(rep_neg["observables"], rep0["observables"]):
             assert a["observable"] <= b["observable"] + 1e-15
 
     def test_ladder_validated(self):
@@ -240,12 +235,12 @@ class TestH1Bound:
         grid = GridSpec(box_length=16.0, modes=64)
         phi = RealField(np.zeros(64), grid)
         rep = h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.05, 5e-3), (1.0, 0.1))
-        assert all(rec["observable"] == 0.0 for rec in rep.observables)
+        assert all(rec["observable"] == 0.0 for rec in rep["observables"])
 
     def test_dispersive_entry_is_bare_h1_sup(self):
         phi = small_grid_phi()
         rep = h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.1, 2e-3, snapshot_stride=5), (0.1, 0.0))
-        eps0 = rep.observables[-1]
+        eps0 = rep["observables"][-1]
         assert eps0["epsilon"] == 0.0
         assert eps0["observable"] == pytest.approx(eps0["sup_h1"])
         assert np.isfinite(eps0["observable"])
@@ -255,7 +250,7 @@ class TestH1Bound:
         cfg = sweep_cfg(phi, 0.8, 0.1, 2e-3, snapshot_stride=5)
         rep = h1_bound_check(phi, cfg, (1.0, 0.1))
         xi = phi.grid.wavenumbers()
-        for rec in rep.observables:
+        for rec in rep["observables"]:
             traj = solve(phi, replace(cfg, params=ModelParams(rec["epsilon"], 0.8)))
             sup_h1 = max(sobolev_norm(state, 1.0) for state in traj.states)
             assert rec["sup_h1"] == pytest.approx(sup_h1, rel=1e-14)
@@ -268,7 +263,7 @@ class TestH1Bound:
         phi = small_grid_phi()
         cfg = sweep_cfg(phi, 0.8, 0.25, 2e-3, snapshot_stride=5)
         rep = h1_bound_check(phi, cfg, (1.0, 0.1, 0.01))
-        obs = [rec["observable"] for rec in rep.observables]
+        obs = [rec["observable"] for rec in rep["observables"]]
         assert max(obs) / min(obs) <= 3.0
 
 

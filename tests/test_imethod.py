@@ -15,7 +15,6 @@ from kdvb.errors import (
 from kdvb import imethod
 from kdvb.evolve import SolverConfig, solve, zero_nonlinearity
 from kdvb.imethod import (
-    BoundReport,
     DyadicConfig,
     IMultiplierSpec,
     beta_values,
@@ -342,14 +341,14 @@ class TestM4BoundSampler:
         rep = m4_bound_sample(
             cfg, IMultiplierSpec(0.5, -0.74), ModelParams(eps, alpha), 10_000
         )
-        assert abs(rep.slope_vs_logn) <= 0.1
+        assert abs(rep["slope"]) <= 0.1
 
     def test_max_stable_under_more_samples(self):
         cfg = DyadicConfig(n1_ladder=(32.0, 64.0), ratios=(1.0, 0.75, 0.5), seed=7)
         spec = IMultiplierSpec(0.5, -0.74)
         small = m4_bound_sample(cfg, spec, ModelParams(0.0, 0.5), 10_000)
         large = m4_bound_sample(cfg, spec, ModelParams(0.0, 0.5), 100_000)
-        assert large.max_ratio == pytest.approx(small.max_ratio, rel=0.2)
+        assert max(large["max_ratios"]) == pytest.approx(max(small["max_ratios"]), rel=0.2)
 
     @pytest.mark.parametrize("eps,alpha", [(0.0, 0.5), (1.0, 1.0)])
     def test_block_size_leaves_the_report_unchanged(self, monkeypatch, eps, alpha):
@@ -364,8 +363,11 @@ class TestM4BoundSampler:
         cfg = DyadicConfig(n1_ladder=(16.0, 32.0), seed=0)
         with pytest.raises(ParameterError, match="1e4"):
             m4_bound_sample(cfg, SPEC, PARAMS, 100)
-        with pytest.raises(ParameterError, match="samples"):
-            BoundReport("c", 10, 1.0, 0.0, (1.0, 2.0), (1.0, 1.0), 0)
+
+    @pytest.mark.parametrize("top", [np.nan, np.inf])
+    def test_non_finite_ladder_entry_rejected(self, top):
+        with pytest.raises(ParameterError, match="n1_ladder"):
+            DyadicConfig(n1_ladder=(16.0, top))
 
     def test_unrealizable_config_rejected(self):
         with pytest.raises(ParameterError, match="unrealizable"):

@@ -84,6 +84,13 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="scale_n"):
             CounterexampleSpec(8.0, 0.25)
 
+    def test_nan_scale_n_rejected(self):
+        # NaN fails every ordered comparison, so "scale_n < 16" lets it through
+        with pytest.raises(ParameterError, match="scale_n"):
+            CounterexampleSpec(math.nan, 0.25)
+        with pytest.raises(ParameterError, match="scale_n"):
+            exponent_sweep(0.25, (-0.75,), (16.0, 32.0, math.nan, 128.0))
+
 
 class TestBuildCounterexample:
     def test_low_regime_norm_tracks_measure(self):
@@ -252,13 +259,13 @@ class TestExponentSweep:
     def test_branch_point_alpha(self):
         # both branch formulas give -3/4 at alpha = 1/2
         rep = exponent_sweep(0.5, (-0.95, -0.85, -0.75, -0.65, -0.55), LADDER)
-        assert rep.crossover_estimate == pytest.approx(-0.75, abs=0.1)
+        assert rep["crossover_estimate"] == pytest.approx(-0.75, abs=0.1)
 
     def test_delta_sensitivity_is_mild(self):
         estimates = [
             exponent_sweep(
                 0.25, (-0.9, -0.8, -0.75, -0.7, -0.6), LADDER, delta=d
-            ).crossover_estimate
+            )["crossover_estimate"]
             for d in (0.005, 0.02)
         ]
         assert abs(estimates[0] - estimates[1]) <= 0.05
@@ -276,8 +283,8 @@ class TestExponentSweep:
         block = json.loads(CRITERION07.read_text())["sharpness"]
         s_list, n_ladder = tuple(block["s_list"]), tuple(block["n_ladder"])
         rep = exponent_sweep(alpha, s_list, n_ladder, block["delta"])
-        assert rep.meta["regime"] == probe_set(alpha)
-        for s, rec in zip(s_list, rep.observables):
+        assert rep["meta"]["regime"] == probe_set(alpha)
+        for s, rec in zip(s_list, rep["observables"]):
             for n, ratio in zip(n_ladder, rec["ratios"]):
                 spec = CounterexampleSpec(n, alpha, block["delta"])
                 assert ratio == bilinear_functional(build_counterexample(spec), s)

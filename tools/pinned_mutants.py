@@ -86,6 +86,12 @@ MUTANTS = [
         "np.abs(tau + xi**3)",
         "tests/test_sharpness.py::TestBilinearFunctional::test_equals_the_cell_pair_definition",
     ),
+    (
+        "sharpness.py",
+        "not self.scale_n >= 16",
+        "self.scale_n < 16",
+        "tests/test_sharpness.py::TestSpecValidation::test_nan_scale_n_rejected",
+    ),
 ]
 
 
