@@ -38,7 +38,11 @@ The multipliers are array kernels: ``m_weight(xi)`` and, on ``xs``, a
 sequence of k broadcastable arrays whose slot j holds xi_j of every tuple
 (kept on the hyperplane by the caller), ``beta_values``, ``h4_values``,
 ``m3_values``, ``sigma3_values``, ``m4_values``, ``sigma4_values`` and
-``m5_values``.  The quotient kernels (sigma3, M4, sigma4, M5) return
+``m5_values``.  Each kernel evaluates the one-slot terms m^2(xi) xi and
+|xi|^(2 alpha) once per slot array, a frequency or a pair sum, and every
+pairing that takes the slot shares them; M3, beta, h3, h4 and the quotients
+are written once, on those terms, and every kernel (M5 too) goes through
+them.  The quotient kernels (sigma3, M4, sigma4, M5) return
 ``(values, resonant)``: where a denominator vanishes (|den| <= 1e-30) the
 value is 0, and the boolean mask is set only under a numerator above 1e-30,
 so 0/0 maps to 0 with the mask unset; M4 and M5 join their inner masks.  No
@@ -49,6 +53,7 @@ its k raises ``ContractViolationError``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,13 +71,13 @@ from .evolve import Trajectory
 from .norms import spectral_energies
 from .propagator import ModelParams
 from .reports import fit_power_law
-from .spectral import SpectralField, dissipation_symbol
+from .spectral import SpectralField, dissipation_symbol, is_integer
 
 _TINY = 1e-30
 
-# Largest n_samples of one m4_bound_sample call: at the cap a call peaks at
-# about 150 MB (mostly the 4x oversampled uniform draws) and takes about
-# 5 s on a 2-core VM.
+# Largest n_samples of one m4_bound_sample call: at the cap, on the ladder
+# (16, 32), a call takes about 0.85 s on a 2-core VM and its process peaks at
+# about 140 MB, mostly the 4x oversampled uniform draws (96 MB a batch).
 MAX_SAMPLES = 10**6
 # Draws per block of the rejection test and the M4 evaluation; both are
 # elementwise and the draws stay one batch, so it leaves reports unchanged.
@@ -105,7 +110,8 @@ class DyadicConfig:
     |xi_i| drawn uniformly from [N_i, 2 N_i] with random signs; N1 runs
     over n1_ladder.  ratios[1] >= 1/4 keeps the top two comparable, and
     a ratio sum > 1/2 keeps the zero-sum constraint realizable (at 1/2,
-    |xi_1| >= N1 has probability zero).
+    |xi_1| >= N1 has probability zero).  seed, the sampler's generator seed,
+    is an integer in [0, 2**64), the range the CLI accepts.
     """
 
     n1_ladder: tuple[float, ...]
@@ -132,6 +138,8 @@ class DyadicConfig:
             raise ParameterError(
                 f"ratio sum <= 1/2 makes the zero-sum constraint unrealizable, got {self.ratios}"
             )
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,29 +157,114 @@ def _msq(xi, spec):
     return m_weight(xi, spec) ** 2
 
 
-def _slots(xs, k: int, kernel: str):
-    """xs, checked to hold the k slots the kernel takes."""
+# The kernels on slots: each formula below is written once, and the public
+# kernels after them check their slot counts, build their slots and call these.
+
+
+class _Slot:
+    """One slot array xi with its one-slot terms, each computed on first use
+    and kept: flux = m^2(xi) xi, the M3 term, and dissipation = |xi|^(2 alpha),
+    the beta term.  Every pairing that takes a slot shares its terms."""
+
+    def __init__(self, xi, spec: IMultiplierSpec | None, alpha: float | None):
+        self.xi, self.spec, self.alpha = xi, spec, alpha
+
+    @functools.cached_property
+    def flux(self):
+        return _msq(self.xi, self.spec) * self.xi
+
+    @functools.cached_property
+    def dissipation(self):
+        return np.abs(self.xi) ** (2 * self.alpha)
+
+    def __add__(self, other: _Slot) -> _Slot:
+        """The slot of the pair sum xi + other.xi."""
+        return _Slot(self.xi + other.xi, self.spec, self.alpha)
+
+
+def _slots(xs, k: int, kernel: str, spec=None, alpha=None) -> list[_Slot]:
+    """The slots of xs, checked to be the k slots the kernel takes."""
     if len(xs) != k:
         raise ContractViolationError(f"{kernel} takes k = {k} slots, got {len(xs)}")
-    return xs
+    return [_Slot(x, spec, alpha) for x in xs]
+
+
+def _m3(slots):
+    a, b, c = slots
+    return 1j * (a.flux + b.flux + c.flux)
+
+
+def _beta(slots):
+    return sum(s.dissipation for s in slots)
+
+
+def _guarded_quotient(num, den):
+    """-num/den with 0/0 mapped to 0; returns (values, resonant_mask).
+
+    One division at the broadcast shape of num and den; the entries with
+    |den| <= 1e-30 are then set to 0 in place, and only on those is |num|
+    read for the mask."""
+    num, den = np.broadcast_arrays(num, den)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.asarray(-num / den)
+    small = np.abs(den) <= _TINY
+    values[small] = 0.0
+    resonant = np.zeros_like(small)
+    resonant[small] = np.abs(num[small]) > _TINY
+    return values, resonant
+
+
+def _sigma3(slots, eps: float, sign: str = "+"):
+    a, b, c = slots
+    h3 = 3j * np.asarray(a.xi) * np.asarray(b.xi) * np.asarray(c.xi)
+    eps_term = eps * _beta(slots)
+    den = h3 - eps_term if sign == "+" else h3 + eps_term
+    return _guarded_quotient(_m3(slots), den)
+
+
+def _pair_symmetrized(slots, inner, prefactor):
+    """prefactor times the mean over the k(k-1)/2 merged pairs {c, d} of
+    inner((rest..., x_c + x_d)) (x_c + x_d), with rest the other k - 2
+    slots in order; returns (values, resonant) with the resonant masks of
+    every inner call joined.  Each pair-sum slot serves one pairing and is
+    dropped after it."""
+    k = len(slots)
+    total = 0.0
+    resonant = np.zeros(np.broadcast(*(s.xi for s in slots)).shape, dtype=bool)
+    kept_slots = list(itertools.combinations(range(k), k - 2))
+    for kept in kept_slots:
+        c, d = (i for i in range(k) if i not in kept)
+        pair = slots[c] + slots[d]
+        vals, res = inner((*(slots[i] for i in kept), pair))
+        total = total + vals * pair.xi
+        resonant |= res
+    return (prefactor / len(kept_slots)) * total, resonant
+
+
+def _h4(slots):
+    x1, x2, x3, x4 = (s.xi for s in slots)
+    return 3j * (x1 + x2) * (x1 + x3) * (x1 + x4)
+
+
+def _m4(slots, eps: float):
+    return _pair_symmetrized(slots, functools.partial(_sigma3, eps=eps), -1.5j)
+
+
+def _sigma4(slots, eps: float):
+    num, resonant = _m4(slots, eps)
+    den = _h4(slots) - eps * _beta(slots)
+    values, res4 = _guarded_quotient(num, den)
+    return values, resonant | res4
 
 
 def m3_values(xs, spec: IMultiplierSpec) -> np.ndarray:
     """M3 = i sum m^2(xi_j) xi_j on three slots; no denominator, so no mask."""
-    x1, x2, x3 = _slots(xs, 3, "m3_values")
-    return 1j * (_msq(x1, spec) * x1 + _msq(x2, spec) * x2 + _msq(x3, spec) * x3)
-
-
-def _guarded_quotient(num, den):
-    """-num/den with 0/0 mapped to 0; returns (values, resonant_mask)."""
-    small = np.abs(den) <= _TINY
-    values = np.where(small, 0.0, -num / np.where(small, 1.0, den))
-    return values, small & (np.abs(num) > _TINY)
+    return _m3(_slots(xs, 3, "m3_values", spec))
 
 
 def beta_values(xs, alpha: float):
     """beta_{alpha,k} = sum |xi_j|^(2 alpha) over the k slots."""
-    return sum(np.abs(x) ** (2 * alpha) for x in xs)
+    return _beta([_Slot(x, None, alpha) for x in xs])
 
 
 def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+"):
@@ -179,62 +272,68 @@ def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+
     h3 = 3i xi_1 xi_2 xi_3; sign '-' selects sigma3^-, denominator h3 + eps beta_3."""
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
-    x1, x2, x3 = _slots(xs, 3, "sigma3_values")
-    h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
-    eps_term = params.epsilon * beta_values(xs, params.alpha)
-    den = h3 - eps_term if sign == "+" else h3 + eps_term
-    return _guarded_quotient(m3_values(xs, spec), den)
-
-
-def _pair_symmetrized(xs, inner, prefactor):
-    """prefactor times the mean over the k(k-1)/2 merged pairs {c, d} of
-    inner((rest..., x_c + x_d)) (x_c + x_d), with rest the other k - 2
-    slots in order; returns (values, resonant) with the resonant masks of
-    every inner call joined."""
-    k = len(xs)
-    total = 0.0
-    resonant = np.zeros(np.broadcast(*xs).shape, dtype=bool)
-    kept_slots = list(itertools.combinations(range(k), k - 2))
-    for kept in kept_slots:
-        c, d = (i for i in range(k) if i not in kept)
-        pair = xs[c] + xs[d]
-        vals, res = inner((*(xs[i] for i in kept), pair))
-        total = total + vals * pair
-        resonant |= res
-    return (prefactor / len(kept_slots)) * total, resonant
+    slots = _slots(xs, 3, "sigma3_values", spec, params.alpha)
+    return _sigma3(slots, params.epsilon, sign)
 
 
 def m4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M4, resonant) on four slots: the six-pairing symmetrization of sigma3."""
-    xs = _slots(xs, 4, "m4_values")
-    return _pair_symmetrized(xs, lambda ys: sigma3_values(ys, spec, params), -1.5j)
+    slots = _slots(xs, 4, "m4_values", spec, params.alpha)
+    return _m4(slots, params.epsilon)
 
 
 def h4_values(xs) -> np.ndarray:
     """h4 = i sum xi_j^3 on four slots, as 3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4)."""
-    x1, x2, x3, x4 = _slots(xs, 4, "h4_values")
-    return 3j * (x1 + x2) * (x1 + x3) * (x1 + x4)
+    return _h4(_slots(xs, 4, "h4_values"))
 
 
 def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(sigma4, resonant) on four slots, sigma4 = -M4 / (h4 - eps beta_4); the
     mask joins M4's with this quotient's own."""
-    xs = _slots(xs, 4, "sigma4_values")
-    num, resonant = m4_values(xs, spec, params)
-    den = h4_values(xs) - params.epsilon * beta_values(xs, params.alpha)
-    values, res4 = _guarded_quotient(num, den)
-    return values, resonant | res4
+    return _sigma4(_slots(xs, 4, "sigma4_values", spec, params.alpha), params.epsilon)
 
 
 def m5_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M5, resonant) on five slots: the ten-pairing symmetrization of sigma4."""
-    xs = _slots(xs, 5, "m5_values")
-    return _pair_symmetrized(xs, lambda ys: sigma4_values(ys, spec, params), -2j)
+    slots = _slots(xs, 5, "m5_values", spec, params.alpha)
+    inner = functools.partial(_sigma4, eps=params.epsilon)
+    return _pair_symmetrized(slots, inner, -2j)
 
 
 # ---------------------------------------------------------------------------
 # Sampled verification of the M4 pointwise bound
 # ---------------------------------------------------------------------------
+
+
+def _least_magnitude(arrays) -> np.ndarray:
+    """min_j |a_j| elementwise over the arrays, as one running minimum."""
+    arrays = iter(arrays)
+    least = np.abs(next(arrays))
+    for a in arrays:
+        np.minimum(least, np.abs(a), out=least)
+    return least
+
+
+def _annulus_tuples(u: np.ndarray, n1: float, mags: np.ndarray) -> np.ndarray:
+    """The (4, n) tuples of the (3, b) draws u that pass the rejection tests
+    of ``_sample_annulus_tuples``, in draw order; mags holds N_2, N_3, N_4.
+    A function of its own, so the block's temporaries are freed before the
+    sampler yields the tuples for evaluation."""
+    # sign(u) (1 + |u|) N_i, formed in place
+    x234 = np.abs(u)
+    x234 += 1.0
+    np.copysign(x234, u, out=x234)
+    x234 *= mags
+    x1 = -np.sum(x234, axis=0)
+    abs1 = np.abs(x1)
+    in_annulus = (abs1 >= n1) & (abs1 <= 2 * n1)
+    xs = np.empty((4, np.count_nonzero(in_annulus)))
+    np.compress(in_annulus, x1, out=xs[0])
+    np.compress(in_annulus, x234, axis=1, out=xs[1:])
+    floor = 1e-9 * np.max(np.abs(xs), axis=0)
+    pair_sums = (xs[i] + xs[j] for i, j in itertools.combinations(range(4), 2))
+    ok = _least_magnitude(itertools.chain(xs, pair_sums)) > floor
+    return np.compress(ok, xs, axis=1)
 
 
 def _sample_annulus_tuples(
@@ -264,14 +363,7 @@ def _sample_annulus_tuples(
         draws = rng.uniform(-1.0, 1.0, size=(3, batch))
         for start in range(0, batch, M4_BLOCK):
             u = draws[:, start : start + M4_BLOCK]
-            x234 = np.copysign(1.0 + np.abs(u), u) * mags
-            x1 = -np.sum(x234, axis=0)
-            in_annulus = (np.abs(x1) >= n1) & (np.abs(x1) <= 2 * n1)
-            xs = np.compress(in_annulus, np.vstack([x1, x234]), axis=1)
-            floor = 1e-9 * np.max(np.abs(xs), axis=0)
-            sums = [*xs, *(xs[i] + xs[j] for i, j in itertools.combinations(range(4), 2))]
-            ok = np.logical_and.reduce([np.abs(v) > floor for v in sums])
-            kept = np.compress(ok, xs, axis=1)[:, :needed]  # rows stay contiguous
+            kept = _annulus_tuples(u, n1, mags)[:, :needed]  # rows stay contiguous
             needed -= kept.shape[1]
             if kept.size:
                 yield kept
@@ -307,10 +399,13 @@ def m4_bound_sample(
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 sigma4, resonant = sigma4_values(xs, spec, params)
                 sums = (xs[0] + xs[1], xs[0] + xs[2], xs[0] + xs[3])
-                envelope = _msq(np.minimum.reduce([np.abs(x) for x in (*xs, *sums)]), spec)
+                envelope = _msq(_least_magnitude([*xs, *sums]), spec)
                 for x in xs:
-                    envelope = envelope / (spec.cutoff_n + np.abs(x))
-                block_maxima.append(np.max(np.where(resonant, 0.0, np.abs(sigma4) / envelope)))
+                    envelope /= spec.cutoff_n + np.abs(x)
+                ratio = np.abs(sigma4)
+                ratio /= envelope
+                ratio[resonant] = 0.0
+                block_maxima.append(np.max(ratio))
         max_ratios.append(float(np.max(block_maxima)))
     ladder, ratios = list(dyadic_config.n1_ladder), list(dyadic_config.ratios)
     return {
@@ -440,7 +535,7 @@ def _m3_flux(coeffs: np.ndarray, grid, spec: IMultiplierSpec) -> np.ndarray:
     c = np.fft.fftshift(coeffs, axes=-1)
     # zero-padded to 2M, the autoconvolution is linear; its entry n is wavenumber n - M
     auto = np.fft.ifft(np.fft.fft(c, 2 * grid.modes) ** 2)
-    g = _msq(xi, spec) * xi
+    g = _Slot(xi, spec, None).flux
     return 3j * grid.box_length ** (-0.5) * np.sum(g * c * auto[..., grid.modes - kint], axis=-1)
 
 

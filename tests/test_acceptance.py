@@ -9,11 +9,15 @@ instead.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kdvb
 from kdvb.cli import parse_config, run
 from kdvb.evolve import SolverConfig, solve, solve_ladder
 from kdvb.experiments import (
@@ -238,8 +242,30 @@ class TestCriterion10Rearrangement:
         report(10, "rearrangement inequality", f"{checked} tuples, zero violations;")
 
 
+def _artifacts(out: Path) -> dict:
+    """The bytes of every artifact in out but the timing.json sidecar."""
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.json"}
+
+
+def _cli_process(config_text: str, cwd: Path) -> subprocess.Popen:
+    """``python -m kdvb.cli`` on config_text in a fresh interpreter, started in
+    cwd on the kdvb package these tests import; a RuntimeWarning is an error."""
+    (cwd / "config.json").write_text(config_text)
+    src = str(Path(kdvb.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "kdvb.cli"]
+    return subprocess.Popen(
+        [*command, "--config", "config.json"],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
 class TestCriterion11Determinism:
     CONFIGS = sorted(CONFIG_DIR.glob("criterion0*.json"))
+    # their second run is a fresh interpreter running alongside the first: the
+    # subprocess costs about 0.3 s to start, which pays only on the longest runs
+    FRESH_INTERPRETER = ("criterion01", "criterion02")
 
     def test_configs_exist(self):
         assert len(self.CONFIGS) == 8
@@ -247,24 +273,37 @@ class TestCriterion11Determinism:
     @pytest.mark.parametrize(
         "config_path", CONFIGS, ids=lambda p: p.stem if hasattr(p, "stem") else str(p)
     )
-    def test_cli_reruns_byte_identical(self, config_path, tmp_path):
+    def test_cli_reruns_byte_identical(self, config_path, tmp_path, monkeypatch):
+        # the relative out "out" lets runs in two working directories echo the
+        # same config; an in-process rerun overwrites the first run's artifacts
         doc = json.loads(config_path.read_text())
-        doc["out"] = str(tmp_path / "out")
-        cfg = parse_config(json.dumps(doc))
-        assert run(cfg) == 0
-        first = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "out").iterdir()
-            if p.name != "timing.json"
-        }
-        assert run(cfg) == 0
-        second = {
-            p.name: p.read_bytes()
-            for p in (tmp_path / "out").iterdir()
-            if p.name != "timing.json"
-        }
+        doc["out"] = "out"
+        text = json.dumps(doc)
+        first_cwd, child_cwd = tmp_path / "first", tmp_path / "second"
+        first_cwd.mkdir()
+        child = None
+        if config_path.stem in self.FRESH_INTERPRETER:
+            child_cwd.mkdir()
+            child = _cli_process(text, child_cwd)
+        try:
+            cfg = parse_config(text)
+            monkeypatch.chdir(first_cwd)
+            assert run(cfg) == 0
+            first = _artifacts(first_cwd / "out")
+            if child is None:
+                assert run(cfg) == 0
+                second = _artifacts(first_cwd / "out")
+            else:
+                _, err = child.communicate(timeout=600)
+                assert child.returncode == 0, err
+                second = _artifacts(child_cwd / "out")
+        finally:
+            if child is not None and child.poll() is None:
+                child.kill()
+                child.communicate()
         assert first == second
-        report(11, f"determinism ({config_path.stem})", "byte-identical re-run;")
+        rerun = "in-process" if child is None else "fresh-interpreter"
+        report(11, f"determinism ({config_path.stem})", f"byte-identical {rerun} re-run;")
 
     def test_api_level_determinism_for_non_cli_criteria(self):
         spec = IMultiplierSpec(cutoff_n=8.0, s_exp=-0.74)

@@ -369,6 +369,11 @@ class TestM4BoundSampler:
         with pytest.raises(ParameterError, match="n1_ladder"):
             DyadicConfig(n1_ladder=(16.0, top))
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
+    def test_seed_outside_the_cli_range_rejected(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            DyadicConfig(n1_ladder=(16.0, 32.0), seed=seed)
+
     def test_unrealizable_config_rejected(self):
         with pytest.raises(ParameterError, match="unrealizable"):
             DyadicConfig(n1_ladder=(16.0, 32.0), ratios=(0.3, 0.1, 0.05))
@@ -414,6 +419,198 @@ class TestM4BoundSampler:
         whole = m4_bound_sample(*args)
         monkeypatch.setattr(imethod, "MAX_DRAWS_PER_SAMPLE", 4)
         assert m4_bound_sample(*args) == whole
+
+
+# Pre-rewrite oracles: the kernels as they were before each slot's terms were
+# shared across the pairings, the quotient zeroed in place and the rejection
+# taken as one running minimum.  Every rewritten path must reproduce them bit for
+# bit; the rtol tests above check the mathematics, these check the refactoring.
+
+
+def oracle_quotient(num, den):
+    small = np.abs(den) <= 1e-30
+    values = np.where(small, 0.0, -num / np.where(small, 1.0, den))
+    return values, small & (np.abs(num) > 1e-30)
+
+
+def oracle_m3(xs, spec):
+    x1, x2, x3 = xs
+    msq = [m_weight(x, spec) ** 2 for x in xs]
+    return 1j * (msq[0] * x1 + msq[1] * x2 + msq[2] * x3)
+
+
+def oracle_beta(xs, alpha):
+    return sum(np.abs(x) ** (2 * alpha) for x in xs)
+
+
+def oracle_sigma3(xs, spec, params, sign="+"):
+    x1, x2, x3 = xs
+    h3 = 3j * np.asarray(x1) * np.asarray(x2) * np.asarray(x3)
+    eps_term = params.epsilon * oracle_beta(xs, params.alpha)
+    den = h3 - eps_term if sign == "+" else h3 + eps_term
+    return oracle_quotient(oracle_m3(xs, spec), den)
+
+
+def oracle_pair_symmetrized(xs, inner, prefactor):
+    # each pairing recomputes the terms of all three of its slots
+    k = len(xs)
+    total = 0.0
+    resonant = np.zeros(np.broadcast(*xs).shape, dtype=bool)
+    kept_slots = list(itertools.combinations(range(k), k - 2))
+    for kept in kept_slots:
+        c, d = (i for i in range(k) if i not in kept)
+        pair = xs[c] + xs[d]
+        vals, res = inner((*(xs[i] for i in kept), pair))
+        total = total + vals * pair
+        resonant |= res
+    return (prefactor / len(kept_slots)) * total, resonant
+
+
+def oracle_m4(xs, spec, params):
+    return oracle_pair_symmetrized(xs, lambda ys: oracle_sigma3(ys, spec, params), -1.5j)
+
+
+def oracle_sigma4(xs, spec, params):
+    x1, x2, x3, x4 = xs
+    num, resonant = oracle_m4(xs, spec, params)
+    den = 3j * (x1 + x2) * (x1 + x3) * (x1 + x4) - params.epsilon * oracle_beta(
+        xs, params.alpha
+    )
+    values, res4 = oracle_quotient(num, den)
+    return values, resonant | res4
+
+
+def oracle_m5(xs, spec, params):
+    return oracle_pair_symmetrized(xs, lambda ys: oracle_sigma4(ys, spec, params), -2j)
+
+
+def oracle_annulus_tuples(rng, n1, ratios, count, block):
+    """The sampler's blocks, compressed after a vstack of every draw and filtered
+    by ten comparisons joined with logical_and.reduce."""
+    mags = np.array([n1 * r for r in ratios])[:, None]
+    needed = count
+    while needed > 0:
+        batch = max(4 * needed, 1024)
+        draws = rng.uniform(-1.0, 1.0, size=(3, batch))
+        for start in range(0, batch, block):
+            u = draws[:, start : start + block]
+            x234 = np.copysign(1.0 + np.abs(u), u) * mags
+            x1 = -np.sum(x234, axis=0)
+            in_annulus = (np.abs(x1) >= n1) & (np.abs(x1) <= 2 * n1)
+            xs = np.compress(in_annulus, np.vstack([x1, x234]), axis=1)
+            floor = 1e-9 * np.max(np.abs(xs), axis=0)
+            sums = [*xs, *(xs[i] + xs[j] for i, j in itertools.combinations(range(4), 2))]
+            ok = np.logical_and.reduce([np.abs(v) > floor for v in sums])
+            kept = np.compress(ok, xs, axis=1)[:, :needed]
+            needed -= kept.shape[1]
+            if kept.size:
+                yield kept
+            if needed == 0:
+                break
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes: a signed zero or a NaN payload counts."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def lattice_axes(k, half=5, dxi=0.75):
+    """lambda_k-style slots: k - 1 free frequency ranges on their own broadcast
+    axes and the dependent last slot."""
+    axes = [
+        np.reshape(np.arange(-half, half) * dxi, [-1 if j == i else 1 for j in range(k - 1)])
+        for i in range(k - 1)
+    ]
+    return (*axes, -sum(axes))
+
+
+class TestBitForBitOracles:
+    PARAMS = [(0.0, 0.5), (1e-3, 1.0), (0.5, 0.3), (1.0, 1.0)]
+
+    def kernels(self, eps, alpha):
+        p = ModelParams(eps, alpha)
+        return {
+            3: [
+                (lambda xs: (m3_values(xs, SPEC),), lambda xs: (oracle_m3(xs, SPEC),)),
+                (lambda xs: sigma3_values(xs, SPEC, p), lambda xs: oracle_sigma3(xs, SPEC, p)),
+                (
+                    lambda xs: sigma3_values(xs, SPEC, p, sign="-"),
+                    lambda xs: oracle_sigma3(xs, SPEC, p, sign="-"),
+                ),
+                (lambda xs: (beta_values(xs, alpha),), lambda xs: (oracle_beta(xs, alpha),)),
+            ],
+            4: [
+                (lambda xs: m4_values(xs, SPEC, p), lambda xs: oracle_m4(xs, SPEC, p)),
+                (lambda xs: sigma4_values(xs, SPEC, p), lambda xs: oracle_sigma4(xs, SPEC, p)),
+            ],
+            5: [(lambda xs: m5_values(xs, SPEC, p), lambda xs: oracle_m5(xs, SPEC, p))],
+        }
+
+    def check(self, eps, alpha, k, xs):
+        for kernel, oracle in self.kernels(eps, alpha)[k]:
+            for got, want in zip(kernel(xs), oracle(xs), strict=True):
+                assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("eps,alpha", PARAMS)
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_random_tuples(self, eps, alpha, k):
+        rng = np.random.default_rng(100 + k)
+        self.check(eps, alpha, k, random_tuples(rng, k, 64, scale=12.0))
+
+    @pytest.mark.parametrize("eps,alpha", PARAMS)
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_broadcast_slot_axes(self, eps, alpha, k):
+        self.check(eps, alpha, k, lattice_axes(k, half=5 if k < 5 else 3))
+
+    @pytest.mark.parametrize("k,xs", [
+        (3, slots(0.0, 2.0, -2.0)),  # 0/0
+        (3, slots(1e-12, 2e-12, -3e-12)),  # x/0
+        (4, slots(3.0, -3.0, 2.0, -2.0)),  # 0/0 in every pairing
+        (4, slots(1e-12, 2e-12, -0.5e-12, -2.5e-12)),  # x/0
+        (5, slots(3.0, -3.0, 2.0, -2.0, 0.0)),
+    ])
+    def test_resonant_tuples_without_dissipation(self, k, xs):
+        self.check(0.0, 1.0, k, xs)
+
+    def test_resonant_tuples_set_the_mask(self):
+        # the x/0 tuple above must exercise the mask, or the check is vacuous
+        p0 = ModelParams(0.0, 1.0)
+        _, resonant = sigma4_values(slots(1e-12, 2e-12, -0.5e-12, -2.5e-12), SPEC, p0)
+        assert resonant.all()
+
+    @pytest.mark.parametrize("block", [None, 3_000])
+    def test_sampler_blocks_on_criterion_08_annuli(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(imethod, "M4_BLOCK", block)
+        ladder, ratios = tuple(float(2**j) for j in range(4, 11)), (1.0, 0.75, 0.5)
+        new, old = np.random.default_rng(42), np.random.default_rng(42)
+        for n1 in ladder:
+            got = list(imethod._sample_annulus_tuples(new, n1, ratios, 10_000))
+            want = list(oracle_annulus_tuples(old, n1, ratios, 10_000, imethod.M4_BLOCK))
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
+
+    def test_sampler_blocks_with_stub_draws(self):
+        # the stub's first draw of each batch lands on a vanishing pair sum
+        def stub(seed):
+            rng = np.random.default_rng(seed)
+
+            class Stub:
+                def uniform(self, low, high, size):
+                    draws = rng.uniform(low, high, size)
+                    draws[:, 0] = (0.5, -0.5, 0.25)
+                    return draws
+
+            return Stub()
+
+        got = list(imethod._sample_annulus_tuples(stub(3), 1.0, (1.0, 1.0, 1.0), 200))
+        want = list(oracle_annulus_tuples(stub(3), 1.0, (1.0, 1.0, 1.0), 200, imethod.M4_BLOCK))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
 
 
 class TestLambdaK:

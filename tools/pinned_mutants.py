@@ -44,10 +44,28 @@ MUTANTS = [
     ),
     (
         "imethod.py",
-        "*(xs[i] + xs[j] for i, j in",
-        "*(xs[i] - xs[j] for i, j in",
+        "pair_sums = (xs[i] + xs[j] for",
+        "pair_sums = (xs[i] - xs[j] for",
         "tests/test_imethod.py::TestM4BoundSampler::"
         "test_draws_on_a_vanishing_pair_sum_are_dropped",
+    ),
+    (
+        "imethod.py",
+        "values[small] = 0.0",
+        "values[small] = 1.0",
+        "tests/test_imethod.py::TestSigma4::test_vanishing_denominator_sets_the_mask",
+    ),
+    (
+        "imethod.py",
+        "c, d = (i for i in range(k) if i not in kept)",
+        "c, d = (i for i in range(k) if i in kept)",
+        "tests/test_imethod.py::TestBitForBitOracles::test_random_tuples",
+    ),
+    (
+        "imethod.py",
+        "return sum(s.dissipation for s in slots)",
+        "return sum(s.dissipation for s in slots[::-1])",
+        "tests/test_imethod.py::TestBitForBitOracles::test_random_tuples",
     ),
     (
         "experiments.py",
