@@ -12,7 +12,9 @@ builds the model, the grid and, for a subcommand that steps, the one
 SolverConfig the run steps with; it then applies the --seed and --out
 overrides, and only then checks initial_data and the block against the
 final top-level values, so a power-law seed left to default follows
---seed.
+--seed.  Those checks are of keys and kinds: whether an initial_data or
+block value is in range is decided by the API call that takes it, which
+raises a ParameterError when the run starts, before any solve or draw.
 
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
@@ -51,12 +53,12 @@ from .errors import (
 )
 from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
 from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
-from .imethod import MAX_SAMPLES, RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
+from .imethod import RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import _relative_residual, build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
 from .reports import canonical_json, format_csv
 from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
-from .spectral import MAX_MODES, GridSpec, RealField
+from .spectral import GridSpec, RealField, is_seed
 
 # Schema tables map each key to (value kind, default).  A default is a
 # value, REQUIRED, or a function of the top-level values computing one.
@@ -131,7 +133,7 @@ def _coerce(value, name: str, kind):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     # an int is taken exactly: a float cannot hold every seed below 2**64
     number = int(value) if isinstance(value, int) else int(number)
-    if kind == _SEED and not 0 <= number < 2**64:
+    if kind == _SEED and not is_seed(number):
         raise ConfigError(f"{name} must lie in [0, 2**64), got {value!r}")
     return number
 
@@ -224,18 +226,6 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
     schema = {"kind": (str, REQUIRED), **_INITIAL_DATA[kind][1]}
     data = _checked(initial_data, schema, "initial_data", top)
     block = _checked(given_block, _COMMANDS[sub][1], sub, top)
-    if block.get("n_samples", 0) > MAX_SAMPLES:
-        raise ConfigError(
-            f"{sub}.n_samples = {block['n_samples']} exceeds MAX_SAMPLES = {MAX_SAMPLES}"
-        )
-    # the rescaled grid has modes * 2**lambda_exp modes; the exponent is
-    # bounded by integer arithmetic, since 2**lambda_exp may be vast
-    max_exp = (MAX_MODES // grid.modes).bit_length() - 1
-    if block.get("lambda_exp", 0) > max_exp:
-        raise ConfigError(
-            f"{sub}.lambda_exp = {block['lambda_exp']} exceeds {max_exp}: the rescaled grid's "
-            f"modes * 2**lambda_exp must stay within MAX_MODES = {MAX_MODES}"
-        )
     echo = {
         **top,
         "out": str(out_path),
@@ -421,7 +411,7 @@ def run(cfg: RunConfig) -> int:
     try:
         cfg.out_path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _fail(ConfigError(f"cannot make out directory {str(cfg.out_path)!r}: {exc}"), 2)
+        return _fail(ConfigError(f"cannot make out directory {str(cfg.out_path)!r}: {exc}"))
     artifacts: dict[str, bytes] = {}
     started = time.monotonic()
     runner = _COMMANDS[cfg.subcommand][0]
@@ -432,8 +422,7 @@ def run(cfg: RunConfig) -> int:
         # artifact is written
         artifacts["result.json"] = (canonical_json(result) + "\n").encode()
     except tuple(_EXIT_CODES) as exc:
-        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
-        return _fail(exc, code, cfg.out_path)
+        return _fail(exc, cfg.out_path)
 
     config_comment = ("# config: " + canonical_json(cfg.echo).replace("\n", " ") + "\n").encode()
     for name in list(artifacts):
@@ -460,13 +449,15 @@ def run(cfg: RunConfig) -> int:
         path = cfg.out_path / "manifest.json"
         path.write_bytes((canonical_json(manifest) + "\n").encode())
     except OSError as exc:
-        return _fail(ConfigError(f"cannot write artifact {str(path)!r}: {exc}"), 2, cfg.out_path)
+        return _fail(ConfigError(f"cannot write artifact {str(path)!r}: {exc}"), cfg.out_path)
     return 0
 
 
-def _fail(exc: Exception, code: int, out_path: Path | None = None) -> int:
-    """Print the error record to stderr, and to out_path/error.json when
-    an output directory is known; return the exit code."""
+def _fail(exc: Exception, out_path: Path | None = None) -> int:
+    """Print the error record of exc, one of the classes in _EXIT_CODES,
+    to stderr, and to out_path/error.json when an output directory is
+    known; return its exit code."""
+    code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     if out_path is not None:
         try:
@@ -502,12 +493,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
-        return _fail(ConfigError(str(exc)), 2, out)
+        return _fail(ConfigError(str(exc)), out)
     try:
         cfg = parse_config(text, seed=args.seed, out=out)
     except ConfigError as exc:
         # a document rejected before its out was validated may still name one
-        return _fail(exc, 2, out if out is not None else _named_out(text))
+        return _fail(exc, out if out is not None else _named_out(text))
     return run(cfg)
 
 

@@ -435,13 +435,17 @@ def _march(
     under one stepper cached per tuple of due rows, and all runs end on the
     last tick.  A row that turns non-finite on its step i records the error
     of step i - 1 and steps on; run 0's is raised at once, any other after
-    the last tick.  Returns per config the snapshot times, the last exactly
-    t_final, and the (snapshots, M) matrix of the stored states in FFT order.
+    the last tick.  Initial data whose dealiased coefficients are not all
+    finite is a ParameterError, raised before the first tick.  Returns per
+    config the snapshot times, the last exactly t_final, and the
+    (snapshots, M) matrix of the stored states in FFT order.
     """
     grid = cfgs[0].grid
     if phi.grid != grid:
         raise ContractViolationError("initial data grid does not match solver grid")
     c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
+    if not np.all(np.isfinite(c)):
+        raise ParameterError("initial data has non-finite dealiased coefficients")
 
     dt0 = min(cfg.dt for cfg in cfgs)
     ratios = [round(cfg.dt / dt0) for cfg in cfgs]
@@ -513,7 +517,8 @@ def solve(
     The initial data is dealiased before stepping; the state is then
     stepped as an rfft half-spectrum, and every stored state after t = 0
     is dealiased and exactly Hermitian-symmetric.  A non-finite state
-    aborts with a DivergenceError naming the step.
+    aborts with a DivergenceError naming the step; non-finite initial data
+    is a ParameterError, raised before any step.
     """
     ((times, coeffs),) = _march(phi, [cfg], nonlinearity)
     return Trajectory(times, coeffs, cfg)

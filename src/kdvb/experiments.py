@@ -37,10 +37,13 @@ from .norms import cumulative_trapezoid, spectral_energies
 from .propagator import ModelParams
 from .reports import fit_power_law, strictly_monotone
 from .spectral import (
+    MAX_MODES,
     GridSpec,
     RealField,
     dissipation_symbol,
     forward_transform,
+    is_integer,
+    is_seed,
     resize_band,
     sobolev_weight,
     synthesize,
@@ -105,10 +108,12 @@ def power_law_initial_data(
 
     decay_exponent = -1.51 puts the data just inside H^1.  The zero mode
     is left empty and the dealiased band is filled; the draw is fixed by
-    the seed.
+    the seed, an integer in [0, 2**64).
     """
     if l2_norm < 0:
         raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
+    if not is_seed(seed):
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.default_rng(seed)
     half = grid.modes // 2
     profile = sobolev_weight(grid, decay_exponent / 2.0)
@@ -126,8 +131,11 @@ def power_law_initial_data(
 
 
 def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -> RealField:
-    """amplitude * sin(2 pi wavenumber_index x / L), for an index inside the
-    dealiased band, since the solver zeroes every mode outside it."""
+    """amplitude * sin(2 pi wavenumber_index x / L), for an integer index
+    (so the field is periodic) inside the dealiased band, since the solver
+    zeroes every mode outside it."""
+    if not is_integer(wavenumber_index):
+        raise ParameterError(f"wavenumber_index must be an integer, got {wavenumber_index!r}")
     cutoff = grid.dealias_fraction * grid.modes / 2.0
     if not abs(wavenumber_index) < cutoff:
         raise ParameterError(
@@ -233,13 +241,21 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
     dealiased at lam times the base fraction, which keeps the same
     indices |m| < dealias_fraction M / 2 (exactly, lam being a power of
     2), so both runs carry the same modes and differ only by roundoff.
-    Data whose base solve ends at norm 0 is a ParameterError.
+
+    A lambda_exp that is not an integer (a bool is not one) with
+    modes * 2**lambda_exp <= MAX_MODES is a ParameterError raised before
+    the base solve, and so is data whose base solve ends at norm 0.
     """
-    if lambda_exp < 0 or int(lambda_exp) != lambda_exp:
-        raise ParameterError(f"lambda_exp must be a nonnegative integer, got {lambda_exp}")
-    lam = 2.0**-lambda_exp
     grid, params = cfg.grid, cfg.params
-    factor = int(round(1.0 / lam))
+    # in integers, since 2**lambda_exp may be vast
+    max_exp = (MAX_MODES // grid.modes).bit_length() - 1
+    if not (is_integer(lambda_exp) and 0 <= lambda_exp <= max_exp):
+        raise ParameterError(
+            f"lambda_exp must be an integer in [0, {max_exp}], so that the rescaled grid's "
+            f"modes * 2**lambda_exp stays within MAX_MODES = {MAX_MODES}, got {lambda_exp!r}"
+        )
+    factor = 2**lambda_exp
+    lam = 1.0 / factor
 
     base = solve(phi, replace(cfg, snapshot_stride=10**9))
     target = base.coeffs[-1]

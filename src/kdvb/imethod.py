@@ -71,7 +71,7 @@ from .evolve import Trajectory
 from .norms import spectral_energies
 from .propagator import ModelParams
 from .reports import fit_power_law
-from .spectral import SpectralField, dissipation_symbol, is_integer
+from .spectral import SpectralField, dissipation_symbol, is_seed
 
 _TINY = 1e-30
 
@@ -138,7 +138,7 @@ class DyadicConfig:
             raise ParameterError(
                 f"ratio sum <= 1/2 makes the zero-sum constraint unrealizable, got {self.ratios}"
             )
-        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
+        if not is_seed(self.seed):
             raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 

@@ -128,7 +128,6 @@ def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
         n -= 1
         if n < 16:
             raise ResolutionError(f"only {n} uniform snapshots in window; need 16")
-        times = times[:n]
 
     xi = traj.grid.wavenumbers()
     band_mask = dyadic_band_indices(xi) == k

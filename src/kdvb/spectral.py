@@ -43,6 +43,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_seed(value) -> bool:
+    """True for an integer (as ``is_integer``) in [0, 2**64), the seeds a
+    run takes."""
+    return is_integer(value) and 0 <= value < 2**64
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Periodic spatial box and its discrete wavenumber lattice; grids

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvb import cli, evolve, experiments
+from kdvb import cli, evolve, experiments, imethod
 from kdvb.cli import build_initial_data, main, parse_config, run
 from kdvb.errors import (
     ConfigError,
@@ -1020,7 +1020,15 @@ class TestMain:
         assert payload["error"] == "ConfigError"
         assert "MAX_STEPS" in payload["message"]
 
-    def test_sample_count_above_cap_is_config_error(self, tmp_path, capsys):
+    @pytest.fixture
+    def no_solve_or_draw(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a solve or a draw ran")
+
+        monkeypatch.setattr(experiments, "solve", no_work)
+        monkeypatch.setattr(imethod, "_sample_annulus_tuples", no_work)
+
+    def test_sample_count_above_cap_is_parameter_error(self, tmp_path, capsys, no_solve_or_draw):
         cfg_path = tmp_path / "cfg.json"
         block = {"n1_ladder": [8.0, 16.0], "n_samples": 1e15}
         doc = solve_doc(tmp_path / "out", subcommand="imethod-bounds", **{"imethod-bounds": block})
@@ -1028,7 +1036,8 @@ class TestMain:
         assert main(["--config", str(cfg_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert payload["error"] == "ConfigError"
+        assert payload["error"] == "ParameterError"
+        assert "n_samples" in payload["message"]
         assert "MAX_SAMPLES" in payload["message"]
         block["n_samples"] = MAX_SAMPLES
         assert parse_config(json.dumps(doc)).block["n_samples"] == MAX_SAMPLES
@@ -1036,7 +1045,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "lambda_exp", [15, 60, 10000, 10**300], ids=["15", "60", "10000", "1e300"]
     )
-    def test_lambda_exp_past_max_modes_is_config_error(self, tmp_path, capsys, lambda_exp):
+    def test_lambda_exp_past_max_modes_is_parameter_error(
+        self, tmp_path, capsys, no_solve_or_draw, lambda_exp
+    ):
         # 64 * 2**14 = MAX_MODES; 2**10000 makes lam = 2**-lambda_exp zero
         doc = solve_doc(tmp_path / "out", subcommand="scaling", scaling={"lambda_exp": 14})
         assert parse_config(json.dumps(doc)).block["lambda_exp"] == 14
@@ -1046,7 +1057,7 @@ class TestMain:
         assert main(["--config", str(cfg_path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
-        assert payload["error"] == "ConfigError"
+        assert payload["error"] == "ParameterError"
         assert "lambda_exp" in payload["message"]
         assert "MAX_MODES" in payload["message"]
 
@@ -1089,6 +1100,22 @@ class TestMain:
         assert json.loads((tmp_path / "out" / "error.json").read_text()) == payload
         # the manifest is written last, so only a complete run has one
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_unwritable_error_record_still_reaches_stderr(self, tmp_path, capsys):
+        # a directory where error.json goes: the failed run's record and
+        # exit code are still printed, and nothing is raised
+        (tmp_path / "out" / "error.json").mkdir(parents=True)
+        cfg_path = tmp_path / "cfg.json"
+        block = {"s_list": [], "n_ladder": LADDER}
+        doc = solve_doc(tmp_path / "out", subcommand="sharpness", sharpness=block)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterError"
+        assert payload["exit_code"] == 2
+        assert (tmp_path / "out" / "error.json").is_dir()
 
     def test_failed_artifact_write_leaves_no_manifest(self, tmp_path, capsys):
         (tmp_path / "out" / "result.json").mkdir(parents=True)

@@ -129,6 +129,12 @@ class TestRoughData:
         with pytest.raises(ParameterError, match="no nonzero mode"):
             power_law_initial_data(grid, decay_exponent, l2_norm=0.5, seed=7)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
+    def test_seed_outside_the_cli_range_rejected(self, seed):
+        grid = GridSpec(box_length=16.0, modes=64)
+        with pytest.raises(ParameterError, match="seed"):
+            power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=seed)
+
 
 class TestSineData:
     @pytest.mark.parametrize("index", [1, 21, -21])
@@ -150,6 +156,12 @@ class TestSineData:
         sine_initial_data(grid, 0.5, 31)
         with pytest.raises(ParameterError, match="wavenumber_index"):
             sine_initial_data(grid, 0.5, 32)
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, True])
+    def test_non_integer_index_is_rejected(self, index):
+        # at 1.5 the field would not be periodic: values[0] is 0, values[-1] is not
+        with pytest.raises(ParameterError, match="wavenumber_index must be an integer"):
+            sine_initial_data(GridSpec(box_length=16.0, modes=64), 0.5, index)
 
 
 class TestRateFit:
@@ -173,6 +185,10 @@ class TestRateFit:
         ladder = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         fit = fit_power_law(ladder, 3.0 * ladder**0.5)
         assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+class Solved(Exception):
+    """Raised by a stubbed solve, to show that a driver reached it."""
 
 
 def small_grid_phi():
@@ -208,6 +224,29 @@ class TestInviscidSweep:
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-2, 1e-1), s=0.0)
         with pytest.raises(ParameterError, match="\\(0, 1\\]"):
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (2.0, 0.1), s=0.0)
+        with pytest.raises(ParameterError, match="s <= 0"):
+            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-1, 1e-2), s=0.5)
+
+    def test_schedule_mismatch_is_rejected(self):
+        phi = small_grid_phi()
+        a = solve(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3))
+        b = solve(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3, snapshot_stride=2))
+        with pytest.raises(ParameterError, match="snapshot schedule"):
+            experiments._sup_distance(a, b, 0.0)
+
+    def test_non_finite_data_is_a_parameter_error_not_a_divergence(self, monkeypatch):
+        # every row of the batch is refused before its first step, the
+        # ratio-2 floor run included
+        def no_step(self, h):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(evolve._Stepper, "__call__", no_step)
+        grid = GridSpec(box_length=16.0, modes=64)
+        phi = gaussian_initial_data(grid, 2.0, np.nan)
+        with pytest.raises(ParameterError, match="non-finite"):
+            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3), (1e-1, 1e-2), s=0.0)
+        with pytest.raises(ParameterError, match="non-finite"):
+            solve(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3))
 
 
 class TestScalingCheck:
@@ -216,6 +255,32 @@ class TestScalingCheck:
         phi = gaussian_initial_data(grid, width=1.5, l2_norm=0.5)
         cfg = SolverConfig(ModelParams(0.3, 0.9), grid, dt=5e-3, t_final=0.1)
         assert scaling_check(phi, cfg, 0) == 0.0
+
+    @pytest.mark.parametrize(
+        "lambda_exp,error",
+        [
+            (-1, ParameterError),
+            (1.5, ParameterError),
+            (2.0, ParameterError),
+            (True, ParameterError),
+            (2000, ParameterError),
+            (10**300, ParameterError),
+            (14, Solved),
+            (15, ParameterError),
+        ],
+        ids=["-1", "1.5", "2.0", "True", "2000", "1e300", "cap", "cap+1"],
+    )
+    def test_lambda_rule_is_checked_before_the_base_solve(self, monkeypatch, lambda_exp, error):
+        # at 64 modes the cap is 14: 64 * 2**14 = MAX_MODES
+        def solved(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(experiments, "solve", solved)
+        grid = GridSpec(box_length=16.0, modes=64)
+        phi = gaussian_initial_data(grid, width=1.5, l2_norm=0.5)
+        cfg = SolverConfig(ModelParams(0.3, 0.9), grid, dt=5e-3, t_final=0.1)
+        with pytest.raises(error, match="lambda_exp" if error is ParameterError else None):
+            scaling_check(phi, cfg, lambda_exp)
 
     def test_dispersive_scaling_invariance(self):
         grid = GridSpec(box_length=32.0, modes=192)

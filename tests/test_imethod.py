@@ -699,6 +699,12 @@ class TestLambdaK:
         with pytest.raises(ContractViolationError, match="at most"):
             lambda_k(lambda *xs: xs[0], [big, big, big, big])
 
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_field_count_outside_2_to_5_rejected(self, count):
+        u = self.make_field(GridSpec(box_length=11.0, modes=8))
+        with pytest.raises(ContractViolationError, match="k = 2..5"):
+            lambda_k(lambda *xs: xs[0], [u] * count)
+
 
 class TestModifiedEnergy:
     def test_cutoff_above_nyquist_reduces_to_l2(self):
@@ -718,6 +724,12 @@ class TestModifiedEnergy:
         z = SpectralField(np.zeros(32, complex), grid)
         for order in (2, 3, 4):
             assert modified_energy(order, z, SPEC, PARAMS) == 0.0
+
+    @pytest.mark.parametrize("order", [1, 5])
+    def test_order_outside_2_to_4_rejected(self, order):
+        z = SpectralField(np.zeros(32, complex), GridSpec(box_length=11.0, modes=32))
+        with pytest.raises(ParameterError, match="order must be 2, 3, or 4"):
+            modified_energy(order, z, SPEC, PARAMS)
 
     def test_cubic_correction_controlled_by_smoothed_l2(self):
         # |E3 - E2| <= C ||I u||^3 with one C across amplitudes

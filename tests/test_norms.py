@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdvb import norms
-from kdvb.errors import ResolutionError
+from kdvb.errors import ContractViolationError, ResolutionError
 from kdvb.evolve import SolverConfig, Trajectory, solve, zero_nonlinearity
 from kdvb.norms import (
     build_energy_ledger,
@@ -160,6 +160,44 @@ class TestXkNorm:
         traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
         with pytest.raises(ResolutionError, match="snapshots"):
             xk_norm(traj, 1, window=0.3)
+
+    def test_negative_band_rejected(self):
+        grid = GridSpec(box_length=16.0, modes=64)
+        traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
+        with pytest.raises(ContractViolationError, match="band index"):
+            xk_norm_bands(traj, -1, window=1.0)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, 1.56])
+    def test_window_outside_the_run_rejected(self, window):
+        # the run ends at t_final = 31 * 0.05 = 1.55
+        grid = GridSpec(box_length=16.0, modes=64)
+        traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
+        with pytest.raises(ResolutionError, match="window"):
+            xk_norm_bands(traj, 1, window=window)
+
+    def test_non_uniform_snapshots_rejected(self):
+        grid = GridSpec(box_length=16.0, modes=64)
+        traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
+        times = traj.times.copy()
+        times[10] += 0.01
+        skewed = Trajectory(times, traj.coeffs, traj.config)
+        with pytest.raises(ResolutionError, match="not uniformly spaced"):
+            xk_norm_bands(skewed, 1, window=float(times[-1]))
+
+    def test_shortened_last_interval_is_dropped(self):
+        # 197 steps at stride 5: snapshots every 0.05 up to 1.95, then 1.97
+        traj = smooth_traj(eps=0.0, alpha=1.0, dt=1e-2, t_final=1.97, stride=5, modes=64)
+        assert traj.times[-1] == 1.97 and len(traj.times) == 41
+        by_hand = Trajectory(traj.times[:-1], traj.coeffs[:-1], traj.config)
+        for k in (1, 2):
+            got = xk_norm_bands(traj, k, window=1.97)
+            want = xk_norm_bands(by_hand, k, window=float(by_hand.times[-1]))
+            assert np.array_equal(got, want)
+        # 15 snapshots and a shortened 16th leave 15 once it is dropped
+        times = np.append(traj.times[:15], traj.times[14] + 0.02)
+        short = Trajectory(times, traj.coeffs[np.r_[:15, -1]], traj.config)
+        with pytest.raises(ResolutionError, match="15 uniform snapshots"):
+            xk_norm_bands(short, 1, window=float(times[-1]))
 
 
 class TestDissipationLedger:

@@ -91,6 +91,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="scale_n"):
             exponent_sweep(0.25, (-0.75,), (16.0, 32.0, math.nan, 128.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            CounterexampleSpec(32.0, alpha)
+
 
 class TestBuildCounterexample:
     def test_low_regime_norm_tracks_measure(self):

@@ -87,6 +87,13 @@ MUTANTS = [
         "test_observables_are_the_h1_sup_and_the_dissipation_integral",
     ),
     (
+        "experiments.py",
+        "0 <= lambda_exp <= max_exp",
+        "0 <= lambda_exp <= max_exp + 1",
+        "tests/test_experiments.py::TestScalingCheck::"
+        "test_lambda_rule_is_checked_before_the_base_solve",
+    ),
+    (
         "reports.py",
         "r_sq = 1.0 - float(",
         "r_sq = 1.001 - float(",
@@ -97,6 +104,12 @@ MUTANTS = [
         "return (1.0 + grid.wavenumbers() ** 2) ** s",
         "return (1.001 + grid.wavenumbers() ** 2) ** s",
         "tests/test_norms.py::TestSobolevNorm::test_single_unit_mode",
+    ),
+    (
+        "spectral.py",
+        "0 <= value < 2**64",
+        "0 <= value <= 2**64",
+        "tests/test_experiments.py::TestRoughData::test_seed_outside_the_cli_range_rejected",
     ),
     (
         "sharpness.py",
