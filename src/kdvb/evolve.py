@@ -34,25 +34,27 @@ A run takes ``SolverConfig.steps`` = round(t_final / dt) whole steps; a
 t_final that is not a whole number of steps is a ParameterError, so
 there is no short last step, and the last snapshot is stamped exactly t_final.
 
-One stepping loop serves both entries.  ``solve`` steps a 1-D
-(M/2 + 1,) state.  ``solve_ladder`` steps B runs that share the grid and
-t_final as one (B, M/2 + 1) array, one tableau row per run; their
-params and snapshot strides may differ, and so may their dt, each an
-integer multiple of the smallest.  The loop ticks at the smallest dt and
-steps the rows that are due on each tick together, so a run with twice
-the step rides on every other tick.  Every stage acts on each element or
-along the last axis, so each row is bit for bit the single solve of its
-run, while the 8 FFT calls and 21 other array operations of a tick are
-paid once for all its rows.  A batch shares the grid because the FFT
-length and the tableau's wavenumbers are the grid's, which is why the
-rescaled run of ``scaling_check`` (a larger box with more modes) stays
-single.  Batched together are the epsilon = 0 reference, the ladder and
-the dt/2 floor of ``inviscid_sweep``, the ladder of ``h1_bound_check``
-and the energy run with its dt/2 refinement.  Each tick screens its new
-state with one reduction, the squared norm, and scans the rows only when
-that is not finite.  A row that turns non-finite records its own
-DivergenceError; run 0's is raised at once, and otherwise the first
-diverged run's is raised after the last tick, as its single solve would.
+One stepping loop, ``_march``, owns a batch: it checks the batch, fixes
+each run's snapshots before the first tick and returns the trajectories.
+``solve`` steps a 1-D (M/2 + 1,) state.  ``solve_ladder`` steps B runs
+that share the grid and t_final as one (B, M/2 + 1) array, one tableau
+row per run; their params and snapshot strides may differ, and so may
+their dt, each an integer multiple of the smallest.  The loop ticks at
+the smallest dt and steps the rows that are due on each tick together,
+so a run with twice the step rides on every other tick.  Every stage
+acts on each element or along the last axis, so each row is bit for bit
+the single solve of its run, while the 8 FFT calls and 21 other array
+operations of a tick are paid once for all its rows.  A batch shares the
+grid because the FFT length and the tableau's wavenumbers are the
+grid's, which is why the rescaled run of ``scaling_check`` (a larger box
+with more modes) stays single.  Batched together are the epsilon = 0
+reference, the ladder and the dt/2 floor of ``inviscid_sweep``, the
+ladder of ``h1_bound_check`` and the energy run with its dt/2
+refinement.  Each tick screens its new state with one reduction, the
+squared norm, and scans the rows only when that is not finite.  A row
+that turns non-finite records its own DivergenceError; run 0's is raised
+at once, and otherwise the first diverged run's is raised after the last
+tick, as its single solve would.
 
 A step's only new array is the state it returns.  Each stepper
 preallocates one buffer per stage square, two for the stage arithmetic
@@ -141,7 +143,7 @@ class SolverConfig:
                 f"t_final / dt = {self.t_final / self.dt:.6g} steps exceeds "
                 f"MAX_STEPS = {MAX_STEPS}"
             )
-        if self.steps < 1 or abs(self.steps * self.dt - self.t_final) > 1e-12 * self.t_final:
+        if abs(self.steps * self.dt - self.t_final) > 1e-12 * self.t_final:
             raise ParameterError(
                 f"t_final = {self.t_final} must be a whole number of steps dt = {self.dt}"
             )
@@ -426,20 +428,30 @@ def _march(
     phi: RealField,
     cfgs: Sequence[SolverConfig],
     nonlinearity: Nonlinearity | None,
-) -> list[tuple[list[float], np.ndarray]]:
-    """The stepping loop: phi stepped under each of cfgs, which share grid
-    and t_final and whose dt are integer multiples of the smallest.
+) -> list[Trajectory]:
+    """The stepping loop: phi stepped under each of cfgs, one Trajectory each.
 
-    The loop ticks at the smallest dt; row b, with ratio r = dt_b / min dt,
-    takes its step i on tick r i, so each tick steps its due rows together
-    under one stepper cached per tuple of due rows, and all runs end on the
-    last tick.  A row that turns non-finite on its step i records the error
-    of step i - 1 and steps on; run 0's is raised at once, any other after
-    the last tick.  Initial data whose dealiased coefficients are not all
-    finite is a ParameterError, raised before the first tick.  Returns per
-    config the snapshot times, the last exactly t_final, and the
-    (snapshots, M) matrix of the stored states in FFT order.
+    The configs must share grid and t_final, and each dt must be an integer
+    multiple r of the smallest (r * min dt == dt in floating point), else
+    ParameterError; so must the dealiased initial data be finite.  Each
+    run's snapshot steps and times are fixed before the first tick.  Row b
+    takes its step i on tick r_b i of the smallest dt, so each tick steps
+    its due rows together under one stepper cached per tuple of due rows.
+    A row that turns non-finite on its step i records the error of step
+    i - 1 and steps on; run 0's is raised at once, any other after the last
+    tick.
     """
+    dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
+    ratios = [round(cfg.dt / dt0) for cfg in cfgs]
+    if (
+        not cfgs
+        or len({(cfg.grid, cfg.t_final) for cfg in cfgs}) != 1
+        or any(r * dt0 != cfg.dt for cfg, r in zip(cfgs, ratios))
+    ):
+        raise ParameterError(
+            "solve_ladder needs one or more configs that share grid and t_final, "
+            f"each dt an integer multiple of the smallest; got dt {[c.dt for c in cfgs]}"
+        )
     grid = cfgs[0].grid
     if phi.grid != grid:
         raise ContractViolationError("initial data grid does not match solver grid")
@@ -447,22 +459,17 @@ def _march(
     if not np.all(np.isfinite(c)):
         raise ParameterError("initial data has non-finite dealiased coefficients")
 
-    dt0 = min(cfg.dt for cfg in cfgs)
-    ratios = [round(cfg.dt / dt0) for cfg in cfgs]
-    # snapshots: tick -> rows that store a snapshot after it.  Each row
-    # stores into one preallocated matrix that its trajectory takes over
-    # without a copy, so a batch holds each snapshot once.
-    snapshots, runs = {}, []
+    # snapshots: tick -> (run, row) pairs stored after it.  Each run stores
+    # into one preallocated matrix that its trajectory takes over without a
+    # copy, so a batch holds each snapshot once.
+    snapshots, times, coeffs = {}, [], []
     for b, (cfg, r) in enumerate(zip(cfgs, ratios)):
         stored = [*range(cfg.snapshot_stride, cfg.steps, cfg.snapshot_stride), cfg.steps]
-        for i in stored:
-            snapshots.setdefault(r * i, []).append(b)
-        coeffs = np.empty((len(stored) + 1, grid.modes), dtype=np.complex128)
-        coeffs[0] = c
-        runs.append(([0.0], coeffs))
-
-    def t_after(b: int, i: int) -> float:  # the time of run b after its step i
-        return cfgs[b].t_final if i == cfgs[b].steps else i * cfgs[b].dt
+        for row, i in enumerate(stored, 1):
+            snapshots.setdefault(r * i, []).append((b, row))
+        times.append([0.0, *(i * cfg.dt for i in stored[:-1]), cfg.t_final])
+        coeffs.append(np.empty((len(stored) + 1, grid.modes), dtype=np.complex128))
+        coeffs[b][0] = c
 
     steppers: dict[tuple, tuple[Callable, object]] = {}  # due rows -> stepper, index
     errors: dict[int, DivergenceError] = {}
@@ -492,19 +499,18 @@ def _march(
         if not math.isfinite(np.vdot(new, new).real):
             for b in map(int, np.flatnonzero(~np.isfinite(h.reshape(len(cfgs), -1)).all(1))):
                 if b not in errors:
-                    i = j // ratios[b]
-                    errors[b] = DivergenceError(i - 1, t_after(b, i), run=b)
+                    i, cfg = j // ratios[b], cfgs[b]
+                    t = cfg.t_final if i == cfg.steps else i * cfg.dt
+                    errors[b] = DivergenceError(i - 1, t, run=b)
             if 0 in errors:
                 raise errors[0]
-        for b in snapshots.get(j, ()):
-            times, coeffs = runs[b]
-            coeffs[len(times)] = _to_full(h if len(cfgs) == 1 else h[b])
-            times.append(t_after(b, j // ratios[b]))
+        for b, row in snapshots.get(j, ()):
+            coeffs[b][row] = _to_full(h if len(cfgs) == 1 else h[b])
     if errors:
         raise errors[min(errors)]
-    for _, coeffs in runs:
-        coeffs.setflags(write=False)
-    return runs
+    for m in coeffs:
+        m.setflags(write=False)
+    return [Trajectory(*run) for run in zip(times, coeffs, cfgs)]
 
 
 def solve(
@@ -520,33 +526,23 @@ def solve(
     aborts with a DivergenceError naming the step; non-finite initial data
     is a ParameterError, raised before any step.
     """
-    ((times, coeffs),) = _march(phi, [cfg], nonlinearity)
-    return Trajectory(times, coeffs, cfg)
+    return _march(phi, [cfg], nonlinearity)[0]
 
 
 def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
-    """The solves of phi under each of cfgs, stepped together.
+    """The solves of phi under each of cfgs, stepped together by ``_march``.
 
-    The configs must share grid and t_final, and each dt must be an
-    integer multiple of the smallest (dt == r * min dt in floating point);
-    params and snapshot_stride may differ.  Each tick of the smallest dt
-    steps the due runs as one (B, M/2 + 1) half-spectrum (one run as a 1-D
-    state), and trajectory b equals ``solve(phi, cfgs[b])`` bit for bit.
-    If any run turns non-finite, the DivergenceError raised is the one
-    ``solve`` raises for the first config, in order, that diverges alone:
-    its step and time, with its index in cfgs as ``run``.
+    ``_march`` checks the batch: the configs must share grid and t_final,
+    and each dt must be an integer multiple of the smallest (dt == r * min
+    dt in floating point), else ParameterError; params and snapshot_stride
+    may differ.  Each tick of the smallest dt steps the due runs as one
+    (B, M/2 + 1) half-spectrum (one run as a 1-D state), and trajectory b
+    equals ``solve(phi, cfgs[b])`` bit for bit.  If any run turns
+    non-finite, the DivergenceError raised is the one ``solve`` raises for
+    the first config, in order, that diverges alone: its step and time,
+    with its index in cfgs as ``run``.
     """
-    dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
-    if (
-        not cfgs
-        or len({(cfg.grid, cfg.t_final) for cfg in cfgs}) != 1
-        or any(round(cfg.dt / dt0) * dt0 != cfg.dt for cfg in cfgs)
-    ):
-        raise ParameterError(
-            "solve_ladder needs one or more configs that share grid and t_final, "
-            f"each dt an integer multiple of the smallest; got dt {[c.dt for c in cfgs]}"
-        )
-    return tuple(Trajectory(*run, cfg) for run, cfg in zip(_march(phi, cfgs, None), cfgs))
+    return tuple(_march(phi, cfgs, None))
 
 
 def zero_nonlinearity(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -609,8 +605,9 @@ def read_trajectory(stream) -> tuple[list[float], list, dict]:
     """Read back a trajectory.bin stream: (times, real fields, manifest).
     A bad magic, a stream that ends early or goes on past the last record,
     and JSON that does not parse, lacks a key the reader uses or has it of
-    the wrong kind or out of range are each a ContractViolationError."""
-    manifest = _read_json(stream, "manifest", {"count": lambda v: type(v) is int and v >= 0})
+    the wrong kind or out of range (a count below 1: a Trajectory holds at
+    least one snapshot) are each a ContractViolationError."""
+    manifest = _read_json(stream, "manifest", {"count": lambda v: type(v) is int and v > 0})
     times, fields = [], []
     keys = {"box_length": _is_number, "modes": lambda v: type(v) is int, "time": _is_number}
     for _ in range(manifest["count"]):

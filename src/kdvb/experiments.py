@@ -85,14 +85,16 @@ def soliton_initial_data(c: float, x0: float, grid: GridSpec) -> RealField:
 def gaussian_initial_data(
     grid: GridSpec, width: float, l2_norm: float, modulation: float = 0.0
 ) -> RealField:
-    """A centered Gaussian bump, optionally modulated, scaled to l2_norm."""
+    """A centered Gaussian bump times 1 + cos(m x)/2 (m = modulation, finite), scaled to l2_norm."""
     if not width > 0:
         raise ParameterError(f"gaussian width must be positive, got {width}")
     if l2_norm < 0:
         raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
+    if not np.isfinite(modulation):
+        raise ParameterError(f"gaussian modulation must be finite, got {modulation}")
     x = grid.collocation_points() - grid.box_length / 2.0
     values = np.exp(-((x / width) ** 2))
-    if modulation > 0:
+    if modulation != 0:
         values = values * (1.0 + 0.5 * np.cos(modulation * x))
     current = np.sqrt(np.sum(values**2) * grid.box_length / grid.modes)
     return RealField(values * (l2_norm / current), grid)

@@ -661,6 +661,17 @@ class TestSolveLadder:
             with pytest.raises(ParameterError, match="share"):
                 solve_ladder(phi, [base, other])
 
+    def test_batch_rule_is_checked_before_the_data(self):
+        # _march checks the batch first: data on neither config's grid, and
+        # non-finite at that, still meets the batch rule's ParameterError
+        phi = gaussian_initial_data(GridSpec(16.0, 32), 2.0, np.nan)
+        grid = GridSpec(box_length=16.0, modes=64)
+        cfgs = [
+            SolverConfig(ModelParams(0.1, 1.0), grid, dt, t_final=0.03) for dt in (0.01, 0.003)
+        ]
+        with pytest.raises(ParameterError, match="share"):
+            solve_ladder(phi, cfgs)
+
     def test_divergence_names_first_diverging_step(self):
         # alone, epsilon = 1 diverges at step 5 and epsilon = 0 at step 4
         grid = GridSpec(box_length=32.0, modes=64)
@@ -845,6 +856,8 @@ class TestTrajectorySerialization:
         b'{"count": "3"}',
         b'{"count": true}',
         b'{"count": -1}',
+        # a Trajectory holds at least one snapshot, so no writer makes count 0
+        b'{"count": 0}',
     ]
     BAD_HEADERS = [
         {"box_length": 8.0, "time": 0.0},

@@ -99,6 +99,22 @@ class TestSolitonData:
             soliton_initial_data(0.5, x0=0.0, grid=grid)
 
 
+class TestGaussianData:
+    def test_modulation_is_even(self):
+        # 1 + cos(-m x)/2 is 1 + cos(m x)/2 bit for bit, and not the bare bump
+        grid = GridSpec(box_length=16.0, modes=64)
+        plus, minus, bare = (
+            gaussian_initial_data(grid, 2.0, 1.0, m).values for m in (1.0, -1.0, 0.0)
+        )
+        assert np.array_equal(minus, plus)
+        assert not np.array_equal(plus, bare)
+
+    @pytest.mark.parametrize("modulation", [np.nan, np.inf, -np.inf])
+    def test_non_finite_modulation_rejected(self, modulation):
+        with pytest.raises(ParameterError, match="modulation"):
+            gaussian_initial_data(GridSpec(box_length=16.0, modes=64), 2.0, 1.0, modulation)
+
+
 class TestRoughData:
     def test_hermitian_and_seeded(self):
         grid = GridSpec(box_length=8.0, modes=128)
@@ -119,6 +135,17 @@ class TestRoughData:
         kept = grid.dealias_mask() & (xi != 0)
         ratios = np.abs(u.coeffs[kept]) / np.hypot(1.0, xi[kept]) ** -1.51
         assert np.ptp(ratios) <= 1e-12 * np.max(ratios)
+
+    def test_phases_are_the_seeded_draws(self):
+        # kept mode k has phase 2 pi r_k mod 2 pi with r = default_rng(seed).random(M),
+        # and its mirror -k the opposite phase
+        grid = GridSpec(box_length=8.0, modes=128)
+        u = forward_transform(power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=7))
+        r = np.random.default_rng(7).random(grid.modes)
+        k = np.flatnonzero(grid.dealias_mask()[: grid.modes // 2])[1:]
+        turn = np.exp(2j * np.pi * r[k])
+        assert np.max(np.abs(np.angle(u.coeffs[k] / turn))) <= 1e-9
+        assert np.max(np.abs(np.angle(u.coeffs[-k] * turn))) <= 1e-9
 
     @pytest.mark.parametrize(
         "decay_exponent,dealias_fraction", [(-1.51, 1e-300), (-1e300, 2.0 / 3.0)]
@@ -180,6 +207,11 @@ class TestRateFit:
         }
         with pytest.warns(UserWarning, match="r\\^2"):
             rate_fit(report)
+
+    def test_inexact_fit_has_the_hand_r_squared(self):
+        # log-log points (0, 0), (a, a), (2a, a) with a = ln 2: the line has
+        # slope 1/2, residual sum a^2/6 and total sum 2a^2/3, so r^2 = 3/4
+        assert fit_power_law([1, 2, 4], [1, 2, 2])["r_squared"] == 0.75
 
     def test_exact_power_law_has_unit_r_squared(self):
         ladder = np.array([1e-1, 1e-2, 1e-3, 1e-4])

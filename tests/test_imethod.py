@@ -13,7 +13,7 @@ from kdvb.errors import (
     ResonantDenominatorError,
 )
 from kdvb import imethod
-from kdvb.evolve import SolverConfig, solve, zero_nonlinearity
+from kdvb.evolve import SolverConfig, Trajectory, solve, zero_nonlinearity
 from kdvb.imethod import (
     DyadicConfig,
     IMultiplierSpec,
@@ -756,6 +756,17 @@ class TestModifiedEnergy:
         with pytest.raises(ResonantDenominatorError, match="zero-mode"):
             modified_energy(3, mean_carrying, SPEC, ModelParams(0.0, 1.0))
 
+    def test_order4_adds_the_sigma4_functional(self):
+        # E_I^4 - E_I^3 = Re Lambda_4(sigma4) on [u] * 4 at eps > 0
+        grid = GridSpec(box_length=11.0, modes=32)
+        rng = np.random.default_rng(17)
+        u = dealias(forward_transform(RealField(rng.standard_normal(32), grid)))
+        e3, e4 = (modified_energy(order, u, SPEC, PARAMS) for order in (3, 4))
+        quartic = lambda_k(lambda *xs: sigma4_values(xs, SPEC, PARAMS)[0], [u] * 4).real
+        # the quartic term is small beside E_I^3 but far above its roundoff
+        assert abs(quartic) >= 1e-6 * abs(e3)
+        assert e4 - e3 == pytest.approx(quartic, rel=1e-9)
+
     def test_order4_real_valued(self):
         grid = GridSpec(box_length=11.0, modes=32)
         rng = np.random.default_rng(17)
@@ -858,6 +869,23 @@ class TestEnergyDerivativeIdentity:
         assert len(traj.states) == 2
         with pytest.raises(ResolutionError, match="three snapshots"):
             denergy_identity_residual(traj, IMultiplierSpec(8.0, -0.74))
+
+    def test_energy_term_sets_the_scale(self):
+        # one mode pair at eps = 0 with m = 1 on the grid: the right-hand side
+        # is roundoff, so the residual is max |centered dE/dt| over
+        # max E / span, with E = 2 a^2 for amplitude a
+        grid = GridSpec(box_length=32.0, modes=64)
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt=0.1, t_final=0.5)
+        a = np.array([1.0, 1.1, 0.9, 1.3, 1.2, 1.0])
+        coeffs = np.zeros((6, 64), dtype=complex)
+        coeffs[:, 3] = coeffs[:, -3] = a
+        times = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5])
+        traj = Trajectory(times, coeffs, cfg)
+        energy = 2.0 * a**2
+        slopes = (energy[2:] - energy[:-2]) / (times[2:] - times[:-2])
+        expected = np.max(np.abs(slopes)) / (np.max(energy) / 0.5)
+        wide = IMultiplierSpec(cutoff_n=1e4, s_exp=-0.5)
+        assert denergy_identity_residual(traj, wide) == pytest.approx(expected, rel=1e-12)
 
     def test_full_solve_residual_quarters(self):
         spec = IMultiplierSpec(8.0, -0.74)

@@ -8,6 +8,7 @@ from kdvb.propagator import ModelParams, propagate, semigroup_residual
 from kdvb.spectral import (
     GridSpec,
     RealField,
+    SpectralField,
     dealias,
     forward_transform,
     hermitian_residual,
@@ -79,6 +80,11 @@ class TestPropagate:
 class TestSemigroup:
     def test_zero_times(self, field):
         assert semigroup_residual(field, 0.0, 0.0, ModelParams(0.5, 0.5)) == 0.0
+
+    def test_zero_field(self, grid):
+        # no norm to divide by: the residual is 0.0, not 0/0
+        zero = SpectralField(np.zeros(grid.modes, dtype=complex), grid)
+        assert semigroup_residual(zero, 0.3, 0.9, ModelParams(0.5, 0.7)) == 0.0
 
     def test_dispersive_composes_for_mixed_signs(self, field):
         assert semigroup_residual(field, 1.7, -0.9, ModelParams(0.0, 1.0)) <= 1e-12

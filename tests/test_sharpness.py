@@ -281,7 +281,7 @@ class TestExponentSweep:
         assert lines[0] == "alpha,s,N,ratio,slope,crossover_estimate"
         assert len(lines) == 1 + 3 * len(LADDER)
 
-    @pytest.mark.parametrize("alpha", alphas(0.25, 0.75))
+    @pytest.mark.parametrize("alpha", alphas(0.25, 0.5, 0.75))
     def test_ratios_equal_the_one_s_functional(self, alpha):
         # the sweep builds each N's pair lattice once; every ratio must be
         # the one-s functional's, bit for bit

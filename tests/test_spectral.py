@@ -211,6 +211,11 @@ class TestDealias:
         ):
             assert hermitian_residual(out) <= 1e-13
 
+    def test_hermitian_residual_of_the_zero_field(self):
+        # the zero field has no norm to divide by; its residual is 0.0, not 0/0
+        zero = SpectralField(np.zeros(64, dtype=complex), GridSpec(box_length=9.0, modes=64))
+        assert hermitian_residual(zero) == 0.0
+
 
 class TestResizeBand:
     def test_band_embedding_round_trip(self):

@@ -31,6 +31,25 @@ TIMEOUT_S = 300
 # (file under src/kdvb, exact source text, mutant text, pytest node)
 MUTANTS = [
     (
+        "evolve.py",
+        "{(cfg.grid, cfg.t_final) for cfg in cfgs}",
+        "{cfg.grid for cfg in cfgs}",
+        "tests/test_evolve.py::TestSolveLadder::test_configs_must_share_schedule",
+    ),
+    (
+        "evolve.py",
+        "type(v) is int and v > 0",
+        "type(v) is int and v >= 0",
+        "tests/test_evolve.py::TestTrajectorySerialization::"
+        "test_bad_manifest_is_contract_violation",
+    ),
+    (
+        "propagator.py",
+        "return float(defect / norm) if norm > 0",
+        "return float(defect / norm) if norm >= 0",
+        "tests/test_propagator.py::TestSemigroup::test_zero_field",
+    ),
+    (
         "norms.py",
         "tau_span = 2.0 * np.pi / dt_snap",
         "tau_span = 2.0 * np.pi * dt_snap",
@@ -48,6 +67,18 @@ MUTANTS = [
         "pair_sums = (xs[i] - xs[j] for",
         "tests/test_imethod.py::TestM4BoundSampler::"
         "test_draws_on_a_vanishing_pair_sum_are_dropped",
+    ),
+    (
+        "imethod.py",
+        "e4 = e3 + complex(",
+        "e4 = e3 - complex(",
+        "tests/test_imethod.py::TestModifiedEnergy::test_order4_adds_the_sigma4_functional",
+    ),
+    (
+        "imethod.py",
+        "float(np.max(energies)) / span",
+        "float(np.max(energies)) * span",
+        "tests/test_imethod.py::TestEnergyDerivativeIdentity::test_energy_term_sets_the_scale",
     ),
     (
         "imethod.py",
@@ -72,6 +103,18 @@ MUTANTS = [
         "if any(b >= a for a, b in zip(ladder, ladder[1:])):",
         "if any(b > a for a, b in zip(ladder, ladder[1:])):",
         "tests/test_cli.py::TestMain::test_unordered_sweep_fails_before_any_work",
+    ),
+    (
+        "experiments.py",
+        "if modulation != 0:",
+        "if modulation > 0:",
+        "tests/test_experiments.py::TestGaussianData::test_modulation_is_even",
+    ),
+    (
+        "experiments.py",
+        "2j * np.pi * rng.random",
+        "2j / np.pi * rng.random",
+        "tests/test_experiments.py::TestRoughData::test_phases_are_the_seeded_draws",
     ),
     (
         "experiments.py",
@@ -100,6 +143,18 @@ MUTANTS = [
         "tests/test_experiments.py::TestRateFit::test_exact_power_law_has_unit_r_squared",
     ),
     (
+        "reports.py",
+        "np.sum((y - y.mean()) ** 2)",
+        "np.sum((y - y.mean()) * 2)",
+        "tests/test_experiments.py::TestRateFit::test_inexact_fit_has_the_hand_r_squared",
+    ),
+    (
+        "spectral.py",
+        "return float(defect / norm) if norm > 0",
+        "return float(defect / norm) if norm >= 0",
+        "tests/test_spectral.py::TestDealias::test_hermitian_residual_of_the_zero_field",
+    ),
+    (
         "spectral.py",
         "return (1.0 + grid.wavenumbers() ** 2) ** s",
         "return (1.001 + grid.wavenumbers() ** 2) ** s",
@@ -110,6 +165,12 @@ MUTANTS = [
         "0 <= value < 2**64",
         "0 <= value <= 2**64",
         "tests/test_experiments.py::TestRoughData::test_seed_outside_the_cli_range_rejected",
+    ),
+    (
+        "sharpness.py",
+        'regime = "low_alpha" if alpha <= 0.5',
+        'regime = "low_alpha" if alpha < 0.5',
+        "tests/test_sharpness.py::TestExponentSweep::test_ratios_equal_the_one_s_functional",
     ),
     (
         "sharpness.py",
