@@ -36,12 +36,12 @@ there is no short last step, and the last snapshot is stamped exactly t_final.
 
 One stepping loop, ``_march``, owns a batch: it checks the batch, fixes
 each run's snapshots before the first tick and returns the trajectories.
-``solve`` steps a 1-D (M/2 + 1,) state.  ``solve_ladder`` steps B runs
-that share the grid and t_final as one (B, M/2 + 1) array, one tableau
-row per run; their params and snapshot strides may differ, and so may
-their dt, each an integer multiple of the smallest.  The loop ticks at
-the smallest dt and steps the rows that are due on each tick together,
-so a run with twice the step rides on every other tick.  Every stage
+Its state is a (B, M/2 + 1) array, one tableau row per run: ``solve``
+steps one run as a (1, M/2 + 1) batch, ``solve_ladder`` B runs that
+share the grid and t_final; their params and snapshot strides may differ,
+and so may their dt, each an integer multiple of the smallest.  The loop
+ticks at the smallest dt and steps the rows that are due on each tick
+together, so a run with twice the step rides on every other tick.  Every stage
 acts on each element or along the last axis, so each row is bit for bit
 the single solve of its run, while the 8 FFT calls and 21 other array
 operations of a tick are paid once for all its rows.  A batch shares the
@@ -62,8 +62,9 @@ and one real (rows, M) buffer for the physical-space square, which the
 FFTs fill through ``out=`` (numpy >= 2.0).  The stage sums run in place
 with the operand order and grouping of the plain expressions, so a step
 is bit for bit the allocating one.  A substitute nonlinearity is called
-as ``nl(h, out)``, stands in for the square under a tableau without the
-multiplier, and either fills ``out`` or returns a new array.
+as ``nl(h, out)`` on (rows, M/2 + 1) half-spectra, stands in for the
+square under a tableau without the multiplier, and either fills ``out``
+or returns a new array.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ from .spectral import (
     synthesize,
 )
 
-# nl(h, out): N of the half-spectra h, written into out (of h's shape) and
-# returned, or returned as a new array; it must not return h itself
+# nl(h, out): N of the (rows, M/2 + 1) half-spectra h, written into out (of
+# h's shape) and returned, or returned as a new array; it must not return h itself
 Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Largest number of time steps one solve may take.  Steps are counted, not
@@ -309,9 +310,8 @@ class _Stepper:
     """ETDRK4 on the rfft half-spectrum for one grid.
 
     The tableau has one row per entry of params and dts, and row b of a
-    (B, M/2 + 1) state takes a step of dts[b] under params[b]; a single
-    entry gives a 1-D tableau that steps a (M/2 + 1,) state, the faster
-    shape for one run.
+    (B, M/2 + 1) state takes a step of dts[b] under params[b]; one run is
+    a (1, M/2 + 1) state.
     The tableau comes from the single propagator symbol restricted to
     k = 0..M/2; at the Nyquist entry only its real (dissipative) part is
     kept, so a real state stays exactly real.
@@ -339,11 +339,8 @@ class _Stepper:
     ):
         half = grid.modes // 2 + 1
         sym = np.array([linear_symbol(grid, p)[:half] for p in params])
-        if len(params) == 1:
-            sym, dt = sym[0], dts[0]
-        else:
-            dt = np.array(dts)[:, None]
-        sym[..., -1] = sym[..., -1].real
+        dt = np.array(dts)[:, None]
+        sym[:, -1] = sym[:, -1].real
         z = dt * sym
         mult = _multiplier(grid) if nl is None else 1.0
         self.e_full = np.exp(z)
@@ -411,14 +408,15 @@ def step(
     Nyquist ones by their real parts), and the result is exactly
     Hermitian-symmetric.  ``nonlinearity`` maps rfft half-spectra to
     half-spectra as ``nl(h, out)``, filling out or returning a new array,
-    and defaults to N; passing a substitute (for instance
+    and defaults to N; it receives the state as a (1, M/2 + 1) batch,
+    as ``solve``'s does.  Passing a substitute (for instance
     ``zero_nonlinearity``) isolates the linear flow, which this scheme
     reproduces exactly.  dt is checked as ``SolverConfig`` checks it.
     """
     _check_dt(u.grid, p, dt)
     grid = u.grid
     stepper = _Stepper(grid, [p], [dt], nonlinearity)
-    return SpectralField(_to_full(stepper(_to_half(u.coeffs))), grid)
+    return SpectralField(_to_full(stepper(_to_half(u.coeffs)[None])[0]), grid)
 
 
 # a diverging row overflows on its way to the non-finite state that names its
@@ -473,9 +471,7 @@ def _march(
 
     steppers: dict[tuple, tuple[Callable, object]] = {}  # due rows -> stepper, index
     errors: dict[int, DivergenceError] = {}
-    h = _to_half(c)
-    if len(cfgs) > 1:
-        h = np.tile(h, (len(cfgs), 1))
+    h = np.tile(_to_half(c), (len(cfgs), 1))
     for j in range(1, max(cfg.steps for cfg in cfgs) + 1):  # the finest run's steps
         # from a list: tuple() of a generator fills CPython's tuple free lists
         due = tuple([b for b, r in enumerate(ratios) if not j % r])
@@ -484,10 +480,10 @@ def _march(
             stepper = _Stepper(
                 grid, [cfgs[b].params for b in due], [cfgs[b].dt for b in due], nonlinearity
             )
-            # the due rows' index in the state: None for all rows, an int for
-            # one row of several (stepped as a 1-D view), else a list
-            index = None if len(due) == len(cfgs) else due[0] if len(due) == 1 else list(due)
-            entry = steppers[due] = stepper, index
+            # the due rows' index in the state: None for all rows, a slice (a
+            # view, cheaper than a list) for one row of several, else a list
+            index = list(due) if len(due) > 1 else slice(due[0], due[0] + 1)
+            entry = steppers[due] = stepper, None if len(due) == len(cfgs) else index
         stepper, index = entry
         if index is None:
             h = new = stepper(h)
@@ -497,7 +493,7 @@ def _march(
         # the exact scan below runs only when it is not (a state past ~1e154
         # overflows it with every entry finite)
         if not math.isfinite(np.vdot(new, new).real):
-            for b in map(int, np.flatnonzero(~np.isfinite(h.reshape(len(cfgs), -1)).all(1))):
+            for b in map(int, np.flatnonzero(~np.isfinite(h).all(1))):
                 if b not in errors:
                     i, cfg = j // ratios[b], cfgs[b]
                     t = cfg.t_final if i == cfg.steps else i * cfg.dt
@@ -505,7 +501,7 @@ def _march(
             if 0 in errors:
                 raise errors[0]
         for b, row in snapshots.get(j, ()):
-            coeffs[b][row] = _to_full(h if len(cfgs) == 1 else h[b])
+            coeffs[b][row] = _to_full(h[b])
     if errors:
         raise errors[min(errors)]
     for m in coeffs:
@@ -524,7 +520,8 @@ def solve(
     stepped as an rfft half-spectrum, and every stored state after t = 0
     is dealiased and exactly Hermitian-symmetric.  A non-finite state
     aborts with a DivergenceError naming the step; non-finite initial data
-    is a ParameterError, raised before any step.
+    is a ParameterError, raised before any step.  A substitute
+    ``nonlinearity`` is called as in ``step``, on (1, M/2 + 1) half-spectra.
     """
     return _march(phi, [cfg], nonlinearity)[0]
 
@@ -536,11 +533,11 @@ def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajecto
     and each dt must be an integer multiple of the smallest (dt == r * min
     dt in floating point), else ParameterError; params and snapshot_stride
     may differ.  Each tick of the smallest dt steps the due runs as one
-    (B, M/2 + 1) half-spectrum (one run as a 1-D state), and trajectory b
-    equals ``solve(phi, cfgs[b])`` bit for bit.  If any run turns
-    non-finite, the DivergenceError raised is the one ``solve`` raises for
-    the first config, in order, that diverges alone: its step and time,
-    with its index in cfgs as ``run``.
+    (B, M/2 + 1) half-spectrum, and trajectory b equals ``solve(phi,
+    cfgs[b])`` bit for bit.  If any run turns non-finite, the
+    DivergenceError raised is the one ``solve`` raises for the first
+    config, in order, that diverges alone: its step and time, with its
+    index in cfgs as ``run``.
     """
     return tuple(_march(phi, cfgs, None))
 

@@ -88,8 +88,8 @@ def gaussian_initial_data(
     """A centered Gaussian bump times 1 + cos(m x)/2 (m = modulation, finite), scaled to l2_norm."""
     if not width > 0:
         raise ParameterError(f"gaussian width must be positive, got {width}")
-    if l2_norm < 0:
-        raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
+    if not 0 <= l2_norm < np.inf:
+        raise ParameterError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
     if not np.isfinite(modulation):
         raise ParameterError(f"gaussian modulation must be finite, got {modulation}")
     x = grid.collocation_points() - grid.box_length / 2.0
@@ -112,8 +112,8 @@ def power_law_initial_data(
     is left empty and the dealiased band is filled; the draw is fixed by
     the seed, an integer in [0, 2**64).
     """
-    if l2_norm < 0:
-        raise ParameterError(f"l2_norm must be nonnegative, got {l2_norm}")
+    if not 0 <= l2_norm < np.inf:
+        raise ParameterError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
     if not is_seed(seed):
         raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -144,6 +144,8 @@ def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -
             f"wavenumber_index must lie in the dealiased band |k| < {cutoff:.6g} "
             f"of {grid.modes} modes, got {wavenumber_index}"
         )
+    if not np.isfinite(amplitude):
+        raise ParameterError(f"sine amplitude must be finite, got {amplitude}")
     x = grid.collocation_points()
     return RealField(
         amplitude * np.sin(2.0 * np.pi * wavenumber_index * x / grid.box_length), grid

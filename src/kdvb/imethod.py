@@ -53,6 +53,7 @@ its k raises ``ContractViolationError``.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -77,10 +78,12 @@ _TINY = 1e-30
 
 # Largest n_samples of one m4_bound_sample call: at the cap, on the ladder
 # (16, 32), a call takes about 0.85 s on a 2-core VM and its process peaks at
-# about 140 MB, mostly the 4x oversampled uniform draws (96 MB a batch).
+# about 50 MB, the draws being held one block at a time.
 MAX_SAMPLES = 10**6
-# Draws per block of the rejection test and the M4 evaluation; both are
-# elementwise and the draws stay one batch, so it leaves reports unchanged.
+# Draws per block of the uniform draws, the rejection test and the M4
+# evaluation.  Each block is drawn on its own from the batch's stream and the
+# rest is elementwise, so the block size leaves reports unchanged; it bounds
+# the draws held at once to 3 * 8 * M4_BLOCK bytes, 2.4 MB, whatever the batch.
 M4_BLOCK = 10**5
 # Draws per requested sample after which a sampler annulus is a ParameterError.
 MAX_DRAWS_PER_SAMPLE = 1000
@@ -336,6 +339,22 @@ def _annulus_tuples(u: np.ndarray, n1: float, mags: np.ndarray) -> np.ndarray:
     return np.compress(ok, xs, axis=1)
 
 
+def _uniform_blocks(rng: np.random.Generator, batch: int) -> Iterator[np.ndarray]:
+    """rng.uniform(-1, 1, size=(3, batch)) bit for bit, as (3, n) blocks of
+    M4_BLOCK columns drawn one at a time.
+
+    Row r of that draw takes the rng's doubles r * batch onwards, one 64-bit
+    output each, so it is drawn from a copy of rng's PCG64 bit generator
+    advanced that far; rng itself is advanced past all 3 * batch draws before
+    the first block, so its later draws do not depend on the blocks taken.
+    """
+    bits = rng.bit_generator
+    rows = [np.random.Generator(copy.copy(bits).advance(r * batch)) for r in range(3)]
+    bits.advance(3 * batch)
+    for start in range(0, batch, M4_BLOCK):
+        yield np.array([g.uniform(-1.0, 1.0, min(M4_BLOCK, batch - start)) for g in rows])
+
+
 def _sample_annulus_tuples(
     rng: np.random.Generator,
     n1: float,
@@ -360,9 +379,7 @@ def _sample_annulus_tuples(
             raise ParameterError(f"annulus N1 = {n1:g} with ratios {list(ratios)} kept {share}")
         batch = max(4 * needed, 1024)
         drawn += batch
-        draws = rng.uniform(-1.0, 1.0, size=(3, batch))
-        for start in range(0, batch, M4_BLOCK):
-            u = draws[:, start : start + M4_BLOCK]
+        for u in _uniform_blocks(rng, batch):
             kept = _annulus_tuples(u, n1, mags)[:, :needed]  # rows stay contiguous
             needed -= kept.shape[1]
             if kept.size:

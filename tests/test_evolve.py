@@ -172,7 +172,7 @@ class TestStepperBuffers:
         h = evolve._to_half(dealias(forward_transform(smooth_data(grid, 1.5))).coeffs)
         params = [ModelParams(0.1 * b, 0.8) for b in range(rows)]
         stepper = evolve._Stepper(grid, params, [1e-3 * (b + 1) for b in range(rows)])
-        return grid, stepper, h if rows == 1 else np.outer(np.arange(1.0, rows + 1), h)
+        return grid, stepper, np.outer(np.arange(1.0, rows + 1), h)
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_step_equals_the_plain_expressions_bit_for_bit(self, rows):
@@ -223,8 +223,7 @@ class TestStepperBuffers:
         # substitute that is the whole N gets the unfolded tableau
         grid = GridSpec(box_length=16.0, modes=modes)
         mult = evolve._multiplier(grid)
-        shape = (modes // 2 + 1,) if rows == 1 else (rows, modes // 2 + 1)
-        sq = evolve._half_square(grid, shape)
+        sq = evolve._half_square(grid, (rows, modes // 2 + 1))
 
         def full_n(h, out):
             return np.multiply(mult, sq(h, out), out=out)
@@ -234,7 +233,7 @@ class TestStepperBuffers:
         folded = evolve._Stepper(grid, params, dts)
         unfolded = evolve._Stepper(grid, params, dts, full_n)
         h = evolve._to_half(dealias(forward_transform(smooth_data(grid, 1.5))).coeffs)
-        x = y = h if rows == 1 else np.outer(np.arange(1.0, rows + 1), h)
+        x = y = np.outer(np.arange(1.0, rows + 1), h)
         for _ in range(20):
             x, y = folded(x), unfolded(y)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
@@ -246,6 +245,21 @@ class TestStepperBuffers:
         filled = step(u, 0.02, p, lambda h, out: np.multiply(0.5, h, out=out))
         fresh = step(u, 0.02, p, lambda h, out: 0.5 * h)
         assert np.array_equal(filled.coeffs, fresh.coeffs)
+
+    def test_substitute_receives_one_run_as_a_batch_of_one(self):
+        # step and solve call it on (1, M/2 + 1) half-spectra, as a ladder does
+        grid = GridSpec(box_length=4.0, modes=64)
+        p = ModelParams(0.4, 0.7)
+        shapes = []
+
+        def nl(h, out):
+            shapes.append((h.shape, out.shape))
+            return np.multiply(0.5, h, out=out)
+
+        step(dealias(forward_transform(smooth_data(grid))), 0.02, p, nl)
+        solve(smooth_data(grid), SolverConfig(p, grid, dt=0.02, t_final=0.04), nl)
+        # four stages a step: one step, then two
+        assert shapes == [((1, 33), (1, 33))] * 12
 
 
 class TestSolve:
@@ -664,7 +678,7 @@ class TestSolveLadder:
     def test_batch_rule_is_checked_before_the_data(self):
         # _march checks the batch first: data on neither config's grid, and
         # non-finite at that, still meets the batch rule's ParameterError
-        phi = gaussian_initial_data(GridSpec(16.0, 32), 2.0, np.nan)
+        phi = RealField(np.full(32, np.nan), GridSpec(16.0, 32))
         grid = GridSpec(box_length=16.0, modes=64)
         cfgs = [
             SolverConfig(ModelParams(0.1, 1.0), grid, dt, t_final=0.03) for dt in (0.01, 0.003)

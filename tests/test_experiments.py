@@ -114,6 +114,11 @@ class TestGaussianData:
         with pytest.raises(ParameterError, match="modulation"):
             gaussian_initial_data(GridSpec(box_length=16.0, modes=64), 2.0, 1.0, modulation)
 
+    @pytest.mark.parametrize("l2_norm", [np.nan, np.inf, -np.inf])
+    def test_non_finite_l2_norm_rejected(self, l2_norm):
+        with pytest.raises(ParameterError, match="l2_norm"):
+            gaussian_initial_data(GridSpec(box_length=16.0, modes=64), 2.0, l2_norm)
+
 
 class TestRoughData:
     def test_hermitian_and_seeded(self):
@@ -162,6 +167,12 @@ class TestRoughData:
         with pytest.raises(ParameterError, match="seed"):
             power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=seed)
 
+    @pytest.mark.parametrize("l2_norm", [np.nan, np.inf, -np.inf])
+    def test_non_finite_l2_norm_rejected(self, l2_norm):
+        grid = GridSpec(box_length=16.0, modes=64)
+        with pytest.raises(ParameterError, match="l2_norm"):
+            power_law_initial_data(grid, -1.51, l2_norm=l2_norm, seed=7)
+
 
 class TestSineData:
     @pytest.mark.parametrize("index", [1, 21, -21])
@@ -189,6 +200,11 @@ class TestSineData:
         # at 1.5 the field would not be periodic: values[0] is 0, values[-1] is not
         with pytest.raises(ParameterError, match="wavenumber_index must be an integer"):
             sine_initial_data(GridSpec(box_length=16.0, modes=64), 0.5, index)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ParameterError, match="amplitude"):
+            sine_initial_data(GridSpec(box_length=16.0, modes=64), amplitude, 1)
 
 
 class TestRateFit:
@@ -274,7 +290,7 @@ class TestInviscidSweep:
 
         monkeypatch.setattr(evolve._Stepper, "__call__", no_step)
         grid = GridSpec(box_length=16.0, modes=64)
-        phi = gaussian_initial_data(grid, 2.0, np.nan)
+        phi = RealField(np.full(64, np.nan), grid)
         with pytest.raises(ParameterError, match="non-finite"):
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3), (1e-1, 1e-2), s=0.0)
         with pytest.raises(ParameterError, match="non-finite"):

@@ -2,6 +2,7 @@
 quadratic ledger identity."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,18 +394,12 @@ class TestM4BoundSampler:
         for x in xs:
             assert abs(np.mean(x > 0) - 0.5) <= 5 * np.sqrt(0.25 / count)
 
-    def test_draws_on_a_vanishing_pair_sum_are_dropped(self):
+    def test_draws_on_a_vanishing_pair_sum_are_dropped(self, monkeypatch):
         # the stub's first draw of each batch gives xi_2..4 = (1.5, -1.5, 1.25),
         # so xi_1 = -1.25 and xi_1 + xi_4 = xi_2 + xi_3 = 0 exactly
+        monkeypatch.setattr(imethod, "_uniform_blocks", stub_uniform_blocks)
         rng = np.random.default_rng(3)
-
-        class Stub:
-            def uniform(self, low, high, size):
-                draws = rng.uniform(low, high, size)
-                draws[:, 0] = (0.5, -0.5, 0.25)
-                return draws
-
-        blocks = imethod._sample_annulus_tuples(Stub(), 1.0, (1.0, 1.0, 1.0), 200)
+        blocks = imethod._sample_annulus_tuples(rng, 1.0, (1.0, 1.0, 1.0), 200)
         xs = np.hstack(list(blocks))
         assert xs.shape == (4, 200)
         assert not np.any(np.all(xs.T == (-1.25, 1.5, -1.5, 1.25), axis=1))
@@ -419,6 +414,21 @@ class TestM4BoundSampler:
         whole = m4_bound_sample(*args)
         monkeypatch.setattr(imethod, "MAX_DRAWS_PER_SAMPLE", 4)
         assert m4_bound_sample(*args) == whole
+
+    def test_blocks_bound_the_memory_of_the_draws(self, monkeypatch):
+        # 10,000 samples draw one batch of 3 x 40,000 doubles, 960,000 bytes
+        # drawn whole; drawn a block at a time it holds a small part of that
+        monkeypatch.setattr(imethod, "M4_BLOCK", 1_000)
+        rng = np.random.default_rng(42)
+        tracemalloc.start()
+        try:
+            blocks = imethod._sample_annulus_tuples(rng, 16.0, (1.0, 0.75, 0.5), 10_000)
+            kept = sum(xs.shape[1] for xs in blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == 10_000
+        assert peak < 480_000
 
 
 # Pre-rewrite oracles: the kernels as they were before each slot's terms were
@@ -482,6 +492,15 @@ def oracle_sigma4(xs, spec, params):
 
 def oracle_m5(xs, spec, params):
     return oracle_pair_symmetrized(xs, lambda ys: oracle_sigma4(ys, spec, params), -2j)
+
+
+def stub_uniform_blocks(rng, batch):
+    """``imethod._uniform_blocks`` with the first draw of each batch set to
+    (0.5, -0.5, 0.25), which on unit annuli lands on a vanishing pair sum."""
+    draws = rng.uniform(-1.0, 1.0, size=(3, batch))
+    draws[:, 0] = (0.5, -0.5, 0.25)
+    for start in range(0, batch, imethod.M4_BLOCK):
+        yield draws[:, start : start + imethod.M4_BLOCK]
 
 
 def oracle_annulus_tuples(rng, n1, ratios, count, block):
@@ -593,8 +612,10 @@ class TestBitForBitOracles:
             for a, b in zip(got, want):
                 assert_same_bits(a, b)
 
-    def test_sampler_blocks_with_stub_draws(self):
+    def test_sampler_blocks_with_stub_draws(self, monkeypatch):
         # the stub's first draw of each batch lands on a vanishing pair sum
+        monkeypatch.setattr(imethod, "_uniform_blocks", stub_uniform_blocks)
+
         def stub(seed):
             rng = np.random.default_rng(seed)
 
@@ -606,7 +627,8 @@ class TestBitForBitOracles:
 
             return Stub()
 
-        got = list(imethod._sample_annulus_tuples(stub(3), 1.0, (1.0, 1.0, 1.0), 200))
+        rng = np.random.default_rng(3)
+        got = list(imethod._sample_annulus_tuples(rng, 1.0, (1.0, 1.0, 1.0), 200))
         want = list(oracle_annulus_tuples(stub(3), 1.0, (1.0, 1.0, 1.0), 200, imethod.M4_BLOCK))
         assert len(got) == len(want)
         for a, b in zip(got, want):

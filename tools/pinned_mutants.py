@@ -99,6 +99,12 @@ MUTANTS = [
         "tests/test_imethod.py::TestBitForBitOracles::test_random_tuples",
     ),
     (
+        "imethod.py",
+        "advance(r * batch)",
+        "advance(r * batch + 1)",
+        "tests/test_imethod.py::TestBitForBitOracles::test_sampler_blocks_on_criterion_08_annuli",
+    ),
+    (
         "experiments.py",
         "if any(b >= a for a, b in zip(ladder, ladder[1:])):",
         "if any(b > a for a, b in zip(ladder, ladder[1:])):",
@@ -109,6 +115,25 @@ MUTANTS = [
         "if modulation != 0:",
         "if modulation > 0:",
         "tests/test_experiments.py::TestGaussianData::test_modulation_is_even",
+    ),
+    # the two l2_norm checks read alike, so each row takes in the line before
+    (
+        "experiments.py",
+        '{width}")\n    if not 0 <= l2_norm < np.inf:',
+        '{width}")\n    if not 0 <= l2_norm <= np.inf:',
+        "tests/test_experiments.py::TestGaussianData::test_non_finite_l2_norm_rejected",
+    ),
+    (
+        "experiments.py",
+        '"""\n    if not 0 <= l2_norm < np.inf:',
+        '"""\n    if not 0 <= l2_norm <= np.inf:',
+        "tests/test_experiments.py::TestRoughData::test_non_finite_l2_norm_rejected",
+    ),
+    (
+        "experiments.py",
+        "if not np.isfinite(amplitude):",
+        "if np.isinf(amplitude):",
+        "tests/test_experiments.py::TestSineData::test_non_finite_amplitude_rejected",
     ),
     (
         "experiments.py",
