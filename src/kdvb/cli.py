@@ -54,11 +54,11 @@ from .errors import (
 from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
 from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
 from .imethod import RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
-from .norms import _relative_residual, build_energy_ledger, l2_dissipation_residual, ledger_csv
+from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
 from .reports import canonical_json, format_csv
 from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
-from .spectral import GridSpec, RealField, is_seed
+from .spectral import GridSpec, RealField, is_number, is_seed
 
 # Schema tables map each key to (value kind, default).  A default is a
 # value, REQUIRED, or a function of the top-level values computing one.
@@ -108,9 +108,10 @@ _INITIAL_DATA = {
 
 
 def _coerce(value, name: str, kind):
-    """value coerced by kind; a value of another JSON type (a boolean is
-    not a number) or a non-finite number, a non-integral value for an int
-    or seed, or a seed outside [0, 2**64), is a config error naming the key."""
+    """value coerced by kind; a value of another JSON type (a boolean or a
+    numeric string is not a number) or a non-finite number, a non-integral
+    value for an int or seed, or a seed outside [0, 2**64), is a config
+    error naming the key."""
     if kind in _TYPES:
         if not isinstance(value, kind):
             raise ConfigError(f"{name} must be {_TYPES[kind]}, got {value!r}")
@@ -120,12 +121,10 @@ def _coerce(value, name: str, kind):
             raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
         return tuple(_coerce(v, f"{name}[{i}]", float) for i, v in enumerate(value))
     try:
-        # a JSON boolean is not a number, though float(True) is 1.0
-        number = math.nan if isinstance(value, bool) else float(value)
-        finite = math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
+        number = float(value) if is_number(value) else math.nan
+    except OverflowError:  # an integer past the largest float
+        number = math.nan
+    if not math.isfinite(number):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if kind is float:
         return number
@@ -260,9 +259,8 @@ def _sweep_csv_rows(report: dict) -> str:
 
 def _ledger_artifact(traj, artifacts: dict) -> float:
     """Write ledger.csv for traj; return its relative ledger residual."""
-    ledger = build_energy_ledger(traj)
-    artifacts["ledger.csv"] = ledger_csv(ledger).encode()
-    return _relative_residual(ledger["half_l2_sq"], ledger["dissipated"])
+    artifacts["ledger.csv"] = ledger_csv(build_energy_ledger(traj)).encode()
+    return l2_dissipation_residual(traj)
 
 
 def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:

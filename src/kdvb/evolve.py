@@ -86,6 +86,7 @@ from .spectral import (
     SpectralField,
     forward_transform,
     is_integer,
+    is_number,
     synthesize,
 )
 
@@ -570,15 +571,11 @@ def _read_json(stream, what: str, checks: dict) -> dict:
     (size,) = struct.unpack("<I", _read(stream, 4))
     try:
         doc = json.loads(_read(stream, size))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, or nesting too deep
         raise ContractViolationError(f"trajectory {what} is not JSON: {exc}") from None
     if not isinstance(doc, dict) or not all(k in doc and ok(doc[k]) for k, ok in checks.items()):
         raise ContractViolationError(f"trajectory {what} needs {sorted(checks)}, got {doc!r:.200}")
     return doc
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON true or false is not one
 
 
 def write_trajectory(stream, traj: Trajectory) -> None:
@@ -604,9 +601,9 @@ def read_trajectory(stream) -> tuple[list[float], list, dict]:
     and JSON that does not parse, lacks a key the reader uses or has it of
     the wrong kind or out of range (a count below 1: a Trajectory holds at
     least one snapshot) are each a ContractViolationError."""
-    manifest = _read_json(stream, "manifest", {"count": lambda v: type(v) is int and v > 0})
+    manifest = _read_json(stream, "manifest", {"count": lambda v: is_integer(v) and v > 0})
     times, fields = [], []
-    keys = {"box_length": _is_number, "modes": lambda v: type(v) is int, "time": _is_number}
+    keys = {"box_length": is_number, "modes": is_integer, "time": is_number}
     for _ in range(manifest["count"]):
         magic = _read(stream, len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:

@@ -85,7 +85,8 @@ def soliton_initial_data(c: float, x0: float, grid: GridSpec) -> RealField:
 def gaussian_initial_data(
     grid: GridSpec, width: float, l2_norm: float, modulation: float = 0.0
 ) -> RealField:
-    """A centered Gaussian bump times 1 + cos(m x)/2 (m = modulation, finite), scaled to l2_norm."""
+    """A centered Gaussian bump times 1 + cos(m x)/2 (m = modulation,
+    finite), scaled to l2_norm."""
     if not width > 0:
         raise ParameterError(f"gaussian width must be positive, got {width}")
     if not 0 <= l2_norm < np.inf:
@@ -184,8 +185,8 @@ def inviscid_sweep(
         raise ParameterError(f"eps_ladder must be non-empty in (0, 1], got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ParameterError("eps_ladder must be strictly decreasing")
-    if s > 0:
-        raise ParameterError(f"sweep is defined for s <= 0, got {s}")
+    if not -np.inf < s <= 0:
+        raise ParameterError(f"sweep is defined for finite s <= 0, got {s}")
 
     cfgs = [replace(cfg, params=ModelParams(e, cfg.params.alpha)) for e in (0.0,) + ladder]
     # the dt/2 floor run rides on the same clock, storing every other tick

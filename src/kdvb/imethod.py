@@ -72,7 +72,7 @@ from .evolve import Trajectory
 from .norms import spectral_energies
 from .propagator import ModelParams
 from .reports import fit_power_law
-from .spectral import SpectralField, dissipation_symbol, is_seed
+from .spectral import SpectralField, dissipation_symbol, is_integer, is_seed
 
 _TINY = 1e-30
 
@@ -403,7 +403,7 @@ def m4_bound_sample(
     log max-ratio versus log N1; "config", the annuli in words; "seed"; and
     "samples", the tuples kept per ladder point.
     """
-    if not 10_000 <= n_samples <= MAX_SAMPLES:
+    if not (is_integer(n_samples) and 10_000 <= n_samples <= MAX_SAMPLES):
         raise ParameterError(
             f"need 1e4 <= n_samples <= MAX_SAMPLES = {MAX_SAMPLES}, got {n_samples}"
         )

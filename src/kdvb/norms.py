@@ -23,6 +23,7 @@ from .spectral import (
     GridSpec,
     SpectralField,
     dissipation_symbol,
+    is_integer,
     resize_band,
     sobolev_weight,
     synthesize,
@@ -31,13 +32,6 @@ from .spectral import (
 
 def _defect(half_l2: np.ndarray, dissipated: np.ndarray) -> np.ndarray:
     return half_l2 + dissipated - half_l2[0]
-
-
-def _relative_residual(half_l2: np.ndarray, dissipated: np.ndarray) -> float:
-    """Maximal defect of the quadratic ledger, relative to (1/2)||phi||^2;
-    the absolute defect when the initial data vanishes."""
-    defect = float(np.max(np.abs(_defect(half_l2, dissipated))))
-    return defect / half_l2[0] if half_l2[0] > 0 else defect
 
 
 # Rows per block in spectral_energies: its |coeff|^2 and product
@@ -108,8 +102,8 @@ def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
     is 2^(j/2) times the L2 norm of modulation band j; the array is empty
     when band k holds no mode of the grid.
     """
-    if k < 0:
-        raise ContractViolationError(f"band index must be nonnegative, got {k}")
+    if not (is_integer(k) and k >= 0):
+        raise ContractViolationError(f"band index must be a nonnegative integer, got {k}")
     if window <= 0 or window > traj.times[-1] * (1 + 1e-12):
         raise ResolutionError(
             f"window {window} must lie in (0, t_final = {traj.times[-1]}]"
@@ -202,10 +196,13 @@ def build_energy_ledger(traj: Trajectory) -> dict:
 
 
 def l2_dissipation_residual(traj: Trajectory) -> float:
-    """The relative quadratic-ledger residual of traj, the one that
-    build_energy_ledger(traj)'s half_l2_sq and dissipated columns give, but
-    evaluating neither H nor the H^1 norm."""
-    return _relative_residual(*_quadratic_ledger(traj))
+    """The maximal defect of traj's quadratic ledger, relative to
+    (1/2)||phi||^2 (the absolute defect when phi vanishes): that of
+    build_energy_ledger(traj)'s residual column, but evaluating neither H
+    nor the H^1 norm."""
+    half_l2, dissipated = _quadratic_ledger(traj)
+    defect = float(np.max(np.abs(_defect(half_l2, dissipated))))
+    return defect / half_l2[0] if half_l2[0] > 0 else defect
 
 
 def ledger_csv(ledger: dict) -> str:

@@ -58,8 +58,8 @@ class CounterexampleSpec:
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if not self.scale_n >= 16:
-            raise ParameterError(f"scale_n must be >= 16, got {self.scale_n}")
+        if not 16 <= self.scale_n < math.inf:
+            raise ParameterError(f"scale_n must be >= 16 and finite, got {self.scale_n}")
         if not 0 < self.alpha <= 1:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.delta < 0.25:
@@ -175,19 +175,20 @@ class _PairLattice:
         positive = f.xi_idx > 0
         xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
         cols, col = np.unique(xi_p, return_inverse=True)
+        # the set width is CELLS_ACROSS_THIN columns; an f with no positive
+        # column has no column pair, so its window is empty too
+        offset = cols[:, None] - cols[None, :]
+        gap = np.abs(offset)
+        near = (gap >= CELLS_ACROSS_THIN // 6) & (gap <= CELLS_ACROSS_THIN // 2)
+        if not np.any(near):
+            raise ResolutionError("near-origin window is empty: f has too few positive xi-columns")
+        self.col_a, self.col_b = np.nonzero(near)
+
         row0 = np.array([tau_p[col == c].min() for c in range(len(cols))])
         row = tau_p - row0[col]
         weight = np.zeros((len(cols), row.max() + 1))
         y = _modulation(xi_p * d_xi, tau_p * d_tau, f.spec.alpha)
         weight[col, row] = (1.0 + y**2) ** (-0.25)
-
-        # the set width is CELLS_ACROSS_THIN columns
-        offset = cols[:, None] - cols[None, :]
-        gap = np.abs(offset)
-        near = (gap >= CELLS_ACROSS_THIN // 6) & (gap <= CELLS_ACROSS_THIN // 2)
-        if not np.any(near):
-            raise ResolutionError("near-origin window is empty: f has too few xi-columns")
-        self.col_a, self.col_b = np.nonzero(near)
         pairs = zip(self.col_a, self.col_b)
         mass = np.array([np.correlate(weight[a], weight[b], "full") for a, b in pairs])
         # positive weights, no cancellation: the nonzero entries are exactly
@@ -227,7 +228,8 @@ class _PairLattice:
 
 def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2 at the
-    test exponent s_test; 0 for an f with no cells.
+    test exponent s_test; 0 for an f with no cells, and a ResolutionError
+    for one whose positive xi-columns give no pair in the window.
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the

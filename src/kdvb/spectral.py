@@ -43,6 +43,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """True for an integer (as ``is_integer``) or a float, numpy's
+    included; a string is not one."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
 def is_seed(value) -> bool:
     """True for an integer (as ``is_integer``) in [0, 2**64), the seeds a
     run takes."""

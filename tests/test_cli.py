@@ -894,14 +894,24 @@ class TestMain:
             {"initial_data": {"kind": ["x"]}},
             {"out": 5},
             {"out": None},
+            # a JSON string is not a number, though float("0.1") is one
+            {"epsilon": "0.1"},
+            {"modes": "64"},
+            {"seed": "7"},
+            {"initial_data": {"kind": "gaussian", "width": "2"}},
+            {"inviscid": {"eps_ladder": ["0.1", 0.01]}, "subcommand": "inviscid"},
         ],
     )
     def test_bad_scalar_is_config_error(self, tmp_path, capsys, override):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**solve_doc(tmp_path), **override}))
+        doc = {**solve_doc(tmp_path), **override}
+        cfg_path.write_text(json.dumps(doc))
         assert main(["--config", str(cfg_path)]) == 2
         key = next(iter(override))
         assert key in capsys.readouterr().err
+        if isinstance(doc["out"], str):
+            payload = json.loads((tmp_path / "error.json").read_text())
+            assert payload["error"] == "ConfigError" and key in payload["message"]
 
     @pytest.mark.parametrize(
         "subcommand,block",

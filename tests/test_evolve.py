@@ -872,6 +872,8 @@ class TestTrajectorySerialization:
         b'{"count": -1}',
         # a Trajectory holds at least one snapshot, so no writer makes count 0
         b'{"count": 0}',
+        # nested past the decoder's recursion limit
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested-too-deep"),
     ]
     BAD_HEADERS = [
         {"box_length": 8.0, "time": 0.0},

@@ -272,8 +272,9 @@ class TestInviscidSweep:
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-2, 1e-1), s=0.0)
         with pytest.raises(ParameterError, match="\\(0, 1\\]"):
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (2.0, 0.1), s=0.0)
-        with pytest.raises(ParameterError, match="s <= 0"):
-            inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-1, 1e-2), s=0.5)
+        for s in (0.5, np.nan, -np.inf):
+            with pytest.raises(ParameterError, match="s <= 0"):
+                inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-1, 1e-2), s=s)
 
     def test_schedule_mismatch_is_rejected(self):
         phi = small_grid_phi()

@@ -362,8 +362,10 @@ class TestM4BoundSampler:
 
     def test_sample_floor_enforced(self):
         cfg = DyadicConfig(n1_ladder=(16.0, 32.0), seed=0)
-        with pytest.raises(ParameterError, match="1e4"):
-            m4_bound_sample(cfg, SPEC, PARAMS, 100)
+        # a float count, integral or not, is refused by name before any draw
+        for n_samples in (100, 1e4, 10000.5, np.float64(2e4)):
+            with pytest.raises(ParameterError, match="1e4"):
+                m4_bound_sample(cfg, SPEC, PARAMS, n_samples)
 
     @pytest.mark.parametrize("top", [np.nan, np.inf])
     def test_non_finite_ladder_entry_rejected(self, top):

@@ -85,9 +85,12 @@ class TestSpecValidation:
             CounterexampleSpec(8.0, 0.25)
 
     def test_nan_scale_n_rejected(self):
-        # NaN fails every ordered comparison, so "scale_n < 16" lets it through
+        # NaN fails every ordered comparison, so "scale_n < 16" lets it through;
+        # an infinite scale_n would give the lattice a NaN log index
         with pytest.raises(ParameterError, match="scale_n"):
             CounterexampleSpec(math.nan, 0.25)
+        with pytest.raises(ParameterError, match="scale_n"):
+            CounterexampleSpec(math.inf, 0.25)
         with pytest.raises(ParameterError, match="scale_n"):
             exponent_sweep(0.25, (-0.75,), (16.0, 32.0, math.nan, 128.0))
 
@@ -182,14 +185,20 @@ class TestBilinearFunctional:
         assert bilinear_functional(zero, -0.75) == 0.0
 
     def test_empty_near_origin_window_is_resolution_error(self):
-        # one xi-column and its mirror: no column pair sums into the window
         f = build_counterexample(CounterexampleSpec(16.0, 0.25))
         column = np.abs(f.xi_idx) == f.xi_idx.max()
-        single = CounterexampleFunction(
-            spec=f.spec, xi_idx=f.xi_idx[column], tau_idx=f.tau_idx[column]
-        )
-        with pytest.raises(ResolutionError, match="window is empty"):
-            bilinear_functional(single, -0.75)
+        probes = [
+            # one xi-column and its mirror: no column pair sums into the window
+            (f.xi_idx[column], f.tau_idx[column]),
+            # the xi = 0 column alone, and an unmirrored negative half: no
+            # positive column at all
+            ([0, 0], [7, -7]),
+            ([-5, -3], [7, 9]),
+        ]
+        for xi_idx, tau_idx in probes:
+            probe = CounterexampleFunction(f.spec, np.asarray(xi_idx), np.asarray(tau_idx))
+            with pytest.raises(ResolutionError, match="window is empty"):
+                bilinear_functional(probe, -0.75)
 
     def test_ratio_invariant_under_reflection(self):
         f = build_counterexample(CounterexampleSpec(32.0, 0.25))

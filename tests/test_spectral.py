@@ -15,6 +15,7 @@ from kdvb.spectral import (
     fractional_dissipation,
     hermitian_residual,
     inverse_transform,
+    is_number,
     resize_band,
     spatial_derivative,
 )
@@ -23,6 +24,16 @@ from kdvb.spectral import (
 def random_field(grid: GridSpec, seed: int = 0) -> RealField:
     rng = np.random.default_rng(seed)
     return RealField(rng.standard_normal(grid.modes), grid)
+
+
+class TestIsNumber:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 2**70, np.int64(4), np.float32(0.5)])
+    def test_ints_and_floats_are_numbers(self, value):
+        assert is_number(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.1", None, [1.0], 1j])
+    def test_booleans_strings_and_others_are_not(self, value):
+        assert not is_number(value)
 
 
 class TestGridSpec:

@@ -38,10 +38,17 @@ MUTANTS = [
     ),
     (
         "evolve.py",
-        "type(v) is int and v > 0",
-        "type(v) is int and v >= 0",
+        "is_integer(v) and v > 0",
+        "is_integer(v) and v >= 0",
         "tests/test_evolve.py::TestTrajectorySerialization::"
         "test_bad_manifest_is_contract_violation",
+    ),
+    (
+        "evolve.py",
+        "except (ValueError, RecursionError) as exc:",
+        "except ValueError as exc:",
+        "tests/test_evolve.py::TestTrajectorySerialization::"
+        "test_bad_manifest_is_contract_violation[nested-too-deep]",
     ),
     (
         "propagator.py",
@@ -54,6 +61,12 @@ MUTANTS = [
         "tau_span = 2.0 * np.pi / dt_snap",
         "tau_span = 2.0 * np.pi * dt_snap",
         "tests/test_norms.py::TestXkNorm::test_single_mode_lands_in_its_modulation_band",
+    ),
+    (
+        "norms.py",
+        "is_integer(k) and k >= 0",
+        "k >= 0",
+        "tests/test_norms.py::TestXkNorm::test_negative_band_rejected",
     ),
     (
         "norms.py",
@@ -105,6 +118,12 @@ MUTANTS = [
         "tests/test_imethod.py::TestBitForBitOracles::test_sampler_blocks_on_criterion_08_annuli",
     ),
     (
+        "imethod.py",
+        "is_integer(n_samples) and 10_000",
+        "10_000",
+        "tests/test_imethod.py::TestM4BoundSampler::test_sample_floor_enforced",
+    ),
+    (
         "experiments.py",
         "if any(b >= a for a, b in zip(ladder, ladder[1:])):",
         "if any(b > a for a, b in zip(ladder, ladder[1:])):",
@@ -115,6 +134,12 @@ MUTANTS = [
         "if modulation != 0:",
         "if modulation > 0:",
         "tests/test_experiments.py::TestGaussianData::test_modulation_is_even",
+    ),
+    (
+        "experiments.py",
+        "-np.inf < s <= 0",
+        "-np.inf <= s <= 0",
+        "tests/test_experiments.py::TestInviscidSweep::test_ladder_validated",
     ),
     # the two l2_norm checks read alike, so each row takes in the line before
     (
@@ -187,6 +212,12 @@ MUTANTS = [
     ),
     (
         "spectral.py",
+        "isinstance(value, (float, np.floating))",
+        "isinstance(value, (float, np.floating, str))",
+        "tests/test_cli.py::TestMain::test_bad_scalar_is_config_error",
+    ),
+    (
+        "spectral.py",
         "0 <= value < 2**64",
         "0 <= value <= 2**64",
         "tests/test_experiments.py::TestRoughData::test_seed_outside_the_cli_range_rejected",
@@ -205,8 +236,14 @@ MUTANTS = [
     ),
     (
         "sharpness.py",
-        "not self.scale_n >= 16",
-        "self.scale_n < 16",
+        "not 16 <= self.scale_n",
+        "16 > self.scale_n",
+        "tests/test_sharpness.py::TestSpecValidation::test_nan_scale_n_rejected",
+    ),
+    (
+        "sharpness.py",
+        "self.scale_n < math.inf",
+        "self.scale_n <= math.inf",
         "tests/test_sharpness.py::TestSpecValidation::test_nan_scale_n_rejected",
     ),
 ]
