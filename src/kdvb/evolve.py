@@ -600,10 +600,15 @@ def read_trajectory(stream) -> tuple[list[float], list, dict]:
     A bad magic, a stream that ends early or goes on past the last record,
     and JSON that does not parse, lacks a key the reader uses or has it of
     the wrong kind or out of range (a count below 1: a Trajectory holds at
-    least one snapshot) are each a ContractViolationError."""
+    least one snapshot; a time that is not finite) are each a
+    ContractViolationError."""
     manifest = _read_json(stream, "manifest", {"count": lambda v: is_integer(v) and v > 0})
     times, fields = [], []
-    keys = {"box_length": is_number, "modes": is_integer, "time": is_number}
+    keys = {
+        "box_length": is_number,
+        "modes": is_integer,
+        "time": lambda v: is_number(v) and -math.inf < v < math.inf,
+    }
     for _ in range(manifest["count"]):
         magic = _read(stream, len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:

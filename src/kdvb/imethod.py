@@ -38,17 +38,16 @@ The multipliers are array kernels: ``m_weight(xi)`` and, on ``xs``, a
 sequence of k broadcastable arrays whose slot j holds xi_j of every tuple
 (kept on the hyperplane by the caller), ``beta_values``, ``h4_values``,
 ``m3_values``, ``sigma3_values``, ``m4_values``, ``sigma4_values`` and
-``m5_values``.  Each kernel evaluates the one-slot terms m^2(xi) xi and
-|xi|^(2 alpha) once per slot array, a frequency or a pair sum, and every
-pairing that takes the slot shares them; M3, beta, h3, h4 and the quotients
-are written once, on those terms, and every kernel (M5 too) goes through
-them.  The quotient kernels (sigma3, M4, sigma4, M5) return
-``(values, resonant)``: where a denominator vanishes (|den| <= 1e-30) the
-value is 0, and the boolean mask is set only under a numerator above 1e-30,
-so 0/0 maps to 0 with the mask unset; M4 and M5 join their inner masks.  No
-kernel raises on the resonant set; ``modified_energy`` raises
-``ResonantDenominatorError``.  A kernel given another number of slots than
-its k raises ``ContractViolationError``.
+``m5_values``.  Each kernel is the one place of its formula, and it calls
+the kernels below it on its own slots: a slot, a frequency or a pair sum,
+keeps its one-slot terms m^2(xi) xi and |xi|^(2 alpha) once computed, so
+every pairing that takes the slot shares them.  The quotient kernels
+(sigma3, M4, sigma4, M5) return ``(values, resonant)``: where a
+denominator vanishes (|den| <= 1e-30) the value is 0, and the boolean mask
+is set only under a numerator above 1e-30, so 0/0 maps to 0 with the mask
+unset; M4 and M5 join their inner masks.  No kernel raises on the resonant
+set; ``modified_energy`` raises ``ResonantDenominatorError``.  A kernel
+given another number of slots than its k raises ``ContractViolationError``.
 """
 
 from __future__ import annotations
@@ -160,10 +159,6 @@ def _msq(xi, spec):
     return m_weight(xi, spec) ** 2
 
 
-# The kernels on slots: each formula below is written once, and the public
-# kernels after them check their slot counts, build their slots and call these.
-
-
 class _Slot:
     """One slot array xi with its one-slot terms, each computed on first use
     and kept: flux = m^2(xi) xi, the M3 term, and dissipation = |xi|^(2 alpha),
@@ -186,19 +181,11 @@ class _Slot:
 
 
 def _slots(xs, k: int, kernel: str, spec=None, alpha=None) -> list[_Slot]:
-    """The slots of xs, checked to be the k slots the kernel takes."""
+    """The slots of xs, checked to be the k slots the kernel takes: a _Slot is
+    kept with the terms it holds, and an array is wrapped."""
     if len(xs) != k:
         raise ContractViolationError(f"{kernel} takes k = {k} slots, got {len(xs)}")
-    return [_Slot(x, spec, alpha) for x in xs]
-
-
-def _m3(slots):
-    a, b, c = slots
-    return 1j * (a.flux + b.flux + c.flux)
-
-
-def _beta(slots):
-    return sum(s.dissipation for s in slots)
+    return [x if isinstance(x, _Slot) else _Slot(x, spec, alpha) for x in xs]
 
 
 def _guarded_quotient(num, den):
@@ -215,14 +202,6 @@ def _guarded_quotient(num, den):
     resonant = np.zeros_like(small)
     resonant[small] = np.abs(num[small]) > _TINY
     return values, resonant
-
-
-def _sigma3(slots, eps: float, sign: str = "+"):
-    a, b, c = slots
-    h3 = 3j * np.asarray(a.xi) * np.asarray(b.xi) * np.asarray(c.xi)
-    eps_term = eps * _beta(slots)
-    den = h3 - eps_term if sign == "+" else h3 + eps_term
-    return _guarded_quotient(_m3(slots), den)
 
 
 def _pair_symmetrized(slots, inner, prefactor):
@@ -244,30 +223,17 @@ def _pair_symmetrized(slots, inner, prefactor):
     return (prefactor / len(kept_slots)) * total, resonant
 
 
-def _h4(slots):
-    x1, x2, x3, x4 = (s.xi for s in slots)
-    return 3j * (x1 + x2) * (x1 + x3) * (x1 + x4)
-
-
-def _m4(slots, eps: float):
-    return _pair_symmetrized(slots, functools.partial(_sigma3, eps=eps), -1.5j)
-
-
-def _sigma4(slots, eps: float):
-    num, resonant = _m4(slots, eps)
-    den = _h4(slots) - eps * _beta(slots)
-    values, res4 = _guarded_quotient(num, den)
-    return values, resonant | res4
-
-
 def m3_values(xs, spec: IMultiplierSpec) -> np.ndarray:
     """M3 = i sum m^2(xi_j) xi_j on three slots; no denominator, so no mask."""
-    return _m3(_slots(xs, 3, "m3_values", spec))
+    a, b, c = _slots(xs, 3, "m3_values", spec)
+    return 1j * (a.flux + b.flux + c.flux)
 
 
 def beta_values(xs, alpha: float):
-    """beta_{alpha,k} = sum |xi_j|^(2 alpha) over the k slots."""
-    return _beta([_Slot(x, None, alpha) for x in xs])
+    """beta_{alpha,k} = sum |xi_j|^(2 alpha) over the k slots, alpha in (0, 1]."""
+    if not 0 < alpha <= 1:
+        raise ParameterError(f"alpha must lie in (0, 1], got {alpha}")
+    return sum(s.dissipation for s in _slots(xs, len(xs), "beta_values", alpha=alpha))
 
 
 def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+"):
@@ -276,31 +242,39 @@ def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+
     if sign not in ("+", "-"):
         raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
     slots = _slots(xs, 3, "sigma3_values", spec, params.alpha)
-    return _sigma3(slots, params.epsilon, sign)
+    a, b, c = slots
+    h3 = 3j * np.asarray(a.xi) * np.asarray(b.xi) * np.asarray(c.xi)
+    eps_term = params.epsilon * beta_values(slots, params.alpha)
+    den = h3 - eps_term if sign == "+" else h3 + eps_term
+    return _guarded_quotient(m3_values(slots, spec), den)
 
 
 def m4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M4, resonant) on four slots: the six-pairing symmetrization of sigma3."""
     slots = _slots(xs, 4, "m4_values", spec, params.alpha)
-    return _m4(slots, params.epsilon)
+    return _pair_symmetrized(slots, lambda ys: sigma3_values(ys, spec, params), -1.5j)
 
 
 def h4_values(xs) -> np.ndarray:
     """h4 = i sum xi_j^3 on four slots, as 3i (xi_1+xi_2)(xi_1+xi_3)(xi_1+xi_4)."""
-    return _h4(_slots(xs, 4, "h4_values"))
+    x1, x2, x3, x4 = (s.xi for s in _slots(xs, 4, "h4_values"))
+    return 3j * (x1 + x2) * (x1 + x3) * (x1 + x4)
 
 
 def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(sigma4, resonant) on four slots, sigma4 = -M4 / (h4 - eps beta_4); the
     mask joins M4's with this quotient's own."""
-    return _sigma4(_slots(xs, 4, "sigma4_values", spec, params.alpha), params.epsilon)
+    slots = _slots(xs, 4, "sigma4_values", spec, params.alpha)
+    num, resonant = m4_values(slots, spec, params)
+    den = h4_values(slots) - params.epsilon * beta_values(slots, params.alpha)
+    values, res4 = _guarded_quotient(num, den)
+    return values, resonant | res4
 
 
 def m5_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(M5, resonant) on five slots: the ten-pairing symmetrization of sigma4."""
     slots = _slots(xs, 5, "m5_values", spec, params.alpha)
-    inner = functools.partial(_sigma4, eps=params.epsilon)
-    return _pair_symmetrized(slots, inner, -2j)
+    return _pair_symmetrized(slots, lambda ys: sigma4_values(ys, spec, params), -2j)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +574,7 @@ def rearrangement_check(
     if a.shape != b.shape or a.ndim != 1:
         raise ContractViolationError("rearrangement_check needs two equal-length 1-d arrays")
     a, b = a.tolist(), b.tolist()
-    if any(x < 0 for x in a + b):
+    if any(not x >= 0 for x in a + b):
         raise ParameterError("rearrangement_check requires nonnegative entries")
     lhs = math.prod(x + y for x, y in zip(a, b))
     rhs = math.prod(x + y for x, y in zip(sorted(a), sorted(b)))

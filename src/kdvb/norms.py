@@ -104,7 +104,7 @@ def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
     """
     if not (is_integer(k) and k >= 0):
         raise ContractViolationError(f"band index must be a nonnegative integer, got {k}")
-    if window <= 0 or window > traj.times[-1] * (1 + 1e-12):
+    if not 0 < window <= traj.times[-1] * (1 + 1e-12):
         raise ResolutionError(
             f"window {window} must lie in (0, t_final = {traj.times[-1]}]"
         )

@@ -882,6 +882,9 @@ class TestTrajectorySerialization:
         {"box_length": "8", "modes": 16, "time": 0.0},
         {"box_length": 8.0, "modes": 7, "time": 0.0},
         {"box_length": -8.0, "modes": 16, "time": 0.0},
+        # json writes and reads these as the literals NaN and Infinity
+        pytest.param({"box_length": 8.0, "modes": 16, "time": float("nan")}, id="time-nan"),
+        pytest.param({"box_length": 8.0, "modes": 16, "time": float("inf")}, id="time-inf"),
     ]
 
     @pytest.mark.parametrize("manifest", BAD_MANIFESTS)

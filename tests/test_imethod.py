@@ -111,6 +111,11 @@ class TestResonance:
         assert beta_values((0.0, 0.0, 0.0), 0.5) == 0.0
         assert beta_values((1.0, -1.0), 0.5) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, float("nan"), 5.0])
+    def test_beta_alpha_outside_the_model_rejected(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must lie in"):
+            beta_values((1.0, 1.0, -2.0), alpha)
+
 
 class TestBigM3:
     def test_vanishes_below_cutoff(self):
@@ -331,6 +336,24 @@ class TestSlotCount:
         else:
             with pytest.raises(ContractViolationError, match=f"{kernel} takes k = {k} slots"):
                 fn(xs)
+
+
+class TestSharedSlotTerms:
+    # each slot computes m^2(xi) once: M4 and sigma4 its 4 slots and 6 pair
+    # sums, M5 its 5 slots, 10 pair sums and the 6 pair sums of each sigma4
+    @pytest.mark.parametrize(
+        "kernel,k,calls", [(m4_values, 4, 10), (sigma4_values, 4, 10), (m5_values, 5, 75)]
+    )
+    def test_each_slot_evaluates_its_weight_once(self, monkeypatch, kernel, k, calls):
+        msq, seen = imethod._msq, []
+
+        def counted(xi, spec):
+            seen.append(xi)
+            return msq(xi, spec)
+
+        monkeypatch.setattr(imethod, "_msq", counted)
+        kernel(random_tuples(np.random.default_rng(k), k, 64), SPEC, PARAMS)
+        assert len(seen) == calls
 
 
 class TestM4BoundSampler:
@@ -938,8 +961,9 @@ class TestRearrangement:
             assert lhs >= rhs - 1e-12 * max(lhs, 1.0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ParameterError, match="nonnegative"):
-            rearrangement_check([1.0, -0.1], [0.0, 1.0])
+        for a, b in (([1.0, -0.1], [0.0, 1.0]), ([float("nan"), 1.0], [1.0, 2.0])):
+            with pytest.raises(ParameterError, match="nonnegative"):
+                rearrangement_check(a, b)
 
     @pytest.mark.parametrize("a,b", [([1.0, 2.0], [1.0]), ([[1.0], [2.0]], [[1.0], [2.0]])])
     def test_unequal_or_non_1d_rejected(self, a, b):

@@ -170,12 +170,13 @@ class TestXkNorm:
             with pytest.raises(ContractViolationError, match="band index"):
                 xk_norm_bands(traj, band, window=1.0)
 
-    @pytest.mark.parametrize("window", [0.0, -1.0, 1.56])
+    @pytest.mark.parametrize("window", [0.0, -1.0, 1.56, float("nan")])
     def test_window_outside_the_run_rejected(self, window):
-        # the run ends at t_final = 31 * 0.05 = 1.55
+        # the run ends at t_final = 31 * 0.05 = 1.55; "must lie in", since a
+        # window that passes the rule fails later as "only 0 snapshots in window"
         grid = GridSpec(box_length=16.0, modes=64)
         traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
-        with pytest.raises(ResolutionError, match="window"):
+        with pytest.raises(ResolutionError, match="must lie in"):
             xk_norm_bands(traj, 1, window=window)
 
     def test_non_uniform_snapshots_rejected(self):

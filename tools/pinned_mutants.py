@@ -45,6 +45,13 @@ MUTANTS = [
     ),
     (
         "evolve.py",
+        "-math.inf < v < math.inf",
+        "-math.inf < v <= math.inf",
+        "tests/test_evolve.py::TestTrajectorySerialization::"
+        "test_bad_header_is_contract_violation[time-inf]",
+    ),
+    (
+        "evolve.py",
         "except (ValueError, RecursionError) as exc:",
         "except ValueError as exc:",
         "tests/test_evolve.py::TestTrajectorySerialization::"
@@ -61,6 +68,12 @@ MUTANTS = [
         "tau_span = 2.0 * np.pi / dt_snap",
         "tau_span = 2.0 * np.pi * dt_snap",
         "tests/test_norms.py::TestXkNorm::test_single_mode_lands_in_its_modulation_band",
+    ),
+    (
+        "norms.py",
+        "not 0 < window <= traj.times[-1]",
+        "window <= 0 or window > traj.times[-1]",
+        "tests/test_norms.py::TestXkNorm::test_window_outside_the_run_rejected[nan]",
     ),
     (
         "norms.py",
@@ -107,9 +120,28 @@ MUTANTS = [
     ),
     (
         "imethod.py",
-        "return sum(s.dissipation for s in slots)",
-        "return sum(s.dissipation for s in slots[::-1])",
+        '_slots(xs, len(xs), "beta_values", alpha=alpha))',
+        '_slots(xs, len(xs), "beta_values", alpha=alpha)[::-1])',
         "tests/test_imethod.py::TestBitForBitOracles::test_random_tuples",
+    ),
+    # a slot handed on is rewrapped: the same values, its terms computed again
+    (
+        "imethod.py",
+        "x if isinstance(x, _Slot) else",
+        "_Slot(x.xi, spec, alpha) if isinstance(x, _Slot) else",
+        "tests/test_imethod.py::TestSharedSlotTerms::test_each_slot_evaluates_its_weight_once",
+    ),
+    (
+        "imethod.py",
+        "if not 0 < alpha <= 1:",
+        "if alpha <= 0 or alpha > 1:",
+        "tests/test_imethod.py::TestResonance::test_beta_alpha_outside_the_model_rejected[nan]",
+    ),
+    (
+        "imethod.py",
+        "if any(not x >= 0 for x in a + b):",
+        "if any(x < 0 for x in a + b):",
+        "tests/test_imethod.py::TestRearrangement::test_negative_rejected",
     ),
     (
         "imethod.py",
