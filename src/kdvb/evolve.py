@@ -61,10 +61,7 @@ preallocates one buffer per stage square, two for the stage arithmetic
 and one real (rows, M) buffer for the physical-space square, which the
 FFTs fill through ``out=`` (numpy >= 2.0).  The stage sums run in place
 with the operand order and grouping of the plain expressions, so a step
-is bit for bit the allocating one.  A substitute nonlinearity is called
-as ``nl(h, out)`` on (rows, M/2 + 1) half-spectra, stands in for the
-square under a tableau without the multiplier, and either fills ``out``
-or returns a new array.
+is bit for bit the allocating one.
 """
 
 from __future__ import annotations
@@ -89,10 +86,6 @@ from .spectral import (
     is_number,
     synthesize,
 )
-
-# nl(h, out): N of the (rows, M/2 + 1) half-spectra h, written into out (of
-# h's shape) and returned, or returned as a new array; it must not return h itself
-Nonlinearity = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # Largest number of time steps one solve may take.  Steps are counted, not
 # listed, so memory does not bound the count; time does: at 60-400 us a
@@ -244,7 +237,9 @@ def _multiplier(grid: GridSpec) -> np.ndarray:
     return mult
 
 
-def _half_square(grid: GridSpec, shape: tuple[int, ...]) -> Nonlinearity:
+def _half_square(
+    grid: GridSpec, shape: tuple[int, ...]
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """rfft(irfft(h)**2) on rfft half-spectra of one grid, for states of the
     given shape: N before its multiplier.  The physical-space square lives
     in one preallocated real buffer of shape (*shape[:-1], M), and
@@ -319,31 +314,23 @@ class _Stepper:
 
     N's multiplier is folded into the coefficients that weigh a stage
     nonlinearity (q, 2 q, f1, 2 f2 and f3), so the stages call ``p``, the
-    physical-space square rfft(irfft(h)**2), and never multiply by it.  A
-    substitute ``nl`` maps half-spectra to half-spectra along the last axis
-    and stands in for p under the same tableau built with multiplier 1.
+    physical-space square rfft(irfft(h)**2), and never multiply by it.
 
     The stepper owns its working memory, allocated once in the tableau's
     shape: p0, pa, pb and pc for the stage squares, s and t for the stage
-    arithmetic and, inside the default p, one (rows, M) real buffer.  A
+    arithmetic and, inside p, one (rows, M) real buffer.  A
     call steps in place in them, bit for bit as the allocating stage
     formulas of ``__call__``, and returns a new array, never a buffer; so
     one stepper must not be called from two threads at once.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        params: Sequence[ModelParams],
-        dts: Sequence[float],
-        nl: Nonlinearity | None = None,
-    ):
+    def __init__(self, grid: GridSpec, params: Sequence[ModelParams], dts: Sequence[float]):
         half = grid.modes // 2 + 1
         sym = np.array([linear_symbol(grid, p)[:half] for p in params])
         dt = np.array(dts)[:, None]
         sym[:, -1] = sym[:, -1].real
         z = dt * sym
-        mult = _multiplier(grid) if nl is None else 1.0
+        mult = _multiplier(grid)
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
         self.q = dt * _etd_coefficient(
@@ -366,7 +353,7 @@ class _Stepper:
             _F3_SERIES,
         ) * mult
         shape = self.e_full.shape
-        self.p = _half_square(grid, shape) if nl is None else nl
+        self.p = _half_square(grid, shape)
         self.p0, self.pa, self.pb, self.pc, self.s, self.t = (
             np.empty(shape, dtype=np.complex128) for _ in range(6)
         )
@@ -397,37 +384,23 @@ class _Stepper:
         return add(x, mul(self.f3, pc, out=s), out=x)
 
 
-def step(
-    u: SpectralField,
-    dt: float,
-    p: ModelParams,
-    nonlinearity: Nonlinearity | None = None,
-) -> SpectralField:
+def step(u: SpectralField, dt: float, p: ModelParams) -> SpectralField:
     """One ETDRK4 step of size dt of the real field with coefficients u.
 
     Only the coefficients of u at k = 0..M/2 are read (the zero and
     Nyquist ones by their real parts), and the result is exactly
-    Hermitian-symmetric.  ``nonlinearity`` maps rfft half-spectra to
-    half-spectra as ``nl(h, out)``, filling out or returning a new array,
-    and defaults to N; it receives the state as a (1, M/2 + 1) batch,
-    as ``solve``'s does.  Passing a substitute (for instance
-    ``zero_nonlinearity``) isolates the linear flow, which this scheme
-    reproduces exactly.  dt is checked as ``SolverConfig`` checks it.
+    Hermitian-symmetric.  dt is checked as ``SolverConfig`` checks it.
     """
     _check_dt(u.grid, p, dt)
     grid = u.grid
-    stepper = _Stepper(grid, [p], [dt], nonlinearity)
+    stepper = _Stepper(grid, [p], [dt])
     return SpectralField(_to_full(stepper(_to_half(u.coeffs)[None])[0]), grid)
 
 
 # a diverging row overflows on its way to the non-finite state that names its
 # step in a DivergenceError; numpy's warnings would only repeat that
 @np.errstate(over="ignore", invalid="ignore")
-def _march(
-    phi: RealField,
-    cfgs: Sequence[SolverConfig],
-    nonlinearity: Nonlinearity | None,
-) -> list[Trajectory]:
+def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
     """The stepping loop: phi stepped under each of cfgs, one Trajectory each.
 
     The configs must share grid and t_final, and each dt must be an integer
@@ -478,9 +451,7 @@ def _march(
         due = tuple([b for b, r in enumerate(ratios) if not j % r])
         entry = steppers.get(due)
         if entry is None:
-            stepper = _Stepper(
-                grid, [cfgs[b].params for b in due], [cfgs[b].dt for b in due], nonlinearity
-            )
+            stepper = _Stepper(grid, [cfgs[b].params for b in due], [cfgs[b].dt for b in due])
             # the due rows' index in the state: None for all rows, a slice (a
             # view, cheaper than a list) for one row of several, else a list
             index = list(due) if len(due) > 1 else slice(due[0], due[0] + 1)
@@ -510,21 +481,16 @@ def _march(
     return [Trajectory(*run) for run in zip(times, coeffs, cfgs)]
 
 
-def solve(
-    phi: RealField,
-    cfg: SolverConfig,
-    nonlinearity: Nonlinearity | None = None,
-) -> Trajectory:
+def solve(phi: RealField, cfg: SolverConfig) -> Trajectory:
     """Integrate from phi to t_final, recording every snapshot_stride steps.
 
     The initial data is dealiased before stepping; the state is then
     stepped as an rfft half-spectrum, and every stored state after t = 0
     is dealiased and exactly Hermitian-symmetric.  A non-finite state
     aborts with a DivergenceError naming the step; non-finite initial data
-    is a ParameterError, raised before any step.  A substitute
-    ``nonlinearity`` is called as in ``step``, on (1, M/2 + 1) half-spectra.
+    is a ParameterError, raised before any step.
     """
-    return _march(phi, [cfg], nonlinearity)[0]
+    return _march(phi, [cfg])[0]
 
 
 def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
@@ -540,13 +506,7 @@ def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajecto
     config, in order, that diverges alone: its step and time, with its
     index in cfgs as ``run``.
     """
-    return tuple(_march(phi, cfgs, None))
-
-
-def zero_nonlinearity(c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Substitute nonlinearity that switches the quadratic term off; it
-    returns a new zero array and ignores out."""
-    return np.zeros_like(c)
+    return tuple(_march(phi, cfgs))
 
 
 SNAPSHOT_MAGIC = b"KDVBSNAP"

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, RangeError, ResolutionError
+from .errors import ContractViolationError, ParameterError, RangeError, ResolutionError
 from .reports import fit_power_law, format_csv, strictly_monotone
 
 DELTA_DEFAULT = 0.01
@@ -163,15 +163,24 @@ class _PairLattice:
     array, each xi-column at its own row offset.  For each column pair
     (col_a, col_b) in the near-origin window, np.correlate of the two columns
     sums the (+set) x (-set) cell pairs into their output cells (a mirrored
-    cell carries its image's weight: both weights are even).  inverse maps
-    these (pair, mass) entries to the occupied cells xi_cells, tau_cells;
-    ratio(s) weighs column pair (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
+    cell carries its image's weight: both weights are even).  These are all
+    the pairs in the window when every cell has |xi_idx| > CELLS_ACROSS_THIN
+    // 4: then no cell sits at xi = 0, and two cells of one sign sum past
+    the window's edge, CELLS_ACROSS_THIN // 2.  An f with a cell nearer the
+    origin is a ContractViolationError.  inverse maps these (pair, mass)
+    entries to the occupied cells xi_cells, tau_cells; ratio(s) weighs
+    column pair (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
     """
 
     def __init__(self, f: CounterexampleFunction):
         self.f = f
         d_xi, d_tau = f.spec.lattice_steps()
         self.cell_area = d_xi * d_tau
+        if np.any(np.abs(f.xi_idx) <= CELLS_ACROSS_THIN // 4):
+            raise ContractViolationError(
+                f"f has a cell at |xi_idx| <= {CELLS_ACROSS_THIN // 4}, where pairs of "
+                "cells of one sign reach the near-origin window"
+            )
         positive = f.xi_idx > 0
         xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
         cols, col = np.unique(xi_p, return_inverse=True)
@@ -228,8 +237,11 @@ class _PairLattice:
 
 def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2 at the
-    test exponent s_test; 0 for an f with no cells, and a ResolutionError
-    for one whose positive xi-columns give no pair in the window.
+    test exponent s_test; 0 for an f with no cells, a ContractViolationError
+    for one with a cell at |xi_idx| <= CELLS_ACROSS_THIN // 4 (every set
+    ``build_counterexample`` makes starts at column 64 or beyond), and a
+    ResolutionError for one whose positive xi-columns give no pair in the
+    window.
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the

@@ -1,5 +1,6 @@
 """Tests for the ETDRK4 solver with exact linear flow."""
 
+import contextlib
 import functools
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from free_flow import free_flow
 from kdvb import evolve
 from kdvb.errors import ContractViolationError, DivergenceError, ParameterError
 from kdvb.evolve import (
@@ -22,14 +24,13 @@ from kdvb.evolve import (
     solve_ladder,
     step,
     write_trajectory,
-    zero_nonlinearity,
 )
 from kdvb.experiments import (
     gaussian_initial_data,
     power_law_initial_data,
     soliton_initial_data,
 )
-from kdvb.propagator import ModelParams, propagate
+from kdvb.propagator import ModelParams, linear_symbol, propagate
 from kdvb.spectral import (
     GridSpec,
     RealField,
@@ -107,7 +108,8 @@ class TestStep:
         grid = GridSpec(box_length=4.0, modes=64)
         u = dealias(forward_transform(smooth_data(grid)))
         p = ModelParams(0.4, 0.7)
-        stepped = step(u, 0.02, p, nonlinearity=zero_nonlinearity)
+        with free_flow():
+            stepped = step(u, 0.02, p)
         exact = propagate(u, 0.02, p)
         assert np.allclose(stepped.coeffs, exact.coeffs, rtol=1e-14, atol=1e-16)
 
@@ -161,6 +163,40 @@ def reference_step(stepper: evolve._Stepper, grid: GridSpec, h: np.ndarray) -> n
     pb = p(e_h + q * pa)
     pc = p(e_half * a + stepper.q_twice * pb - q_p0)
     return stepper.e_full * h + stepper.f1 * p0 + stepper.f2_twice * (pa + pb) + stepper.f3 * pc
+
+
+def unfolded_step(grid: GridSpec, params: list, dts: list, h: np.ndarray) -> np.ndarray:
+    """One Cox-Matthews ETDRK4 step of each row of h, written from its
+    definition: the phi-function coefficients carry no multiplier, and
+    each stage evaluates the whole N, the multiplier times rfft(irfft(x)**2)."""
+    m = grid.modes
+    half = m // 2 + 1
+    sym = np.array([linear_symbol(grid, p)[:half] for p in params])
+    sym[:, -1] = sym[:, -1].real
+    dt = np.array(dts)[:, None]
+    z = dt * sym
+    coefficient = functools.partial(evolve._etd_coefficient, z)
+    q = dt * coefficient(lambda w: (np.exp(0.5 * w) - 1.0) / w, evolve._Q_SERIES)
+    f1 = dt * coefficient(
+        lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w * w)) / w**3, evolve._F1_SERIES
+    )
+    f2 = dt * coefficient(lambda w: (2.0 + w + np.exp(w) * (w - 2.0)) / w**3, evolve._F2_SERIES)
+    f3 = dt * coefficient(
+        lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3, evolve._F3_SERIES
+    )
+    mult = evolve._multiplier(grid)
+
+    def n(x):
+        return mult * np.fft.rfft(np.fft.irfft(x, m) ** 2)
+
+    e_half = np.exp(0.5 * z)
+    nu = n(h)
+    a = e_half * h + q * nu
+    na = n(a)
+    b = e_half * h + q * na
+    nb = n(b)
+    nc = n(e_half * a + q * (2.0 * nb - nu))
+    return np.exp(z) * h + f1 * nu + 2.0 * f2 * (na + nb) + f3 * nc
 
 
 class TestStepperBuffers:
@@ -219,47 +255,17 @@ class TestStepperBuffers:
     def test_folded_multiplier_agrees_with_the_full_nonlinearity(
         self, rows, modes, eps, alpha, dt
     ):
-        # the default stepper folds N's multiplier into q, f1, f2 and f3; a
-        # substitute that is the whole N gets the unfolded tableau
+        # the stepper folds N's multiplier into q, f1, f2 and f3; the
+        # reference weighs the whole N with the unfolded coefficients
         grid = GridSpec(box_length=16.0, modes=modes)
-        mult = evolve._multiplier(grid)
-        sq = evolve._half_square(grid, (rows, modes // 2 + 1))
-
-        def full_n(h, out):
-            return np.multiply(mult, sq(h, out), out=out)
-
         params = [ModelParams(e, alpha) for e in eps[:rows]]
         dts = [dt * (b + 1) for b in range(rows)]
         folded = evolve._Stepper(grid, params, dts)
-        unfolded = evolve._Stepper(grid, params, dts, full_n)
         h = evolve._to_half(dealias(forward_transform(smooth_data(grid, 1.5))).coeffs)
         x = y = np.outer(np.arange(1.0, rows + 1), h)
         for _ in range(20):
-            x, y = folded(x), unfolded(y)
+            x, y = folded(x), unfolded_step(grid, params, dts, y)
         assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
-
-    def test_substitute_may_fill_out_or_return_a_new_array(self):
-        grid = GridSpec(box_length=4.0, modes=64)
-        u = dealias(forward_transform(smooth_data(grid)))
-        p = ModelParams(0.4, 0.7)
-        filled = step(u, 0.02, p, lambda h, out: np.multiply(0.5, h, out=out))
-        fresh = step(u, 0.02, p, lambda h, out: 0.5 * h)
-        assert np.array_equal(filled.coeffs, fresh.coeffs)
-
-    def test_substitute_receives_one_run_as_a_batch_of_one(self):
-        # step and solve call it on (1, M/2 + 1) half-spectra, as a ladder does
-        grid = GridSpec(box_length=4.0, modes=64)
-        p = ModelParams(0.4, 0.7)
-        shapes = []
-
-        def nl(h, out):
-            shapes.append((h.shape, out.shape))
-            return np.multiply(0.5, h, out=out)
-
-        step(dealias(forward_transform(smooth_data(grid))), 0.02, p, nl)
-        solve(smooth_data(grid), SolverConfig(p, grid, dt=0.02, t_final=0.04), nl)
-        # four stages a step: one step, then two
-        assert shapes == [((1, 33), (1, 33))] * 12
 
 
 class TestSolve:
@@ -271,15 +277,18 @@ class TestSolve:
         traj = solve(RealField(np.zeros(32), grid), cfg)
         assert all(np.max(np.abs(s.coeffs)) == 0.0 for s in traj.states)
 
-    @pytest.mark.parametrize("nonlinearity", [None, zero_nonlinearity])
-    def test_first_snapshot_is_one_step(self, nonlinearity):
+    @pytest.mark.parametrize(
+        "flow", [contextlib.nullcontext, free_flow], ids=["quadratic", "free_flow"]
+    )
+    def test_first_snapshot_is_one_step(self, flow):
         # solve and step share one stepping core: bit-for-bit agreement
         grid = GridSpec(box_length=16.0, modes=96)
         phi = smooth_data(grid, amplitude=1.5)
         p = ModelParams(0.2, 0.7)
         cfg = SolverConfig(params=p, grid=grid, dt=1e-2, t_final=0.05)
-        traj = solve(phi, cfg, nonlinearity=nonlinearity)
-        stepped = step(dealias(forward_transform(phi)), cfg.dt, p, nonlinearity)
+        with flow():
+            traj = solve(phi, cfg)
+            stepped = step(dealias(forward_transform(phi)), cfg.dt, p)
         assert np.array_equal(traj.states[1].coeffs, stepped.coeffs)
 
     def test_snapshot_schedule(self):
@@ -465,7 +474,8 @@ class TestSolve:
         phi = smooth_data(grid, amplitude=1e200)
         p = ModelParams(0.0, 1.0)
         cfg = SolverConfig(params=p, grid=grid, dt=0.01, t_final=0.1)
-        traj = solve(phi, cfg, nonlinearity=zero_nonlinearity)
+        with free_flow():
+            traj = solve(phi, cfg)
         assert len(traj.times) == 11 and np.all(np.isfinite(traj.coeffs))
         assert not np.isfinite(np.vdot(traj.coeffs[-1], traj.coeffs[-1]).real)
         exact = propagate(SpectralField(traj.coeffs[0], grid), 0.1, p)

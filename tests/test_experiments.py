@@ -435,9 +435,9 @@ class TestBatchedSweeps:
     def test_nothing_is_solved_again_after_a_batch_error(self, monkeypatch):
         solves = []
 
-        def counted(phi, cfg, nonlinearity=None):
+        def counted(phi, cfg):
             solves.append(cfg)
-            return solve(phi, cfg, nonlinearity)
+            return solve(phi, cfg)
 
         monkeypatch.setattr(evolve, "solve", counted)
         monkeypatch.setattr(experiments, "solve", counted)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from free_flow import free_flow
 from kdvb.errors import (
     ContractViolationError,
     ParameterError,
@@ -14,7 +15,8 @@ from kdvb.errors import (
     ResonantDenominatorError,
 )
 from kdvb import imethod
-from kdvb.evolve import SolverConfig, Trajectory, solve, zero_nonlinearity
+from kdvb.evolve import SolverConfig, Trajectory, solve
+from kdvb.experiments import gaussian_initial_data
 from kdvb.imethod import (
     DyadicConfig,
     IMultiplierSpec,
@@ -898,7 +900,8 @@ class TestEnergyDerivativeIdentity:
                 params=ModelParams(0.5, 0.8), grid=grid, dt=1e-3, t_final=0.4,
                 snapshot_stride=stride,
             )
-            traj = solve(RealField(vals, grid), cfg, nonlinearity=zero_nonlinearity)
+            with free_flow():
+                traj = solve(RealField(vals, grid), cfg)
             residuals[stride] = denergy_identity_residual(
                 traj, IMultiplierSpec(4.0, -0.74)
             )
@@ -933,6 +936,16 @@ class TestEnergyDerivativeIdentity:
         expected = np.max(np.abs(slopes)) / (np.max(energy) / 0.5)
         wide = IMultiplierSpec(cutoff_n=1e4, s_exp=-0.5)
         assert denergy_identity_residual(traj, wide) == pytest.approx(expected, rel=1e-12)
+
+    def test_flux_term_counts_below_the_cutoff(self):
+        # criterion 09's solve at cutoff_n = 0.5, where Lambda_3(M3) is not
+        # roundoff: the identity holds to 5.0e-8, while the flux term with its
+        # sign flipped leaves a defect of 9.4e-4
+        grid = GridSpec(box_length=32.0, modes=128)
+        phi = gaussian_initial_data(grid, width=3.0, l2_norm=1.0, modulation=0.3)
+        cfg = SolverConfig(ModelParams(0.3, 0.8), grid, dt=1e-3, t_final=0.5, snapshot_stride=10)
+        spec = IMultiplierSpec(cutoff_n=0.5, s_exp=-0.74)
+        assert denergy_identity_residual(solve(phi, cfg), spec) <= 1e-6
 
     def test_full_solve_residual_quarters(self):
         spec = IMultiplierSpec(8.0, -0.74)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kdvb import sharpness
-from kdvb.errors import ParameterError, RangeError, ResolutionError
+from kdvb.errors import ContractViolationError, ParameterError, RangeError, ResolutionError
 from kdvb.reports import fit_power_law
 from kdvb.sharpness import (
     CounterexampleFunction,
@@ -99,6 +99,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="alpha"):
             CounterexampleSpec(32.0, alpha)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.25, math.nan])
+    def test_delta_outside_open_quarter_rejected(self, delta):
+        with pytest.raises(ParameterError, match="delta"):
+            CounterexampleSpec(32.0, 0.25, delta)
+
 
 class TestBuildCounterexample:
     def test_low_regime_norm_tracks_measure(self):
@@ -160,12 +165,16 @@ class TestBuildCounterexample:
                     (0.25, 2e7, [3e7, 4e7, 1e10, 1e300]),
                     (0.75, 6e9, [7e9, 1e200, 1e300]),
                     (1.0, 1e14, [1e15, 1e200, 1e300]),
+                    # 1e-9 either side of the threshold N = 5.629498822416e14,
+                    # where ((N + w)^3 + 2h) / d_tau reaches 2**53
+                    (1.0, 5.629498822416e14 * (1 - 1e-9), [5.629498822416e14 * (1 + 1e-9)]),
                 ]
             )
         ],
     )
     def test_tau_index_beyond_2_pow_53_is_range_error(self, alpha, inside, beyond):
-        build_counterexample(CounterexampleSpec(inside, alpha))
+        f = build_counterexample(CounterexampleSpec(inside, alpha))
+        assert np.abs(f.tau_idx).max() < 2**53
         for n in beyond:
             with pytest.raises(RangeError, match="scale_n"):
                 build_counterexample(CounterexampleSpec(n, alpha))
@@ -190,15 +199,41 @@ class TestBilinearFunctional:
         probes = [
             # one xi-column and its mirror: no column pair sums into the window
             (f.xi_idx[column], f.tau_idx[column]),
-            # the xi = 0 column alone, and an unmirrored negative half: no
-            # positive column at all
-            ([0, 0], [7, -7]),
-            ([-5, -3], [7, 9]),
+            # one positive column alone, paired only with itself at gap 0, and
+            # an unmirrored negative half: no positive column at all
+            ([5, 5], [7, -7]),
+            ([-7, -5], [7, 9]),
         ]
         for xi_idx, tau_idx in probes:
             probe = CounterexampleFunction(f.spec, np.asarray(xi_idx), np.asarray(tau_idx))
             with pytest.raises(ResolutionError, match="window is empty"):
                 bilinear_functional(probe, -0.75)
+
+    @staticmethod
+    def near_origin_probe(columns) -> CounterexampleFunction:
+        """The even probe of rows 0..2 in each of columns, and its mirror."""
+        cells = {(i, j) for i in columns for j in range(3)}
+        xi_idx, tau_idx = zip(*sorted(cells | {(-i, -j) for i, j in cells}))
+        spec = CounterexampleSpec(16.0, 0.25)
+        return CounterexampleFunction(spec, np.asarray(xi_idx), np.asarray(tau_idx))
+
+    @pytest.mark.parametrize(
+        "columns", [range(1, 9), range(9), range(4, 13)], ids=["1..8", "0..8", "4..12"]
+    )
+    def test_cell_near_the_origin_is_contract_violation(self, columns):
+        # a cell at |xi_idx| <= 4 pairs with one of its own sign, or sits at
+        # xi = 0, inside the window |xi_idx| in [2, 8]; the (+set) x (-set)
+        # sum misses those pairs (0.067 against the definition's 0.102 on
+        # columns 1..8 at s = -0.75)
+        with pytest.raises(ContractViolationError, match=r"\|xi_idx\| <= 4"):
+            bilinear_functional(self.near_origin_probe(columns), -0.75)
+
+    def test_cells_past_column_4_equal_the_definition(self):
+        # the first columns the contract admits: every pair in the window
+        # is a (+set) x (-set) pair
+        f = self.near_origin_probe(range(5, 13))
+        ratio, _ = brute_force_functional(f, -0.75)
+        assert bilinear_functional(f, -0.75) == pytest.approx(ratio, rel=1e-13)
 
     def test_ratio_invariant_under_reflection(self):
         f = build_counterexample(CounterexampleSpec(32.0, 0.25))

@@ -108,6 +108,13 @@ MUTANTS = [
     ),
     (
         "imethod.py",
+        "rhs = -diss + (2.0 / 3.0) * _m3_flux(",
+        "rhs = -diss - (2.0 / 3.0) * _m3_flux(",
+        "tests/test_imethod.py::TestEnergyDerivativeIdentity::"
+        "test_flux_term_counts_below_the_cutoff",
+    ),
+    (
+        "imethod.py",
         "values[small] = 0.0",
         "values[small] = 1.0",
         "tests/test_imethod.py::TestSigma4::test_vanishing_denominator_sets_the_mask",
@@ -277,6 +284,26 @@ MUTANTS = [
         "self.scale_n < math.inf",
         "self.scale_n <= math.inf",
         "tests/test_sharpness.py::TestSpecValidation::test_nan_scale_n_rejected",
+    ),
+    (
+        "sharpness.py",
+        "0 < self.delta < 0.25",
+        "0 < self.delta <= 0.25",
+        "tests/test_sharpness.py::TestSpecValidation::test_delta_outside_open_quarter_rejected",
+    ),
+    (
+        "sharpness.py",
+        "math.log(n + w)",
+        "math.log(n - w)",
+        "tests/test_sharpness.py::TestBuildCounterexample::"
+        "test_tau_index_beyond_2_pow_53_is_range_error",
+    ),
+    (
+        "sharpness.py",
+        "np.abs(f.xi_idx) <= CELLS_ACROSS_THIN // 4",
+        "np.abs(f.xi_idx) < CELLS_ACROSS_THIN // 4",
+        "tests/test_sharpness.py::TestBilinearFunctional::"
+        "test_cell_near_the_origin_is_contract_violation",
     ),
 ]
 
