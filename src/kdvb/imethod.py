@@ -77,12 +77,14 @@ _TINY = 1e-30
 
 # Largest n_samples of one m4_bound_sample call: at the cap, on the ladder
 # (16, 32), a call takes about 0.85 s on a 2-core VM and its process peaks at
-# about 50 MB, the draws being held one block at a time.
+# about 50 MB, the draws of its first batch, 4e6 of them, being held one
+# block at a time.
 MAX_SAMPLES = 10**6
 # Draws per block of the uniform draws, the rejection test and the M4
-# evaluation.  Each block is drawn on its own from the batch's stream and the
-# rest is elementwise, so the block size leaves reports unchanged; it bounds
-# the draws held at once to 3 * 8 * M4_BLOCK bytes, 2.4 MB, whatever the batch.
+# evaluation.  A batch that fits one block is drawn in one call; a larger one
+# is drawn block by block from the batch's stream.  The rest is elementwise,
+# so the block size leaves reports unchanged; it bounds the draws held at
+# once to 3 * 8 * M4_BLOCK bytes, 2.4 MB, whatever the batch.
 M4_BLOCK = 10**5
 # Draws per requested sample after which a sampler annulus is a ParameterError.
 MAX_DRAWS_PER_SAMPLE = 1000
@@ -317,11 +319,16 @@ def _uniform_blocks(rng: np.random.Generator, batch: int) -> Iterator[np.ndarray
     """rng.uniform(-1, 1, size=(3, batch)) bit for bit, as (3, n) blocks of
     M4_BLOCK columns drawn one at a time.
 
-    Row r of that draw takes the rng's doubles r * batch onwards, one 64-bit
-    output each, so it is drawn from a copy of rng's PCG64 bit generator
-    advanced that far; rng itself is advanced past all 3 * batch draws before
-    the first block, so its later draws do not depend on the blocks taken.
+    A batch of at most M4_BLOCK columns is that one draw, a single block.  In
+    a larger batch, row r of the draw takes the rng's doubles r * batch
+    onwards, one 64-bit output each, so it is drawn from a copy of rng's PCG64
+    bit generator advanced that far; rng itself is advanced past all 3 * batch
+    draws before the first block, so its later draws do not depend on the
+    blocks taken.
     """
+    if batch <= M4_BLOCK:
+        yield rng.uniform(-1.0, 1.0, size=(3, batch))
+        return
     bits = rng.bit_generator
     rows = [np.random.Generator(copy.copy(bits).advance(r * batch)) for r in range(3)]
     bits.advance(3 * batch)

@@ -99,8 +99,13 @@ class CounterexampleFunction:
         return len(self.xi_idx) * (d_xi * d_tau)
 
     def is_even(self) -> bool:
-        cells = set(zip(self.xi_idx.tolist(), self.tau_idx.tolist()))
-        return all((-i, -j) in cells for (i, j) in cells)
+        """f(-xi, -tau) = f(xi, tau): the cells, sorted, equal their mirror
+        images (-xi, -tau), sorted, so a repeated cell needs a repeated
+        image.  Negation reverses the sorted order, so that is the sorted
+        cells against their reversal, negated."""
+        order = np.lexsort((self.tau_idx, self.xi_idx))
+        xi, tau = self.xi_idx[order], self.tau_idx[order]
+        return np.array_equal(xi, -xi[::-1]) and np.array_equal(tau, -tau[::-1])
 
 
 def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFunction:
@@ -167,7 +172,9 @@ class _PairLattice:
     the pairs in the window when every cell has |xi_idx| > CELLS_ACROSS_THIN
     // 4: then no cell sits at xi = 0, and two cells of one sign sum past
     the window's edge, CELLS_ACROSS_THIN // 2.  An f with a cell nearer the
-    origin is a ContractViolationError.  inverse maps these (pair, mass)
+    origin, or an f that is not even (whose negative half is not the mirror
+    image of its positive half), is a ContractViolationError; an f whose
+    window is empty is a ResolutionError first.  inverse maps these (pair, mass)
     entries to the occupied cells xi_cells, tau_cells; ratio(s) weighs
     column pair (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
     """
@@ -191,6 +198,10 @@ class _PairLattice:
         near = (gap >= CELLS_ACROSS_THIN // 6) & (gap <= CELLS_ACROSS_THIN // 2)
         if not np.any(near):
             raise ResolutionError("near-origin window is empty: f has too few positive xi-columns")
+        if not f.is_even():
+            raise ContractViolationError(
+                "f is not even: the functional reads its positive half and its mirror image"
+            )
         self.col_a, self.col_b = np.nonzero(near)
 
         row0 = np.array([tau_p[col == c].min() for c in range(len(cols))])
@@ -239,9 +250,10 @@ def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2 at the
     test exponent s_test; 0 for an f with no cells, a ContractViolationError
     for one with a cell at |xi_idx| <= CELLS_ACROSS_THIN // 4 (every set
-    ``build_counterexample`` makes starts at column 64 or beyond), and a
+    ``build_counterexample`` makes starts at column 64 or beyond), a
     ResolutionError for one whose positive xi-columns give no pair in the
-    window.
+    window, and a ContractViolationError for one that is not even (every
+    built set is).
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the

@@ -1,10 +1,13 @@
 """Tests for config parsing, dispatch, artifacts, and exit codes."""
 
 import copy
+import itertools
 import json
 import math
+import re
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,41 @@ def solve_doc(out, **overrides):
     }
     doc.update(overrides)
     return doc
+
+
+README = CONFIG_DIR.parent / "README.md"
+KINDS = ("soliton", "gaussian", "power_law", "sine")
+# the keys a calculus block requires; the other subcommands solve and require dt
+REQUIRED_BLOCK_KEYS = {
+    "sharpness": {"s_list": [-0.75, -0.6], "n_ladder": [16.0, 32.0]},
+    "imethod-bounds": {"n1_ladder": [16.0, 32.0]},
+}
+
+
+def readme_table(header: str) -> dict[str, str]:
+    """README's table whose header row starts with header: each name
+    quoted in a row's first cell maps to the row's second cell."""
+    lines = README.read_text().splitlines()
+    start = lines.index(next(line for line in lines if line.startswith(f"| {header} |")))
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :]):
+        first, second = line.strip("| ").split(" | ", 1)
+        rows.update((name, second) for name in re.findall(r"`([^`]+)`", first))
+    return rows
+
+
+def readme_value(cell: str):
+    """The default a top-level row gives before any ';': 2/3, a number, or
+    quoted JSON."""
+    text = cell.split(";")[0].strip("` ")
+    return float(Fraction(text)) if re.fullmatch(r"[\d./]+", text) else json.loads(text)
+
+
+def readme_defaults(cell: str) -> dict:
+    """The `key` value pairs of a block or initial-data row whose value is
+    a JSON number, list or boolean."""
+    pairs = re.findall(r"`(\w+)` (-?[\d.]+(?:e-?\d+)?|\[[^\]]*\]|true|false)", cell)
+    return {key: json.loads(value) for key, value in pairs}
 
 
 class TestParseConfig:
@@ -185,6 +223,43 @@ class TestParseConfig:
             cfg = parse_config(json.dumps(solve_doc(tmp_path, initial_data=data)))
             field = build_initial_data(cfg)
             assert field.values.shape == (64,)
+
+    @pytest.mark.parametrize(
+        "subcommand,kind",
+        [*((sub, None) for sub in cli.SUBCOMMANDS), *(("solve", kind) for kind in KINDS)],
+    )
+    def test_schema_defaults_match_the_readme(self, subcommand, kind):
+        # a minimal document, parsed: every default filled in is README's
+        top = readme_table("top-level key")
+        doc = {"subcommand": subcommand, "epsilon": 0.1, "alpha": 1.0, "modes": 64,
+               "box_length": 32.0, subcommand: REQUIRED_BLOCK_KEYS.get(subcommand, {})}
+        if subcommand not in REQUIRED_BLOCK_KEYS:
+            doc["dt"] = 1e-3
+        if kind is not None:
+            doc["initial_data"] = {"kind": kind}
+        cfg = parse_config(json.dumps(doc))
+
+        # dt's row reads "required by the subcommands that solve (...), else 1e-3"
+        given = {*doc, "dt", "initial_data"}
+        want = {key: readme_value(top[key]) for key in top if key not in given}
+        if "dt" not in doc:
+            want["dt"] = float(top["dt"].rpartition("else ")[2])
+        assert {key: cfg.echo[key] for key in want} == want
+
+        kinds = readme_table("`initial_data.kind`")
+        assert sorted(kinds) == sorted(KINDS)
+        data = doc.get("initial_data") or readme_value(top["initial_data"])
+        want = {**readme_defaults(kinds[data["kind"]]), **data}
+        if data["kind"] == "power_law":
+            assert kinds["power_law"].endswith("`seed` the run's seed")
+            want["seed"] = cfg.seed
+        assert cfg.data == want
+
+        blocks = readme_table("block")
+        assert sorted(blocks) == sorted(cli.SUBCOMMANDS)
+        want = {**readme_defaults(blocks[subcommand]), **doc[subcommand]}
+        block = {key: list(v) if isinstance(v, tuple) else v for key, v in cfg.block.items()}
+        assert block == want
 
 
 CRITERIA = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("criterion*.json"))]

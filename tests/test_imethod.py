@@ -457,6 +457,16 @@ class TestM4BoundSampler:
         assert kept == 10_000
         assert peak < 480_000
 
+    @pytest.mark.parametrize("batch", [1024, 40_000, imethod.M4_BLOCK, imethod.M4_BLOCK + 1])
+    def test_blocks_are_the_whole_draw(self, batch):
+        # a batch that fits one block is the draw itself; a larger one is cut
+        # into blocks of it; either way the generator is left past the draw
+        rng, whole = np.random.default_rng(11), np.random.default_rng(11)
+        blocks = list(imethod._uniform_blocks(rng, batch))
+        assert len(blocks) == -(-batch // imethod.M4_BLOCK)
+        assert_same_bits(np.hstack(blocks), whole.uniform(-1.0, 1.0, size=(3, batch)))
+        assert_same_bits(rng.uniform(-1.0, 1.0, 8), whole.uniform(-1.0, 1.0, 8))
+
 
 # Pre-rewrite oracles: the kernels as they were before each slot's terms were
 # shared across the pairings, the quotient zeroed in place and the rejection

@@ -235,6 +235,36 @@ class TestBilinearFunctional:
         ratio, _ = brute_force_functional(f, -0.75)
         assert bilinear_functional(f, -0.75) == pytest.approx(ratio, rel=1e-13)
 
+    @pytest.mark.parametrize("probe", ["positive-half", "negative-half-shifted"])
+    def test_uneven_probe_is_contract_violation(self, probe):
+        # the functional reads the positive half and weighs each mirrored cell
+        # by its image, so an uneven f would get a wrong ratio: the positive
+        # half alone read 0.193 where the definition gives 0.0, and the
+        # shifted negative half 0.09672 against 0.09677
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        positive = f.xi_idx > 0
+        if probe == "positive-half":
+            xi_idx, tau_idx = f.xi_idx[positive], f.tau_idx[positive]
+        else:
+            xi_idx, tau_idx = f.xi_idx, np.where(positive, f.tau_idx, f.tau_idx + 1)
+        uneven = CounterexampleFunction(f.spec, xi_idx, tau_idx)
+        assert f.is_even() and not uneven.is_even()
+        with pytest.raises(ContractViolationError, match="not even"):
+            bilinear_functional(uneven, -0.75)
+
+    def test_evenness_is_the_mirror_image_rule(self):
+        # the sorted-array check agrees with f(-xi, -tau) = f(xi, tau) taken
+        # cell by cell, on the cells in any order and with one cell dropped
+        f = build_counterexample(CounterexampleSpec(32.0, 0.75))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            order = rng.permutation(len(f.xi_idx))
+            for keep in (order, order[1:]):
+                probe = CounterexampleFunction(f.spec, f.xi_idx[keep], f.tau_idx[keep])
+                cells = set(zip(probe.xi_idx.tolist(), probe.tau_idx.tolist()))
+                assert probe.is_even() == all((-i, -j) in cells for i, j in cells)
+                assert probe.is_even() == (len(keep) == len(order))
+
     def test_ratio_invariant_under_reflection(self):
         f = build_counterexample(CounterexampleSpec(32.0, 0.25))
         flipped = CounterexampleFunction(spec=f.spec, xi_idx=-f.xi_idx, tau_idx=-f.tau_idx)

@@ -156,6 +156,13 @@ MUTANTS = [
         "advance(r * batch + 1)",
         "tests/test_imethod.py::TestBitForBitOracles::test_sampler_blocks_on_criterion_08_annuli",
     ),
+    # a batch that fits one block is drawn in one call, in the (3, batch) layout
+    (
+        "imethod.py",
+        "rng.uniform(-1.0, 1.0, size=(3, batch))",
+        "rng.uniform(-1.0, 1.0, size=(batch, 3)).T",
+        "tests/test_imethod.py::TestM4BoundSampler::test_blocks_are_the_whole_draw",
+    ),
     (
         "imethod.py",
         "is_integer(n_samples) and 10_000",
@@ -304,6 +311,39 @@ MUTANTS = [
         "np.abs(f.xi_idx) < CELLS_ACROSS_THIN // 4",
         "tests/test_sharpness.py::TestBilinearFunctional::"
         "test_cell_near_the_origin_is_contract_violation",
+    ),
+    (
+        "sharpness.py",
+        "if not f.is_even():",
+        "if False:",
+        "tests/test_sharpness.py::TestBilinearFunctional::test_uneven_probe_is_contract_violation",
+    ),
+    # an xi multiset that is its own mirror image passes whatever tau holds
+    (
+        "sharpness.py",
+        "np.array_equal(xi, -xi[::-1]) and",
+        "np.array_equal(xi, -xi[::-1]) or",
+        "tests/test_sharpness.py::TestBilinearFunctional::"
+        "test_uneven_probe_is_contract_violation[negative-half-shifted]",
+    ),
+    # three of the schema defaults that README's tables document
+    (
+        "cli.py",
+        '"t_final": (float, 1.0)',
+        '"t_final": (float, 1.001)',
+        "tests/test_cli.py::TestParseConfig::test_schema_defaults_match_the_readme",
+    ),
+    (
+        "cli.py",
+        '"cutoff_n": (float, 0.5)',
+        '"cutoff_n": (float, 0.5005)',
+        "tests/test_cli.py::TestParseConfig::test_schema_defaults_match_the_readme",
+    ),
+    (
+        "cli.py",
+        "(1e-1, 1e-2, 1e-3, 1e-4)",
+        "(1e-1, 1e-2, 1.001e-3, 1e-4)",
+        "tests/test_cli.py::TestParseConfig::test_schema_defaults_match_the_readme",
     ),
 ]
 
