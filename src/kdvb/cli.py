@@ -36,7 +36,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,8 @@ from .errors import (
     ResolutionError,
     ResonantDenominatorError,
 )
-from .evolve import SolverConfig, solve, solve_ladder, write_trajectory
-from .experiments import h1_bound_check, inviscid_sweep, rate_fit, scaling_check
+from .evolve import SolverConfig, solve, write_trajectory
+from .experiments import energy_check, h1_bound_check, inviscid_sweep, rate_fit, scaling_check
 from .imethod import RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
@@ -252,43 +252,26 @@ def build_initial_data(cfg: RunConfig) -> RealField:
     return initial
 
 
-def _sweep_csv_rows(report: dict) -> str:
-    rows = ((rec["epsilon"], rec["observable"]) for rec in report["observables"])
-    return format_csv(("epsilon", "observable"), rows)
-
-
-def _ledger_artifact(traj, artifacts: dict) -> float:
-    """Write ledger.csv for traj; return its relative ledger residual."""
-    artifacts["ledger.csv"] = ledger_csv(build_energy_ledger(traj)).encode()
-    return l2_dissipation_residual(traj)
-
-
 def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
     traj = solve(build_initial_data(cfg), cfg.solver)
     buf = io.BytesIO()
     write_trajectory(buf, traj)
     artifacts["trajectory.bin"] = buf.getvalue()
-    return {"snapshots": len(traj.times), "ledger_residual": _ledger_artifact(traj, artifacts)}
+    artifacts["ledger.csv"] = ledger_csv(build_energy_ledger(traj)).encode()
+    return {"snapshots": len(traj.times), "ledger_residual": l2_dissipation_residual(traj)}
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
-    cfgs = [cfg.solver]
-    if cfg.block["refine_check"]:
-        cfgs.append(replace(cfg.solver, dt=cfg.solver.dt / 2))
-    # the dt/2 run is stepped on the base run's clock, so both are held
-    base, *refined = solve_ladder(build_initial_data(cfg), cfgs)
-    result = {"ledger_residual": _ledger_artifact(base, artifacts)}
-    if refined:
-        result["ledger_residual_refined"] = l2_dissipation_residual(refined[0])
-        result["refinement_factor"] = result["ledger_residual"] / max(
-            result["ledger_residual_refined"], 1e-300
-        )
+    result = energy_check(build_initial_data(cfg), cfg.solver, cfg.block["refine_check"])
+    artifacts["ledger.csv"] = ledger_csv(result.pop("ledger")).encode()
     return result
 
 
-def _sweep_result(cfg: RunConfig, report: dict, experiment: str) -> dict:
-    """CLI-facing sweep record: experiment, params, ladder, observables,
-    fit (always null; rate's slope is its own key), floors, seed, grid, dt."""
+def _sweep_result(cfg: RunConfig, report: dict, experiment: str, artifacts: dict) -> dict:
+    """Write a sweep's sweep.csv and return its result record: experiment,
+    params, ladder, observables, fit (null), floors, seed, grid, dt, meta."""
+    rows = ((rec["epsilon"], rec["observable"]) for rec in report["observables"])
+    artifacts["sweep.csv"] = format_csv(("epsilon", "observable"), rows).encode()
     return {
         "experiment": experiment,
         "params": {"epsilon": cfg.params.epsilon, "alpha": cfg.params.alpha},
@@ -308,8 +291,7 @@ def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
     if with_rate and len(ladder) < 2:
         raise ParameterError(f"rate needs at least two epsilons, got {list(ladder)}")
     report = inviscid_sweep(build_initial_data(cfg), cfg.solver, ladder, cfg.block["sobolev_s"])
-    artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
-    result = _sweep_result(cfg, report, "rate" if with_rate else "inviscid")
+    result = _sweep_result(cfg, report, "rate" if with_rate else "inviscid", artifacts)
     if with_rate:
         result["rate_slope"] = rate_fit(report)
     return result
@@ -333,26 +315,18 @@ def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
     spec = IMultiplierSpec(cutoff_n=block["cutoff_n"], s_exp=block["s_exp"])
     report = m4_bound_sample(dyadic, spec, cfg.params, block["n_samples"])
     artifacts["bound_report.json"] = (json.dumps(report, sort_keys=True) + "\n").encode()
-    return {
-        "slope": report["slope"],
-        "max_ratio": max(report["max_ratios"]),
-        "max_ratios": report["max_ratios"],
-    }
+    slope, ratios = report["slope"], report["max_ratios"]
+    return {"slope": slope, "max_ratio": max(ratios), "max_ratios": ratios}
 
 
 def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
-    report = h1_bound_check(build_initial_data(cfg), cfg.solver, cfg.block["eps_ladder"])
-    artifacts["sweep.csv"] = _sweep_csv_rows(report).encode()
-    obs = [rec["observable"] for rec in report["observables"]]
-    if min(obs) == 0.0:
-        raise ParameterError(
-            f"h1-bound needs non-zero data: initial_data.kind {cfg.data['kind']!r} gives "
-            f"observable 0 at epsilon = {report['values'][obs.index(0.0)]:g}, so the band ratio "
-            "is undefined"
-        )
-    result = _sweep_result(cfg, report, "h1-bound")
-    result["band_ratio"] = max(obs) / min(obs)
-    return result
+    phi = build_initial_data(cfg)
+    try:
+        report = h1_bound_check(phi, cfg.solver, cfg.block["eps_ladder"])
+    except ParameterError as exc:
+        raise ParameterError(f"initial_data.kind {cfg.data['kind']!r}: {exc}") from exc
+    result = _sweep_result(cfg, report, "h1-bound", artifacts)
+    return {**result, "band_ratio": report["band_ratio"]}
 
 
 _INVISCID = {"eps_ladder": (_FLOATS, (1e-1, 1e-2, 1e-3, 1e-4)), "sobolev_s": (float, 0.0)}

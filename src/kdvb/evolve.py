@@ -49,8 +49,8 @@ grid because the FFT length and the tableau's wavenumbers are the
 grid's, which is why the rescaled run of ``scaling_check`` (a larger box
 with more modes) stays single.  Batched together are the epsilon = 0
 reference, the ladder and the dt/2 floor of ``inviscid_sweep``, the
-ladder of ``h1_bound_check`` and the energy run with its dt/2
-refinement.  Each tick screens its new state with one reduction, the
+ladder of ``h1_bound_check`` and the run of ``energy_check`` with its
+dt/2 refinement.  Each tick screens its new state with one reduction, the
 squared norm, and scans the rows only when that is not finite.  A row
 that turns non-finite records its own DivergenceError; run 0's is raised
 at once, and otherwise the first diverged run's is raised after the last

@@ -1,5 +1,5 @@
-"""Headline numerics: inviscid limit, rate fit, scaling invariance, and
-the uniform H1 bound, plus benchmark initial data.
+"""Headline numerics: the energy ledger check, inviscid limit, rate fit,
+scaling invariance, and the uniform H1 bound, plus benchmark initial data.
 
 Each driver takes the SolverConfig it sweeps, which holds the grid,
 alpha, dt, t_final and snapshot stride.  A sweep runs it once per ladder
@@ -13,9 +13,9 @@ discretization error largely cancels in the difference.  The reported
 floor is the self-convergence error of the reference solve (dt versus
 dt/2), the resolution-limited scale against which the smallest-epsilon
 observable is judged.  The reference, the ladder and the dt/2 run are
-stepped as one batch (see ``kdvb.evolve.solve_ladder``), as is the
-ladder of the H1 bound; ``solve_batch`` prefixes a DivergenceError with
-the epsilon of the run it names.
+stepped as one batch (see ``kdvb.evolve.solve_ladder``), as are the H1
+bound's ladder and the energy run with its dt/2 companion; ``solve_batch``
+prefixes a DivergenceError with the epsilon of the run it names.
 
 The scaling map u -> lam^2 u(lam x, lam^3 t) with epsilon ->
 lam^(3-2a) epsilon is probed with lam = 2^-m by re-solving on a box
@@ -33,7 +33,12 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve, solve_ladder
-from .norms import cumulative_trapezoid, spectral_energies
+from .norms import (
+    build_energy_ledger,
+    cumulative_trapezoid,
+    l2_dissipation_residual,
+    spectral_energies,
+)
 from .propagator import ModelParams
 from .reports import fit_power_law, strictly_monotone
 from .spectral import (
@@ -299,7 +304,8 @@ def h1_bound_check(
     eps_ladder must be strictly monotone in [0, 1].  The time integral
     uses trapezoid quadrature over snapshots.  A uniform bound across the
     ladder is the expected behavior; the record, shaped as
-    ``inviscid_sweep``'s, carries the observables for the band check.
+    ``inviscid_sweep``'s, adds "band_ratio", max over min of the
+    observables, and data that gives an observable 0 is a ParameterError.
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 <= e <= 1 for e in ladder):
@@ -323,8 +329,30 @@ def h1_bound_check(
                 "dissipation_integral": integral,
             }
         )
+    obs = [rec["observable"] for rec in observables]
+    if min(obs) == 0.0:
+        raise ParameterError(
+            f"h1-bound needs non-zero data: observable 0 at epsilon = "
+            f"{ladder[obs.index(0.0)]:g}, so the band ratio is undefined"
+        )
     return {
         "values": list(ladder),
         "observables": observables,
+        "band_ratio": max(obs) / min(obs),
         "meta": {"alpha": alpha, "t_final": cfg.t_final, "dt": cfg.dt},
     }
+
+
+def energy_check(phi: RealField, cfg: SolverConfig, refine_check: bool) -> dict:
+    """The record {"ledger": build_energy_ledger's columns, "ledger_residual"}
+    of cfg solved from phi.  refine_check adds cfg at dt/2, stepped on the
+    same clock: its "ledger_residual_refined" and the "refinement_factor",
+    the base residual over the refined one."""
+    cfgs = [cfg, replace(cfg, dt=cfg.dt / 2)] if refine_check else [cfg]
+    base, *refined = solve_ladder(phi, cfgs)
+    residual = l2_dissipation_residual(base)
+    record = {"ledger": build_energy_ledger(base), "ledger_residual": residual}
+    if refined:
+        fine = l2_dissipation_residual(refined[0])
+        record.update(ledger_residual_refined=fine, refinement_factor=residual / max(fine, 1e-300))
+    return record

@@ -86,13 +86,22 @@ class CounterexampleSpec:
 class CounterexampleFunction:
     """A {0, 1}-valued even function stored as occupied lattice cells.
 
-    xi_idx and tau_idx list every occupied cell of both mirror halves as
-    integer lattice indices.
+    xi_idx and tau_idx, 1-D integer arrays of one length, list every
+    occupied cell of both mirror halves as lattice indices.
     """
 
     spec: CounterexampleSpec
     xi_idx: np.ndarray
     tau_idx: np.ndarray
+
+    def __post_init__(self):
+        pair = (self.xi_idx, self.tau_idx)
+        flat = [isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype.kind in "iu" for a in pair]
+        if not (all(flat) and len(self.xi_idx) == len(self.tau_idx)):
+            got = " and ".join(f"{np.asarray(a).dtype} of shape {np.shape(a)}" for a in pair)
+            raise ContractViolationError(
+                f"xi_idx and tau_idx must be 1-D integer arrays of one length, got {got}"
+            )
 
     def l2_norm_sq(self) -> float:
         d_xi, d_tau = self.spec.lattice_steps()

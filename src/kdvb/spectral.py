@@ -16,8 +16,8 @@ Parseval holds without stray factors,
 the latter equality being the exact trapezoid quadrature on the periodic
 grid.  The DC coefficient of the constant field 1 is sqrt(L).
 
-Differentiation multiplies coeff(k) by (i xi_k)^order and the fractional
-dissipation symbol multiplies by |xi_k|^(2 alpha) with the zero mode
+A derivative is the multiplier i xi_k, and the fractional dissipation
+symbol (``dissipation_symbol``) is |xi_k|^(2 alpha) with the zero mode
 mapped to 0, so the mean of the field is untouched by dissipation.
 """
 
@@ -173,14 +173,6 @@ def synthesize(coeffs: np.ndarray, box_length: float) -> np.ndarray:
     return np.fft.ifft(coeffs * (coeffs.shape[-1] / np.sqrt(box_length))).real
 
 
-def spatial_derivative(u: SpectralField, order: int) -> SpectralField:
-    """Differentiate order times: coeff(k) -> (i xi_k)^order coeff(k)."""
-    if order not in (1, 2, 3):
-        raise ParameterError(f"derivative order must be 1, 2, or 3, got {order}")
-    symbol = (1j * u.grid.wavenumbers()) ** order
-    return SpectralField(u.coeffs * symbol, u.grid)
-
-
 def sobolev_weight(grid: GridSpec, s: float) -> np.ndarray:
     """The H^s weight <xi>^(2 s) = (1 + xi^2)^s."""
     return (1.0 + grid.wavenumbers() ** 2) ** s
@@ -195,11 +187,6 @@ def dissipation_symbol(grid: GridSpec, alpha: float) -> np.ndarray:
     nonzero = xi != 0
     out[nonzero] = np.abs(xi[nonzero]) ** (2.0 * alpha)
     return out
-
-
-def fractional_dissipation(u: SpectralField, alpha: float) -> SpectralField:
-    """Apply the fractional dissipation symbol |xi|^(2 alpha)."""
-    return SpectralField(u.coeffs * dissipation_symbol(u.grid, alpha), u.grid)
 
 
 def dealias(u: SpectralField) -> SpectralField:

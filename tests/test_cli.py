@@ -906,10 +906,9 @@ class TestBatchedCompanions:
 
         assert run(cfg) == 3
         batched = json.loads((tmp_path / "batched" / "error.json").read_text())
-        for module in (cli, experiments):
-            monkeypatch.setattr(
-                module, "solve_ladder", lambda phi, cfgs: tuple(solve(phi, c) for c in cfgs)
-            )
+        monkeypatch.setattr(
+            experiments, "solve_ladder", lambda phi, cfgs: tuple(solve(phi, c) for c in cfgs)
+        )
         doc["out"] = str(tmp_path / "per_run")
         assert run(parse_config(json.dumps(doc))) == 3
         per_run = json.loads((tmp_path / "per_run" / "error.json").read_text())

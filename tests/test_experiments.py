@@ -10,6 +10,7 @@ from kdvb.errors import DivergenceError, ParameterError, ResolutionError
 from kdvb.evolve import SolverConfig, solve
 from kdvb.experiments import (
     critical_index,
+    energy_check,
     gaussian_initial_data,
     h1_bound_check,
     inviscid_sweep,
@@ -19,7 +20,7 @@ from kdvb.experiments import (
     sine_initial_data,
     soliton_initial_data,
 )
-from kdvb.norms import sobolev_norm
+from kdvb.norms import build_energy_ledger, l2_dissipation_residual, sobolev_norm
 from kdvb.propagator import ModelParams
 from kdvb.reports import fit_power_law
 from kdvb.spectral import (
@@ -29,7 +30,6 @@ from kdvb.spectral import (
     forward_transform,
     hermitian_residual,
     inverse_transform,
-    spatial_derivative,
 )
 
 
@@ -86,11 +86,8 @@ class TestSolitonData:
                 RealField(inverse_transform(u).values ** 2, grid)
             )
         )
-        residual = (
-            -c * spatial_derivative(u, 1).coeffs
-            + spatial_derivative(u, 3).coeffs
-            + spatial_derivative(sq, 1).coeffs
-        )
+        ik = 1j * grid.wavenumbers()
+        residual = -c * ik * u.coeffs + ik**3 * u.coeffs + ik * sq.coeffs
         assert np.linalg.norm(residual) / np.linalg.norm(u.coeffs) <= 1e-10
 
     def test_box_too_small_rejected(self):
@@ -345,11 +342,12 @@ class TestScalingCheck:
 
 
 class TestH1Bound:
-    def test_zero_data(self):
+    def test_zero_observable_is_parameter_error(self):
+        # every observable is 0, so the band ratio would be 0/0
         grid = GridSpec(box_length=16.0, modes=64)
         phi = RealField(np.zeros(64), grid)
-        rep = h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.05, 5e-3), (1.0, 0.1))
-        assert all(rec["observable"] == 0.0 for rec in rep["observables"])
+        with pytest.raises(ParameterError, match="non-zero data: observable 0 at epsilon = 1,"):
+            h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.05, 5e-3), (1.0, 0.1))
 
     def test_dispersive_entry_is_bare_h1_sup(self):
         phi = small_grid_phi()
@@ -378,7 +376,40 @@ class TestH1Bound:
         cfg = sweep_cfg(phi, 0.8, 0.25, 2e-3, snapshot_stride=5)
         rep = h1_bound_check(phi, cfg, (1.0, 0.1, 0.01))
         obs = [rec["observable"] for rec in rep["observables"]]
-        assert max(obs) / min(obs) <= 3.0
+        assert rep["band_ratio"] == max(obs) / min(obs)
+        assert rep["band_ratio"] <= 3.0
+
+
+class TestEnergyCheck:
+    @staticmethod
+    def cfg(phi):
+        return SolverConfig(ModelParams(0.3, 0.8), phi.grid, 2e-3, 0.1, snapshot_stride=5)
+
+    def test_record_is_the_base_ledger_and_its_residual(self):
+        phi = small_grid_phi()
+        rec = energy_check(phi, self.cfg(phi), refine_check=False)
+        base = solve(phi, self.cfg(phi))
+        ledger = build_energy_ledger(base)
+        assert rec.keys() == {"ledger", "ledger_residual"}
+        assert rec["ledger"].keys() == ledger.keys()
+        assert all(np.array_equal(rec["ledger"][key], ledger[key]) for key in ledger)
+        assert rec["ledger_residual"] == l2_dissipation_residual(base)
+
+    def test_refinement_is_the_dt_half_residual_and_the_ratio(self):
+        # the dt/2 run steps on the base run's clock, bit for bit its single solve
+        phi = small_grid_phi()
+        rec = energy_check(phi, self.cfg(phi), refine_check=True)
+        fine = solve(phi, replace(self.cfg(phi), dt=1e-3))
+        assert rec["ledger_residual_refined"] == l2_dissipation_residual(fine)
+        assert rec["refinement_factor"] == rec["ledger_residual"] / l2_dissipation_residual(fine)
+
+    def test_zero_data_has_refinement_factor_zero(self):
+        # both residuals are 0; the floor under the divisor keeps 0/0 out
+        grid = GridSpec(box_length=16.0, modes=64)
+        phi = RealField(np.zeros(64), grid)
+        rec = energy_check(phi, self.cfg(phi), refine_check=True)
+        assert rec["ledger_residual"] == rec["ledger_residual_refined"] == 0.0
+        assert rec["refinement_factor"] == 0.0
 
 
 def solve_one_at_a_time(phi, cfgs):

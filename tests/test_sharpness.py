@@ -252,6 +252,19 @@ class TestBilinearFunctional:
         with pytest.raises(ContractViolationError, match="not even"):
             bilinear_functional(uneven, -0.75)
 
+    @pytest.mark.parametrize("probe", ["tau-one-cell-short", "xi-half-shifted", "xi-2d"])
+    def test_cells_not_flat_integer_arrays_of_one_length_are_contract_violation(self, probe):
+        # a tau_idx one cell short ended in numpy's "boolean index did not
+        # match" IndexError, and a float xi_idx was refused as "not even"
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        xi_idx, tau_idx = {
+            "tau-one-cell-short": (f.xi_idx, f.tau_idx[:-1]),
+            "xi-half-shifted": (f.xi_idx + 0.5, f.tau_idx),
+            "xi-2d": (f.xi_idx[:, None], f.tau_idx),
+        }[probe]
+        with pytest.raises(ContractViolationError, match="1-D integer arrays of one length"):
+            CounterexampleFunction(f.spec, xi_idx, tau_idx)
+
     def test_evenness_is_the_mirror_image_rule(self):
         # the sorted-array check agrees with f(-xi, -tau) = f(xi, tau) taken
         # cell by cell, on the cells in any order and with one cell dropped

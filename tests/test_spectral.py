@@ -11,13 +11,12 @@ from kdvb.spectral import (
     RealField,
     SpectralField,
     dealias,
+    dissipation_symbol,
     forward_transform,
-    fractional_dissipation,
     hermitian_residual,
     inverse_transform,
     is_number,
     resize_band,
-    spatial_derivative,
 )
 
 
@@ -128,73 +127,37 @@ class TestTransforms:
             SpectralField(np.zeros(8, dtype=complex), grid)
 
 
-class TestDerivative:
-    def test_sine_first_and_third(self):
-        grid = GridSpec(box_length=2 * np.pi, modes=64)
-        x = grid.collocation_points()
-        u = forward_transform(RealField(np.sin(x), grid))
-        d1 = inverse_transform(spatial_derivative(u, 1))
-        assert np.allclose(d1.values, np.cos(x), atol=1e-12)
-        d3 = inverse_transform(spatial_derivative(u, 3))
-        assert np.allclose(d3.values, -np.cos(x), atol=1e-11)
-
-    def test_composition_matches_second_order(self):
-        grid = GridSpec(box_length=4.0, modes=128)
-        u = dealias(forward_transform(random_field(grid, seed=3)))
-        twice = spatial_derivative(spatial_derivative(u, 1), 1)
-        once = spatial_derivative(u, 2)
-        rel = np.linalg.norm(twice.coeffs - once.coeffs) / np.linalg.norm(once.coeffs)
-        assert rel <= 1e-12
-
-    def test_order_validated(self):
-        grid = GridSpec(box_length=1.0, modes=16)
-        u = forward_transform(random_field(grid))
-        with pytest.raises(ParameterError, match="order"):
-            spatial_derivative(u, 4)
-
-
 class TestFractionalDissipation:
+    """The symbol |xi|^(2 alpha) of dissipation_symbol, applied to coefficients."""
+
     def test_alpha_one_is_negative_second_derivative(self):
         grid = GridSpec(box_length=3.0, modes=64)
         u = dealias(forward_transform(random_field(grid, seed=5)))
-        a = fractional_dissipation(u, 1.0)
-        b = spatial_derivative(u, 2)
-        assert np.allclose(a.coeffs, -b.coeffs, atol=1e-12 * np.max(np.abs(a.coeffs)))
-
-    def test_alpha_one_matches_hilbert_magnitude_square(self):
-        # |d_x|^2 assembled from a first derivative followed by the
-        # magnitude symbol -i sign(xi)
-        grid = GridSpec(box_length=3.0, modes=64)
-        u = dealias(forward_transform(random_field(grid, seed=6)))
-        xi = grid.wavenumbers()
-        first = spatial_derivative(u, 1)
-        magnitude = SpectralField(-1j * np.sign(xi) * first.coeffs, grid)
-        twice = SpectralField(
-            -1j * np.sign(xi) * spatial_derivative(magnitude, 1).coeffs, grid
-        )
-        direct = fractional_dissipation(u, 1.0)
-        assert np.allclose(twice.coeffs, direct.coeffs, atol=1e-12)
+        a = u.coeffs * dissipation_symbol(grid, 1.0)
+        b = u.coeffs * (1j * grid.wavenumbers()) ** 2
+        assert np.allclose(a, -b, atol=1e-12 * np.max(np.abs(a)))
 
     def test_constant_killed(self):
+        # the zero mode is mapped to 0
         grid = GridSpec(box_length=1.0, modes=16)
         u = forward_transform(RealField(np.full(16, 2.5), grid))
-        out = fractional_dissipation(u, 0.7)
-        assert np.max(np.abs(out.coeffs)) == 0.0
+        symbol = dissipation_symbol(grid, 0.7)
+        assert symbol[0] == 0.0 and np.all(symbol[1:] > 0.0)
+        assert np.max(np.abs(u.coeffs * symbol)) == 0.0
 
     def test_alpha_half_on_unit_mode(self):
         grid = GridSpec(box_length=2 * np.pi, modes=32)
         x = grid.collocation_points()
         u = forward_transform(RealField(np.sin(x), grid))
-        out = inverse_transform(fractional_dissipation(u, 0.5))
+        out = inverse_transform(SpectralField(u.coeffs * dissipation_symbol(grid, 0.5), grid))
         assert np.allclose(out.values, np.sin(x), atol=1e-12)
 
     def test_alpha_range(self):
         grid = GridSpec(box_length=1.0, modes=16)
-        u = forward_transform(random_field(grid))
         with pytest.raises(ParameterError, match="alpha"):
-            fractional_dissipation(u, 0.0)
+            dissipation_symbol(grid, 0.0)
         with pytest.raises(ParameterError, match="alpha"):
-            fractional_dissipation(u, 1.2)
+            dissipation_symbol(grid, 1.2)
 
 
 class TestDealias:
@@ -214,12 +177,7 @@ class TestDealias:
     def test_hermitian_preserved_by_module_operations(self):
         grid = GridSpec(box_length=9.0, modes=128)
         u = forward_transform(random_field(grid, seed=8))
-        for out in (
-            dealias(u),
-            spatial_derivative(dealias(u), 1),
-            spatial_derivative(dealias(u), 3),
-            fractional_dissipation(u, 0.6),
-        ):
+        for out in (dealias(u), SpectralField(u.coeffs * dissipation_symbol(grid, 0.6), grid)):
             assert hermitian_residual(out) <= 1e-13
 
     def test_hermitian_residual_of_the_zero_field(self):

@@ -232,6 +232,26 @@ MUTANTS = [
         "tests/test_experiments.py::TestScalingCheck::"
         "test_lambda_rule_is_checked_before_the_base_solve",
     ),
+    # the two reported ratios, each written once, and the zero-data refusal
+    (
+        "experiments.py",
+        "max(obs) / min(obs)",
+        "max(obs) * min(obs)",
+        "tests/test_acceptance.py::TestCriterion06H1UniformBound::test_band",
+    ),
+    (
+        "experiments.py",
+        "residual / max(fine, 1e-300)",
+        "residual * max(fine, 1e-300)",
+        "tests/test_acceptance.py::TestCriterion01DissipationLedger::"
+        "test_l2_ledger_residual_and_refinement",
+    ),
+    (
+        "experiments.py",
+        "if min(obs) == 0.0:",
+        "if False:",
+        "tests/test_experiments.py::TestH1Bound::test_zero_observable_is_parameter_error",
+    ),
     (
         "reports.py",
         "r_sq = 1.0 - float(",
