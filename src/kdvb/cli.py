@@ -14,7 +14,8 @@ overrides, and only then checks initial_data and the block against the
 final top-level values, so a power-law seed left to default follows
 --seed.  Those checks are of keys and kinds: whether an initial_data or
 block value is in range is decided by the API call that takes it, which
-raises a ParameterError when the run starts, before any solve or draw.
+raises a ParameterError when the run starts, before any solve or draw;
+``run`` names an InitialDataError by its initial_data.kind.
 
 Artifacts are byte-deterministic for a fixed config, seed, and software
 environment: results (CSV/JSON) and manifest.json never embed clocks;
@@ -30,7 +31,6 @@ Exit codes (one per error class, in ``_EXIT_CODES``): 0 success;
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import math
@@ -46,13 +46,14 @@ from .errors import (
     ConfigError,
     ContractViolationError,
     DivergenceError,
+    InitialDataError,
     ParameterError,
     RangeError,
     ResolutionError,
     ResonantDenominatorError,
 )
 from .evolve import SolverConfig, solve, write_trajectory
-from .experiments import energy_check, h1_bound_check, inviscid_sweep, rate_fit, scaling_check
+from .experiments import energy_check, scaling_check
 from .imethod import RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
 from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
 from .propagator import ModelParams
@@ -235,20 +236,16 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
 
 
 def build_initial_data(cfg: RunConfig) -> RealField:
-    """The configured initial field; a non-finite field, or a ParameterError
-    of its constructor, is a ParameterError naming its kind, raised before
-    any step.  A vast or tiny parameter overflows either to its limit
-    (exp(-inf) = 0) or to a non-finite field, so numpy's warnings are not
-    printed."""
+    """The configured initial field; a non-finite field is an InitialDataError,
+    as is a ParameterError of its constructor, raised before any step.  A
+    vast or tiny parameter overflows either to its limit (exp(-inf) = 0) or
+    to a non-finite field, so numpy's warnings are not printed."""
     params = dict(cfg.data)
     kind = params.pop("kind")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
-        except ParameterError as exc:
-            raise ParameterError(f"initial_data.kind {kind!r}: {exc}") from exc
+        initial = getattr(experiments, _INITIAL_DATA[kind][0])(grid=cfg.grid, **params)
     if not np.all(np.isfinite(initial.values)):
-        raise ParameterError(f"initial_data.kind {kind!r} gives a non-finite field for {params}")
+        raise InitialDataError(f"non-finite field for {params}")
     return initial
 
 
@@ -267,34 +264,28 @@ def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     return result
 
 
-def _sweep_result(cfg: RunConfig, report: dict, experiment: str, artifacts: dict) -> dict:
-    """Write a sweep's sweep.csv and return its result record: experiment,
-    params, ladder, observables, fit (null), floors, seed, grid, dt, meta."""
-    rows = ((rec["epsilon"], rec["observable"]) for rec in report["observables"])
+def _run_sweep(cfg: RunConfig, artifacts: dict) -> dict:
+    """Run the subcommand's driver in _SWEEPS, write its sweep.csv and return
+    its result record: experiment, params, ladder, observables, fit (null),
+    floors, seed, grid, dt, meta, and the driver's own top-level scalars."""
+    driver = getattr(experiments, _SWEEPS[cfg.subcommand])
+    report = driver(build_initial_data(cfg), cfg.solver, *cfg.block.values())
+    ladder, observables, meta = (report.pop(key) for key in ("values", "observables", "meta"))
+    rows = ((rec["epsilon"], rec["observable"]) for rec in observables)
     artifacts["sweep.csv"] = format_csv(("epsilon", "observable"), rows).encode()
     return {
-        "experiment": experiment,
+        **report,
+        "experiment": cfg.subcommand,
         "params": {"epsilon": cfg.params.epsilon, "alpha": cfg.params.alpha},
-        "ladder": report["values"],
-        "observables": report["observables"],
+        "ladder": ladder,
+        "observables": observables,
         "fit": None,
-        "floors": {"self_convergence": report["meta"].get("floor")},
+        "floors": {"self_convergence": meta.get("floor")},
         "seed": cfg.seed,
         "grid": {"box_length": cfg.grid.box_length, "modes": cfg.grid.modes},
         "dt": cfg.solver.dt,
-        "meta": report["meta"],
+        "meta": meta,
     }
-
-
-def _run_inviscid(cfg: RunConfig, artifacts: dict, with_rate: bool) -> dict:
-    ladder = cfg.block["eps_ladder"]
-    if with_rate and len(ladder) < 2:
-        raise ParameterError(f"rate needs at least two epsilons, got {list(ladder)}")
-    report = inviscid_sweep(build_initial_data(cfg), cfg.solver, ladder, cfg.block["sobolev_s"])
-    result = _sweep_result(cfg, report, "rate" if with_rate else "inviscid", artifacts)
-    if with_rate:
-        result["rate_slope"] = rate_fit(report)
-    return result
 
 
 def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
@@ -319,24 +310,18 @@ def _run_imethod_bounds(cfg: RunConfig, artifacts: dict) -> dict:
     return {"slope": slope, "max_ratio": max(ratios), "max_ratios": ratios}
 
 
-def _run_h1_bound(cfg: RunConfig, artifacts: dict) -> dict:
-    phi = build_initial_data(cfg)
-    try:
-        report = h1_bound_check(phi, cfg.solver, cfg.block["eps_ladder"])
-    except ParameterError as exc:
-        raise ParameterError(f"initial_data.kind {cfg.data['kind']!r}: {exc}") from exc
-    result = _sweep_result(cfg, report, "h1-bound", artifacts)
-    return {**result, "band_ratio": report["band_ratio"]}
-
-
+# sweep subcommand -> its driver's name in kdvb.experiments, looked up when
+# called as _INITIAL_DATA's constructors are; it takes the block's values in
+# schema order
+_SWEEPS = {"inviscid": "inviscid_sweep", "rate": "rate_check", "h1-bound": "h1_bound_check"}
 _INVISCID = {"eps_ladder": (_FLOATS, (1e-1, 1e-2, 1e-3, 1e-4)), "sobolev_s": (float, 0.0)}
 
 # subcommand -> (runner, experiment-block schema, needs a time-stepping solve)
 _COMMANDS = {
     "solve": (_run_solve, {}, True),
     "energy": (_run_energy, {"refine_check": (bool, False)}, True),
-    "inviscid": (functools.partial(_run_inviscid, with_rate=False), _INVISCID, True),
-    "rate": (functools.partial(_run_inviscid, with_rate=True), _INVISCID, True),
+    "inviscid": (_run_sweep, _INVISCID, True),
+    "rate": (_run_sweep, _INVISCID, True),
     "scaling": (_run_scaling, {"lambda_exp": (int, 1)}, True),
     "sharpness": (
         _run_sharpness,
@@ -358,7 +343,7 @@ _COMMANDS = {
         },
         False,
     ),
-    "h1-bound": (_run_h1_bound, {"eps_ladder": (_FLOATS, (1.0, 0.1, 0.01, 0.001))}, True),
+    "h1-bound": (_run_sweep, {"eps_ladder": (_FLOATS, (1.0, 0.1, 0.01, 0.001))}, True),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
@@ -393,6 +378,9 @@ def run(cfg: RunConfig) -> int:
         # a NaN or infinity in the result is a RangeError here, before any
         # artifact is written
         artifacts["result.json"] = (canonical_json(result) + "\n").encode()
+    except InitialDataError as exc:
+        kind = cfg.data["kind"]
+        return _fail(ParameterError(f"initial_data.kind {kind!r}: {exc}"), cfg.out_path)
     except tuple(_EXIT_CODES) as exc:
         return _fail(exc, cfg.out_path)
 

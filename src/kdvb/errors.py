@@ -11,6 +11,10 @@ class ParameterError(ValueError):
     """A scalar argument is outside its admissible range."""
 
 
+class InitialDataError(ParameterError):
+    """A ParameterError caused by the initial data, not by a block value."""
+
+
 class ContractViolationError(ValueError):
     """An array argument violates a structural contract (shape, grid match)."""
 

@@ -1,4 +1,4 @@
-"""Headline numerics: the energy ledger check, inviscid limit, rate fit,
+"""Headline numerics: the energy ledger check, inviscid limit and rate,
 scaling invariance, and the uniform H1 bound, plus benchmark initial data.
 
 Each driver takes the SolverConfig it sweeps, which holds the grid,
@@ -17,6 +17,9 @@ stepped as one batch (see ``kdvb.evolve.solve_ladder``), as are the H1
 bound's ladder and the energy run with its dt/2 companion; ``solve_batch``
 prefixes a DivergenceError with the epsilon of the run it names.
 
+An error the initial data causes is an InitialDataError, which
+``kdvb.cli`` names by the data's kind.
+
 The scaling map u -> lam^2 u(lam x, lam^3 t) with epsilon ->
 lam^(3-2a) epsilon is probed with lam = 2^-m by re-solving on a box
 enlarged by 2^m at the same mode density; data transfers between the
@@ -31,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, ResolutionError
+from .errors import DivergenceError, InitialDataError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve, solve_ladder
 from .norms import (
     build_energy_ledger,
@@ -73,7 +76,7 @@ def soliton_initial_data(c: float, x0: float, grid: GridSpec) -> RealField:
     decayed below 1e-12 of its peak at the edges.
     """
     if not c > 0:
-        raise ParameterError(f"soliton speed must be positive, got {c}")
+        raise InitialDataError(f"soliton speed must be positive, got {c}")
     edge_decay = np.cosh(np.sqrt(c) / 2.0 * grid.box_length / 2.0) ** -2
     if edge_decay > 1e-12:
         raise ResolutionError(
@@ -93,11 +96,11 @@ def gaussian_initial_data(
     """A centered Gaussian bump times 1 + cos(m x)/2 (m = modulation,
     finite), scaled to l2_norm."""
     if not width > 0:
-        raise ParameterError(f"gaussian width must be positive, got {width}")
+        raise InitialDataError(f"gaussian width must be positive, got {width}")
     if not 0 <= l2_norm < np.inf:
-        raise ParameterError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
+        raise InitialDataError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
     if not np.isfinite(modulation):
-        raise ParameterError(f"gaussian modulation must be finite, got {modulation}")
+        raise InitialDataError(f"gaussian modulation must be finite, got {modulation}")
     x = grid.collocation_points() - grid.box_length / 2.0
     values = np.exp(-((x / width) ** 2))
     if modulation != 0:
@@ -119,9 +122,9 @@ def power_law_initial_data(
     the seed, an integer in [0, 2**64).
     """
     if not 0 <= l2_norm < np.inf:
-        raise ParameterError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
+        raise InitialDataError(f"l2_norm must be nonnegative and finite, got {l2_norm}")
     if not is_seed(seed):
-        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise InitialDataError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.default_rng(seed)
     half = grid.modes // 2
     profile = sobolev_weight(grid, decay_exponent / 2.0)
@@ -134,7 +137,7 @@ def power_law_initial_data(
     coeffs = np.where(grid.dealias_mask(), coeffs, 0.0)
     norm = np.linalg.norm(coeffs)
     if norm == 0:
-        raise ParameterError("the dealiased band holds no nonzero mode of <xi>^decay_exponent")
+        raise InitialDataError("the dealiased band holds no nonzero mode of <xi>^decay_exponent")
     return RealField(synthesize(coeffs * (l2_norm / norm), grid.box_length), grid)
 
 
@@ -143,15 +146,15 @@ def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -
     (so the field is periodic) inside the dealiased band, since the solver
     zeroes every mode outside it."""
     if not is_integer(wavenumber_index):
-        raise ParameterError(f"wavenumber_index must be an integer, got {wavenumber_index!r}")
+        raise InitialDataError(f"wavenumber_index must be an integer, got {wavenumber_index!r}")
     cutoff = grid.dealias_fraction * grid.modes / 2.0
     if not abs(wavenumber_index) < cutoff:
-        raise ParameterError(
+        raise InitialDataError(
             f"wavenumber_index must lie in the dealiased band |k| < {cutoff:.6g} "
             f"of {grid.modes} modes, got {wavenumber_index}"
         )
     if not np.isfinite(amplitude):
-        raise ParameterError(f"sine amplitude must be finite, got {amplitude}")
+        raise InitialDataError(f"sine amplitude must be finite, got {amplitude}")
     x = grid.collocation_points()
     return RealField(
         amplitude * np.sin(2.0 * np.pi * wavenumber_index * x / grid.box_length), grid
@@ -238,6 +241,15 @@ def rate_fit(report: dict) -> float:
     return fit["slope"]
 
 
+def rate_check(phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...], s: float) -> dict:
+    """``inviscid_sweep``'s record plus "rate_slope", its ``rate_fit``; fewer
+    than two epsilons is a ParameterError raised before any solve."""
+    if len(eps_ladder) < 2:
+        raise ParameterError(f"rate needs at least two epsilons, got {list(eps_ladder)}")
+    report = inviscid_sweep(phi, cfg, eps_ladder, s)
+    return {**report, "rate_slope": rate_fit(report)}
+
+
 def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
     """Relative L2 distance between the base solve, cfg from phi, and the
     pulled-back rescaled solve with lam = 2^-lambda_exp.
@@ -254,7 +266,7 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
 
     A lambda_exp that is not an integer (a bool is not one) with
     modes * 2**lambda_exp <= MAX_MODES is a ParameterError raised before
-    the base solve, and so is data whose base solve ends at norm 0.
+    the base solve; data whose base solve ends at norm 0 is an InitialDataError.
     """
     grid, params = cfg.grid, cfg.params
     # in integers, since 2**lambda_exp may be vast
@@ -271,7 +283,7 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
     target = base.coeffs[-1]
     target_norm = np.linalg.norm(target)
     if target_norm == 0.0:
-        raise ParameterError("scaling_check needs non-zero data: the base solve ends at norm 0")
+        raise InitialDataError("scaling_check needs non-zero data: the base solve ends at norm 0")
 
     fine_grid = GridSpec(
         box_length=grid.box_length * factor,
@@ -305,7 +317,7 @@ def h1_bound_check(
     uses trapezoid quadrature over snapshots.  A uniform bound across the
     ladder is the expected behavior; the record, shaped as
     ``inviscid_sweep``'s, adds "band_ratio", max over min of the
-    observables, and data that gives an observable 0 is a ParameterError.
+    observables, and data that gives an observable 0 is an InitialDataError.
     """
     ladder = tuple(float(e) for e in eps_ladder)
     if not ladder or any(not 0 <= e <= 1 for e in ladder):
@@ -331,7 +343,7 @@ def h1_bound_check(
         )
     obs = [rec["observable"] for rec in observables]
     if min(obs) == 0.0:
-        raise ParameterError(
+        raise InitialDataError(
             f"h1-bound needs non-zero data: observable 0 at epsilon = "
             f"{ladder[obs.index(0.0)]:g}, so the band ratio is undefined"
         )

@@ -533,7 +533,7 @@ def _m3_flux(coeffs: np.ndarray, grid, spec: IMultiplierSpec) -> np.ndarray:
     c = np.fft.fftshift(coeffs, axes=-1)
     # zero-padded to 2M, the autoconvolution is linear; its entry n is wavenumber n - M
     auto = np.fft.ifft(np.fft.fft(c, 2 * grid.modes) ** 2)
-    g = _Slot(xi, spec, None).flux
+    g = _msq(xi, spec) * xi
     return 3j * grid.box_length ** (-0.5) * np.sum(g * c * auto[..., grid.modes - kint], axis=-1)
 
 

@@ -80,10 +80,10 @@ def dyadic_profile(u: SpectralField) -> np.ndarray:
     return np.sqrt(np.bincount(bands, weights=np.abs(u.coeffs) ** 2))
 
 
-def _taper(n: int, edge_fraction: float = 0.1) -> np.ndarray:
-    """Raised-cosine taper over the first and last edge_fraction of n samples."""
+def _taper(n: int) -> np.ndarray:
+    """Raised-cosine taper over the first and last 10 percent of n samples."""
     w = np.ones(n)
-    edge = max(1, int(round(edge_fraction * n)))
+    edge = max(1, int(round(0.1 * n)))
     ramp = 0.5 * (1.0 - np.cos(np.pi * (np.arange(edge) + 0.5) / edge))
     w[:edge] = ramp
     w[-edge:] = ramp[::-1]

@@ -667,16 +667,13 @@ class TestRun:
         assert repr(data["kind"]) in payload["message"]
 
     def test_scaling_of_zero_data_is_parameter_error(self, tmp_path):
-        doc = solve_doc(
-            tmp_path / "out",
-            subcommand="scaling",
-            t_final=0.01,
-            initial_data={"kind": "sine", "wavenumber_index": 0},
-        )
+        data = {"kind": "sine", "wavenumber_index": 0}
+        doc = solve_doc(tmp_path / "out", subcommand="scaling", t_final=0.01, initial_data=data)
         assert run(parse_config(json.dumps(doc))) == 2
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
         assert "non-zero data" in payload["message"]
+        assert repr(data["kind"]) in payload["message"]
         assert not (tmp_path / "out" / "result.json").exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -1013,10 +1010,12 @@ class TestMain:
         "subcommand,block,message",
         [
             ("sharpness", {"s_list": [-0.75, -0.9, -0.6], "n_ladder": LADDER},
-             "s_list must be strictly monotone"),
+             "s_list must be strictly monotone, got [-0.75, -0.9, -0.6]"),
             ("sharpness", {"s_list": [-0.75, -0.75], "n_ladder": LADDER},
-             "s_list must be strictly monotone"),
-            ("h1-bound", {"eps_ladder": [0.1, 1.0, 0.01]}, "eps_ladder must be strictly monotone"),
+             "s_list must be strictly monotone, got [-0.75, -0.75]"),
+            # a ladder error is the API's own message, not named by the data kind
+            ("h1-bound", {"eps_ladder": [0.1, 1.0, 0.01]},
+             "eps_ladder must be strictly monotone, got [0.1, 1.0, 0.01]"),
             ("inviscid", {"eps_ladder": [0.1, 0.1]}, "eps_ladder must be strictly decreasing"),
             ("rate", {"eps_ladder": [0.1, 0.1]}, "eps_ladder must be strictly decreasing"),
         ],
@@ -1039,7 +1038,7 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
-        assert message in payload["message"]
+        assert payload["message"] == message
 
     @pytest.mark.parametrize(
         "ratios,error",

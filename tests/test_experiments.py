@@ -15,6 +15,7 @@ from kdvb.experiments import (
     h1_bound_check,
     inviscid_sweep,
     power_law_initial_data,
+    rate_check,
     rate_fit,
     scaling_check,
     sine_initial_data,
@@ -293,6 +294,26 @@ class TestInviscidSweep:
             inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3), (1e-1, 1e-2), s=0.0)
         with pytest.raises(ParameterError, match="non-finite"):
             solve(phi, sweep_cfg(phi, 1.0, 0.05, 5e-3))
+
+
+class TestRateCheck:
+    def test_one_epsilon_rejected_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(experiments, "solve_batch", no_solve)
+        phi = small_grid_phi()
+        with pytest.raises(ParameterError, match=r"at least two epsilons, got \[0.1\]$"):
+            rate_check(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (0.1,), s=0.0)
+
+    def test_record_is_the_sweep_with_its_rate_fit(self):
+        # criterion 05's inputs
+        grid = GridSpec(box_length=8.0, modes=512)
+        phi = power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=1234)
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt=2e-3, t_final=1.0, snapshot_stride=25)
+        args = (phi, cfg, (1e-1, 1e-2, 1e-3, 1e-4), 0.0)
+        report = inviscid_sweep(*args)
+        assert rate_check(*args) == {**report, "rate_slope": rate_fit(report)}
 
 
 class TestScalingCheck:

@@ -18,7 +18,8 @@ the unmutated, unparsed module must pass; then each mutant that makes the
 suite fail, or run past the timeout, is killed.
 
 Standard library only.  Not a CI step: 40 draws on cli.py take about 9
-minutes on a 2-core machine.  Run from anywhere:
+minutes on a 2-core machine (CI only checks that every mutant of every
+module compiles).  Run from anywhere:
 
     python tools/mutants.py cli.py --seed 4 --draws 40
 

@@ -253,6 +253,12 @@ MUTANTS = [
         "tests/test_experiments.py::TestH1Bound::test_zero_observable_is_parameter_error",
     ),
     (
+        "experiments.py",
+        "if len(eps_ladder) < 2:",
+        "if len(eps_ladder) < 1:",
+        "tests/test_experiments.py::TestRateCheck::test_one_epsilon_rejected_before_any_solve",
+    ),
+    (
         "reports.py",
         "r_sq = 1.0 - float(",
         "r_sq = 1.001 - float(",
@@ -364,6 +370,13 @@ MUTANTS = [
         "(1e-1, 1e-2, 1e-3, 1e-4)",
         "(1e-1, 1e-2, 1.001e-3, 1e-4)",
         "tests/test_cli.py::TestParseConfig::test_schema_defaults_match_the_readme",
+    ),
+    # only an initial-data error is named by its kind, not a ladder error
+    (
+        "cli.py",
+        "except InitialDataError as exc:",
+        "except ParameterError as exc:",
+        "tests/test_cli.py::TestMain::test_unordered_sweep_fails_before_any_work[eps-unordered]",
     ),
 ]
 
