@@ -26,12 +26,13 @@ class ConfigError(ValueError):
 class DivergenceError(RuntimeError):
     """The time integration produced a non-finite state."""
 
-    def __init__(self, step_index: int, time: float, run: int = 0):
+    def __init__(self, step_index: int, time: float, run: int, epsilon: float, dt: float):
         self.step_index = step_index
         self.time = time
         self.run = run  # the index of the diverged run in its batch
         super().__init__(
-            f"non-finite state detected at step {step_index} (t = {time:.6g})"
+            f"epsilon = {epsilon}: non-finite state detected at step {step_index} "
+            f"(t = {time:.6g}, dt = {dt:.6g})"
         )
 
 

@@ -52,9 +52,9 @@ reference, the ladder and the dt/2 floor of ``inviscid_sweep``, the
 ladder of ``h1_bound_check`` and the run of ``energy_check`` with its
 dt/2 refinement.  Each tick screens its new state with one reduction, the
 squared norm, and scans the rows only when that is not finite.  A row
-that turns non-finite records its own DivergenceError; run 0's is raised
-at once, and otherwise the first diverged run's is raised after the last
-tick, as its single solve would.
+that turns non-finite records its own DivergenceError, naming its epsilon
+and dt; run 0's is raised at once, and otherwise the first diverged
+run's after the last tick, as its single solve would.
 
 A step's only new array is the state it returns.  Each stepper
 preallocates one buffer per stage square, two for the stage arithmetic
@@ -75,7 +75,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, ParameterError
+from .errors import ContractViolationError, DivergenceError, InitialDataError, ParameterError
 from .propagator import ModelParams, linear_symbol
 from .spectral import (
     GridSpec,
@@ -405,13 +405,13 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
 
     The configs must share grid and t_final, and each dt must be an integer
     multiple r of the smallest (r * min dt == dt in floating point), else
-    ParameterError; so must the dealiased initial data be finite.  Each
-    run's snapshot steps and times are fixed before the first tick.  Row b
-    takes its step i on tick r_b i of the smallest dt, so each tick steps
+    ParameterError; non-finite dealiased initial data is an InitialDataError.
+    Each run's snapshot steps and times are fixed before the first tick.  Row
+    b takes its step i on tick r_b i of the smallest dt, so each tick steps
     its due rows together under one stepper cached per tuple of due rows.
     A row that turns non-finite on its step i records the error of step
-    i - 1 and steps on; run 0's is raised at once, any other after the last
-    tick.
+    i - 1, named by its epsilon and dt, and steps on; run 0's is raised at
+    once, any other after the last tick.
     """
     dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
     ratios = [round(cfg.dt / dt0) for cfg in cfgs]
@@ -429,7 +429,7 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
         raise ContractViolationError("initial data grid does not match solver grid")
     c = np.where(grid.dealias_mask(), forward_transform(phi).coeffs, 0.0)
     if not np.all(np.isfinite(c)):
-        raise ParameterError("initial data has non-finite dealiased coefficients")
+        raise InitialDataError("initial data has non-finite dealiased coefficients")
 
     # snapshots: tick -> (run, row) pairs stored after it.  Each run stores
     # into one preallocated matrix that its trajectory takes over without a
@@ -469,7 +469,7 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
                 if b not in errors:
                     i, cfg = j // ratios[b], cfgs[b]
                     t = cfg.t_final if i == cfg.steps else i * cfg.dt
-                    errors[b] = DivergenceError(i - 1, t, run=b)
+                    errors[b] = DivergenceError(i - 1, t, b, cfg.params.epsilon, cfg.dt)
             if 0 in errors:
                 raise errors[0]
         for b, row in snapshots.get(j, ()):
@@ -486,9 +486,9 @@ def solve(phi: RealField, cfg: SolverConfig) -> Trajectory:
 
     The initial data is dealiased before stepping; the state is then
     stepped as an rfft half-spectrum, and every stored state after t = 0
-    is dealiased and exactly Hermitian-symmetric.  A non-finite state
-    aborts with a DivergenceError naming the step; non-finite initial data
-    is a ParameterError, raised before any step.
+    is dealiased and exactly Hermitian-symmetric.  A non-finite state aborts
+    with a DivergenceError naming epsilon, dt, the step and its time;
+    non-finite initial data is an InitialDataError, raised before any step.
     """
     return _march(phi, [cfg])[0]
 
@@ -503,8 +503,8 @@ def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajecto
     (B, M/2 + 1) half-spectrum, and trajectory b equals ``solve(phi,
     cfgs[b])`` bit for bit.  If any run turns non-finite, the
     DivergenceError raised is the one ``solve`` raises for the first
-    config, in order, that diverges alone: its step and time, with its
-    index in cfgs as ``run``.
+    config, in order, that diverges alone: its epsilon, dt, step and time,
+    with its index in cfgs as ``run``.
     """
     return tuple(_march(phi, cfgs))
 

@@ -14,8 +14,8 @@ floor is the self-convergence error of the reference solve (dt versus
 dt/2), the resolution-limited scale against which the smallest-epsilon
 observable is judged.  The reference, the ladder and the dt/2 run are
 stepped as one batch (see ``kdvb.evolve.solve_ladder``), as are the H1
-bound's ladder and the energy run with its dt/2 companion; ``solve_batch``
-prefixes a DivergenceError with the epsilon of the run it names.
+bound's ladder and the energy run with its dt/2 companion; a
+DivergenceError names the run of its batch by epsilon and dt.
 
 An error the initial data causes is an InitialDataError, which
 ``kdvb.cli`` names by the data's kind.
@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, InitialDataError, ParameterError, ResolutionError
+from .errors import InitialDataError, ParameterError, ResolutionError
 from .evolve import SolverConfig, Trajectory, solve, solve_ladder
 from .norms import (
     build_energy_ledger,
@@ -169,14 +168,6 @@ def _sup_distance(a: Trajectory, b: Trajectory, s: float) -> float:
     return float(np.sqrt(np.max(energies)))
 
 
-def solve_batch(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
-    try:
-        return solve_ladder(phi, cfgs)
-    except DivergenceError as exc:
-        exc.args = (f"epsilon = {cfgs[exc.run].params.epsilon}: {exc}",)
-        raise
-
-
 def inviscid_sweep(
     phi: RealField, cfg: SolverConfig, eps_ladder: tuple[float, ...], s: float
 ) -> dict:
@@ -199,7 +190,7 @@ def inviscid_sweep(
     cfgs = [replace(cfg, params=ModelParams(e, cfg.params.alpha)) for e in (0.0,) + ladder]
     # the dt/2 floor run rides on the same clock, storing every other tick
     cfgs.append(replace(cfgs[0], dt=cfg.dt / 2.0, snapshot_stride=2 * cfg.snapshot_stride))
-    reference, *runs, fine = solve_batch(phi, cfgs)
+    reference, *runs, fine = solve_ladder(phi, cfgs)
     observables = [
         {"epsilon": e, "observable": _sup_distance(traj, reference, s)}
         for e, traj in zip(ladder, runs)
@@ -328,7 +319,7 @@ def h1_bound_check(
     # ||Lambda^(2 alpha) u||^2 = sum |xi|^(4 alpha) |coeff|^2
     weights = (sobolev_weight(cfg.grid, 1.0), dissipation_symbol(cfg.grid, alpha) ** 2)
     observables = []
-    trajs = solve_batch(phi, [replace(cfg, params=ModelParams(e, alpha)) for e in ladder])
+    trajs = solve_ladder(phi, [replace(cfg, params=ModelParams(e, alpha)) for e in ladder])
     for eps, traj in zip(ladder, trajs):
         h1_sq, rates = spectral_energies(traj.coeffs, *weights)
         sup_h1 = float(np.sqrt(np.max(h1_sq)))

@@ -238,6 +238,11 @@ def beta_values(xs, alpha: float):
     return sum(s.dissipation for s in _slots(xs, len(xs), "beta_values", alpha=alpha))
 
 
+def _eps_beta(slots, params: ModelParams):
+    """eps beta_k on the slots: 0.0 at eps = 0, where no |xi|^(2 alpha) is formed."""
+    return params.epsilon * beta_values(slots, params.alpha) if params.epsilon else 0.0
+
+
 def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+"):
     """(sigma3, resonant) on three slots, sigma3 = -M3 / (h3 - eps beta_3) with
     h3 = 3i xi_1 xi_2 xi_3; sign '-' selects sigma3^-, denominator h3 + eps beta_3."""
@@ -246,7 +251,7 @@ def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+
     slots = _slots(xs, 3, "sigma3_values", spec, params.alpha)
     a, b, c = slots
     h3 = 3j * np.asarray(a.xi) * np.asarray(b.xi) * np.asarray(c.xi)
-    eps_term = params.epsilon * beta_values(slots, params.alpha)
+    eps_term = _eps_beta(slots, params)
     den = h3 - eps_term if sign == "+" else h3 + eps_term
     return _guarded_quotient(m3_values(slots, spec), den)
 
@@ -268,7 +273,7 @@ def sigma4_values(xs, spec: IMultiplierSpec, params: ModelParams):
     mask joins M4's with this quotient's own."""
     slots = _slots(xs, 4, "sigma4_values", spec, params.alpha)
     num, resonant = m4_values(slots, spec, params)
-    den = h4_values(slots) - params.epsilon * beta_values(slots, params.alpha)
+    den = h4_values(slots) - _eps_beta(slots, params)
     values, res4 = _guarded_quotient(num, den)
     return values, resonant | res4
 

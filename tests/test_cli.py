@@ -496,7 +496,7 @@ class TestRun:
             (ParameterError("x"), 2),
             (ContractViolationError("x"), 2),
             (ResonantDenominatorError("x"), 2),
-            (DivergenceError(3, 0.1), 3),
+            (DivergenceError(3, 0.1, 0, 0.1, 0.05), 3),
             (RangeError("x"), 3),
             (ResolutionError("x"), 4),
         ],
@@ -591,6 +591,20 @@ class TestRun:
             assert json.loads(err) == json.loads((tmp_path / "out" / "error.json").read_text())
         else:
             assert err == ""
+
+    def test_finite_data_whose_transform_overflows_is_named_by_its_kind(self, tmp_path, capsys):
+        # every value of the field is finite, but not its coefficients: the
+        # solver refuses it as initial data before any step
+        data = {"kind": "gaussian", "width": 2.0, "l2_norm": 1e308}
+        doc = solve_doc(tmp_path / "out", initial_data=data)
+        assert all(map(math.isfinite, build_initial_data(parse_config(json.dumps(doc))).values))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ParameterError"
+        assert payload["message"].startswith("initial_data.kind 'gaussian': ")
 
     @pytest.mark.parametrize("index", [40, -22, 10**30])
     def test_sine_outside_the_dealiased_band_is_parameter_error(self, tmp_path, capsys, index):
@@ -863,12 +877,9 @@ class TestBatchedCompanions:
         assert len(stepper_calls) == calls
 
     @pytest.mark.parametrize(
-        "subcommand,block,prefix",
-        [("energy", {}, ""), ("h1-bound", {"eps_ladder": [0.1]}, "epsilon = 0.1: ")],
+        "subcommand,block", [("energy", {}), ("h1-bound", {"eps_ladder": [0.1]})]
     )
-    def test_one_run_divergence_is_stepped_once(
-        self, tmp_path, stepper_calls, subcommand, block, prefix
-    ):
+    def test_one_run_divergence_is_stepped_once(self, tmp_path, stepper_calls, subcommand, block):
         # alone, this run diverges at step 4: five stepper calls, not ten
         doc = solve_doc(
             tmp_path / "out",
@@ -881,10 +892,13 @@ class TestBatchedCompanions:
         assert run(parse_config(json.dumps(doc))) == 3
         assert len(stepper_calls) == 5
         message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
-        assert message == prefix + "non-finite state detected at step 4 (t = 0.25)"
+        assert message == (
+            "epsilon = 0.1: non-finite state detected at step 4 (t = 0.25, dt = 0.05)"
+        )
 
     def test_energy_refine_divergence_matches_per_run_path(self, tmp_path, monkeypatch):
-        # dt = 0.1 stays finite over its 3 steps; dt/2 diverges at its step 4
+        # dt = 0.1 stays finite over its 3 steps; dt/2 diverges at its step 4,
+        # and the message names that run by its dt and its own step time
         doc = solve_doc(
             tmp_path / "batched",
             subcommand="energy",
@@ -900,6 +914,9 @@ class TestBatchedCompanions:
         with pytest.raises(DivergenceError) as alone:
             solve(phi, SolverConfig(cfg.params, cfg.grid, cfg.solver.dt / 2, cfg.solver.t_final))
         assert alone.value.step_index == 4
+        assert str(alone.value) == (
+            "epsilon = 0.1: non-finite state detected at step 4 (t = 0.25, dt = 0.05)"
+        )
 
         assert run(cfg) == 3
         batched = json.loads((tmp_path / "batched" / "error.json").read_text())
@@ -1030,7 +1047,7 @@ class TestMain:
             raise AssertionError("a pair lattice or solve ran")
 
         monkeypatch.setattr("kdvb.sharpness._PairLattice", no_work)
-        monkeypatch.setattr(experiments, "solve_batch", no_work)
+        monkeypatch.setattr(experiments, "solve_ladder", no_work)
         cfg_path = tmp_path / "cfg.json"
         doc = solve_doc(tmp_path / "out", subcommand=subcommand, **{subcommand: block})
         cfg_path.write_text(json.dumps(doc))

@@ -301,7 +301,7 @@ class TestRateCheck:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        monkeypatch.setattr(experiments, "solve_batch", no_solve)
+        monkeypatch.setattr(experiments, "solve_ladder", no_solve)
         phi = small_grid_phi()
         with pytest.raises(ParameterError, match=r"at least two epsilons, got \[0.1\]$"):
             rate_check(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (0.1,), s=0.0)
@@ -445,7 +445,7 @@ def per_run_divergence(phi, alpha, ladder, dt, t_final):
         try:
             solve(phi, cfg)
         except DivergenceError as exc:
-            return f"epsilon = {eps}: {exc}"
+            return str(exc)
     return None
 
 

@@ -357,6 +357,22 @@ class TestSharedSlotTerms:
         kernel(random_tuples(np.random.default_rng(k), k, 64), SPEC, PARAMS)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("kernel,k", [(sigma3_values, 3), (sigma4_values, 4)])
+    def test_no_dissipation_term_at_eps_zero(self, monkeypatch, kernel, k):
+        # at eps = 0 the denominator is h_k alone, and no beta_k is formed
+        p0 = ModelParams(0.0, 1.0)
+        xs = random_tuples(np.random.default_rng(k), k, 64)
+        num = m3_values(xs, SPEC) if k == 3 else m4_values(xs, SPEC, p0)[0]
+        den = 3j * xs[0] * xs[1] * xs[2] if k == 3 else h4_values(xs)
+
+        def refused(*args):
+            raise AssertionError("beta_k formed at eps = 0")
+
+        monkeypatch.setattr(imethod, "beta_values", refused)
+        values, resonant = kernel(xs, SPEC, p0)
+        np.testing.assert_array_equal(values, -num / den)
+        assert not resonant.any()
+
 
 class TestM4BoundSampler:
     LADDER = tuple(float(2**j) for j in range(4, 11))

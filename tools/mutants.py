@@ -108,18 +108,21 @@ def _mutate(source: str, site: tuple[int, int]) -> tuple[str, int, str]:
     return ast.unparse(tree) + "\n", node.lineno, f"{before} -> {after}"
 
 
-def _suite_fails(checkout: Path) -> bool:
-    """Whether pytest -x fails (or times out) in checkout on its own src;
-    no bytecode is cached, so a same-size edit within a second is seen."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+def run_pytest(cwd: Path, src: Path, nodes=(), timeout: float = TIMEOUT_S) -> int:
+    """pytest -x's exit code for nodes (the whole suite if none) run in cwd,
+    or -1 past timeout seconds.  The kdvb package is taken from src, with
+    pytest's own pythonpath setting cleared; no bytecode is cached, so a
+    same-size edit within a second is seen."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    command += ["-o", "pythonpath=", *nodes]
     try:
         done = subprocess.run(
-            command, cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            command, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
         )
     except subprocess.TimeoutExpired:
-        return True
-    return done.returncode != 0
+        return -1
+    return done.returncode
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -143,13 +146,13 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(ROOT, checkout, ignore=shutil.ignore_patterns(*IGNORED))
         path = checkout / "src" / "kdvb" / args.module
         path.write_text(ast.unparse(ast.parse(source)) + "\n")
-        if _suite_fails(checkout):
+        if run_pytest(checkout, checkout / "src"):
             print("the suite does not pass on the unparsed, unmutated module")
             return 1
         survivors = 0
         for text, (line, change) in sorted(mutants.items(), key=lambda item: item[1]):
             path.write_text(text)
-            killed = _suite_fails(checkout)
+            killed = run_pytest(checkout, checkout / "src") != 0
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'}: {args.module}:{line}: {change}")
     killed = len(mutants) - survivors

@@ -17,12 +17,12 @@ Exits 0 when every node passes on the source and fails on its mutant.
 
 from __future__ import annotations
 
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from mutants import run_pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # a mutant that makes its node run this long counts as killed
@@ -56,6 +56,22 @@ MUTANTS = [
         "except ValueError as exc:",
         "tests/test_evolve.py::TestTrajectorySerialization::"
         "test_bad_manifest_is_contract_violation[nested-too-deep]",
+    ),
+    # the solver names non-finite data as initial data, so the CLI gives its kind
+    (
+        "evolve.py",
+        'raise InitialDataError("initial data has non-finite',
+        'raise ParameterError("initial data has non-finite',
+        "tests/test_cli.py::TestRun::"
+        "test_finite_data_whose_transform_overflows_is_named_by_its_kind",
+    ),
+    # a diverged run is named by its own dt, not the batch's first
+    (
+        "evolve.py",
+        "cfg.params.epsilon, cfg.dt)",
+        "cfg.params.epsilon, cfgs[0].dt)",
+        "tests/test_cli.py::TestBatchedCompanions::"
+        "test_energy_refine_divergence_matches_per_run_path",
     ),
     (
         "propagator.py",
@@ -168,6 +184,13 @@ MUTANTS = [
         "is_integer(n_samples) and 10_000",
         "10_000",
         "tests/test_imethod.py::TestM4BoundSampler::test_sample_floor_enforced",
+    ),
+    # no |xi|^(2 alpha) is formed at eps = 0
+    (
+        "imethod.py",
+        "if params.epsilon else 0.0",
+        "if True else 0.0",
+        "tests/test_imethod.py::TestSharedSlotTerms::test_no_dissipation_term_at_eps_zero",
     ),
     (
         "experiments.py",
@@ -381,27 +404,12 @@ MUTANTS = [
 ]
 
 
-def run_nodes(src: Path, nodes: list[str]) -> int:
-    """pytest's exit code for nodes with the kdvb package taken from src;
-    no bytecode is cached, so a same-size edit within a second is seen."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    command += ["-o", "pythonpath=", *nodes]
-    try:
-        done = subprocess.run(
-            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
-        )
-    except subprocess.TimeoutExpired:
-        return -1
-    return done.returncode
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         nodes = sorted({row[3] for row in MUTANTS})
-        code = run_nodes(src, nodes)
+        code = run_pytest(ROOT, src, nodes, TIMEOUT_S)
         if code != 0:
             print(f"the pinning tests do not pass on the source (pytest exit {code})")
             return 1
@@ -414,7 +422,7 @@ def main() -> int:
                 print(f"{name}: {source!r} occurs {count} times, not once")
                 return 1
             path.write_text(original.replace(source, mutant))
-            killed = run_nodes(src, [node]) != 0
+            killed = run_pytest(ROOT, src, [node], TIMEOUT_S) != 0
             path.write_text(original)
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'}: {name}: {mutant!r} by {node}")
