@@ -30,10 +30,15 @@ class DivergenceError(RuntimeError):
         self.step_index = step_index
         self.time = time
         self.run = run  # the index of the diverged run in its batch
+        self.epsilon = epsilon
+        self.dt = dt
         super().__init__(
             f"epsilon = {epsilon}: non-finite state detected at step {step_index} "
             f"(t = {time:.6g}, dt = {dt:.6g})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.step_index, self.time, self.run, self.epsilon, self.dt)
 
 
 class ResolutionError(RuntimeError):

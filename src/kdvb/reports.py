@@ -26,7 +26,7 @@ def fit_power_law(values: np.ndarray, observables: np.ndarray) -> dict:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = np.sum((y - y.mean()) ** 2)
-    r_sq = 1.0 - float(np.sum(resid**2) / total) if total > 0 else 1.0
+    r_sq = 1.0 - float(np.sum(resid**2) / total) if np.ptp(y) > 0 else 1.0
     return {"slope": float(slope), "intercept": float(intercept), "r_squared": r_sq}
 
 

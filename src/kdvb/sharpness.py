@@ -10,9 +10,9 @@ and for alpha >= 1/2
     B = { N <= xi <= N + N^(alpha - 1/2),
           N^(2 alpha) <= |tau - xi^3| <= 2 N^(2 alpha) },
 
-which is A at alpha = 1/2.  f = chi_set + chi_(-set), so f is even and
-||f||^2 = 2 |set|.  The functional convolves the inner-weighted f with
-itself, applies the outer weight
+which is A at alpha = 1/2.  A probe stores the set S alone: f = chi_S +
+chi_(-S), so f is even and ||f||^2 = 2 |S|.  The functional convolves the
+inner-weighted f with itself, applies the outer weight
 
     |xi| (1 + |xi|)^s (1 + |xi|^(2 alpha) + |tau - xi^3|)^(-1/2 + delta),
 
@@ -28,10 +28,9 @@ Cells live on the origin-aligned lattice (i d_xi, j d_tau) with
 d_xi = w / CELLS_ACROSS_THIN and d_tau = h / CELLS_ACROSS_THIN, 16 cells
 across the set width w and across the modulation height h, so the mirrored
 set lands exactly on the lattice and pair sums of cell indices stay on it.
-The positive half is 17 xi-columns of at most 4h/d_tau + 1 = 65 rows, so
-the convolution is one tau correlation per column pair in the near-origin
-window (about 170), not a sum over about 3e5 cell pairs; no array grows
-with N.
+S is 17 xi-columns of at most 4h/d_tau + 1 = 65 rows, so the convolution
+is one tau correlation per column pair in the near-origin window (about
+170), not a sum over about 3e5 cell pairs; no array grows with N.
 """
 
 from __future__ import annotations
@@ -84,10 +83,10 @@ class CounterexampleSpec:
 
 @dataclass(frozen=True, eq=False)
 class CounterexampleFunction:
-    """A {0, 1}-valued even function stored as occupied lattice cells.
+    """f = chi_S + chi_(-S), a {0, 1}-valued even function, stored as S.
 
-    xi_idx and tau_idx, 1-D integer arrays of one length, list every
-    occupied cell of both mirror halves as lattice indices.
+    xi_idx and tau_idx, 1-D integer arrays of one length, list the lattice
+    indices of every cell of S; -S is implied, not stored.
     """
 
     spec: CounterexampleSpec
@@ -105,21 +104,11 @@ class CounterexampleFunction:
 
     def l2_norm_sq(self) -> float:
         d_xi, d_tau = self.spec.lattice_steps()
-        return len(self.xi_idx) * (d_xi * d_tau)
-
-    def is_even(self) -> bool:
-        """f(-xi, -tau) = f(xi, tau): the cells, sorted, equal their mirror
-        images (-xi, -tau), sorted, so a repeated cell needs a repeated
-        image.  Negation reverses the sorted order, so that is the sorted
-        cells against their reversal, negated."""
-        order = np.lexsort((self.tau_idx, self.xi_idx))
-        xi, tau = self.xi_idx[order], self.tau_idx[order]
-        return np.array_equal(xi, -xi[::-1]) and np.array_equal(tau, -tau[::-1])
+        return 2 * len(self.xi_idx) * (d_xi * d_tau)
 
 
 def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFunction:
-    """Rasterize chi_set + chi_(-set) on the spec's lattice by cell-center
-    membership.
+    """Rasterize the spec's set S on its lattice by cell-center membership.
 
     float64 resolves every tau lattice index only below 2**53; a scale_n
     whose outermost index, ((N + w)^3 + 2h) / d_tau, reaches that is a
@@ -156,12 +145,7 @@ def build_counterexample(spec: CounterexampleSpec) -> CounterexampleFunction:
             rows = np.arange(j_lo, j_hi + 1)
             xi_list.append(np.full(rows.shape, i))
             tau_list.append(rows)
-    xi_idx = np.concatenate(xi_list)
-    tau_idx = np.concatenate(tau_list)
-    # mirror half: f(-xi, -tau) = f(xi, tau)
-    xi_idx = np.concatenate([xi_idx, -xi_idx])
-    tau_idx = np.concatenate([tau_idx, -tau_idx])
-    return CounterexampleFunction(spec=spec, xi_idx=xi_idx, tau_idx=tau_idx)
+    return CounterexampleFunction(spec, np.concatenate(xi_list), np.concatenate(tau_list))
 
 
 def _modulation(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
@@ -173,50 +157,45 @@ def _modulation(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
 class _PairLattice:
     """The s-independent part of bilinear_functional for one probe f.
 
-    The s-free inner weights of f's positive half fill a dense (column, row)
-    array, each xi-column at its own row offset.  For each column pair
-    (col_a, col_b) in the near-origin window, np.correlate of the two columns
-    sums the (+set) x (-set) cell pairs into their output cells (a mirrored
-    cell carries its image's weight: both weights are even).  These are all
-    the pairs in the window when every cell has |xi_idx| > CELLS_ACROSS_THIN
-    // 4: then no cell sits at xi = 0, and two cells of one sign sum past
-    the window's edge, CELLS_ACROSS_THIN // 2.  An f with a cell nearer the
-    origin, or an f that is not even (whose negative half is not the mirror
-    image of its positive half), is a ContractViolationError; an f whose
-    window is empty is a ResolutionError first.  inverse maps these (pair, mass)
-    entries to the occupied cells xi_cells, tau_cells; ratio(s) weighs
-    column pair (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
+    The s-free inner weights of S fill a dense (column, row) array, each
+    xi-column at its own row offset.  For each column pair (col_a, col_b)
+    in the near-origin window, np.correlate of the two columns sums the
+    S x (-S) cell pairs into their output cells (a cell of -S carries its
+    image's weight: both weights are even).  These are all the pairs in the
+    window when every cell of S has xi_idx > CELLS_ACROSS_THIN // 4: then
+    no cell sits at xi = 0, and two cells of one sign sum past the window's
+    edge, CELLS_ACROSS_THIN // 2.  A cell at xi_idx <= CELLS_ACROSS_THIN // 4
+    is a ContractViolationError; then an S whose window is empty is a
+    ResolutionError, and an S that lists a cell twice (f is {0, 1}-valued)
+    a ContractViolationError.  inverse maps these (pair, mass) entries to
+    the occupied cells xi_cells, tau_cells; ratio(s) weighs column pair
+    (a, b) by ((1 + |xi_a|)(1 + |xi_b|))^(-s).
     """
 
     def __init__(self, f: CounterexampleFunction):
         self.f = f
         d_xi, d_tau = f.spec.lattice_steps()
         self.cell_area = d_xi * d_tau
-        if np.any(np.abs(f.xi_idx) <= CELLS_ACROSS_THIN // 4):
+        if np.any(f.xi_idx <= CELLS_ACROSS_THIN // 4):
             raise ContractViolationError(
-                f"f has a cell at |xi_idx| <= {CELLS_ACROSS_THIN // 4}, where pairs of "
+                f"f has a cell at xi_idx <= {CELLS_ACROSS_THIN // 4}, where pairs of "
                 "cells of one sign reach the near-origin window"
             )
-        positive = f.xi_idx > 0
-        xi_p, tau_p = f.xi_idx[positive], f.tau_idx[positive]
-        cols, col = np.unique(xi_p, return_inverse=True)
-        # the set width is CELLS_ACROSS_THIN columns; an f with no positive
-        # column has no column pair, so its window is empty too
+        cols, col = np.unique(f.xi_idx, return_inverse=True)
+        # the set width is CELLS_ACROSS_THIN columns
         offset = cols[:, None] - cols[None, :]
         gap = np.abs(offset)
         near = (gap >= CELLS_ACROSS_THIN // 6) & (gap <= CELLS_ACROSS_THIN // 2)
         if not np.any(near):
-            raise ResolutionError("near-origin window is empty: f has too few positive xi-columns")
-        if not f.is_even():
-            raise ContractViolationError(
-                "f is not even: the functional reads its positive half and its mirror image"
-            )
+            raise ResolutionError("near-origin window is empty: f has too few xi-columns")
         self.col_a, self.col_b = np.nonzero(near)
 
-        row0 = np.array([tau_p[col == c].min() for c in range(len(cols))])
-        row = tau_p - row0[col]
+        row0 = np.array([f.tau_idx[col == c].min() for c in range(len(cols))])
+        row = f.tau_idx - row0[col]
         weight = np.zeros((len(cols), row.max() + 1))
-        y = _modulation(xi_p * d_xi, tau_p * d_tau, f.spec.alpha)
+        if np.bincount(col * weight.shape[1] + row).max() > 1:
+            raise ContractViolationError("f is {0, 1}-valued: a cell is listed more than once")
+        y = _modulation(f.xi_idx * d_xi, f.tau_idx * d_tau, f.spec.alpha)
         weight[col, row] = (1.0 + y**2) ** (-0.25)
         pairs = zip(self.col_a, self.col_b)
         mass = np.array([np.correlate(weight[a], weight[b], "full") for a, b in pairs])
@@ -258,11 +237,10 @@ class _PairLattice:
 def bilinear_functional(f: CounterexampleFunction, s_test: float) -> float:
     """Ratio of the weighted near-origin convolution norm to ||f||^2 at the
     test exponent s_test; 0 for an f with no cells, a ContractViolationError
-    for one with a cell at |xi_idx| <= CELLS_ACROSS_THIN // 4 (every set
-    ``build_counterexample`` makes starts at column 64 or beyond), a
-    ResolutionError for one whose positive xi-columns give no pair in the
-    window, and a ContractViolationError for one that is not even (every
-    built set is).
+    for one with a cell at xi_idx <= CELLS_ACROSS_THIN // 4 (every set
+    ``build_counterexample`` makes starts at column 64 or beyond) or with a
+    cell listed twice, and a ResolutionError for one whose xi-columns give
+    no pair in the window.
 
     The convolution is accumulated only over output cells with |xi|
     between one sixth and one half of the full interaction width, the
@@ -286,7 +264,8 @@ def exponent_sweep(
     one record per s, "meta", "crossover_estimate"}.
 
     The crossover estimate interpolates the fitted slope linearly in s
-    between the last nonnegative and first negative slope.  meta["regime"]
+    across the first sign change in increasing s: a positive slope then a
+    zero or negative one, or a zero then a negative one.  meta["regime"]
     names the probe set alpha selects: low_alpha (A) for alpha <= 1/2,
     else high_alpha (B).
     """

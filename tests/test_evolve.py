@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -464,8 +465,14 @@ class TestSolve:
         cfg = SolverConfig(
             params=ModelParams(0.0, 1.0), grid=grid, dt=0.5, t_final=10.0
         )
-        with pytest.raises(DivergenceError, match="step"):
+        with pytest.raises(DivergenceError, match="step") as info:
             solve(phi, cfg)
+        # a worker process hands its divergence back pickled
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert str(copy) == str(info.value)
+        assert (copy.step_index, copy.time, copy.run) == (
+            info.value.step_index, info.value.time, info.value.run
+        )
 
     def test_vast_finite_state_is_not_divergence(self):
         # entries near 1e200 overflow the squared norm that screens each tick,

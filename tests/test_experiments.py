@@ -227,6 +227,14 @@ class TestRateFit:
         # slope 1/2, residual sum a^2/6 and total sum 2a^2/3, so r^2 = 3/4
         assert fit_power_law([1, 2, 4], [1, 2, 2])["r_squared"] == 0.75
 
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("value", [5.0, 7.0])
+    def test_flat_data_has_unit_r_squared(self, n, value):
+        # the mean of n equal logs need not be their value exactly, so the
+        # total sum of squares was roundoff (r^2 = -13.86 for seven 5.0s)
+        fit = fit_power_law(np.arange(1.0, n + 1), np.full(n, value))
+        assert fit["r_squared"] == 1.0
+
     def test_exact_power_law_has_unit_r_squared(self):
         ladder = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         fit = fit_power_law(ladder, 3.0 * ladder**0.5)

@@ -38,8 +38,9 @@ def alphas(*values: float) -> list:
 
 def brute_force_functional(f: CounterexampleFunction, s: float) -> tuple[float, set]:
     """The functional from its definition, one cell pair at a time: every
-    ordered pair of cells whose xi-sum lies in the near-origin window adds
-    to its output cell in a dict.  Returns the ratio and the output cells."""
+    ordered pair of cells of f = chi_S + chi_(-S), S and its mirror image
+    both, whose xi-sum lies in the near-origin window adds to its output
+    cell in a dict.  Returns the ratio and the output cells."""
     spec = f.spec
     d_xi, d_tau = spec.lattice_steps()
 
@@ -50,8 +51,9 @@ def brute_force_functional(f: CounterexampleFunction, s: float) -> tuple[float, 
         outer = abs(xi) * (1 + abs(xi)) ** s * (1 + y) ** (-0.5 + spec.delta)
         return inner, outer
 
+    cells = list(zip(f.xi_idx.tolist(), f.tau_idx.tolist()))
     columns = defaultdict(list)
-    for i, j in zip(f.xi_idx.tolist(), f.tau_idx.tolist()):
+    for i, j in cells + [(-i, -j) for i, j in cells]:
         columns[i].append((j, weights(i, j)[0]))
     width = round(spec.set_width() / d_xi)
     conv = defaultdict(float)
@@ -138,7 +140,8 @@ class TestBuildCounterexample:
         assert f.spec.set_width() == 1.0 and f.spec.modulation_height() == n
         cells = list(zip(f.xi_idx.tolist(), f.tau_idx.tolist()))
         assert len(cells) == len(set(cells))
-        assert set(cells) == set_a_cells(n, *f.spec.lattice_steps())
+        set_a = set_a_cells(n, *f.spec.lattice_steps())
+        assert set(cells) == {(i, j) for i, j in set_a if i > 0}
 
     def test_norm_converges_to_set_measure_under_refinement(self, monkeypatch):
         spec = CounterexampleSpec(16.0, 0.25)
@@ -152,8 +155,13 @@ class TestBuildCounterexample:
         assert deviations[1] <= 0.05
 
     def test_evenness_exact(self):
-        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
-        assert f.is_even()
+        # f = chi_S + chi_(-S) is even by construction; it is exactly
+        # {0, 1}-valued, and the functional's S x (-S) sum is exact, because
+        # every built S starts at column 64 or beyond (N = 16, alpha = 1)
+        for alpha in (0.25, 0.5, 0.75, 1.0):
+            for n in LADDER:
+                f = build_counterexample(CounterexampleSpec(n, alpha))
+                assert f.xi_idx.min() >= 64
 
     @pytest.mark.parametrize(
         "alpha,inside,beyond",
@@ -195,14 +203,12 @@ class TestBilinearFunctional:
 
     def test_empty_near_origin_window_is_resolution_error(self):
         f = build_counterexample(CounterexampleSpec(16.0, 0.25))
-        column = np.abs(f.xi_idx) == f.xi_idx.max()
+        column = f.xi_idx == f.xi_idx.max()
         probes = [
-            # one xi-column and its mirror: no column pair sums into the window
+            # one xi-column of a built set, and one just past column 4: each
+            # pairs only with itself, at gap 0, so no pair sums into the window
             (f.xi_idx[column], f.tau_idx[column]),
-            # one positive column alone, paired only with itself at gap 0, and
-            # an unmirrored negative half: no positive column at all
             ([5, 5], [7, -7]),
-            ([-7, -5], [7, 9]),
         ]
         for xi_idx, tau_idx in probes:
             probe = CounterexampleFunction(f.spec, np.asarray(xi_idx), np.asarray(tau_idx))
@@ -211,46 +217,40 @@ class TestBilinearFunctional:
 
     @staticmethod
     def near_origin_probe(columns) -> CounterexampleFunction:
-        """The even probe of rows 0..2 in each of columns, and its mirror."""
-        cells = {(i, j) for i in columns for j in range(3)}
-        xi_idx, tau_idx = zip(*sorted(cells | {(-i, -j) for i, j in cells}))
+        """The probe whose set S is rows 0..2 in each of columns."""
+        xi_idx, tau_idx = zip(*[(i, j) for i in columns for j in range(3)])
         spec = CounterexampleSpec(16.0, 0.25)
         return CounterexampleFunction(spec, np.asarray(xi_idx), np.asarray(tau_idx))
 
     @pytest.mark.parametrize(
-        "columns", [range(1, 9), range(9), range(4, 13)], ids=["1..8", "0..8", "4..12"]
+        "columns",
+        [range(1, 9), range(9), range(4, 13), (-7, -5)],
+        ids=["1..8", "0..8", "4..12", "negative-half"],
     )
     def test_cell_near_the_origin_is_contract_violation(self, columns):
-        # a cell at |xi_idx| <= 4 pairs with one of its own sign, or sits at
-        # xi = 0, inside the window |xi_idx| in [2, 8]; the (+set) x (-set)
-        # sum misses those pairs (0.067 against the definition's 0.102 on
-        # columns 1..8 at s = -0.75)
-        with pytest.raises(ContractViolationError, match=r"\|xi_idx\| <= 4"):
+        # a cell of S at xi_idx <= 4 pairs with one of its own sign, or sits
+        # at xi = 0, inside the window |xi_idx| in [2, 8]; the S x (-S) sum
+        # misses those pairs (0.067 against the definition's 0.102 on columns
+        # 1..8 at s = -0.75).  A negative cell is refused too, so an
+        # unmirrored negative half, or a probe in the form that lists both
+        # halves, fails here rather than being read as a set
+        with pytest.raises(ContractViolationError, match=r"xi_idx <= 4"):
             bilinear_functional(self.near_origin_probe(columns), -0.75)
+
+    def test_probe_listing_both_halves_is_contract_violation(self):
+        # the form that listed S and -S both has negative cells, which the
+        # contract refuses; without the check it overflowed to a RangeError
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        xi_idx, tau_idx = (np.concatenate([a, -a]) for a in (f.xi_idx, f.tau_idx))
+        with pytest.raises(ContractViolationError, match="xi_idx <= 4"):
+            bilinear_functional(CounterexampleFunction(f.spec, xi_idx, tau_idx), -0.75)
 
     def test_cells_past_column_4_equal_the_definition(self):
         # the first columns the contract admits: every pair in the window
-        # is a (+set) x (-set) pair
+        # is an S x (-S) pair
         f = self.near_origin_probe(range(5, 13))
         ratio, _ = brute_force_functional(f, -0.75)
         assert bilinear_functional(f, -0.75) == pytest.approx(ratio, rel=1e-13)
-
-    @pytest.mark.parametrize("probe", ["positive-half", "negative-half-shifted"])
-    def test_uneven_probe_is_contract_violation(self, probe):
-        # the functional reads the positive half and weighs each mirrored cell
-        # by its image, so an uneven f would get a wrong ratio: the positive
-        # half alone read 0.193 where the definition gives 0.0, and the
-        # shifted negative half 0.09672 against 0.09677
-        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
-        positive = f.xi_idx > 0
-        if probe == "positive-half":
-            xi_idx, tau_idx = f.xi_idx[positive], f.tau_idx[positive]
-        else:
-            xi_idx, tau_idx = f.xi_idx, np.where(positive, f.tau_idx, f.tau_idx + 1)
-        uneven = CounterexampleFunction(f.spec, xi_idx, tau_idx)
-        assert f.is_even() and not uneven.is_even()
-        with pytest.raises(ContractViolationError, match="not even"):
-            bilinear_functional(uneven, -0.75)
 
     @pytest.mark.parametrize("probe", ["tau-one-cell-short", "xi-half-shifted", "xi-2d"])
     def test_cells_not_flat_integer_arrays_of_one_length_are_contract_violation(self, probe):
@@ -265,25 +265,25 @@ class TestBilinearFunctional:
         with pytest.raises(ContractViolationError, match="1-D integer arrays of one length"):
             CounterexampleFunction(f.spec, xi_idx, tau_idx)
 
-    def test_evenness_is_the_mirror_image_rule(self):
-        # the sorted-array check agrees with f(-xi, -tau) = f(xi, tau) taken
-        # cell by cell, on the cells in any order and with one cell dropped
-        f = build_counterexample(CounterexampleSpec(32.0, 0.75))
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            order = rng.permutation(len(f.xi_idx))
-            for keep in (order, order[1:]):
-                probe = CounterexampleFunction(f.spec, f.xi_idx[keep], f.tau_idx[keep])
-                cells = set(zip(probe.xi_idx.tolist(), probe.tau_idx.tolist()))
-                assert probe.is_even() == all((-i, -j) in cells for i, j in cells)
-                assert probe.is_even() == (len(keep) == len(order))
-
-    def test_ratio_invariant_under_reflection(self):
+    def test_ratio_invariant_under_cell_order(self):
         f = build_counterexample(CounterexampleSpec(32.0, 0.25))
-        flipped = CounterexampleFunction(spec=f.spec, xi_idx=-f.xi_idx, tau_idx=-f.tau_idx)
-        assert bilinear_functional(flipped, -0.6) == pytest.approx(
+        order = np.random.default_rng(0).permutation(len(f.xi_idx))
+        shuffled = CounterexampleFunction(f.spec, f.xi_idx[order], f.tau_idx[order])
+        assert bilinear_functional(shuffled, -0.6) == pytest.approx(
             bilinear_functional(f, -0.6), rel=1e-12
         )
+
+    def test_repeated_cell_is_contract_violation(self):
+        # f is {0, 1}-valued: a cell listed twice would count twice in
+        # ||f||^2 and once in the convolution (0.0965459 against 0.0967221
+        # for the N = 16, alpha = 1/4 set at s = -0.75)
+        f = build_counterexample(CounterexampleSpec(16.0, 0.25))
+        for k in (0, len(f.xi_idx) - 1):
+            repeated = CounterexampleFunction(
+                f.spec, np.append(f.xi_idx, f.xi_idx[k]), np.append(f.tau_idx, f.tau_idx[k])
+            )
+            with pytest.raises(ContractViolationError, match="listed more than once"):
+                bilinear_functional(repeated, -0.75)
 
     @pytest.mark.parametrize(
         "s,lo,hi",
@@ -380,6 +380,13 @@ class TestExponentSweep:
             for n, ratio in zip(n_ladder, rec["ratios"]):
                 spec = CounterexampleSpec(n, alpha, block["delta"])
                 assert ratio == bilinear_functional(build_counterexample(spec), s)
+
+    def test_zero_slope_after_a_positive_one_is_the_crossover(self, monkeypatch):
+        # slopes 0.5 then exactly 0.0: the sign change ends at s = -0.75
+        slopes = iter((0.5, 0.0))
+        monkeypatch.setattr(sharpness, "fit_power_law", lambda ns, r: {"slope": next(slopes)})
+        rep = exponent_sweep(0.25, (-0.9, -0.75), LADDER)
+        assert rep["crossover_estimate"] == -0.75
 
     def test_whole_ladder_checked_before_any_pair_work(self, monkeypatch):
         def no_lattice(f):
