@@ -55,10 +55,10 @@ from .errors import (
 from .evolve import SolverConfig, solve, write_trajectory
 from .experiments import energy_check, scaling_check
 from .imethod import RATIOS_DEFAULT, DyadicConfig, IMultiplierSpec, m4_bound_sample
-from .norms import build_energy_ledger, l2_dissipation_residual, ledger_csv
+from .norms import build_energy_ledger, l2_dissipation_residual
 from .propagator import ModelParams
 from .reports import canonical_json, format_csv
-from .sharpness import DELTA_DEFAULT, exponent_sweep, sweep_csv
+from .sharpness import DELTA_DEFAULT, exponent_sweep
 from .spectral import GridSpec, RealField, is_number, is_seed
 
 # Schema tables map each key to (value kind, default).  A default is a
@@ -251,13 +251,15 @@ def _run_solve(cfg: RunConfig, artifacts: dict) -> dict:
     buf = io.BytesIO()
     write_trajectory(buf, traj)
     artifacts["trajectory.bin"] = buf.getvalue()
-    artifacts["ledger.csv"] = ledger_csv(build_energy_ledger(traj)).encode()
+    ledger = build_energy_ledger(traj)
+    artifacts["ledger.csv"] = format_csv(ledger, zip(*ledger.values())).encode()
     return {"snapshots": len(traj.times), "ledger_residual": l2_dissipation_residual(traj)}
 
 
 def _run_energy(cfg: RunConfig, artifacts: dict) -> dict:
     result = energy_check(build_initial_data(cfg), cfg.solver, cfg.block["refine_check"])
-    artifacts["ledger.csv"] = ledger_csv(result.pop("ledger")).encode()
+    ledger = result.pop("ledger")
+    artifacts["ledger.csv"] = format_csv(ledger, zip(*ledger.values())).encode()
     return result
 
 
@@ -293,7 +295,14 @@ def _run_scaling(cfg: RunConfig, artifacts: dict) -> dict:
 def _run_sharpness(cfg: RunConfig, artifacts: dict) -> dict:
     block = cfg.block
     report = exponent_sweep(cfg.params.alpha, block["s_list"], block["n_ladder"], block["delta"])
-    artifacts["sweep.csv"] = sweep_csv(report).encode()
+    alpha, crossover = report["meta"]["alpha"], report["crossover_estimate"]
+    rows = (
+        (alpha, rec["s"], n, ratio, rec["slope"], crossover)
+        for rec in report["observables"]
+        for n, ratio in zip(rec["n_ladder"], rec["ratios"])
+    )
+    header = ("alpha", "s", "N", "ratio", "slope", "crossover_estimate")
+    artifacts["sweep.csv"] = format_csv(header, rows).encode()
     return {**report, "fit": None, "seed": cfg.seed}
 
 

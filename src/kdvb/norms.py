@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ContractViolationError, ResolutionError
 from .evolve import Trajectory
-from .reports import format_csv
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -203,9 +202,3 @@ def l2_dissipation_residual(traj: Trajectory) -> float:
     half_l2, dissipated = _quadratic_ledger(traj)
     defect = float(np.max(np.abs(_defect(half_l2, dissipated))))
     return defect / half_l2[0] if half_l2[0] > 0 else defect
-
-
-def ledger_csv(ledger: dict) -> str:
-    """The ledger as CSV text, one column per key, with 17 significant
-    digits per float."""
-    return format_csv(ledger, zip(*ledger.values()))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError, RangeError, ResolutionError
-from .reports import fit_power_law, format_csv, strictly_monotone
+from .reports import fit_power_law, strictly_monotone
 
 DELTA_DEFAULT = 0.01
 CELLS_ACROSS_THIN = 16
@@ -310,15 +310,3 @@ def exponent_sweep(
         "meta": {"alpha": alpha, "regime": regime, "delta": delta},
         "crossover_estimate": None if crossover is None else float(crossover),
     }
-
-
-def sweep_csv(report: dict) -> str:
-    """CSV text of the sharpness sweep: alpha, s, N, ratio, slope, crossover_estimate."""
-    alpha = report["meta"]["alpha"]
-    cross = report["crossover_estimate"]
-    rows = (
-        (alpha, rec["s"], n, ratio, rec["slope"], cross)
-        for rec in report["observables"]
-        for n, ratio in zip(rec["n_ladder"], rec["ratios"])
-    )
-    return format_csv(("alpha", "s", "N", "ratio", "slope", "crossover_estimate"), rows)

@@ -447,9 +447,11 @@ class TestRun:
         assert run(parse_config(json.dumps(solve_doc(tmp_path, subcommand="energy")))) == 0
         lines = (tmp_path / "ledger.csv").read_text().splitlines()[1:]  # after the config
         rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        assert {len(row) for row in rows} == {len(lines[0].split(","))}
         ledger = dict(zip(lines[0].split(","), zip(*rows)))
         half_l2_0 = ledger["half_l2_sq"][0]
         residual = json.loads((tmp_path / "result.json").read_text())["ledger_residual"]
+        # exact: 17 significant digits give every double back
         assert max(abs(r) for r in ledger["residual"]) / half_l2_0 == residual
         assert residual <= 1e-8 and ledger["dissipated"][-1] / half_l2_0 >= 1e-3
 
@@ -745,6 +747,14 @@ class TestRun:
         lines = (tmp_path / "sh" / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("# config:")
         assert lines[1] == "alpha,s,N,ratio,slope,crossover_estimate"
+        # one row per (s, N), each the record's numbers to the last bit
+        rows = [tuple(float(x) for x in line.split(",")) for line in lines[2:]]
+        assert rows == [
+            (0.25, rec["s"], n, ratio, rec["slope"], result["crossover_estimate"])
+            for rec in result["observables"]
+            for n, ratio in zip(rec["n_ladder"], rec["ratios"])
+        ]
+        assert len(rows) == 3 * 4
 
     def test_imethod_bounds_report_schema(self, tmp_path):
         doc = {

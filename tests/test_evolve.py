@@ -945,6 +945,12 @@ class TestTrajectorySerialization:
             with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
                 Trajectory(times, traj.coeffs, cfg)
 
+    def test_repeated_time_rejected(self):
+        grid = GridSpec(box_length=8.0, modes=32)
+        cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
+        with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
+            Trajectory(np.array([0.0, 0.01, 0.01]), np.zeros((3, 32), complex), cfg)
+
     def test_states_are_rows_of_one_read_only_matrix(self):
         grid = GridSpec(box_length=8.0, modes=32)
         cfg = SolverConfig(params=ModelParams(0.3, 0.8), grid=grid, dt=0.01, t_final=0.05)

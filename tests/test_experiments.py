@@ -1,5 +1,6 @@
 """Tests for the experiment drivers and benchmark data."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -222,6 +223,15 @@ class TestRateFit:
         with pytest.warns(UserWarning, match="r\\^2"):
             rate_fit(report)
 
+    def test_falling_sweep_with_a_tie_is_monotone(self):
+        report = {
+            "values": (1e-1, 1e-2, 1e-3),
+            "observables": [{"observable": 2.0}, {"observable": 1.0}, {"observable": 1.0}],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rate_fit(report) > 0
+
     def test_inexact_fit_has_the_hand_r_squared(self):
         # log-log points (0, 0), (a, a), (2a, a) with a = ln 2: the line has
         # slope 1/2, residual sum a^2/6 and total sum 2a^2/3, so r^2 = 3/4
@@ -239,6 +249,16 @@ class TestRateFit:
         ladder = np.array([1e-1, 1e-2, 1e-3, 1e-4])
         fit = fit_power_law(ladder, 3.0 * ladder**0.5)
         assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """experiments.solve_ladder made to fail: a refusal must come before any solve."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve_ladder", refuse)
 
 
 class Solved(Exception):
@@ -305,11 +325,7 @@ class TestInviscidSweep:
 
 
 class TestRateCheck:
-    def test_one_epsilon_rejected_before_any_solve(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran")
-
-        monkeypatch.setattr(experiments, "solve_ladder", no_solve)
+    def test_one_epsilon_rejected_before_any_solve(self, no_solve):
         phi = small_grid_phi()
         with pytest.raises(ParameterError, match=r"at least two epsilons, got \[0.1\]$"):
             rate_check(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (0.1,), s=0.0)
@@ -371,6 +387,12 @@ class TestScalingCheck:
 
 
 class TestH1Bound:
+    @pytest.mark.parametrize("ladder", [(), (1.5,)], ids=["empty", "above-one"])
+    def test_ladder_outside_the_unit_interval_rejected_before_any_solve(self, no_solve, ladder):
+        phi = small_grid_phi()
+        with pytest.raises(ParameterError, match=r"eps_ladder must be non-empty in \[0, 1\]"):
+            h1_bound_check(phi, sweep_cfg(phi, 0.8, 0.05, 5e-3), ladder)
+
     def test_zero_observable_is_parameter_error(self):
         # every observable is 0, so the band ratio would be 0/0
         grid = GridSpec(box_length=16.0, modes=64)

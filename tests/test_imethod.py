@@ -290,6 +290,14 @@ class TestSigma4:
         lhs = np.abs(s4) * np.abs(h4 - PARAMS.epsilon * beta)
         np.testing.assert_allclose(lhs, np.abs(m4), rtol=1e-12)
 
+    def test_the_resonance_floor_is_1e_30(self):
+        # README: |den| <= 1e-30 gives the value 0 and, under a numerator above
+        # 1e-30, the mask; a denominator just above the floor is divided
+        den = np.array([1e-30, -1e-30, 1.0005e-30])
+        values, resonant = imethod._guarded_quotient(np.ones(3), den)
+        assert values.tolist() == [0.0, 0.0, -1.0 / 1.0005e-30]
+        assert resonant.tolist() == [True, True, False]
+
     def test_vanishing_denominator_sets_the_mask(self):
         # at eps = 0 a tuple of size 1e-12 puts |h3| and |h4| near 1e-36, under the
         # 1e-30 floor, while roundoff leaves M3 and M4 above it: value 0, mask set
@@ -831,6 +839,18 @@ class TestModifiedEnergy:
         with pytest.raises(ResonantDenominatorError, match="zero-mode"):
             modified_energy(3, mean_carrying, SPEC, ModelParams(0.0, 1.0))
 
+    def test_zero_mode_at_the_threshold_is_tolerated(self):
+        # order 3 at eps = 0 refuses a zero mode above 1e-13 ||u||, not one at it
+        grid = GridSpec(box_length=11.0, modes=32)
+        rng = np.random.default_rng(18)
+        coeffs = dealias(forward_transform(RealField(rng.standard_normal(32), grid))).coeffs
+        coeffs = coeffs.copy()
+        coeffs[0] = 0.0
+        coeffs[0] = 1e-13 * np.linalg.norm(coeffs)
+        u = SpectralField(coeffs, grid)
+        assert abs(u.coeffs[0]) == 1e-13 * u.l2_norm()
+        assert np.isfinite(modified_energy(3, u, SPEC, ModelParams(0.0, 1.0)))
+
     def test_order4_adds_the_sigma4_functional(self):
         # E_I^4 - E_I^3 = Re Lambda_4(sigma4) on [u] * 4 at eps > 0
         grid = GridSpec(box_length=11.0, modes=32)
@@ -934,17 +954,26 @@ class TestEnergyDerivativeIdentity:
         assert residuals[20] <= 1e-3
         assert residuals[20] / residuals[10] == pytest.approx(4.0, abs=1.2)
 
-    def test_two_snapshots_rejected(self):
+    @staticmethod
+    def steps(count: int) -> Trajectory:
+        """A Gaussian solved count steps, with a snapshot at each."""
         grid = GridSpec(box_length=32.0, modes=64)
         x = grid.collocation_points()
         cfg = SolverConfig(
-            params=ModelParams(0.3, 0.8), grid=grid, dt=1e-3, t_final=1e-3,
+            params=ModelParams(0.3, 0.8), grid=grid, dt=1e-3, t_final=count * 1e-3,
             snapshot_stride=1,
         )
         traj = solve(RealField(np.exp(-(((x - 16.0) / 3.0) ** 2)), grid), cfg)
-        assert len(traj.states) == 2
+        assert len(traj.times) == count + 1
+        return traj
+
+    def test_two_snapshots_rejected(self):
         with pytest.raises(ResolutionError, match="three snapshots"):
-            denergy_identity_residual(traj, IMultiplierSpec(8.0, -0.74))
+            denergy_identity_residual(self.steps(1), IMultiplierSpec(8.0, -0.74))
+
+    def test_three_snapshots_suffice(self):
+        residual = denergy_identity_residual(self.steps(2), IMultiplierSpec(8.0, -0.74))
+        assert 0 <= residual <= 1e-4
 
     def test_energy_term_sets_the_scale(self):
         # one mode pair at eps = 0 with m = 1 on the grid: the right-hand side

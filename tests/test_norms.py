@@ -12,14 +12,13 @@ from kdvb.norms import (
     dyadic_profile,
     hamiltonian,
     l2_dissipation_residual,
-    ledger_csv,
     sobolev_norm,
     spectral_energies,
     xk_norm,
     xk_norm_bands,
 )
 from kdvb.propagator import ModelParams, propagate
-from kdvb.spectral import GridSpec, RealField, SpectralField, dealias, forward_transform
+from kdvb.spectral import GridSpec, RealField, SpectralField, forward_transform
 
 
 def smooth_traj(eps=0.3, alpha=0.8, dt=1e-3, t_final=0.3, stride=5, modes=128):
@@ -273,16 +272,3 @@ class TestHamiltonian:
         values = [hamiltonian(s) for s in traj.states]
         drift = abs(values[-1] - values[0]) / abs(values[0])
         assert drift <= 1e-6
-
-
-class TestLedgerCsv:
-    def test_columns_and_precision(self):
-        traj = smooth_traj(t_final=0.05, stride=10)
-        ledger = build_energy_ledger(traj)
-        lines = ledger_csv(ledger).splitlines()
-        assert lines[0] == "t,half_l2_sq,dissipated,residual,hamiltonian,h1_norm"
-        first = lines[1].split(",")
-        assert len(first) == 6
-        assert float(first[1]) == pytest.approx(ledger["half_l2_sq"][0], rel=1e-16)
-        # 17 significant digits round-trip doubles exactly
-        assert float(f"{np.pi:.17g}") == np.pi

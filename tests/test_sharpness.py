@@ -18,7 +18,6 @@ from kdvb.sharpness import (
     bilinear_functional,
     build_counterexample,
     exponent_sweep,
-    sweep_csv,
 )
 
 LADDER = (16.0, 32.0, 64.0, 128.0)
@@ -361,12 +360,6 @@ class TestExponentSweep:
             for d in (0.005, 0.02)
         ]
         assert abs(estimates[0] - estimates[1]) <= 0.05
-
-    def test_csv_shape(self):
-        rep = exponent_sweep(0.25, (-0.9, -0.75, -0.6), LADDER)
-        lines = sweep_csv(rep).splitlines()
-        assert lines[0] == "alpha,s,N,ratio,slope,crossover_estimate"
-        assert len(lines) == 1 + 3 * len(LADDER)
 
     @pytest.mark.parametrize("alpha", alphas(0.25, 0.5, 0.75))
     def test_ratios_equal_the_one_s_functional(self, alpha):

@@ -281,6 +281,45 @@ MUTANTS = [
         "if len(eps_ladder) < 1:",
         "tests/test_experiments.py::TestRateCheck::test_one_epsilon_rejected_before_any_solve",
     ),
+    # boundaries and a refusal that the seed-6 census left unpinned
+    (
+        "evolve.py",
+        "np.all(np.diff(times) > 0)",
+        "np.all(np.diff(times) >= 0)",
+        "tests/test_evolve.py::TestTrajectorySerialization::test_repeated_time_rejected",
+    ),
+    (
+        "experiments.py",
+        "np.all(diffs <= 0)",
+        "np.all(diffs < 0)",
+        "tests/test_experiments.py::TestRateFit::test_falling_sweep_with_a_tie_is_monotone",
+    ),
+    (
+        "imethod.py",
+        "if len(traj.times) < 3:",
+        "if len(traj.times) <= 3:",
+        "tests/test_imethod.py::TestEnergyDerivativeIdentity::test_three_snapshots_suffice",
+    ),
+    (
+        "experiments.py",
+        'raise ParameterError(f"eps_ladder must be non-empty in [0, 1], got {ladder}")',
+        "pass",
+        "tests/test_experiments.py::TestH1Bound::"
+        "test_ladder_outside_the_unit_interval_rejected_before_any_solve",
+    ),
+    # the resonance floor README documents, and the zero-mode refusal's edge
+    (
+        "imethod.py",
+        "_TINY = 1e-30",
+        "_TINY = 1.001e-30",
+        "tests/test_imethod.py::TestSigma4::test_the_resonance_floor_is_1e_30",
+    ),
+    (
+        "imethod.py",
+        "abs(u.coeffs[0]) > 1e-13",
+        "abs(u.coeffs[0]) >= 1e-13",
+        "tests/test_imethod.py::TestModifiedEnergy::test_zero_mode_at_the_threshold_is_tolerated",
+    ),
     (
         "reports.py",
         "r_sq = 1.0 - float(",
@@ -365,7 +404,8 @@ MUTANTS = [
         "sharpness.py",
         "np.bincount(col * weight.shape[1] + row).max() > 1",
         "np.bincount(col * weight.shape[1] + row).max() > 2",
-        "tests/test_sharpness.py::TestBilinearFunctional::test_repeated_cell_is_contract_violation",
+        "tests/test_sharpness.py::TestBilinearFunctional::"
+        "test_repeated_cell_is_contract_violation",
     ),
     # an exact zero slope after a positive one is the crossover
     (
