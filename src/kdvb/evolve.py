@@ -300,6 +300,13 @@ _F1_SERIES = tuple(
 )
 _F2_SERIES = tuple(-2.0 / _FACT[k + 3] + 1.0 / _FACT[k + 2] for k in range(_N_TERMS))
 _F3_SERIES = tuple(4.0 / _FACT[k + 3] - 1.0 / _FACT[k + 2] for k in range(_N_TERMS))
+# (factor, closed form, series) of q, f1, 2 f2 and f3, each factor dt phi(L dt) N's multiplier
+_PHI = (
+    (1.0, lambda w: (np.exp(0.5 * w) - 1.0) / w, _Q_SERIES),
+    (1.0, lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w * w)) / w**3, _F1_SERIES),
+    (2.0, lambda w: (2.0 + w + np.exp(w) * (w - 2.0)) / w**3, _F2_SERIES),
+    (1.0, lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3, _F3_SERIES),
+)
 
 
 class _Stepper:
@@ -333,25 +340,11 @@ class _Stepper:
         mult = _multiplier(grid)
         self.e_full = np.exp(z)
         self.e_half = np.exp(0.5 * z)
-        self.q = dt * _etd_coefficient(
-            z, lambda w: (np.exp(0.5 * w) - 1.0) / w, _Q_SERIES
-        ) * mult
+        self.q, self.f1, self.f2_twice, self.f3 = (
+            factor * dt * _etd_coefficient(z, closed, series) * mult
+            for factor, closed, series in _PHI
+        )
         self.q_twice = 2.0 * self.q
-        self.f1 = dt * _etd_coefficient(
-            z,
-            lambda w: (-4.0 - w + np.exp(w) * (4.0 - 3.0 * w + w * w)) / w**3,
-            _F1_SERIES,
-        ) * mult
-        self.f2_twice = 2.0 * dt * _etd_coefficient(
-            z,
-            lambda w: (2.0 + w + np.exp(w) * (w - 2.0)) / w**3,
-            _F2_SERIES,
-        ) * mult
-        self.f3 = dt * _etd_coefficient(
-            z,
-            lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3,
-            _F3_SERIES,
-        ) * mult
         shape = self.e_full.shape
         self.p = _half_square(grid, shape)
         self.p0, self.pa, self.pb, self.pc, self.s, self.t = (

@@ -7,7 +7,7 @@ h_k = i (xi_1^3 + ... + xi_k^3) and the dissipation symbol is
 beta_{alpha,k} = sum |xi_j|^(2 alpha).  The correction multipliers
 
     M3 = i (m^2(xi_1) xi_1 + m^2(xi_2) xi_2 + m^2(xi_3) xi_3)
-    sigma3 = -M3 / (h3 - eps beta_3)          (sigma3^- flips the eps sign)
+    sigma3 = -M3 / (h3 - eps beta_3)          (sigma3^- is sigma3 at -xi)
     M4 = -(3i/2) [sigma3(xi_1, xi_2, xi_3 + xi_4) (xi_3 + xi_4)]_sym
     sigma4 = -M4 / (h4 - eps beta_4)
     M5 = -2i [sigma4(xi_1, xi_2, xi_3, xi_4 + xi_5) (xi_4 + xi_5)]_sym
@@ -243,17 +243,14 @@ def _eps_beta(slots, params: ModelParams):
     return params.epsilon * beta_values(slots, params.alpha) if params.epsilon else 0.0
 
 
-def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams, sign: str = "+"):
+def sigma3_values(xs, spec: IMultiplierSpec, params: ModelParams):
     """(sigma3, resonant) on three slots, sigma3 = -M3 / (h3 - eps beta_3) with
-    h3 = 3i xi_1 xi_2 xi_3; sign '-' selects sigma3^-, denominator h3 + eps beta_3."""
-    if sign not in ("+", "-"):
-        raise ParameterError(f"sign must be '+' or '-', got {sign!r}")
+    h3 = 3i xi_1 xi_2 xi_3.  M3 and h3 are odd and beta_3 even, so sigma3^-,
+    over h3 + eps beta_3, is ``sigma3_values([-x for x in xs], spec, params)``."""
     slots = _slots(xs, 3, "sigma3_values", spec, params.alpha)
     a, b, c = slots
     h3 = 3j * np.asarray(a.xi) * np.asarray(b.xi) * np.asarray(c.xi)
-    eps_term = _eps_beta(slots, params)
-    den = h3 - eps_term if sign == "+" else h3 + eps_term
-    return _guarded_quotient(m3_values(slots, spec), den)
+    return _guarded_quotient(m3_values(slots, spec), h3 - _eps_beta(slots, params))
 
 
 def m4_values(xs, spec: IMultiplierSpec, params: ModelParams):

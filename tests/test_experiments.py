@@ -108,6 +108,15 @@ class TestGaussianData:
         assert np.array_equal(minus, plus)
         assert not np.array_equal(plus, bare)
 
+    def test_modulated_bump_is_its_closed_form(self):
+        # exp(-(x/w)^2) (1 + cos(m x)/2) about the box centre, scaled to the l2 norm
+        grid = GridSpec(box_length=16.0, modes=64)
+        x = grid.collocation_points() - 8.0
+        bump = np.exp(-((x / 2.0) ** 2)) * (1.0 + 0.5 * np.cos(3.0 * x))
+        want = 1.5 * bump / np.sqrt(np.sum(bump**2) * 16.0 / 64)
+        got = gaussian_initial_data(grid, 2.0, 1.5, 3.0).values
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+
     @pytest.mark.parametrize("modulation", [np.nan, np.inf, -np.inf])
     def test_non_finite_modulation_rejected(self, modulation):
         with pytest.raises(ParameterError, match="modulation"):
@@ -331,11 +340,8 @@ class TestRateCheck:
             rate_check(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (0.1,), s=0.0)
 
     def test_record_is_the_sweep_with_its_rate_fit(self):
-        # criterion 05's inputs
-        grid = GridSpec(box_length=8.0, modes=512)
-        phi = power_law_initial_data(grid, -1.51, l2_norm=0.5, seed=1234)
-        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt=2e-3, t_final=1.0, snapshot_stride=25)
-        args = (phi, cfg, (1e-1, 1e-2, 1e-3, 1e-4), 0.0)
+        phi = small_grid_phi()
+        args = (phi, sweep_cfg(phi, 1.0, 0.1, 2e-3, snapshot_stride=5), (1e-1, 1e-2, 1e-3), 0.0)
         report = inviscid_sweep(*args)
         assert rate_check(*args) == {**report, "rate_slope": rate_fit(report)}
 

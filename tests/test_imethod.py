@@ -153,12 +153,8 @@ class TestSigma3:
         xs = random_tuples(np.random.default_rng(22), 3, 20)
         xs = tuple(np.append(x, y) for x, y in zip(xs, (2.0, 3.0, -5.0)))
         plus, _ = sigma3_values(xs, SPEC, p0)
-        minus, _ = sigma3_values(xs, SPEC, p0, sign="-")
+        minus, _ = sigma3_values([-x for x in xs], SPEC, p0)
         np.testing.assert_array_equal(plus, minus)
-
-    def test_bad_sign_is_parameter_error(self):
-        with pytest.raises(ParameterError, match="sign"):
-            sigma3_values(slots(2.0, 3.0, -5.0), SPEC, PARAMS, sign="0")
 
     def test_matches_quotient_oracle(self):
         rng = np.random.default_rng(4)
@@ -191,8 +187,8 @@ class TestSigma3:
             x3 = -x1 - x2
             ok = (np.abs(x3) >= mu / 2) & (np.abs(x3) <= 4 * mu)
             x1, x2, x3 = x1[ok], x2[ok], x3[ok]
-            plus, _ = sigma3_values((x1, x2, x3), SPEC, p, sign="+")
-            minus, _ = sigma3_values((x1, x2, x3), SPEC, p, sign="-")
+            plus, _ = sigma3_values((x1, x2, x3), SPEC, p)
+            minus, _ = sigma3_values((-x1, -x2, -x3), SPEC, p)
             mags = np.maximum.reduce([np.abs(x1), np.abs(x2), np.abs(x3)])
             mins = np.minimum.reduce([np.abs(x1), np.abs(x2), np.abs(x3)])
             envelope = (
@@ -409,6 +405,17 @@ class TestM4BoundSampler:
         monkeypatch.setattr(imethod, "M4_BLOCK", 3_000)
         assert m4_bound_sample(*args) == whole
 
+    def test_ratio_is_sigma4_over_its_envelope(self, monkeypatch):
+        # one tuple per annulus, so each max ratio is |sigma4| prod (N + |xi_i|)
+        # over m^2 of the least of |xi_i| and the pair sums -4, -4.5, -5.5: 1.5
+        xs = slots(-7.0, 3.0, 2.5, 1.5)
+        monkeypatch.setattr(imethod, "_sample_annulus_tuples", lambda *args: iter([xs]))
+        spec, params = IMultiplierSpec(0.5, -0.74), ModelParams(0.0, 0.5)
+        rep = m4_bound_sample(DyadicConfig(n1_ladder=(16.0, 32.0)), spec, params, 10_000)
+        sigma4 = abs(sigma4_values(xs, spec, params)[0][0])
+        want = sigma4 * (7.5 * 3.5 * 3.0 * 2.0) / m_weight(1.5, spec) ** 2
+        assert rep["max_ratios"] == pytest.approx([want, want], rel=1e-12)
+
     def test_sample_floor_enforced(self):
         cfg = DyadicConfig(n1_ladder=(16.0, 32.0), seed=0)
         # a float count, integral or not, is refused by name before any draw
@@ -615,10 +622,6 @@ class TestBitForBitOracles:
             3: [
                 (lambda xs: (m3_values(xs, SPEC),), lambda xs: (oracle_m3(xs, SPEC),)),
                 (lambda xs: sigma3_values(xs, SPEC, p), lambda xs: oracle_sigma3(xs, SPEC, p)),
-                (
-                    lambda xs: sigma3_values(xs, SPEC, p, sign="-"),
-                    lambda xs: oracle_sigma3(xs, SPEC, p, sign="-"),
-                ),
                 (lambda xs: (beta_values(xs, alpha),), lambda xs: (oracle_beta(xs, alpha),)),
             ],
             4: [
@@ -653,6 +656,20 @@ class TestBitForBitOracles:
     ])
     def test_resonant_tuples_without_dissipation(self, k, xs):
         self.check(0.0, 1.0, k, xs)
+
+    @pytest.mark.parametrize("eps,alpha", PARAMS[:3])
+    def test_sigma3_minus_is_sigma3_at_minus_xi(self, eps, alpha):
+        # equal values and masks; not bytes, as the reflection may flip a zero's sign
+        p = ModelParams(eps, alpha)
+        for xs in (
+            random_tuples(np.random.default_rng(103), 3, 64, scale=12.0),
+            lattice_axes(3),
+            slots(0.0, 2.0, -2.0),
+            slots(1e-12, 2e-12, -3e-12),
+        ):
+            got = sigma3_values([-x for x in xs], SPEC, p)
+            for got_part, want_part in zip(got, oracle_sigma3(xs, SPEC, p, sign="-"), strict=True):
+                np.testing.assert_array_equal(got_part, want_part, strict=True)
 
     def test_resonant_tuples_set_the_mask(self):
         # the x/0 tuple above must exercise the mask, or the check is vacuous
@@ -781,6 +798,18 @@ class TestLambdaK:
         big = self.make_field(GridSpec(box_length=11.0, modes=128))
         with pytest.raises(ContractViolationError, match="at most"):
             lambda_k(lambda *xs: xs[0], [big, big, big, big])
+
+    def test_five_linear_holds_one_lead_at_a_time(self):
+        # 16^3 lattice points per leading index, about 0.28 MB at peak; the
+        # whole 16^4 lattice at once peaks at about 4.3 MB
+        u = self.make_field(GridSpec(box_length=11.0, modes=16))
+        tracemalloc.start()
+        try:
+            lambda_k(lambda *xs: np.ones(np.broadcast(*xs).shape), [u] * 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("count", [1, 6])
     def test_field_count_outside_2_to_5_rejected(self, count):

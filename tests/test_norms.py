@@ -139,6 +139,40 @@ class TestXkNorm:
         parseval = 2 * np.pi * dt_snap * np.sum(np.abs(tapered) ** 2)
         assert np.sum(masses) == pytest.approx(parseval, rel=1e-12)
 
+    def test_modulation_wrap_is_the_principal_reduction(self):
+        # carriers on the DFT grid at tau - xi^3 = +-4.03, 0.03 inside band
+        # 3 = [4, 8): a wrap off by 0.0005 of its span 2 pi / dt_snap (0.063)
+        # drops one of them into band 2
+        dt_snap, n = 0.05, 256
+        span = 2 * np.pi / dt_snap
+        omega = 30 * span / n
+        grid = GridSpec(box_length=2 * np.pi / np.cbrt(omega - 4.03), modes=16)
+        times = np.arange(n) * dt_snap
+        coeffs = np.zeros((n, 16), dtype=complex)
+        coeffs[:, 1] = np.exp(1j * omega * times)
+        coeffs[:, -1] = np.conj(coeffs[:, 1])
+        cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt_snap, float(times[-1]))
+        bands = xk_norm_bands(Trajectory(times, coeffs, cfg), 2, window=float(times[-1]))
+        # the same bands with sigma reduced as sigma - span * round(sigma / span)
+        f = np.fft.fft(coeffs[:, [1, -1]] * norms._taper(n)[:, None], axis=0) * dt_snap
+        tau = 2 * np.pi * np.fft.fftfreq(n, d=dt_snap)
+        sigma = tau[:, None] - grid.wavenumbers()[[1, -1]] ** 3
+        reduced = sigma - span * np.round(sigma / span)
+        mass = np.bincount(
+            norms.dyadic_band_indices(reduced.ravel()), weights=np.abs(f.ravel()) ** 2 * span / n
+        )
+        want = 2.0 ** (0.5 * np.arange(len(mass))) * np.sqrt(mass)
+        np.testing.assert_allclose(bands, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 16, 40, 257])
+    def test_taper_is_a_raised_cosine(self, n):
+        # sin^2(theta / 2) at theta = pi (j + 1/2) / edge over each outer tenth, 1 between
+        edge = max(1, round(0.1 * n))
+        want = np.ones(n)
+        want[:edge] = np.sin(0.5 * np.pi * (np.arange(edge) + 0.5) / edge) ** 2
+        want[n - edge :] = want[:edge][::-1]
+        np.testing.assert_allclose(norms._taper(n), want, rtol=1e-12)
+
     def test_zero_trajectory(self):
         grid = GridSpec(box_length=16.0, modes=64)
         traj = free_trajectory(SpectralField(np.zeros(64, complex), grid), 0.05, 32)

@@ -73,11 +73,32 @@ MUTANTS = [
         "tests/test_cli.py::TestBatchedCompanions::"
         "test_energy_refine_divergence_matches_per_run_path",
     ),
+    # the factor of 2 f2 in the phi table
+    (
+        "evolve.py",
+        "(2.0, lambda w: (2.0 + w",
+        "(2.002, lambda w: (2.0 + w",
+        "tests/test_evolve.py::TestStepperBuffers::"
+        "test_folded_multiplier_agrees_with_the_full_nonlinearity",
+    ),
     (
         "propagator.py",
         "return float(defect / norm) if norm > 0",
         "return float(defect / norm) if norm >= 0",
         "tests/test_propagator.py::TestSemigroup::test_zero_field",
+    ),
+    # the taper's ramp height and the modulation wrap move xk_norm inside every bound
+    (
+        "norms.py",
+        "ramp = 0.5 * (1.0 - np.cos(",
+        "ramp = 0.5005 * (1.0 - np.cos(",
+        "tests/test_norms.py::TestXkNorm::test_taper_is_a_raised_cosine",
+    ),
+    (
+        "norms.py",
+        "(sigma + 0.5 * tau_span)",
+        "(sigma + 0.5005 * tau_span)",
+        "tests/test_norms.py::TestXkNorm::test_modulation_wrap_is_the_principal_reduction",
     ),
     (
         "norms.py",
@@ -102,6 +123,26 @@ MUTANTS = [
         "return half_l2 + dissipated - half_l2[0]",
         "return half_l2 - dissipated - half_l2[0]",
         "tests/test_cli.py::TestRun::test_ledger_csv_residual_column_gives_the_ledger_residual",
+    ),
+    # sigma3's denominator; sigma3^- is sigma3 at -xi, not a second branch
+    (
+        "imethod.py",
+        "h3 - _eps_beta(",
+        "h3 + _eps_beta(",
+        "tests/test_imethod.py::TestSigma3::test_matches_quotient_oracle",
+    ),
+    # the M4 envelope's prod (N + |xi_i|), and k = 5's one lead at a time
+    (
+        "imethod.py",
+        "envelope /= spec.cutoff_n + np.abs(x)",
+        "envelope /= spec.cutoff_n - np.abs(x)",
+        "tests/test_imethod.py::TestM4BoundSampler::test_ratio_is_sigma4_over_its_envelope",
+    ),
+    (
+        "imethod.py",
+        "if k < 5:",
+        "if not k < 5:",
+        "tests/test_imethod.py::TestLambdaK::test_five_linear_holds_one_lead_at_a_time",
     ),
     (
         "imethod.py",
@@ -191,6 +232,13 @@ MUTANTS = [
         "if params.epsilon else 0.0",
         "if True else 0.0",
         "tests/test_imethod.py::TestSharedSlotTerms::test_no_dissipation_term_at_eps_zero",
+    ),
+    # the modulated Gaussian moves criterion 01's ledger numbers inside their bounds
+    (
+        "experiments.py",
+        "values = values * (1.0 + 0.5 * np.cos(",
+        "values = values / (1.0 + 0.5 * np.cos(",
+        "tests/test_experiments.py::TestGaussianData::test_modulated_bump_is_its_closed_form",
     ),
     (
         "experiments.py",
