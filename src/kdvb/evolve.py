@@ -32,7 +32,8 @@ dissipative real part, so it stays real.
 
 A run takes ``SolverConfig.steps`` = round(t_final / dt) whole steps; a
 t_final that is not a whole number of steps is a ParameterError, so
-there is no short last step, and the last snapshot is stamped exactly t_final.
+there is no short last step.  Its config alone fixes which steps it stores
+(``snapshot_steps``) and their times (``step_time``, t_final at the last).
 
 One stepping loop, ``_march``, owns a batch: it checks the batch, fixes
 each run's snapshots before the first tick and returns the trajectories.
@@ -70,7 +71,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -148,28 +149,37 @@ class SolverConfig:
         """The number of steps of size dt that make up t_final."""
         return round(self.t_final / self.dt)
 
+    @property
+    def snapshot_steps(self) -> list[int]:
+        """The steps a run stores: every snapshot_stride-th from 0, then the
+        last, which closes a shorter interval unless the stride divides steps."""
+        return [*range(0, self.steps, self.snapshot_stride), self.steps]
+
+    def step_time(self, step: int) -> float:
+        """The time of a step: exactly t_final at the last, else step * dt."""
+        return self.t_final if step == self.steps else step * self.dt
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded states of one solve, uniformly spaced in time.
+    """Recorded states of one solve, on its config's snapshot schedule.
 
-    Snapshots sit at multiples of snapshot_stride * dt starting from 0,
-    the last at exactly t_final; the final interval is shorter when the
-    config's steps are not a multiple of snapshot_stride.
+    ``times`` is built from ``config``: the ``step_time`` of each of its
+    ``snapshot_steps``, multiples of snapshot_stride * dt, the last t_final.
     ``coeffs`` is one read-only (n_snapshots, M) matrix, row i holding the
-    FFT-order coefficients at times[i].  The constructor copies it once,
-    unless it is already a read-only C-ordered complex matrix that owns
-    its memory (as the solver hands over): nothing can write that without
-    first re-enabling writes, so it is taken as it is.  times must start at
-    0 and be finite and strictly increasing, else ContractViolationError.
+    FFT-order coefficients at times[i]; any other shape is a
+    ContractViolationError.  The constructor copies it once, unless it is
+    already a read-only C-ordered complex matrix that owns its memory (as
+    the solver hands over): nothing can write that without first
+    re-enabling writes, so it is taken as it is.
     """
 
-    times: np.ndarray
     coeffs: np.ndarray
     config: SolverConfig
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=np.float64)
+        times = np.array([self.config.step_time(i) for i in self.config.snapshot_steps])
         coeffs = self.coeffs
         if not (
             isinstance(coeffs, np.ndarray)
@@ -179,16 +189,10 @@ class Trajectory:
             and coeffs.flags.c_contiguous
         ):
             coeffs = np.array(coeffs, dtype=np.complex128)
-        if times.ndim != 1 or coeffs.shape != (len(times), self.config.grid.modes):
+        if coeffs.shape != (len(times), self.config.grid.modes):
             raise ContractViolationError(
-                f"coefficient shape {coeffs.shape} does not match times length "
-                f"{times.shape} and {self.config.grid.modes} modes"
-            )
-        if len(times) == 0 or times[0] != 0.0:
-            raise ContractViolationError("trajectory must start at t = 0")
-        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
-            raise ContractViolationError(
-                "trajectory times must be finite and strictly increasing"
+                f"coefficient shape {coeffs.shape} does not match the schedule's "
+                f"{len(times)} snapshots and {self.config.grid.modes} modes"
             )
         times.setflags(write=False)
         coeffs.setflags(write=False)
@@ -399,12 +403,12 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
     The configs must share grid and t_final, and each dt must be an integer
     multiple r of the smallest (r * min dt == dt in floating point), else
     ParameterError; non-finite dealiased initial data is an InitialDataError.
-    Each run's snapshot steps and times are fixed before the first tick.  Row
-    b takes its step i on tick r_b i of the smallest dt, so each tick steps
-    its due rows together under one stepper cached per tuple of due rows.
-    A row that turns non-finite on its step i records the error of step
-    i - 1, named by its epsilon and dt, and steps on; run 0's is raised at
-    once, any other after the last tick.
+    Each run's ``snapshot_steps`` are placed on the ticks before the first.
+    Row b takes its step i on tick r_b i of the smallest dt, so each tick
+    steps its due rows together under one stepper cached per tuple of due
+    rows.  A row that turns non-finite on its step i records the error of
+    step i - 1 at the ``step_time`` of i, named by its epsilon and dt, and
+    steps on; run 0's is raised at once, any other after the last tick.
     """
     dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
     ratios = [round(cfg.dt / dt0) for cfg in cfgs]
@@ -427,13 +431,12 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
     # snapshots: tick -> (run, row) pairs stored after it.  Each run stores
     # into one preallocated matrix that its trajectory takes over without a
     # copy, so a batch holds each snapshot once.
-    snapshots, times, coeffs = {}, [], []
+    snapshots, coeffs = {}, []
     for b, (cfg, r) in enumerate(zip(cfgs, ratios)):
-        stored = [*range(cfg.snapshot_stride, cfg.steps, cfg.snapshot_stride), cfg.steps]
-        for row, i in enumerate(stored, 1):
+        stored = cfg.snapshot_steps
+        for row, i in enumerate(stored[1:], 1):
             snapshots.setdefault(r * i, []).append((b, row))
-        times.append([0.0, *(i * cfg.dt for i in stored[:-1]), cfg.t_final])
-        coeffs.append(np.empty((len(stored) + 1, grid.modes), dtype=np.complex128))
+        coeffs.append(np.empty((len(stored), grid.modes), dtype=np.complex128))
         coeffs[b][0] = c
 
     steppers: dict[tuple, tuple[Callable, object]] = {}  # due rows -> stepper, index
@@ -461,7 +464,7 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
             for b in map(int, np.flatnonzero(~np.isfinite(h).all(1))):
                 if b not in errors:
                     i, cfg = j // ratios[b], cfgs[b]
-                    t = cfg.t_final if i == cfg.steps else i * cfg.dt
+                    t = cfg.step_time(i)
                     errors[b] = DivergenceError(i - 1, t, b, cfg.params.epsilon, cfg.dt)
             if 0 in errors:
                 raise errors[0]
@@ -471,7 +474,7 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
         raise errors[min(errors)]
     for m in coeffs:
         m.setflags(write=False)
-    return [Trajectory(*run) for run in zip(times, coeffs, cfgs)]
+    return [Trajectory(m, cfg) for m, cfg in zip(coeffs, cfgs)]
 
 
 def solve(phi: RealField, cfg: SolverConfig) -> Trajectory:

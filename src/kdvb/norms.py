@@ -93,12 +93,15 @@ def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
     """Weighted modulation bands of the band-k projected solution, whose
     sum is its discrete space-time modulation norm ``xk_norm``.
 
-    The solution is restricted to the snapshots in [0, window], tapered
-    with a raised cosine on the outer 10 percent, band-projected in xi,
-    and transformed in time.  Each space-time mode is graded by the sharp
-    dyadic band of its modulation tau - xi^3 (reduced to the principal
-    interval (-pi/dt, pi/dt], the maximal resolvable modulation).  Entry j
-    is 2^(j/2) times the L2 norm of modulation band j; the array is empty
+    The solution is restricted to the snapshots in [0, window], which its
+    config spaces dt_snap = snapshot_stride * dt apart but for a shortened
+    last interval (steps not a multiple of the stride), whose snapshot is
+    dropped; at least 16 must remain.  They are tapered with a raised
+    cosine on the outer 10 percent, band-projected in xi, and transformed
+    in time.  Each space-time mode is graded by the sharp dyadic band of
+    its modulation tau - xi^3 (reduced to the principal interval
+    (-pi/dt_snap, pi/dt_snap], the maximal resolvable modulation).  Entry
+    j is 2^(j/2) times the L2 norm of modulation band j; the array is empty
     when band k holds no mode of the grid.
     """
     if not (is_integer(k) and k >= 0):
@@ -107,20 +110,13 @@ def xk_norm_bands(traj: Trajectory, k: int, window: float) -> np.ndarray:
         raise ResolutionError(
             f"window {window} must lie in (0, t_final = {traj.times[-1]}]"
         )
-    in_window = traj.times <= window * (1 + 1e-12)
-    n = int(np.count_nonzero(in_window))
-    if n < 16:
-        raise ResolutionError(f"only {n} snapshots in window; need at least 16")
-    times = traj.times[in_window]
-    dt_snap = float(times[1] - times[0])
-    gaps = np.diff(times)
-    if np.max(np.abs(gaps - dt_snap)) > 1e-9 * dt_snap:
-        # a shortened final interval is dropped; anything else is malformed
-        if np.max(np.abs(gaps[:-1] - dt_snap)) > 1e-9 * dt_snap:
-            raise ResolutionError("snapshots are not uniformly spaced in the window")
+    cfg = traj.config
+    n = int(np.count_nonzero(traj.times <= window * (1 + 1e-12)))
+    if n == len(traj.times) and cfg.steps % cfg.snapshot_stride:
         n -= 1
-        if n < 16:
-            raise ResolutionError(f"only {n} uniform snapshots in window; need 16")
+    if n < 16:
+        raise ResolutionError(f"only {n} uniform snapshots in window; need at least 16")
+    dt_snap = cfg.snapshot_stride * cfg.dt
 
     xi = traj.grid.wavenumbers()
     band_mask = dyadic_band_indices(xi) == k

@@ -6,6 +6,7 @@ import io
 import json
 import pickle
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -722,6 +723,18 @@ class TestSolveLadder:
         assert batched.value.time == singles[0].time
         assert str(batched.value) == str(singles[0])
 
+    def test_divergence_on_the_last_step_is_stamped_t_final(self):
+        # alone, epsilon = 1 at dt 0.05 turns non-finite on its step 6, the
+        # last of t_final = 0.3, where 6 * 0.05 is 0.30000000000000004
+        grid = GridSpec(box_length=32.0, modes=64)
+        phi = gaussian_initial_data(grid, width=2.0, l2_norm=28.0)
+        cfg = SolverConfig(ModelParams(1.0, 1.0), grid, 0.05, 0.3)
+        assert cfg.steps * cfg.dt != cfg.t_final
+        with pytest.raises(DivergenceError) as batched:
+            solve_ladder(phi, [cfg, replace(cfg, dt=cfg.dt / 2)])
+        assert (batched.value.run, batched.value.step_index) == (0, cfg.steps - 1)
+        assert batched.value.time == cfg.t_final
+
     def test_equal_grids_share_a_batch(self):
         # three GridSpec objects with one value: the data's and each config's
         phi = smooth_data(GridSpec(16.0, 64))
@@ -929,27 +942,27 @@ class TestTrajectorySerialization:
         grid = GridSpec(box_length=8.0, modes=32)
         cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
         traj = solve(smooth_data(grid, 0.5), cfg)
-        with pytest.raises(ContractViolationError, match="t = 0"):
-            Trajectory(traj.times + 1.0, traj.coeffs, cfg)
-        with pytest.raises(ContractViolationError, match="length"):
-            Trajectory(traj.times[:-1], traj.coeffs, cfg)
+        assert not traj.times.flags.writeable
+        with pytest.raises(ContractViolationError, match="schedule's 6 snapshots"):
+            Trajectory(traj.coeffs[:-1], cfg)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_times_rejected(self, bad):
-        grid = GridSpec(box_length=8.0, modes=32)
-        cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
-        traj = solve(smooth_data(grid, 0.5), cfg)
-        for i in (2, -1):
-            times = traj.times.copy()
-            times[i] = bad
-            with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
-                Trajectory(times, traj.coeffs, cfg)
+    # (dt, t_final, stride): 72 steps of an inexact dt at a stride that
+    # divides them, two that do not, one equal to them and one past them
+    SCHEDULES = [
+        (0.01, 0.72, 8), (0.01, 0.72, 5), (0.01, 0.72, 7), (0.01, 0.72, 72),
+        (0.01, 0.72, 100), (0.05, 0.3, 1), (0.0004, 8.0, 2500), (0.0005, 1.0, 10),
+    ]
 
-    def test_repeated_time_rejected(self):
-        grid = GridSpec(box_length=8.0, modes=32)
-        cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
-        with pytest.raises(ContractViolationError, match="finite and strictly increasing"):
-            Trajectory(np.array([0.0, 0.01, 0.01]), np.zeros((3, 32), complex), cfg)
+    @pytest.mark.parametrize("dt,t_final,stride", SCHEDULES)
+    def test_times_are_the_config_schedule(self, dt, t_final, stride):
+        # the rule written out on its own: every stride steps from 0, the last
+        # at exactly t_final
+        cfg = SolverConfig(ModelParams(0.0, 1.0), GridSpec(8.0, 16), dt, t_final, stride)
+        stored = [*range(stride, cfg.steps, stride), cfg.steps]
+        want = np.array([0.0, *(i * dt for i in stored[:-1]), t_final])
+        times = Trajectory(np.zeros((len(want), 16), complex), cfg).times
+        assert times.tobytes() == want.tobytes()
+        assert cfg.snapshot_steps == [0, *stored]
 
     def test_states_are_rows_of_one_read_only_matrix(self):
         grid = GridSpec(box_length=8.0, modes=32)
@@ -961,11 +974,11 @@ class TestTrajectorySerialization:
             assert state.grid is grid
             assert np.array_equal(state.coeffs, traj.coeffs[i])
         source = np.array(traj.coeffs)
-        copied = Trajectory(traj.times, source, cfg)
+        copied = Trajectory(source, cfg)
         source[:] = 0.0
         assert np.array_equal(copied.coeffs, traj.coeffs)
         # a read-only matrix that owns its memory is taken without a copy
-        assert Trajectory(traj.times, traj.coeffs, cfg).coeffs is traj.coeffs
+        assert Trajectory(traj.coeffs, cfg).coeffs is traj.coeffs
         assert traj.coeffs.base is None
 
     @pytest.mark.parametrize("shape", [(6, 30), (5, 32), (7, 32), (32,), (6, 32, 1)])
@@ -973,4 +986,4 @@ class TestTrajectorySerialization:
         grid = GridSpec(box_length=8.0, modes=32)
         cfg = SolverConfig(params=ModelParams(0.0, 1.0), grid=grid, dt=0.01, t_final=0.05)
         with pytest.raises(ContractViolationError, match="shape"):
-            Trajectory(np.arange(6) * 0.01, np.zeros(shape, complex), cfg)
+            Trajectory(np.zeros(shape, complex), cfg)

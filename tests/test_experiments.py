@@ -8,7 +8,7 @@ import pytest
 
 from kdvb import evolve, experiments
 from kdvb.errors import DivergenceError, ParameterError, ResolutionError
-from kdvb.evolve import SolverConfig, solve
+from kdvb.evolve import SolverConfig, Trajectory, solve
 from kdvb.experiments import (
     critical_index,
     energy_check,
@@ -310,6 +310,25 @@ class TestInviscidSweep:
         for s in (0.5, np.nan, -np.inf):
             with pytest.raises(ParameterError, match="s <= 0"):
                 inviscid_sweep(phi, sweep_cfg(phi, 1.0, 0.1, 5e-3), (1e-1, 1e-2), s=s)
+
+    # (t_final, dt, stride): criterion 04's schedule, a stride that leaves a
+    # shortened last interval and one past the run's steps
+    @pytest.mark.parametrize("schedule", [(1.0, 0.01, 10), (0.1, 2e-3, 7), (0.05, 5e-3, 20)])
+    def test_floor_companion_shares_the_reference_schedule(self, monkeypatch, schedule):
+        # _sup_distance compares rows, so the dt/2 run at twice the stride
+        # must store its snapshots at exactly the reference's times
+        phi = small_grid_phi()
+        runs = []
+
+        def zero_runs(phi, cfgs):
+            runs.extend(Trajectory(np.zeros((len(c.snapshot_steps), 96)), c) for c in cfgs)
+            return tuple(runs)
+
+        monkeypatch.setattr(experiments, "solve_ladder", zero_runs)
+        inviscid_sweep(phi, sweep_cfg(phi, 1.0, *schedule), (1e-1, 1e-2), s=0.0)
+        reference, *_, fine = runs
+        assert fine.config.dt == reference.config.dt / 2
+        assert fine.times.tobytes() == reference.times.tobytes()
 
     def test_schedule_mismatch_is_rejected(self):
         phi = small_grid_phi()

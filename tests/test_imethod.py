@@ -1013,8 +1013,8 @@ class TestEnergyDerivativeIdentity:
         a = np.array([1.0, 1.1, 0.9, 1.3, 1.2, 1.0])
         coeffs = np.zeros((6, 64), dtype=complex)
         coeffs[:, 3] = coeffs[:, -3] = a
-        times = np.array([0.0, 0.1, 0.2, 0.30000000000000004, 0.4, 0.5])
-        traj = Trajectory(times, coeffs, cfg)
+        traj = Trajectory(coeffs, cfg)
+        times = traj.times
         energy = 2.0 * a**2
         slopes = (energy[2:] - energy[:-2]) / (times[2:] - times[:-2])
         expected = np.max(np.abs(slopes)) / (np.max(energy) / 0.5)

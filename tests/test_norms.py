@@ -1,5 +1,7 @@
 """Tests for Sobolev/dyadic diagnostics, modulation norms, and ledgers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ def free_trajectory(u0: SpectralField, dt_snap: float, n: int) -> Trajectory:
     cfg = SolverConfig(
         params=p, grid=u0.grid, dt=dt_snap, t_final=float(times[-1]), snapshot_stride=1
     )
-    return Trajectory(times, coeffs, cfg)
+    return Trajectory(coeffs, cfg)
 
 
 class TestXkNorm:
@@ -130,7 +132,7 @@ class TestXkNorm:
         coeffs[:, 2] = np.exp(1j * (2.0**3 + 5.0) * times)
         coeffs[:, -2] = np.conj(coeffs[:, 2])
         cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt_snap, float(times[-1]))
-        bands = xk_norm_bands(Trajectory(times, coeffs, cfg), 2, window=float(times[-1]))
+        bands = xk_norm_bands(Trajectory(coeffs, cfg), 2, window=float(times[-1]))
         assert np.argmax(bands) == 3
         # time Parseval: the unweighted band masses sum to 2 pi dt_snap
         # times the squared norm of the tapered coefficients
@@ -152,7 +154,7 @@ class TestXkNorm:
         coeffs[:, 1] = np.exp(1j * omega * times)
         coeffs[:, -1] = np.conj(coeffs[:, 1])
         cfg = SolverConfig(ModelParams(0.0, 1.0), grid, dt_snap, float(times[-1]))
-        bands = xk_norm_bands(Trajectory(times, coeffs, cfg), 2, window=float(times[-1]))
+        bands = xk_norm_bands(Trajectory(coeffs, cfg), 2, window=float(times[-1]))
         # the same bands with sigma reduced as sigma - span * round(sigma / span)
         f = np.fft.fft(coeffs[:, [1, -1]] * norms._taper(n)[:, None], axis=0) * dt_snap
         tau = 2 * np.pi * np.fft.fftfreq(n, d=dt_snap)
@@ -213,29 +215,34 @@ class TestXkNorm:
         with pytest.raises(ResolutionError, match="must lie in"):
             xk_norm_bands(traj, 1, window=window)
 
-    def test_non_uniform_snapshots_rejected(self):
-        grid = GridSpec(box_length=16.0, modes=64)
-        traj = free_trajectory(band_limited_state(grid, 1), 0.05, 32)
-        times = traj.times.copy()
-        times[10] += 0.01
-        skewed = Trajectory(times, traj.coeffs, traj.config)
-        with pytest.raises(ResolutionError, match="not uniformly spaced"):
-            xk_norm_bands(skewed, 1, window=float(times[-1]))
-
     def test_shortened_last_interval_is_dropped(self):
         # 197 steps at stride 5: snapshots every 0.05 up to 1.95, then 1.97
         traj = smooth_traj(eps=0.0, alpha=1.0, dt=1e-2, t_final=1.97, stride=5, modes=64)
         assert traj.times[-1] == 1.97 and len(traj.times) == 41
-        by_hand = Trajectory(traj.times[:-1], traj.coeffs[:-1], traj.config)
+        # the same rows on the 195-step schedule, which ends on a full interval
+        by_hand = Trajectory(traj.coeffs[:-1], replace(traj.config, t_final=1.95))
         for k in (1, 2):
             got = xk_norm_bands(traj, k, window=1.97)
-            want = xk_norm_bands(by_hand, k, window=float(by_hand.times[-1]))
+            want = xk_norm_bands(by_hand, k, window=1.95)
             assert np.array_equal(got, want)
-        # 15 snapshots and a shortened 16th leave 15 once it is dropped
-        times = np.append(traj.times[:15], traj.times[14] + 0.02)
-        short = Trajectory(times, traj.coeffs[np.r_[:15, -1]], traj.config)
+        # 72 steps at stride 5: 15 snapshots and a shortened 16th at 0.72
+        # leave 15 once it is dropped
+        short = Trajectory(traj.coeffs[np.r_[:15, -1]], replace(traj.config, t_final=0.72))
+        assert len(short.times) == 16
         with pytest.raises(ResolutionError, match="15 uniform snapshots"):
-            xk_norm_bands(short, 1, window=float(times[-1]))
+            xk_norm_bands(short, 1, window=0.72)
+
+    def test_full_last_interval_is_kept_within_the_whole_step_slack(self):
+        # t_final 1.8e-12 past 2000 steps of 1e-3, inside SolverConfig's 1e-12
+        # relative slack, ends on an interval 1.8e-9 longer than the rest: a
+        # full one, whose snapshot is kept as on the exact schedule
+        grid = GridSpec(box_length=16.0, modes=64)
+        exact = free_trajectory(band_limited_state(grid, 1), 1e-3, 2001)
+        slack = Trajectory(exact.coeffs, replace(exact.config, t_final=2.0 * (1 + 9e-13)))
+        assert slack.times[-1] - slack.times[-2] > (1 + 1e-9) * 1e-3
+        for k in (1, 2):
+            got = xk_norm_bands(slack, k, window=slack.config.t_final)
+            assert np.array_equal(got, xk_norm_bands(exact, k, window=2.0))
 
 
 class TestDissipationLedger:

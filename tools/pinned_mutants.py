@@ -81,6 +81,14 @@ MUTANTS = [
         "tests/test_evolve.py::TestStepperBuffers::"
         "test_folded_multiplier_agrees_with_the_full_nonlinearity",
     ),
+    # the snapshot schedule's last step is stamped t_final, not steps * dt
+    (
+        "evolve.py",
+        "self.t_final if step == self.steps else",
+        "self.t_final if step > self.steps else",
+        "tests/test_evolve.py::TestSolveLadder::"
+        "test_divergence_on_the_last_step_is_stamped_t_final",
+    ),
     (
         "propagator.py",
         "return float(defect / norm) if norm > 0",
@@ -111,6 +119,13 @@ MUTANTS = [
         "not 0 < window <= traj.times[-1]",
         "window <= 0 or window > traj.times[-1]",
         "tests/test_norms.py::TestXkNorm::test_window_outside_the_run_rejected[nan]",
+    ),
+    # xk_norm drops the last snapshot only when it closes a shortened interval
+    (
+        "norms.py",
+        "and cfg.steps % cfg.snapshot_stride:",
+        "and not cfg.steps % cfg.snapshot_stride:",
+        "tests/test_norms.py::TestXkNorm::test_shortened_last_interval_is_dropped",
     ),
     (
         "norms.py",
@@ -330,12 +345,6 @@ MUTANTS = [
         "tests/test_experiments.py::TestRateCheck::test_one_epsilon_rejected_before_any_solve",
     ),
     # boundaries and a refusal that the seed-6 census left unpinned
-    (
-        "evolve.py",
-        "np.all(np.diff(times) > 0)",
-        "np.all(np.diff(times) >= 0)",
-        "tests/test_evolve.py::TestTrajectorySerialization::test_repeated_time_rejected",
-    ),
     (
         "experiments.py",
         "np.all(diffs <= 0)",
