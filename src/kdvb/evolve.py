@@ -18,8 +18,9 @@ which keeps every regime cancellation-free.
 The quadratic product is formed in physical space and dealiased with the
 strict 2/3 rule, |k| < M/3, so the retained modes carry the exact convolution.
 N is that product's rfft times one multiplier (the derivative, the dealias
-mask and the transform scales), and the stepper folds the multiplier into
-its ETDRK4 coefficients, so a stage evaluates only irfft, square and rfft.
+mask and every transform scale, the 1/M^2 of the square's unscaled irfft
+among them), and the stepper folds the multiplier into its ETDRK4
+coefficients, so a stage evaluates only irfft, square and rfft.
 
 The state is stepped as the real-FFT half-spectrum: the M/2 + 1
 coefficients k = 0..M/2 of a real field, the negative wavenumbers being
@@ -231,12 +232,13 @@ def _to_full(h: np.ndarray) -> np.ndarray:
 
 def _multiplier(grid: GridSpec) -> np.ndarray:
     """The factor that takes the rfft of the physical-space square to N on
-    rfft half-spectra: the derivative -i xi, the dealias mask and both
-    transform scales together.  The strict cutoff drops the Nyquist entry,
-    whose mode k = -M/2 pairs with no +M/2 on the lattice."""
+    rfft half-spectra: the derivative -i xi, the dealias mask and every
+    transform scale, M / sqrt(L) times the 1/M^2 the square's unscaled
+    irfft omits.  The strict cutoff drops the Nyquist entry, whose mode
+    k = -M/2 pairs with no +M/2 on the lattice."""
     m = grid.modes
     half = m // 2 + 1
-    mult = -1j * grid.wavenumbers()[:half] * (m / np.sqrt(grid.box_length))
+    mult = -1j * grid.wavenumbers()[:half] / (m * np.sqrt(grid.box_length))
     mult[~grid.dealias_mask()[:half]] = 0.0
     return mult
 
@@ -245,16 +247,17 @@ def _half_square(
     grid: GridSpec, shape: tuple[int, ...]
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """rfft(irfft(h)**2) on rfft half-spectra of one grid, for states of the
-    given shape: N before its multiplier.  The physical-space square lives
-    in one preallocated real buffer of shape (*shape[:-1], M), and
-    ``sq(h, out)`` returns out, filled.
+    given shape: N before its multiplier, the irfft unscaled (no 1/M is
+    formed on any call; ``_multiplier`` holds it).  The physical-space
+    square lives in one preallocated real buffer of shape (*shape[:-1], M),
+    and ``sq(h, out)`` returns out, filled.
     """
     m = grid.modes
     w = np.empty((*shape[:-1], m))
     rfft, irfft, multiply = np.fft.rfft, np.fft.irfft, np.multiply
 
     def sq(h: np.ndarray, out: np.ndarray) -> np.ndarray:
-        irfft(h, m, out=w)
+        irfft(h, m, norm="forward", out=w)
         multiply(w, w, out=w)
         return rfft(w, out=out)
 

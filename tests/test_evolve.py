@@ -149,11 +149,12 @@ class TestStep:
 def reference_step(stepper: evolve._Stepper, grid: GridSpec, h: np.ndarray) -> np.ndarray:
     """One ETDRK4 step written as plain allocating expressions, on the
     stepper's tableau, whose q, f1, f2 and f3 carry N's multiplier: the
-    order of operations the in-place step keeps."""
+    order of operations the in-place step keeps, squaring through the
+    unscaled irfft as the stepper does."""
     m = grid.modes
 
     def p(x):
-        w = np.fft.irfft(x, m)
+        w = np.fft.irfft(x, m, norm="forward")
         return np.fft.rfft(w * w)
 
     e_half, q = stepper.e_half, stepper.q
@@ -170,7 +171,9 @@ def reference_step(stepper: evolve._Stepper, grid: GridSpec, h: np.ndarray) -> n
 def unfolded_step(grid: GridSpec, params: list, dts: list, h: np.ndarray) -> np.ndarray:
     """One Cox-Matthews ETDRK4 step of each row of h, written from its
     definition: the phi-function coefficients carry no multiplier, and
-    each stage evaluates the whole N, the multiplier times rfft(irfft(x)**2)."""
+    each stage evaluates the whole N, the multiplier times rfft(irfft(x)**2)
+    with numpy's default-normalised irfft, so the multiplier is -i xi on the
+    dealiased modes times the coefficient convention's M / sqrt(L)."""
     m = grid.modes
     half = m // 2 + 1
     sym = np.array([linear_symbol(grid, p)[:half] for p in params])
@@ -186,7 +189,8 @@ def unfolded_step(grid: GridSpec, params: list, dts: list, h: np.ndarray) -> np.
     f3 = dt * coefficient(
         lambda w: (-4.0 - 3.0 * w - w * w + np.exp(w) * (4.0 - w)) / w**3, evolve._F3_SERIES
     )
-    mult = evolve._multiplier(grid)
+    mask = grid.dealias_mask()[:half]
+    mult = -1j * grid.wavenumbers()[:half] * mask * (m / np.sqrt(grid.box_length))
 
     def n(x):
         return mult * np.fft.rfft(np.fft.irfft(x, m) ** 2)

@@ -2,11 +2,14 @@
 
 Each row of MUTANTS names a file under src/kdvb, an exact piece of its
 source, the mutant text that replaces it, and the pytest node that must
-fail on the mutant.  The nodes must first pass on the unchanged source.
-Then, for each row, src/ is copied to a temporary directory, the source
-text must occur exactly once in the copied file, it is replaced by the
-mutant text, and the node runs with PYTHONPATH pointing at the copy (and
-pytest's own pythonpath setting cleared, so the copy is what imports).
+fail on the mutant.  Each row's source text must occur exactly once in
+its file, and the nodes must first pass on the unchanged source.  Then the
+rows run on a pool of min(cpu count, 4) workers, each with its own copy of
+src/ in a temporary directory: a row's source text is replaced by the
+mutant text in a free copy, and the node runs with PYTHONPATH pointing at
+that copy (and pytest's own pythonpath setting cleared, so the copy is what
+imports).  Most of a row's time is pytest and numpy start-up, which the
+workers overlap.  The results print in table order.
 
 Standard library only.  Run from anywhere:
 
@@ -17,9 +20,12 @@ Exits 0 when every node passes on the source and fails on its mutant.
 
 from __future__ import annotations
 
+import os
+import queue
 import shutil
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from mutants import run_pytest
@@ -78,6 +84,14 @@ MUTANTS = [
         "evolve.py",
         "(2.0, lambda w: (2.0 + w",
         "(2.002, lambda w: (2.0 + w",
+        "tests/test_evolve.py::TestStepperBuffers::"
+        "test_folded_multiplier_agrees_with_the_full_nonlinearity",
+    ),
+    # the stage square's irfft is unscaled; N's multiplier holds its 1/M^2
+    (
+        "evolve.py",
+        'irfft(h, m, norm="forward", out=w)',
+        'irfft(h, m, norm="backward", out=w)',
         "tests/test_evolve.py::TestStepperBuffers::"
         "test_folded_multiplier_agrees_with_the_full_nonlinearity",
     ),
@@ -520,26 +534,43 @@ MUTANTS = [
 ]
 
 
+def _killed(row: tuple[str, str, str, str], copies: queue.Queue) -> bool:
+    """Whether the row's node fails on its mutant, applied to a src copy
+    taken from copies and restored before the copy is handed back."""
+    name, source, mutant, node = row
+    src = copies.get()
+    path = src / "kdvb" / name
+    original = path.read_text()
+    try:
+        path.write_text(original.replace(source, mutant))
+        return run_pytest(ROOT, src, [node], TIMEOUT_S) != 0
+    finally:
+        path.write_text(original)
+        copies.put(src)
+
+
 def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    for name, source, _, _ in MUTANTS:
+        count = (ROOT / "src" / "kdvb" / name).read_text().count(source)
+        if count != 1:
+            print(f"{name}: {source!r} occurs {count} times, not once")
+            return 1
+    workers = min(os.cpu_count() or 1, 4)
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(workers) as pool:
+        srcs = [Path(tmp) / f"src{i}" for i in range(workers)]
+        copies = queue.Queue()
+        for src in srcs:
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
         nodes = sorted({row[3] for row in MUTANTS})
-        code = run_pytest(ROOT, src, nodes, TIMEOUT_S)
+        code = run_pytest(ROOT, srcs[0], nodes, TIMEOUT_S)
         if code != 0:
             print(f"the pinning tests do not pass on the source (pytest exit {code})")
             return 1
         survivors = 0
-        for name, source, mutant, node in MUTANTS:
-            path = src / "kdvb" / name
-            original = path.read_text()
-            count = original.count(source)
-            if count != 1:
-                print(f"{name}: {source!r} occurs {count} times, not once")
-                return 1
-            path.write_text(original.replace(source, mutant))
-            killed = run_pytest(ROOT, src, [node], TIMEOUT_S) != 0
-            path.write_text(original)
+        for (name, _, mutant, node), killed in zip(
+            MUTANTS, pool.map(lambda row: _killed(row, copies), MUTANTS)
+        ):
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'}: {name}: {mutant!r} by {node}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} pinned mutants killed")
