@@ -77,7 +77,6 @@ _TOP = {
     "alpha": (float, REQUIRED),
     "modes": (int, REQUIRED),
     "box_length": (float, REQUIRED),
-    "dealias_fraction": (float, 2.0 / 3.0),
     # only a solve steps by dt; the calculus subcommands just echo it
     "dt": (float, lambda top: REQUIRED if _COMMANDS[top["subcommand"]][2] else 1e-3),
     "t_final": (float, 1.0),
@@ -208,7 +207,7 @@ def parse_config(text: str, seed: int | None = None, out: Path | None = None) ->
     top = _checked(doc, {**_TOP, sub: (dict, {})}, "")
     try:
         params = ModelParams(top["epsilon"], top["alpha"])
-        grid = GridSpec(top["box_length"], top["modes"], top["dealias_fraction"])
+        grid = GridSpec(top["box_length"], top["modes"])
         solver = None
         if _COMMANDS[sub][2]:
             solver = SolverConfig(params, grid, top["dt"], top["t_final"], top["snapshot_stride"])

@@ -36,20 +36,20 @@ t_final that is not a whole number of steps is a ParameterError, so
 there is no short last step.  Its config alone fixes which steps it stores
 (``snapshot_steps``) and their times (``step_time``, t_final at the last).
 
-One stepping loop, ``_march``, owns a batch: it checks the batch, fixes
-each run's snapshots before the first tick and returns the trajectories.
-Its state is a (B, M/2 + 1) array, one tableau row per run: ``solve``
-steps one run as a (1, M/2 + 1) batch, ``solve_ladder`` B runs that
-share the grid and t_final; their params and snapshot strides may differ,
-and so may their dt, each an integer multiple of the smallest.  The loop
-ticks at the smallest dt and steps the rows that are due on each tick
-together, so a run with twice the step rides on every other tick.  Every stage
-acts on each element or along the last axis, so each row is bit for bit
+One stepping loop, ``solve_ladder``, owns a batch: it checks the batch,
+fixes each run's snapshots before the first tick and returns the
+trajectories.  Its state is a (B, M/2 + 1) array, one tableau row per
+run, and ``solve`` is the batch of one.  The B runs share the grid and
+t_final; their params and snapshot strides may differ, and so may their
+dt, each an integer multiple of the smallest.  The loop ticks at the
+smallest dt and steps the rows that are due on each tick together, so a
+run with twice the step rides on every other tick.  Every stage acts on
+each element or along the last axis, so each row is bit for bit
 the single solve of its run, while the 8 FFT calls and 21 other array
 operations of a tick are paid once for all its rows.  A batch shares the
 grid because the FFT length and the tableau's wavenumbers are the
 grid's, which is why the rescaled run of ``scaling_check`` (a larger box
-with more modes) stays single.  Batched together are the epsilon = 0
+on the same modes) stays single.  Batched together are the epsilon = 0
 reference, the ladder and the dt/2 floor of ``inviscid_sweep``, the
 ladder of ``h1_bound_check`` and the run of ``energy_check`` with its
 dt/2 refinement.  Each tick screens its new state with one reduction, the
@@ -265,7 +265,14 @@ def _half_square(
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
-    """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased."""
+    """N(u) = -d_x(u^2), evaluated pseudospectrally and dealiased, for the
+    real field with coefficients u.
+
+    As in ``step``, only the coefficients of u at k = 0..M/2 are read (the
+    zero and Nyquist ones by their real parts), so a u that is not
+    Hermitian-symmetric is taken as the real field of that half-spectrum;
+    the result is exactly Hermitian-symmetric.
+    """
     h = _to_half(u.coeffs)
     out = _half_square(u.grid, h.shape)(h, np.empty_like(h))
     return SpectralField(_to_full(np.multiply(_multiplier(u.grid), out, out=out)), u.grid)
@@ -397,21 +404,39 @@ def step(u: SpectralField, dt: float, p: ModelParams) -> SpectralField:
     return SpectralField(_to_full(stepper(_to_half(u.coeffs)[None])[0]), grid)
 
 
+def solve(phi: RealField, cfg: SolverConfig) -> Trajectory:
+    """Integrate from phi to t_final, recording every snapshot_stride steps:
+    ``solve_ladder`` of the one config.
+
+    The initial data is dealiased before stepping; the state is then
+    stepped as an rfft half-spectrum, and every stored state after t = 0
+    is dealiased and exactly Hermitian-symmetric.  A non-finite state aborts
+    with a DivergenceError naming epsilon, dt, the step and its time;
+    non-finite initial data is an InitialDataError, raised before any step.
+    """
+    return solve_ladder(phi, [cfg])[0]
+
+
 # a diverging row overflows on its way to the non-finite state that names its
 # step in a DivergenceError; numpy's warnings would only repeat that
 @np.errstate(over="ignore", invalid="ignore")
-def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
-    """The stepping loop: phi stepped under each of cfgs, one Trajectory each.
+def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
+    """The solves of phi under each of cfgs, stepped together: the stepping loop.
 
     The configs must share grid and t_final, and each dt must be an integer
     multiple r of the smallest (r * min dt == dt in floating point), else
-    ParameterError; non-finite dealiased initial data is an InitialDataError.
-    Each run's ``snapshot_steps`` are placed on the ticks before the first.
-    Row b takes its step i on tick r_b i of the smallest dt, so each tick
-    steps its due rows together under one stepper cached per tuple of due
-    rows.  A row that turns non-finite on its step i records the error of
-    step i - 1 at the ``step_time`` of i, named by its epsilon and dt, and
-    steps on; run 0's is raised at once, any other after the last tick.
+    ParameterError; params and snapshot_stride may differ.  Non-finite
+    dealiased initial data is an InitialDataError.  Each run's
+    ``snapshot_steps`` are placed on the ticks before the first.  Row b
+    takes its step i on tick r_b i of the smallest dt, so each tick steps
+    its due rows together, as one (B, M/2 + 1) half-spectrum, under one
+    stepper cached per tuple of due rows; trajectory b equals
+    ``solve(phi, cfgs[b])`` bit for bit.  A row that turns non-finite on
+    its step i records the error of step i - 1 at the ``step_time`` of i,
+    named by its epsilon and dt, with its index in cfgs as ``run``, and
+    steps on; run 0's is raised at once, any other after the last tick.  So
+    the error raised is the one ``solve`` raises for the first config, in
+    order, that diverges alone.
     """
     dt0 = min((cfg.dt for cfg in cfgs), default=0.0)
     ratios = [round(cfg.dt / dt0) for cfg in cfgs]
@@ -477,35 +502,8 @@ def _march(phi: RealField, cfgs: Sequence[SolverConfig]) -> list[Trajectory]:
         raise errors[min(errors)]
     for m in coeffs:
         m.setflags(write=False)
-    return [Trajectory(m, cfg) for m, cfg in zip(coeffs, cfgs)]
+    return tuple(Trajectory(m, cfg) for m, cfg in zip(coeffs, cfgs))
 
-
-def solve(phi: RealField, cfg: SolverConfig) -> Trajectory:
-    """Integrate from phi to t_final, recording every snapshot_stride steps.
-
-    The initial data is dealiased before stepping; the state is then
-    stepped as an rfft half-spectrum, and every stored state after t = 0
-    is dealiased and exactly Hermitian-symmetric.  A non-finite state aborts
-    with a DivergenceError naming epsilon, dt, the step and its time;
-    non-finite initial data is an InitialDataError, raised before any step.
-    """
-    return _march(phi, [cfg])[0]
-
-
-def solve_ladder(phi: RealField, cfgs: Sequence[SolverConfig]) -> tuple[Trajectory, ...]:
-    """The solves of phi under each of cfgs, stepped together by ``_march``.
-
-    ``_march`` checks the batch: the configs must share grid and t_final,
-    and each dt must be an integer multiple of the smallest (dt == r * min
-    dt in floating point), else ParameterError; params and snapshot_stride
-    may differ.  Each tick of the smallest dt steps the due runs as one
-    (B, M/2 + 1) half-spectrum, and trajectory b equals ``solve(phi,
-    cfgs[b])`` bit for bit.  If any run turns non-finite, the
-    DivergenceError raised is the one ``solve`` raises for the first
-    config, in order, that diverges alone: its epsilon, dt, step and time,
-    with its index in cfgs as ``run``.
-    """
-    return tuple(_march(phi, cfgs))
 
 
 SNAPSHOT_MAGIC = b"KDVBSNAP"

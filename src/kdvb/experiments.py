@@ -22,12 +22,15 @@ An error the initial data causes is an InitialDataError, which
 
 The scaling map u -> lam^2 u(lam x, lam^3 t) with epsilon ->
 lam^(3-2a) epsilon is probed with lam = 2^-m by re-solving on a box
-enlarged by 2^m at the same mode density; data transfers between the
-two grids by exact Fourier-band embedding.
+enlarged by 2^m with the same M modes: the map sends mode k of the box
+L to mode k of the box L / lam, so both runs carry the same modes, and
+data transfers between them as lam^2 times the same collocation samples.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -44,14 +47,11 @@ from .norms import (
 from .propagator import ModelParams
 from .reports import fit_power_law, strictly_monotone
 from .spectral import (
-    MAX_MODES,
     GridSpec,
     RealField,
     dissipation_symbol,
-    forward_transform,
     is_integer,
     is_seed,
-    resize_band,
     sobolev_weight,
     synthesize,
 )
@@ -146,10 +146,9 @@ def sine_initial_data(grid: GridSpec, amplitude: float, wavenumber_index: int) -
     zeroes every mode outside it."""
     if not is_integer(wavenumber_index):
         raise InitialDataError(f"wavenumber_index must be an integer, got {wavenumber_index!r}")
-    cutoff = grid.dealias_fraction * grid.modes / 2.0
-    if not abs(wavenumber_index) < cutoff:
+    if not abs(wavenumber_index) < grid.dealias_cutoff:
         raise InitialDataError(
-            f"wavenumber_index must lie in the dealiased band |k| < {cutoff:.6g} "
+            f"wavenumber_index must lie in the dealiased band |k| < {grid.dealias_cutoff:.6g} "
             f"of {grid.modes} modes, got {wavenumber_index}"
         )
     if not np.isfinite(amplitude):
@@ -246,29 +245,42 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
     pulled-back rescaled solve with lam = 2^-lambda_exp.
 
     Both runs store only their final state.  The rescaled run uses box
-    lam^-1 L with lam^-1 M modes, data lam^2 phi(lam x), dissipation
-    lam^(3-2a) epsilon, horizon lam^-3 T, and step lam^-3 dt, then is
-    compared after exact band restriction.
-    Wavenumber m on the fine grid is xi_m / lam, so copying coefficients
-    index by index realizes phi -> phi(lam x) exactly.  The fine grid is
-    dealiased at lam times the base fraction, which keeps the same
-    indices |m| < dealias_fraction M / 2 (exactly, lam being a power of
-    2), so both runs carry the same modes and differ only by roundoff.
+    lam^-1 L on the same M modes, data lam^2 phi at the same collocation
+    samples, dissipation lam^(3-2a) epsilon, horizon lam^-3 T and step
+    lam^-3 dt.  Its mode k is xi_k lam, so both runs carry the same band,
+    and its unitary coefficients are lam^(3/2) times the base's (lam^2
+    from the data, lam^(-1/2) from sqrt(L)), undone by the pull-back.
+    Every scale is a power of 2, sqrt(L) too at an even lambda_exp, so
+    with epsilon = 0 or alpha = 1 an even lambda_exp gives 0.0 (roundoff
+    near the cap, where the rescaled symbol goes subnormal), an odd one
+    roundoff.
 
-    A lambda_exp that is not an integer (a bool is not one) with
-    modes * 2**lambda_exp <= MAX_MODES is a ParameterError raised before
-    the base solve; data whose base solve ends at norm 0 is an InitialDataError.
+    The rescaled run must fit in float64: lam^3 normal, box L 2^m and
+    horizon T 8^m (so also the step) finite, and no nonzero sample of
+    lam^2 phi below the smallest normal float.  A lambda_exp that is not
+    an integer (a bool is not one) in that range is a ParameterError
+    raised before the base solve; data whose base solve ends at norm 0 is
+    an InitialDataError.
     """
     grid, params = cfg.grid, cfg.params
-    # in integers, since 2**lambda_exp may be vast
-    max_exp = (MAX_MODES // grid.modes).bit_length() - 1
+    # in integers, from frexp exponents e (x = f 2^e, 1/2 <= f < 1): x 2^(k m)
+    # is finite while e + k m <= max_exp, and x 2^(-k m) normal while
+    # e - k m >= min_exp
+    info = sys.float_info
+    e_data = np.frexp(phi.values[phi.values != 0])[1].min(initial=info.max_exp)
+    max_exp = min(
+        (1 - info.min_exp) // 3,  # lam^3, with e = 1 for 1.0
+        info.max_exp - math.frexp(grid.box_length)[1],
+        (info.max_exp - math.frexp(cfg.t_final)[1]) // 3,
+        max((int(e_data) - info.min_exp) // 2, 0),  # lam = 1 leaves any data exact
+    )
     if not (is_integer(lambda_exp) and 0 <= lambda_exp <= max_exp):
         raise ParameterError(
-            f"lambda_exp must be an integer in [0, {max_exp}], so that the rescaled grid's "
-            f"modes * 2**lambda_exp stays within MAX_MODES = {MAX_MODES}, got {lambda_exp!r}"
+            f"lambda_exp must be an integer in [0, {max_exp}], so that the rescaled run fits "
+            f"in float64 (lam**3 normal, box L 2**m and horizon T 8**m finite, data lam**2 phi "
+            f"exact), got {lambda_exp!r}"
         )
-    factor = 2**lambda_exp
-    lam = 1.0 / factor
+    lam = 2.0**-lambda_exp
 
     base = solve(phi, replace(cfg, snapshot_stride=10**9))
     target = base.coeffs[-1]
@@ -276,24 +288,14 @@ def scaling_check(phi: RealField, cfg: SolverConfig, lambda_exp: int) -> float:
     if target_norm == 0.0:
         raise InitialDataError("scaling_check needs non-zero data: the base solve ends at norm 0")
 
-    fine_grid = GridSpec(
-        box_length=grid.box_length * factor,
-        modes=grid.modes * factor,
-        dealias_fraction=grid.dealias_fraction * lam,
-    )
-    if factor == 1:
-        phi_scaled_real = phi
-    else:
-        # unitary coefficients scale by lam^2 * sqrt(1/lam) = lam^(3/2)
-        embedded = resize_band(forward_transform(phi).coeffs, fine_grid.modes) * lam**1.5
-        phi_scaled_real = RealField(synthesize(embedded, fine_grid.box_length), fine_grid)
+    scaled_grid = GridSpec(grid.box_length / lam, grid.modes)
     scaled_params = ModelParams(params.epsilon * lam ** (3.0 - 2.0 * params.alpha), params.alpha)
     scaled_cfg = SolverConfig(
-        scaled_params, fine_grid, cfg.dt / lam**3, cfg.t_final / lam**3, snapshot_stride=10**9
+        scaled_params, scaled_grid, cfg.dt / lam**3, cfg.t_final / lam**3, snapshot_stride=10**9
     )
-    scaled = solve(phi_scaled_real, scaled_cfg)
+    scaled = solve(RealField(lam**2 * phi.values, scaled_grid), scaled_cfg)
 
-    pulled_back = resize_band(scaled.coeffs[-1], grid.modes) * lam**-1.5
+    pulled_back = scaled.coeffs[-1] * lam**-1.5
     defect = np.linalg.norm(pulled_back - target)
     return float(defect / target_norm)
 

@@ -64,7 +64,6 @@ class GridSpec:
 
     box_length: float
     modes: int
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not 0 < self.box_length < math.inf:
@@ -80,10 +79,6 @@ class GridSpec:
                 f"box_length {self.box_length} puts the largest wavenumber pi M / L "
                 f"past {_MAX_WAVENUMBER:.6g}, where its cube overflows"
             )
-        if not 0 < self.dealias_fraction <= 1:
-            raise ParameterError(
-                f"dealias_fraction must lie in (0, 1], got {self.dealias_fraction}"
-            )
 
     def collocation_points(self) -> np.ndarray:
         """Grid points x_j = j L / M, j = 0..M-1."""
@@ -97,11 +92,16 @@ class GridSpec:
         """Physical wavenumbers xi_k = 2 pi k / L in FFT order."""
         return (2.0 * np.pi / self.box_length) * self.integer_wavenumbers()
 
+    @property
+    def dealias_cutoff(self) -> float:
+        """M / 3, the cutoff of every grid's one dealiasing rule: the strict
+        2/3 rule keeps |k| < M / 3, so at M divisible by 3 it drops the
+        aliasing edge modes +-M/3."""
+        return self.modes / 3.0
+
     def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of |k| < dealias_fraction * M / 2, strict so that 2/3 at M
-        divisible by 3 drops the aliasing edge modes +-M/3 (1 drops only -M/2)."""
-        cutoff = self.dealias_fraction * self.modes / 2.0
-        return np.abs(self.integer_wavenumbers()) < cutoff
+        """Boolean mask of the kept modes, |k| < ``dealias_cutoff``."""
+        return np.abs(self.integer_wavenumbers()) < self.dealias_cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +190,7 @@ def dissipation_symbol(grid: GridSpec, alpha: float) -> np.ndarray:
 
 
 def dealias(u: SpectralField) -> SpectralField:
-    """Zero every coefficient with |k| >= dealias_fraction * M / 2."""
+    """Zero every coefficient with |k| >= M / 3 (``GridSpec.dealias_mask``)."""
     return SpectralField(np.where(u.grid.dealias_mask(), u.coeffs, 0.0), u.grid)
 
 

@@ -86,7 +86,6 @@ def readme_defaults(cell: str) -> dict:
 class TestParseConfig:
     def test_minimal_solve_accepts_defaults(self, tmp_path):
         cfg = parse_config(json.dumps(solve_doc(tmp_path)))
-        assert cfg.grid.dealias_fraction == pytest.approx(2.0 / 3.0)
         assert cfg.solver.snapshot_stride == 1
         assert cfg.seed == 0
         echoed = cfg.echo
@@ -369,7 +368,6 @@ def test_fuzzed_calculus_run_exits_by_name(data):
 
 
 # tiny documents of the stepping subcommands: M = 64 and 20 steps of dt
-# (scaling's rescaled run has 2**lambda_exp times the modes)
 STEPPING_BLOCKS = {
     "solve": {},
     "energy": {"refine_check": True},
@@ -384,8 +382,8 @@ STEPPING_DATA = [
     {"kind": "power_law", "decay_exponent": -1.51, "l2_norm": 0.5, "seed": 3},
     {"kind": "sine", "amplitude": 0.5, "wavenumber_index": 2},
 ]
-STEPPING_TOP = ("epsilon", "alpha", "modes", "box_length", "dealias_fraction", "dt", "t_final",
-                "snapshot_stride", "seed")
+STEPPING_TOP = ("epsilon", "alpha", "modes", "box_length", "dt", "t_final", "snapshot_stride",
+                "seed")
 # zero, subnormals, tiny, vast, 2**53, a few signs and ordinary values
 EDGE_NUMBERS = st.sampled_from(
     [0, 0.0, 5e-324, 1e-310, 1e-300, 1e300, -1e300, 2**53, -1.0, 0.5, 1, 2.0]
@@ -569,10 +567,11 @@ class TestRun:
     @pytest.mark.parametrize(
         "data,overrides,code",
         [
-            # the profile overflows, or underflows to a zero norm
+            # the profile overflows or underflows to a zero norm, or a vast
+            # norm overflows the data's coefficients
             ({"kind": "power_law", "decay_exponent": 1e300}, {}, 2),
             ({"kind": "power_law", "decay_exponent": -1e300}, {}, 2),
-            ({"kind": "power_law"}, {"dealias_fraction": 1e-300}, 2),
+            ({"kind": "power_law", "l2_norm": 1e308}, {}, 2),
             ({"kind": "gaussian", "modulation": 1e300}, {"box_length": 1e300}, 2),
             # exp(-inf) = 0 away from the center, or cosh(inf) at the edge
             ({"kind": "gaussian", "width": 5e-324}, {}, 0),
@@ -1151,14 +1150,17 @@ class TestMain:
         assert parse_config(json.dumps(doc)).block["n_samples"] == MAX_SAMPLES
 
     @pytest.mark.parametrize(
-        "lambda_exp", [15, 60, 10000, 10**300], ids=["15", "60", "10000", "1e300"]
+        "lambda_exp",
+        [-1, 341, 2000, 10000, 10**300],
+        ids=["-1", "cap+1", "2000", "10000", "1e300"],
     )
-    def test_lambda_exp_past_max_modes_is_parameter_error(
+    def test_lambda_exp_past_the_float64_room_is_parameter_error(
         self, tmp_path, capsys, no_solve_or_draw, lambda_exp
     ):
-        # 64 * 2**14 = MAX_MODES; 2**10000 makes lam = 2**-lambda_exp zero
-        doc = solve_doc(tmp_path / "out", subcommand="scaling", scaling={"lambda_exp": 14})
-        assert parse_config(json.dumps(doc)).block["lambda_exp"] == 14
+        # lam**3 = 2**-(3 * 340) is the last normal power; 2**10000 makes
+        # lam = 2**-lambda_exp zero
+        doc = solve_doc(tmp_path / "out", subcommand="scaling", scaling={"lambda_exp": 340})
+        assert parse_config(json.dumps(doc)).block["lambda_exp"] == 340
         doc["scaling"]["lambda_exp"] = lambda_exp
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -1167,7 +1169,17 @@ class TestMain:
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ParameterError"
         assert "lambda_exp" in payload["message"]
-        assert "MAX_MODES" in payload["message"]
+        assert "[0, 340]" in payload["message"]
+
+    def test_dealias_fraction_is_an_unknown_key(self, tmp_path, capsys):
+        # every grid keeps the strict 2/3 band, so no key chooses another
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(solve_doc(tmp_path / "out", dealias_fraction=2.0 / 3.0)))
+        assert main(["--config", str(cfg_path)]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert "unknown keys" in payload["message"]
+        assert "dealias_fraction" in payload["message"]
 
     def test_config_error_written_to_the_config_out(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -41,7 +41,6 @@ from kdvb.spectral import (
     forward_transform,
     hermitian_residual,
     inverse_transform,
-    resize_band,
     synthesize,
 )
 
@@ -92,11 +91,35 @@ class TestNonlinearTerm:
         grid = GridSpec(box_length=5.0, modes=modes)
         rng = np.random.default_rng(modes)
         u = dealias(forward_transform(RealField(rng.standard_normal(modes), grid)))
-        fine = GridSpec(box_length=5.0, modes=2 * modes, dealias_fraction=1.0 / 3.0)
-        u_fine = SpectralField(resize_band(u.coeffs, fine.modes), fine)
-        reference = resize_band(nonlinear_term(u_fine).coeffs, modes)
+        # the reference squares on 2M points, zero-padded in the unitary
+        # convention (coeff = sqrt(L) / n fft on n points), keeps |k| < M/3
+        # of the square and applies the derivative -i xi
+        half, root_l = modes // 2, np.sqrt(grid.box_length)
+        padded = np.zeros(2 * modes, dtype=complex)
+        padded[:half], padded[-half:] = u.coeffs[:half], u.coeffs[half:]
+        w = np.fft.ifft(padded * (2 * modes / root_l)).real
+        square = np.fft.fft(w * w) * (root_l / (2 * modes))
+        square = np.concatenate((square[:half], square[-half:]))
+        k = grid.integer_wavenumbers()
+        reference = np.where(np.abs(k) < modes / 3, -1j * grid.wavenumbers() * square, 0.0)
         coeffs = nonlinear_term(u).coeffs
         assert np.linalg.norm(coeffs - reference) <= 1e-15 * np.linalg.norm(reference)
+
+    def test_reads_the_half_spectrum_of_a_non_hermitian_u(self):
+        # only k = 0..M/2 are read, the zero and Nyquist entries by their
+        # real parts: u and the real field of that half-spectrum agree
+        grid = GridSpec(box_length=5.0, modes=64)
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        c[~grid.dealias_mask()] = 0.0
+        c[32] = 0.7 - 0.2j  # the Nyquist entry, outside the band but read
+        h = c[:33].copy()
+        h[0], h[-1] = h[0].real, h[-1].real
+        projected = np.concatenate((h, np.conj(h[-2:0:-1])))
+        assert hermitian_residual(SpectralField(c, grid)) > 0.1
+        out = nonlinear_term(SpectralField(c, grid))
+        assert np.array_equal(out.coeffs, nonlinear_term(SpectralField(projected, grid)).coeffs)
+        assert hermitian_residual(out) == 0.0
 
 
 class TestStep:
@@ -390,20 +413,6 @@ class TestSolve:
         # stepped states are rebuilt from the rfft half-spectrum: exactly Hermitian
         assert all(hermitian_residual(s) == 0.0 for s in traj.states[1:])
 
-    def test_undealiased_states_finite_and_hermitian(self):
-        # dealias_fraction = 1 keeps every mode but the Nyquist mode k = -M/2
-        grid = GridSpec(box_length=8.0, modes=64, dealias_fraction=1.0)
-        cfg = SolverConfig(
-            params=ModelParams(0.2, 0.9), grid=grid, dt=1e-3, t_final=0.05,
-            snapshot_stride=10,
-        )
-        traj = solve(smooth_data(grid), cfg)
-        assert np.count_nonzero(grid.dealias_mask()) == grid.modes - 1
-        assert np.all(traj.coeffs[:, grid.modes // 2] == 0)
-        for s in traj.states[1:]:
-            assert np.all(np.isfinite(s.coeffs))
-            assert hermitian_residual(s) == 0.0
-
     @pytest.mark.parametrize("modes", [96, 384])
     @pytest.mark.parametrize("eps,alpha", [(0.0, 1.0), (0.3, 0.8)])
     def test_matches_full_fft_etdrk4_reference(self, modes, eps, alpha):
@@ -416,7 +425,7 @@ class TestSolve:
         m = grid.modes
         k = np.fft.fftfreq(m, d=1.0 / m)
         xi = 2.0 * np.pi * k / grid.box_length
-        keep = np.abs(k) < grid.dealias_fraction * m / 2
+        keep = np.abs(k) < m / 3
         z = dt * (1j * xi**3 - eps * np.where(xi != 0, np.abs(xi) ** (2 * alpha), 0.0))
 
         def phis(w):
@@ -525,7 +534,7 @@ class TestSolve:
 
         m = grid.modes
         xi = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.box_length / m)
-        keep = np.abs(np.fft.fftfreq(m, d=1.0 / m)) < grid.dealias_fraction * m / 2
+        keep = np.abs(np.fft.fftfreq(m, d=1.0 / m)) < m / 3
         lin = 1j * xi**3 - eps * np.where(xi != 0, np.abs(xi) ** (2 * alpha), 0.0)
 
         def rhs(c):
@@ -698,7 +707,7 @@ class TestSolveLadder:
                 solve_ladder(phi, [base, other])
 
     def test_batch_rule_is_checked_before_the_data(self):
-        # _march checks the batch first: data on neither config's grid, and
+        # solve_ladder checks the batch first: data on neither config's grid, and
         # non-finite at that, still meets the batch rule's ParameterError
         phi = RealField(np.full(32, np.nan), GridSpec(16.0, 32))
         grid = GridSpec(box_length=16.0, modes=64)
@@ -751,9 +760,7 @@ class TestSolveLadder:
             single = solve(phi, cfg)
             assert np.array_equal(traj.times, single.times)
             assert np.array_equal(traj.coeffs, single.coeffs)
-        other = SolverConfig(
-            ModelParams(0.1, 1.0), GridSpec(16.0, 64, dealias_fraction=0.5), 0.01, 0.1
-        )
+        other = SolverConfig(ModelParams(0.1, 1.0), GridSpec(16.0, 128), 0.01, 0.1)
         with pytest.raises(ParameterError, match="share"):
             solve_ladder(phi, [cfgs[0], other])
 

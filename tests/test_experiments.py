@@ -1,5 +1,7 @@
 """Tests for the experiment drivers and benchmark data."""
 
+import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -160,14 +162,12 @@ class TestRoughData:
         assert np.max(np.abs(np.angle(u.coeffs[k] / turn))) <= 1e-9
         assert np.max(np.abs(np.angle(u.coeffs[-k] * turn))) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "decay_exponent,dealias_fraction", [(-1.51, 1e-300), (-1e300, 2.0 / 3.0)]
-    )
-    def test_empty_band_is_parameter_error(self, decay_exponent, dealias_fraction):
-        # the suite turns RuntimeWarnings into errors, so a 0/0 would fail here
-        grid = GridSpec(box_length=32.0, modes=64, dealias_fraction=dealias_fraction)
+    def test_empty_band_is_parameter_error(self):
+        # every nonzero mode's <xi>^-1e300 underflows; the suite turns
+        # RuntimeWarnings into errors, so a 0/0 would fail here
+        grid = GridSpec(box_length=32.0, modes=64)
         with pytest.raises(ParameterError, match="no nonzero mode"):
-            power_law_initial_data(grid, decay_exponent, l2_norm=0.5, seed=7)
+            power_law_initial_data(grid, -1e300, l2_norm=0.5, seed=7)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**64])
     def test_seed_outside_the_cli_range_rejected(self, seed):
@@ -381,13 +381,13 @@ class TestScalingCheck:
             (True, ParameterError),
             (2000, ParameterError),
             (10**300, ParameterError),
-            (14, Solved),
-            (15, ParameterError),
+            (340, Solved),
+            (341, ParameterError),
         ],
         ids=["-1", "1.5", "2.0", "True", "2000", "1e300", "cap", "cap+1"],
     )
     def test_lambda_rule_is_checked_before_the_base_solve(self, monkeypatch, lambda_exp, error):
-        # at 64 modes the cap is 14: 64 * 2**14 = MAX_MODES
+        # here lam**3 binds: 2**-(3 * 340) is the last normal power of 8
         def solved(*args, **kwargs):
             raise Solved
 
@@ -397,6 +397,66 @@ class TestScalingCheck:
         cfg = SolverConfig(ModelParams(0.3, 0.9), grid, dt=5e-3, t_final=0.1)
         with pytest.raises(error, match="lambda_exp" if error is ParameterError else None):
             scaling_check(phi, cfg, lambda_exp)
+
+    # the grid, data and config whose float64 room in lambda_exp is binding,
+    # and that room: lam**3, the box L 2**m, the horizon T 8**m, the data lam**2 phi
+    ROOMS = {
+        "lam-cubed": ((16.0, 1.0, 5e-3, 0.1), 340),
+        "box": ((2.0**1000, 1.0, 5e-3, 0.1), 23),
+        "horizon": ((16.0, 1.0, 2.0**90, 2.0**100), 307),
+        "data": ((16.0, 2.0**-900, 5e-3, 0.1), 34),
+    }
+
+    @staticmethod
+    def float64_room(phi, cfg):
+        """The largest m whose rescaled run fits in float64, by trying each m."""
+        nonzero = phi.values[phi.values != 0]
+
+        def finite(x, e):
+            try:
+                return math.ldexp(x, e) < math.inf
+            except OverflowError:
+                return False
+
+        def fits(m):
+            return (
+                math.ldexp(1.0, -3 * m) >= sys.float_info.min
+                and finite(cfg.grid.box_length, m)
+                and finite(cfg.t_final, 3 * m)
+                and bool(np.all(np.abs(np.ldexp(nonzero, -2 * m)) >= sys.float_info.min))
+            )
+
+        m = 0
+        while fits(m + 1):
+            m += 1
+        return m
+
+    @pytest.mark.parametrize("binding", ROOMS)
+    def test_lambda_cap_is_the_tightest_float64_room(self, monkeypatch, binding):
+        def solved(*args, **kwargs):
+            raise Solved
+
+        monkeypatch.setattr(experiments, "solve", solved)
+        (box_length, amplitude, dt, t_final), room = self.ROOMS[binding]
+        grid = GridSpec(box_length, 64)
+        phi = sine_initial_data(grid, amplitude, 1)
+        cfg = SolverConfig(ModelParams(0.3, 0.9), grid, dt, t_final)
+        assert self.float64_room(phi, cfg) == room
+        with pytest.raises(Solved):
+            scaling_check(phi, cfg, room)
+        with pytest.raises(ParameterError, match=rf"integer in \[0, {room}\]"):
+            scaling_check(phi, cfg, room + 1)
+
+    @pytest.mark.parametrize("lambda_exp", [2, 4, 60])
+    @pytest.mark.parametrize("eps,alpha", [(0.0, 0.7), (0.4, 1.0)], ids=["eps=0", "alpha=1"])
+    def test_even_lambda_is_exact(self, eps, alpha, lambda_exp):
+        # every scale is a power of 2, the sqrt of the box included, and no
+        # fractional power of a wavenumber is taken, so the two runs agree
+        # bit for bit; a wrong power of lam anywhere leaves a distance
+        grid = GridSpec(box_length=16.0, modes=64)
+        phi = gaussian_initial_data(grid, width=1.5, l2_norm=0.5)
+        cfg = SolverConfig(ModelParams(eps, alpha), grid, dt=5e-3, t_final=0.1)
+        assert scaling_check(phi, cfg, lambda_exp) == 0.0
 
     def test_dispersive_scaling_invariance(self):
         grid = GridSpec(box_length=32.0, modes=192)

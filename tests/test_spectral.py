@@ -48,8 +48,6 @@ class TestGridSpec:
             GridSpec(box_length=1.0, modes=4)
         with pytest.raises(ParameterError, match="positive"):
             GridSpec(box_length=-1.0, modes=16)
-        with pytest.raises(ParameterError, match="dealias"):
-            GridSpec(box_length=1.0, modes=16, dealias_fraction=1.5)
 
     def test_modes_must_be_an_integer(self):
         with pytest.raises(ParameterError, match="modes must be an even integer"):
@@ -59,7 +57,7 @@ class TestGridSpec:
     def test_grids_compare_by_value(self):
         assert GridSpec(16.0, 64) == GridSpec(16.0, 64)
         assert len({GridSpec(16.0, 64), GridSpec(16.0, 64)}) == 1
-        assert GridSpec(16.0, 64) != GridSpec(16.0, 64, dealias_fraction=0.5)
+        assert GridSpec(16.0, 64) != GridSpec(8.0, 64)
         assert GridSpec(16.0, 64) != GridSpec(16.0, 128)
 
     @pytest.mark.parametrize("box_length", [float("inf"), float("nan"), 1e-300, 5e-324])
@@ -79,11 +77,12 @@ class TestGridSpec:
         assert np.all(mask[np.abs(k) <= 21])
         assert not np.any(mask[np.abs(k) > 21])
 
-    @pytest.mark.parametrize("fraction,modes,kept", [(2.0 / 3.0, 96, 31), (1.0, 64, 31)])
-    def test_dealias_cutoff_is_strict(self, fraction, modes, kept):
-        # a cutoff f M / 2 that is itself a wavenumber is left out
-        grid = GridSpec(box_length=1.0, modes=modes, dealias_fraction=fraction)
+    @pytest.mark.parametrize("modes,kept", [(96, 31), (384, 127)])
+    def test_dealias_cutoff_is_strict(self, modes, kept):
+        # a cutoff M / 3 that is itself a wavenumber is left out
+        grid = GridSpec(box_length=1.0, modes=modes)
         k = grid.integer_wavenumbers()
+        assert grid.dealias_cutoff == kept + 1
         assert np.array_equal(grid.dealias_mask(), np.abs(k) <= kept)
 
 

@@ -325,12 +325,27 @@ MUTANTS = [
         "tests/test_experiments.py::TestH1Bound::"
         "test_observables_are_the_h1_sup_and_the_dissipation_integral",
     ),
+    # scaling_check: the float64 room of its rescaled run caps lambda_exp, and
+    # a wrong power of lam in its data or pull-back leaves a distance at an
+    # even lambda_exp, where the two runs otherwise agree bit for bit
     (
         "experiments.py",
         "0 <= lambda_exp <= max_exp",
         "0 <= lambda_exp <= max_exp + 1",
         "tests/test_experiments.py::TestScalingCheck::"
-        "test_lambda_rule_is_checked_before_the_base_solve",
+        "test_lambda_cap_is_the_tightest_float64_room",
+    ),
+    (
+        "experiments.py",
+        "RealField(lam**2 * phi.values",
+        "RealField(lam**2.5 * phi.values",
+        "tests/test_experiments.py::TestScalingCheck::test_even_lambda_is_exact",
+    ),
+    (
+        "experiments.py",
+        "scaled.coeffs[-1] * lam**-1.5",
+        "scaled.coeffs[-1] * lam**-1",
+        "tests/test_experiments.py::TestScalingCheck::test_even_lambda_is_exact",
     ),
     # the two reported ratios, each written once, and the zero-data refusal
     (
